@@ -13,9 +13,8 @@ from .catalog import (
     load_catalog,
     load_interpretation,
     load_interpretations_dir,
-    lookup_template,
 )
-from .engine import EnginePolicy, diff_rights, fingerprint_inputs, verify
+from .engine import EnginePolicy, fingerprint_inputs, verify
 from .lineage import (
     LineageGraph,
     build_lineage,
@@ -83,14 +82,12 @@ __all__ = [
     "build_lineage",
     "compute_license_range",
     "default_scenarios",
-    "diff_rights",
     "extend_schema",
     "fingerprint_inputs",
     "load_catalog",
     "load_interpretation",
     "load_interpretations_dir",
     "lookup_or_verify",
-    "lookup_template",
     "render_markdown",
     "select_capture",
     "validate_provenance",

@@ -15,23 +15,22 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
 from .model import (
     FIXED_RIGHTS,
+    Document,
     Grant,
     LicenseMetadata,
     Obligation,
     RightEntry,
     RightsVector,
     Violation,
+    codec_field,
+    decoder_for,
     merge_obligations,
     validate_rights_vector,
-    _check_fields,
-    _expect_mapping,
-    _get_opt_str,
-    _get_str,
 )
 from .resources import templates_dir
 
@@ -109,15 +108,24 @@ def extend_schema(catalog: LicenseCatalog, right_name: str, applies_to: str) -> 
     )
 
 
+@dataclass(frozen=True)
+class _TemplateDocument(Document, path="template"):
+    """The JSON form of a shipped template file."""
+
+    license_id: str
+    version: str
+    vector: RightsVector
+    note: str | None = None
+
+
 def _parse_template_file(path: Path, strict: bool = True) -> LicenseTemplate:
     raw = path.read_bytes()
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(str(path), f"invalid template file: {exc}")
-    data = _expect_mapping(data, str(path))
-    _check_fields(data, str(path), {"license_id", "version", "vector"}, {"note"}, strict)
-    vector = RightsVector.from_dict(data["vector"], f"{path}.vector", strict)
+    doc = _TemplateDocument.from_dict(data, str(path), strict)
+    vector = doc.vector
     violations = validate_rights_vector(vector)
     for name in FIXED_RIGHTS:
         if vector.grant(name) is Grant.UNSPECIFIED:
@@ -129,9 +137,9 @@ def _parse_template_file(path: Path, strict: bool = True) -> LicenseTemplate:
             f"template {path} is invalid: " + "; ".join(str(v) for v in violations)
         )
     return LicenseTemplate(
-        license_id=_get_str(data, "license_id", str(path)),
-        version=_get_str(data, "version", str(path)),
-        note=_get_opt_str(data, "note", str(path)) or "",
+        license_id=doc.license_id,
+        version=doc.version,
+        note=doc.note or "",
         vector=vector,
         digest=hashlib.sha256(raw).hexdigest(),
     )
@@ -147,13 +155,6 @@ def load_catalog(directory: Path | None = None) -> LicenseCatalog:
             raise ParseError(str(path), f"duplicate template id {template.license_id!r}")
         templates[template.license_id] = template
     return LicenseCatalog(templates=templates)
-
-
-def lookup_template(
-    license_id: str, version: str | None = None, catalog: LicenseCatalog | None = None
-) -> RightsVector:
-    """Module-level convenience over :meth:`LicenseCatalog.lookup_template`."""
-    return (catalog or load_catalog()).lookup_template(license_id, version)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,6 @@ class Interpretation:
     subject_id: str
     vector: RightsVector | None
     template_id: str | None = None
-    notes: str = ""
 
 
 def _fill_custom_rights(
@@ -196,7 +196,7 @@ def _apply_template(
     template_id: str,
     template_version: str | None,
     metadata_overrides: Mapping[str, Any] | None,
-    extra_obligations: Mapping[str, list[Obligation]] | None,
+    extra_obligations: Mapping[str, Sequence[Obligation]] | None,
     path: str,
 ) -> RightsVector:
     base = catalog.lookup_template(template_id, template_version)
@@ -236,6 +236,23 @@ def _apply_template(
     )
 
 
+@dataclass(frozen=True)
+class _InterpretationDocument(Document, path="interpretation"):
+    """The JSON form of an interpretation document. Exactly one of
+    ``unavailable``, ``vector`` and ``template`` gives its body; ``notes`` is
+    free text for human readers."""
+
+    subject_id: str
+    unavailable: bool = False
+    vector: RightsVector | None = None
+    # Null means no template, but a present template must be a string.
+    template: str | None = codec_field(decode=decoder_for(str), default=None)
+    template_version: str | None = None
+    metadata: Mapping[str, str | None] | None = None
+    extra_obligations: Mapping[str, tuple[Obligation, ...]] | None = None
+    notes: str | None = None
+
+
 def parse_interpretation(
     data: Any,
     catalog: LicenseCatalog | None = None,
@@ -245,53 +262,25 @@ def parse_interpretation(
     path: str = "interpretation",
 ) -> Interpretation:
     """Parse one interpretation document (inline, template-based, or unavailable)."""
-    data = _expect_mapping(data, path)
-    _check_fields(
-        data,
-        path,
-        {"subject_id"},
-        {"unavailable", "vector", "template", "template_version", "metadata",
-         "extra_obligations", "notes"},
-        strict,
-    )
-    subject_id = _get_str(data, "subject_id", path)
-    notes = _get_opt_str(data, "notes", path) or ""
-    unavailable = bool(data.get("unavailable", False))
-    has_vector = data.get("vector") is not None
-    has_template = data.get("template") is not None
-    selected = sum([unavailable, has_vector, has_template])
-    if selected != 1:
+    doc = _InterpretationDocument.from_dict(data, path, strict)
+    if sum([doc.unavailable, doc.vector is not None, doc.template is not None]) != 1:
         raise ParseError(
             path,
             "exactly one of 'unavailable: true', 'vector', or 'template' is required",
         )
-    if unavailable:
-        return Interpretation(subject_id=subject_id, vector=None, notes=notes)
+    if doc.unavailable:
+        return Interpretation(subject_id=doc.subject_id, vector=None)
 
-    if has_vector:
-        vector = RightsVector.from_dict(data["vector"], f"{path}.vector", strict)
-        template_id = None
-    else:
+    vector = doc.vector
+    if vector is None:
         if catalog is None:
             raise ParseError(f"{path}.template", "no catalog available to resolve template")
-        template_id = _get_str(data, "template", path)
-        extra: dict[str, list[Obligation]] = {}
-        if data.get("extra_obligations") is not None:
-            raw = _expect_mapping(data["extra_obligations"], f"{path}.extra_obligations")
-            for right_name, items in raw.items():
-                extra[right_name] = [
-                    Obligation.from_dict(o, f"{path}.extra_obligations.{right_name}[{i}]", strict)
-                    for i, o in enumerate(items)
-                ]
-        overrides = None
-        if data.get("metadata") is not None:
-            overrides = _expect_mapping(data["metadata"], f"{path}.metadata")
         vector = _apply_template(
             catalog,
-            template_id,
-            _get_opt_str(data, "template_version", path),
-            overrides,
-            extra,
+            doc.template,
+            doc.template_version,
+            doc.metadata,
+            doc.extra_obligations,
             path,
         )
 
@@ -299,9 +288,7 @@ def parse_interpretation(
     violations = validate_rights_vector(vector)
     if violations:
         raise SchemaViolation(f"{path}: " + "; ".join(str(v) for v in violations))
-    return Interpretation(
-        subject_id=subject_id, vector=vector, template_id=template_id, notes=notes
-    )
+    return Interpretation(subject_id=doc.subject_id, vector=vector, template_id=doc.template)
 
 
 def load_interpretation(
@@ -318,8 +305,7 @@ def load_interpretation(
     and SchemaViolation when the vector is incomplete; a document marked
     unavailable carries no vector and is rejected here.
     """
-    data = _expect_mapping(data, "interpretation")
-    if "subject_id" not in data:
+    if not isinstance(data, Mapping) or "subject_id" not in data:
         vector = RightsVector.from_dict(data, "interpretation", strict)
         vector = _fill_custom_rights(vector, catalog, require_custom, "interpretation")
         violations = validate_rights_vector(vector)
@@ -342,12 +328,10 @@ class InterpretationSet:
 
     vectors: Mapping[str, RightsVector | None]
     template_digests: Mapping[str, str] = field(default_factory=dict)
-    notes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", dict(self.vectors))
         object.__setattr__(self, "template_digests", dict(self.template_digests))
-        object.__setattr__(self, "notes", dict(self.notes))
 
 
 def load_interpretations_dir(
@@ -364,7 +348,6 @@ def load_interpretations_dir(
     catalog = catalog or load_catalog()
     vectors: dict[str, RightsVector | None] = {}
     digests: dict[str, str] = {}
-    notes: dict[str, str] = {}
     for path in sorted(directory.glob("*.json")):
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -376,9 +359,7 @@ def load_interpretations_dir(
         if parsed.subject_id in vectors:
             raise ParseError(str(path), f"duplicate interpretation for {parsed.subject_id!r}")
         vectors[parsed.subject_id] = parsed.vector
-        if parsed.notes:
-            notes[parsed.subject_id] = parsed.notes
         if parsed.template_id is not None:
             info = catalog.template_info(parsed.template_id)
             digests[info.license_id] = info.digest
-    return InterpretationSet(vectors=vectors, template_digests=digests, notes=notes)
+    return InterpretationSet(vectors=vectors, template_digests=digests)

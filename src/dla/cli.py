@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -27,9 +27,8 @@ from .assessment import (
 from .catalog import load_catalog, load_interpretations_dir, parse_interpretation
 from .engine import EnginePolicy
 from .errors import (
-    AssessmentError,
     CatalogError,
-    EngineError,
+    DlaError,
     LineageError,
     ParseError,
     SchemaViolation,
@@ -44,6 +43,7 @@ from .lineage import (
 from .model import (
     ProvenanceRecord,
     RightsVector,
+    VerifiedLicense,
     canonical_json,
     validate_provenance,
     validate_rights_vector,
@@ -66,6 +66,17 @@ class _InputError(Exception):
         super().__init__(f"{path}: {message}")
 
 
+# Exit code of every error a command may end with; the first matching class
+# wins. Any other package error (parse, schema, catalog, engine, assessment)
+# is a validation problem.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (_InputError, EXIT_IO),
+    (StoreError, EXIT_IO),
+    (LineageError, EXIT_LINEAGE),
+    (DlaError, EXIT_VALIDATION),
+)
+
+
 def _read_json(path: Path) -> Any:
     try:
         text = path.read_text(encoding="utf-8")
@@ -77,9 +88,16 @@ def _read_json(path: Path) -> Any:
         raise _InputError(path, f"invalid JSON: {exc}")
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Commands(click.Group):
+    """The command group; ends every command's error with its exit code."""
+
+    def invoke(self, ctx: click.Context) -> Any:
+        try:
+            return super().invoke(ctx)
+        except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+            code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(code)
 
 
 @dataclass
@@ -94,7 +112,7 @@ class Settings:
         return EnginePolicy(unknown_denies=self.unknown_denies)
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(__version__, prog_name="dla")
 @click.option(
     "--store",
@@ -184,11 +202,7 @@ def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> None:
     """Validate provenance, interpretation, lineage, or capture documents."""
     any_problem = False
     for path in paths:
-        try:
-            data = _read_json(path)
-        except _InputError as exc:
-            _fail(EXIT_IO, str(exc))
-        problems = _validate_one(path, data, settings.strict)
+        problems = _validate_one(path, _read_json(path), settings.strict)
         if problems:
             any_problem = True
             click.echo(f"{path}: {len(problems)} problem(s)")
@@ -204,14 +218,7 @@ def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> None:
 @click.pass_obj
 def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
     """Show the validated lineage graph of a dataset."""
-    try:
-        graph = _load_graph(lineage_path, settings.strict)
-    except _InputError as exc:
-        _fail(EXIT_IO, str(exc))
-    except LineageError as exc:
-        _fail(EXIT_LINEAGE, str(exc))
-    except (ParseError, SchemaViolation) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    graph = _load_graph(lineage_path, settings.strict)
     if settings.output_format == "json":
         click.echo(canonical_json(graph.to_dict()), nl=False)
     else:
@@ -236,14 +243,7 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
 @click.pass_obj
 def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> None:
     """License range per lineage node (and the applicable capture, if given)."""
-    try:
-        graph = _load_graph(lineage_path, settings.strict)
-    except _InputError as exc:
-        _fail(EXIT_IO, str(exc))
-    except LineageError as exc:
-        _fail(EXIT_LINEAGE, str(exc))
-    except (ParseError, SchemaViolation) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    graph = _load_graph(lineage_path, settings.strict)
     for node_id in graph.nodes:
         try:
             node_range = compute_license_range(node_id, graph)
@@ -255,14 +255,9 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
             capture_path = captures_dir / f"{node_id}.json"
             captures = []
             if capture_path.exists():
-                try:
-                    captures = parse_capture_list(
-                        _read_json(capture_path), str(capture_path), settings.strict
-                    )
-                except _InputError as exc:
-                    _fail(EXIT_IO, str(exc))
-                except ParseError as exc:
-                    _fail(EXIT_VALIDATION, str(exc))
+                captures = parse_capture_list(
+                    _read_json(capture_path), str(capture_path), settings.strict
+                )
             capture = select_capture(node_id, captures, node_range)
             if capture.capture_year is not None:
                 line += f" capture: {capture.capture_year} ({capture.status.value})"
@@ -277,16 +272,13 @@ def _run_pipeline(
     lineage_path: Path,
     interpretations_dir: Path,
     audit_timestamps: bool,
-):
+) -> tuple[LineageGraph, VerifiedLicense]:
     graph = _load_graph(lineage_path, settings.strict)
     catalog = load_catalog()
     if not interpretations_dir.is_dir():
         raise _InputError(interpretations_dir, "not a directory")
     interpretations = load_interpretations_dir(
         interpretations_dir, catalog, strict=settings.strict
-    )
-    generated_at = (
-        datetime.now(timezone.utc).isoformat(timespec="seconds") if audit_timestamps else None
     )
     store = AnalysisStore(settings.store_path) if settings.store_path else None
     verified, cache_hit = lookup_or_verify(
@@ -295,10 +287,14 @@ def _run_pipeline(
         interpretations.vectors,
         settings.policy,
         template_digests=interpretations.template_digests,
-        generated_at=generated_at,
     )
     if cache_hit:
         click.echo("(cached analysis)", err=True)
+    # Stamped at output time, so a stored analysis never carries a stamp and
+    # a hit is stamped like a miss.
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if audit_timestamps else None
+    if verified.audit is not None and verified.audit.generated_at != stamp:
+        verified = replace(verified, audit=replace(verified.audit, generated_at=stamp))
     return graph, verified
 
 
@@ -315,18 +311,7 @@ def cmd_verify(
     audit_timestamps: bool,
 ) -> None:
     """Compute the verified license of a dataset against its data sources."""
-    try:
-        graph, verified = _run_pipeline(
-            settings, lineage_path, interpretations_dir, audit_timestamps
-        )
-    except _InputError as exc:
-        _fail(EXIT_IO, str(exc))
-    except LineageError as exc:
-        _fail(EXIT_LINEAGE, str(exc))
-    except StoreError as exc:
-        _fail(EXIT_IO, str(exc))
-    except (ParseError, SchemaViolation, CatalogError, EngineError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    graph, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
     if settings.output_format == "json":
         click.echo(canonical_json(verified.to_dict()), nl=False)
     else:
@@ -362,23 +347,12 @@ def cmd_assess(
     Exits 3 when any requested scenario is denied so CI pipelines can gate
     on compliance; --no-gate downgrades that to 0.
     """
-    try:
-        graph, verified = _run_pipeline(
-            settings, lineage_path, interpretations_dir, audit_timestamps
-        )
-        if scenarios_path is not None:
-            scenarios = load_scenarios(scenarios_path)
-        else:
-            scenarios = default_scenarios()
-        table = assess_all(verified, scenarios, dataset_name=graph.root.dataset_name)
-    except _InputError as exc:
-        _fail(EXIT_IO, str(exc))
-    except LineageError as exc:
-        _fail(EXIT_LINEAGE, str(exc))
-    except StoreError as exc:
-        _fail(EXIT_IO, str(exc))
-    except (ParseError, SchemaViolation, CatalogError, EngineError, AssessmentError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    graph, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
+    if scenarios_path is not None:
+        scenarios = load_scenarios(scenarios_path)
+    else:
+        scenarios = default_scenarios()
+    table = assess_all(verified, scenarios, dataset_name=graph.root.dataset_name)
     if settings.output_format == "json":
         doc = {"assessment": table.to_dict(), "verified_license": verified.to_dict()}
         click.echo(canonical_json(doc), nl=False)
@@ -395,7 +369,7 @@ def cmd_store() -> None:
 
 def _open_store(settings: Settings, read_only: bool) -> AnalysisStore:
     if settings.store_path is None:
-        _fail(EXIT_IO, "no store configured; pass --store or set DLA_STORE")
+        raise StoreError("no store configured; pass --store or set DLA_STORE")
     return AnalysisStore(settings.store_path, read_only=read_only)
 
 
@@ -403,12 +377,7 @@ def _open_store(settings: Settings, read_only: bool) -> AnalysisStore:
 @click.pass_obj
 def cmd_store_ls(settings: Settings) -> None:
     """List stored analyses."""
-    store = _open_store(settings, read_only=True)
-    try:
-        entries = store.entries()
-    except (ParseError, StoreError) as exc:
-        _fail(EXIT_IO, str(exc))
-    for entry in entries:
+    for entry in _open_store(settings, read_only=True).entries():
         click.echo(f"{entry.key}  {entry.dataset_name}")
     sys.exit(EXIT_OK)
 
@@ -418,11 +387,7 @@ def cmd_store_ls(settings: Settings) -> None:
 @click.pass_obj
 def cmd_store_rm(settings: Settings, key: str) -> None:
     """Remove one stored analysis by key."""
-    store = _open_store(settings, read_only=False)
-    try:
-        removed = store.remove(key)
-    except (ParseError, StoreError) as exc:
-        _fail(EXIT_IO, str(exc))
+    removed = _open_store(settings, read_only=False).remove(key)
     click.echo(f"removed {key}" if removed else f"no entry for {key}")
     sys.exit(EXIT_OK)
 

@@ -15,11 +15,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import MissingRootInterpretation, RightSpaceMismatch, UninterpretedNode
+from .errors import MissingRootInterpretation, UninterpretedNode
 from .lineage import LineageGraph
 from .model import (
     FIXED_RIGHTS,
     AuditInfo,
+    Document,
     Grant,
     RightEntry,
     RightsVector,
@@ -33,13 +34,10 @@ ENGINE_VERSION = __version__
 
 
 @dataclass(frozen=True)
-class EnginePolicy:
+class EnginePolicy(Document, path="policy"):
     """Resolution policy knobs. Part of every cache key and audit trailer."""
 
     unknown_denies: bool = False
-
-    def to_dict(self) -> dict[str, bool]:
-        return {"unknown_denies": self.unknown_denies}
 
     def token(self) -> str:
         return f"unknown_denies={int(self.unknown_denies)}"
@@ -82,7 +80,6 @@ def verify(
     policy: EnginePolicy = EnginePolicy(),
     *,
     template_digests: Mapping[str, str] | None = None,
-    generated_at: str | None = None,
 ) -> VerifiedLicense:
     """Resolve the verified license of the graph's root dataset.
 
@@ -90,7 +87,8 @@ def verify(
     interpreted subject, or None for a subject whose license content is
     unavailable. The output is deterministic: node order never matters, and
     obligation unions list the root's obligations first, then each source's
-    in subject-id order.
+    in subject-id order. The audit trailer's ``generated_at`` is left null;
+    a caller that wants a timestamp stamps the result it emits.
     """
     if graph.root_id not in interpretations or interpretations[graph.root_id] is None:
         raise MissingRootInterpretation(graph.root_id)
@@ -150,21 +148,5 @@ def verify(
             inputs_digest=fingerprint_inputs(graph, interpretations, policy),
             policy=policy.to_dict(),
             template_digests=dict(template_digests or {}),
-            generated_at=generated_at,
         ),
     )
-
-
-def diff_rights(own: RightsVector, verified: VerifiedLicense) -> set[str]:
-    """Rights whose grant differs between a dataset's own license and its
-    verified license. Compares grants only; obligation or restrictor changes
-    do not count.
-    """
-    own_space = set(own.right_names())
-    verified_space = set(verified.right_names())
-    if own_space != verified_space:
-        raise RightSpaceMismatch(
-            tuple(sorted(own_space - verified_space)),
-            tuple(sorted(verified_space - own_space)),
-        )
-    return {name for name in own_space if own.grant(name) is not verified.grant(name)}

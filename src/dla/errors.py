@@ -102,16 +102,6 @@ class UninterpretedNode(EngineError):
         )
 
 
-class RightSpaceMismatch(EngineError):
-    def __init__(self, only_left: tuple[str, ...], only_right: tuple[str, ...]) -> None:
-        self.only_left = only_left
-        self.only_right = only_right
-        super().__init__(
-            f"right-name spaces differ (left only: {list(only_left)}, "
-            f"right only: {list(only_right)})"
-        )
-
-
 class AssessmentError(DlaError):
     """Base class for scenario assessment errors."""
 

@@ -22,16 +22,30 @@ from .errors import (
 )
 from .model import (
     CaptureStatus,
+    DocPath,
+    Document,
     LicenseCapture,
     LicenseRange,
     ProvenanceRecord,
     SubjectKind,
-    _check_fields,
-    _expect_mapping,
-    _get_int,
-    _get_list,
-    _get_str,
+    array_decoder,
+    codec_field,
+    parse_error,
 )
+
+def _decode_edge(value: Any, path: DocPath, strict: bool) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        parse_error(path, "expected [parent_id, child_id] pair")
+    return (str(value[0]), str(value[1]))
+
+
+@dataclass(frozen=True)
+class _LineageDocument(Document, path="lineage"):
+    """The JSON form of a lineage graph: records as a list, edges as pairs."""
+
+    records: tuple[ProvenanceRecord, ...]
+    edges: tuple[tuple[str, ...], ...] = codec_field(decode=array_decoder(_decode_edge))
+    root_id: str
 
 
 @dataclass(frozen=True)
@@ -61,54 +75,42 @@ class LineageGraph:
         return self.nodes[self.root_id]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "records": [self.nodes[k].to_dict() for k in self.nodes],
-            "edges": [list(edge) for edge in self.edges],
-            "root_id": self.root_id,
-        }
+        return _LineageDocument(
+            records=tuple(self.nodes.values()), edges=self.edges, root_id=self.root_id
+        ).to_dict()
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "lineage", strict: bool = True) -> "LineageGraph":
-        data = _expect_mapping(data, path)
-        _check_fields(data, path, {"records", "edges", "root_id"}, set(), strict)
-        records = [
-            ProvenanceRecord.from_dict(item, f"{path}.records[{i}]", strict)
-            for i, item in enumerate(_get_list(data, "records", path))
-        ]
-        edges: list[tuple[str, str]] = []
-        for i, item in enumerate(_get_list(data, "edges", path)):
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ParseError(f"{path}.edges[{i}]", "expected [parent_id, child_id] pair")
-            edges.append((str(item[0]), str(item[1])))
-        return build_lineage(records, edges, _get_str(data, "root_id", path))
+        doc = _LineageDocument.from_dict(data, path, strict)
+        return build_lineage(doc.records, doc.edges, doc.root_id)
 
 
 def _find_cycle(adjacency: Mapping[str, Sequence[str]]) -> tuple[str, ...] | None:
-    """Return one directed cycle as (n0, ..., n0), or None if acyclic."""
+    """Return one directed cycle as (n0, ..., n0), or None if acyclic.
+
+    Depth-first from each node in sorted order, children in adjacency order.
+    The walk keeps its own stack, so a lineage of any depth fits.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {node: WHITE for node in adjacency}
-    stack: list[str] = []
-
-    def visit(node: str) -> tuple[str, ...] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for child in adjacency[node]:
-            if color[child] == GRAY:
-                start = stack.index(child)
-                return tuple(stack[start:]) + (child,)
-            if color[child] == WHITE:
-                found = visit(child)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(adjacency):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+    for root in sorted(adjacency):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        stack = [root]  # the current path from root
+        pending = [iter(adjacency[root])]  # unvisited children per path node
+        while pending:
+            for child in pending[-1]:
+                if color[child] == GRAY:
+                    return tuple(stack[stack.index(child):]) + (child,)
+                if color[child] == WHITE:
+                    color[child] = GRAY
+                    stack.append(child)
+                    pending.append(iter(adjacency[child]))
+                    break
+            else:
+                color[stack.pop()] = BLACK
+                pending.pop()
     return None
 
 
@@ -211,25 +213,12 @@ def compute_license_range(node_id: str, graph: LineageGraph) -> LicenseRange:
 
 
 @dataclass(frozen=True)
-class CaptureInput:
+class CaptureInput(Document, path="capture"):
     """One dated license snapshot offered for selection."""
 
     year: int
     url: str
     content: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"year": self.year, "url": self.url, "content": self.content}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "capture", strict: bool = True) -> "CaptureInput":
-        data = _expect_mapping(data, path)
-        _check_fields(data, path, {"year", "url", "content"}, set(), strict)
-        return cls(
-            year=_get_int(data, "year", path),
-            url=_get_str(data, "url", path),
-            content=_get_str(data, "content", path),
-        )
 
 
 def parse_capture_list(data: Any, path: str = "captures", strict: bool = True) -> list[CaptureInput]:

@@ -1,21 +1,27 @@
 """Core domain model: provenance records, rights vectors, verified licenses,
 usage scenarios, and their canonical JSON documents.
 
-All types are immutable values. Canonical serialization writes every field in
-declared order, so equal values always produce byte-identical documents, and
-``from_dict(to_dict(x)) == x`` holds for every type. Validation functions do
-not raise on bad domain data; they return a list of violations so callers can
-report all problems at once. Parsing, by contrast, raises :class:`ParseError`
-because a document that cannot be decoded has no value to report on.
+All types are immutable values. Every document type derives ``to_dict`` and
+``from_dict`` from its dataclass fields through one codec, built once per
+class (:class:`Document`). Canonical serialization writes every field in
+declaration order, so equal values always produce byte-identical documents,
+and ``from_dict(to_dict(x)) == x`` holds by construction. Validation
+functions do not raise on bad domain data; they return a list of violations
+so callers can report all problems at once. Parsing, by contrast, raises
+:class:`ParseError` because a document that cannot be decoded has no value to
+report on.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import json
+import types
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ParseError, UnknownFieldWarning
 
@@ -108,96 +114,221 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# Parse helpers
+# Document codec
 # ---------------------------------------------------------------------------
 
+# Where a value sits in a document: a root name, or a chain (parent, key) with
+# an int key for an array index. Chains are rendered into text such as
+# ``lineage.records[3].subject_kind`` only when an error or warning names them.
+DocPath = Union[str, tuple]
+# decode(value, path, strict) -> domain value; value is never None.
+Decoder = Callable[[Any, DocPath, bool], Any]
 
-def _expect_mapping(value: Any, path: str) -> dict[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ParseError(path, f"expected object, got {type(value).__name__}")
-    return dict(value)
+_SCALAR_NAMES = {str: "string", int: "integer", bool: "boolean"}
 
 
-def _check_fields(
-    data: Mapping[str, Any],
-    path: str,
-    required: frozenset[str] | set[str],
-    optional: frozenset[str] | set[str],
-    strict: bool,
-) -> None:
-    unknown = sorted(k for k in data if k not in required and k not in optional)
-    if unknown:
-        if strict:
-            raise ParseError(path, f"unknown fields: {unknown}")
-        warnings.warn(
-            f"{path}: ignoring unknown fields {unknown}", UnknownFieldWarning, stacklevel=3
+def render_path(path: DocPath) -> str:
+    keys = []
+    while isinstance(path, tuple):
+        path, key = path
+        keys.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return path + "".join(reversed(keys))
+
+
+def parse_error(path: DocPath, message: str) -> NoReturn:
+    raise ParseError(render_path(path), message)
+
+
+def _got(expected: str, value: Any) -> str:
+    return f"expected {expected}, got {type(value).__name__}"
+
+
+def array_decoder(item: Decoder) -> Decoder:
+    """Decode a JSON array into a tuple, each item with ``item``."""
+
+    def decode(value: Any, path: DocPath, strict: bool) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            parse_error(path, _got("array", value))
+        return tuple([item(x, (path, i), strict) for i, x in enumerate(value)])
+
+    return decode
+
+
+def object_decoder(item: Decoder) -> Decoder:
+    """Decode a JSON object into a dict, each value with ``item``."""
+
+    def decode(value: Any, path: DocPath, strict: bool) -> dict:
+        if not isinstance(value, Mapping):
+            parse_error(path, _got("object", value))
+        return {k: item(v, (path, k), strict) for k, v in value.items()}
+
+    return decode
+
+
+def decoder_for(tp: Any, optional: bool = False) -> Decoder:
+    """The decoder of one field type; ``optional`` marks an ``X | None`` field,
+    whose type errors say "or null"."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType) and type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        decode_inner = decoder_for(inner, optional=True)
+        return lambda value, path, strict: (
+            None if value is None else decode_inner(value, path, strict)
         )
-    missing = sorted(k for k in required if data.get(k) is None)
-    if missing:
-        raise ParseError(path, f"missing required fields: {missing}")
+    if tp in _SCALAR_NAMES:
+        expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
+        # bool is a subclass of int, but never an integer here.
+        excluded = bool if tp is int else ()
+
+        def decode_scalar(value: Any, path: DocPath, strict: bool) -> Any:
+            if isinstance(value, tp) and not isinstance(value, excluded):
+                return value
+            parse_error(path, _got(expected, value))
+
+        return decode_scalar
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {m.value: m for m in tp}
+        allowed = ", ".join(members)
+
+        def decode_enum(value: Any, path: DocPath, strict: bool) -> Enum:
+            if not isinstance(value, str):
+                parse_error(path, _got("string", value))
+            member = members.get(value)
+            if member is None:
+                parse_error(path, f"invalid value {value!r}; expected one of: {allowed}")
+            return member
+
+        return decode_enum
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return array_decoder(decoder_for(args[0]))
+    if origin is collections.abc.Mapping and args[0] is str:
+        return object_decoder(decoder_for(args[1]))
+    if isinstance(tp, type) and issubclass(tp, Document):
+        # Through the class attribute, so a wrapped from_dict sees every call.
+        return lambda value, path, strict: tp.from_dict(value, path, strict)
+    raise TypeError(f"no document codec for type {tp!r}")
 
 
-def _get_str(data: Mapping[str, Any], key: str, path: str) -> str:
-    value = data[key]
-    if not isinstance(value, str):
-        raise ParseError(f"{path}.{key}", f"expected string, got {type(value).__name__}")
-    return value
-
-
-def _get_opt_str(data: Mapping[str, Any], key: str, path: str) -> str | None:
-    value = data.get(key)
-    if value is None:
+def _encoding(tp: Any, value: str, scope: dict[str, Any], depth: int = 0) -> str | None:
+    """Source of an expression that writes ``value``, of type ``tp``, as JSON;
+    None when the value is JSON already. Names it calls are put in ``scope``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType) and type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        encoded = _encoding(inner, value, scope, depth)
+        return encoded and f"(None if {value} is None else {encoded})"
+    if tp in _SCALAR_NAMES:
         return None
-    if not isinstance(value, str):
-        raise ParseError(f"{path}.{key}", f"expected string or null, got {type(value).__name__}")
-    return value
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return f"{value}.value"
+    item = f"x{depth}"
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        encoded = _encoding(args[0], item, scope, depth + 1)
+        return f"list({value})" if encoded is None else f"[{encoded} for {item} in {value}]"
+    if origin is collections.abc.Mapping and args[0] is str:
+        encoded = _encoding(args[1], item, scope, depth + 1)
+        if encoded is None:
+            return f"dict({value})"
+        return f"{{k{depth}: {encoded} for k{depth}, {item} in {value}.items()}}"
+    if isinstance(tp, type) and issubclass(tp, Document):
+        scope[f"encode_{tp.__name__}"] = (tp._codec or tp._build_codec()).encode
+        return f"encode_{tp.__name__}({value})"
+    raise TypeError(f"no document codec for type {tp!r}")
 
 
-def _get_str_default(data: Mapping[str, Any], key: str, path: str, default: str = "") -> str:
-    value = data.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise ParseError(f"{path}.{key}", f"expected string, got {type(value).__name__}")
-    return value
+def codec_field(
+    *, decode: Decoder | None = None, encode: Callable[[Any], Any] | None = None, **kwargs: Any
+) -> Any:
+    """A dataclass field whose JSON form comes from the given hooks instead of
+    its type; a hook left out is derived from the type as usual."""
+    return field(metadata={"decode": decode, "encode": encode}, **kwargs)
 
 
-def _get_int(data: Mapping[str, Any], key: str, path: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}.{key}", f"expected integer, got {type(value).__name__}")
-    return value
+class _Codec:
+    """Per-class field tables and encoder, derived once from the dataclass
+    fields and their type hints."""
+
+    def __init__(self, cls: type) -> None:
+        hints = get_type_hints(cls)
+        declared = fields(cls)
+        self.known = frozenset(f.name for f in declared)
+        self.required = tuple(
+            f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
+        )
+        self.decoders = tuple(
+            (f.name, f.metadata.get("decode") or decoder_for(hints[f.name])) for f in declared
+        )
+        # The encoder is compiled, as dataclasses compiles __init__: one dict
+        # display in declaration order, each value written by its type's
+        # expression or by the field's encode hook.
+        scope: dict[str, Any] = {}
+        items = []
+        for f in declared:
+            value = f"self.{f.name}"
+            if f.metadata.get("encode"):
+                scope[f"hook_{f.name}"] = f.metadata["encode"]
+                value = f"hook_{f.name}({value})"
+            else:
+                value = _encoding(hints[f.name], value, scope) or value
+            items.append(f"{f.name!r}: {value}")
+        exec(f"def encode(self):\n    return {{{', '.join(items)}}}", scope)
+        self.encode = scope["encode"]
 
 
-def _get_opt_int(data: Mapping[str, Any], key: str, path: str) -> int | None:
-    value = data.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}.{key}", f"expected integer or null, got {type(value).__name__}")
-    return value
+class Document:
+    """Base of every JSON document type: ``to_dict`` writes the dataclass
+    fields in declaration order; ``from_dict`` reads them back, type-checked,
+    with null meaning the field's default.
 
+    A subclass names the root of its error paths, as in
+    ``class Digest(Document, path="digest")``.
+    """
 
-def _get_enum(enum_cls: type, data: Mapping[str, Any], key: str, path: str) -> Any:
-    value = data[key]
-    if isinstance(value, enum_cls):
-        return value
-    if not isinstance(value, str):
-        raise ParseError(f"{path}.{key}", f"expected string, got {type(value).__name__}")
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        raise ParseError(f"{path}.{key}", f"invalid value {value!r}; expected one of: {allowed}")
+    _path: ClassVar[str]
+    _codec: ClassVar[_Codec | None]
 
+    def __init_subclass__(cls, path: str, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._path = path
+        cls._codec = None  # built on first use, once the dataclass exists
+        # Each class holds its own entries, so a profiler can wrap one class's
+        # codec methods without touching the others.
+        cls.to_dict = Document.to_dict  # type: ignore[method-assign]
+        cls.from_dict = Document.__dict__["from_dict"]  # type: ignore[method-assign]
 
-def _get_list(data: Mapping[str, Any], key: str, path: str) -> list[Any]:
-    value = data.get(key)
-    if value is None:
-        return []
-    if not isinstance(value, (list, tuple)):
-        raise ParseError(f"{path}.{key}", f"expected array, got {type(value).__name__}")
-    return list(value)
+    def to_dict(self) -> dict[str, Any]:
+        return (self._codec or type(self)._build_codec()).encode(self)
+
+    @classmethod
+    def from_dict(cls, data: Any, path: DocPath | None = None, strict: bool = True) -> Any:
+        codec = cls._codec or cls._build_codec()
+        if path is None:
+            path = cls._path
+        if not isinstance(data, Mapping):
+            parse_error(path, _got("object", data))
+        unknown = data.keys() - codec.known
+        if unknown:
+            if strict:
+                parse_error(path, f"unknown fields: {sorted(unknown)}")
+            warnings.warn(
+                f"{render_path(path)}: ignoring unknown fields {sorted(unknown)}",
+                UnknownFieldWarning,
+                stacklevel=2,
+            )
+        missing = [name for name in codec.required if data.get(name) is None]
+        if missing:
+            parse_error(path, f"missing required fields: {sorted(missing)}")
+        values = {}
+        for name, decode in codec.decoders:
+            value = data.get(name)
+            if value is not None:
+                values[name] = decode(value, (path, name), strict)
+        return cls(**values)
+
+    @classmethod
+    def _build_codec(cls) -> _Codec:
+        cls._codec = _Codec(cls)
+        return cls._codec
 
 
 # ---------------------------------------------------------------------------
@@ -206,119 +337,36 @@ def _get_list(data: Mapping[str, Any], key: str, path: str) -> list[Any]:
 
 
 @dataclass(frozen=True)
-class Digest:
+class Digest(Document, path="digest"):
     """A content digest: algorithm name plus lowercase hex string."""
 
     algorithm: str
     hex: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"algorithm": self.algorithm, "hex": self.hex}
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "digest", strict: bool = True) -> "Digest":
-        data = _expect_mapping(data, path)
-        _check_fields(data, path, {"algorithm", "hex"}, set(), strict)
-        return cls(algorithm=_get_str(data, "algorithm", path), hex=_get_str(data, "hex", path))
-
-
-@dataclass(frozen=True)
-class ProvenanceRecord:
+@dataclass(frozen=True, kw_only=True)
+class ProvenanceRecord(Document, path="provenance"):
     """Origin metadata, license-location evidence, and content digests for one
     dataset or data source."""
 
     subject_id: str
     subject_kind: SubjectKind
     dataset_name: str
-    origin_url: str
-    outlet_licensed: TriState
-    publicly_available: TriState
-    license_found_via: LicenseFoundVia
     dataset_version: str | None = None
     origin_year: int | None = None
+    origin_url: str
     description: str = ""
     collection_process: str = ""
     downloaded_outlet: str | None = None
+    outlet_licensed: TriState
+    publicly_available: TriState
     notes: str = ""
+    license_found_via: LicenseFoundVia
     license_location: str | None = None
     license_content: str | None = None
     digest: Digest | None = None
     size_bytes: int | None = None
     archive_format: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "subject_id": self.subject_id,
-            "subject_kind": self.subject_kind.value,
-            "dataset_name": self.dataset_name,
-            "dataset_version": self.dataset_version,
-            "origin_year": self.origin_year,
-            "origin_url": self.origin_url,
-            "description": self.description,
-            "collection_process": self.collection_process,
-            "downloaded_outlet": self.downloaded_outlet,
-            "outlet_licensed": self.outlet_licensed.value,
-            "publicly_available": self.publicly_available.value,
-            "notes": self.notes,
-            "license_found_via": self.license_found_via.value,
-            "license_location": self.license_location,
-            "license_content": self.license_content,
-            "digest": self.digest.to_dict() if self.digest else None,
-            "size_bytes": self.size_bytes,
-            "archive_format": self.archive_format,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Any, path: str = "provenance", strict: bool = True
-    ) -> "ProvenanceRecord":
-        data = _expect_mapping(data, path)
-        required = {
-            "subject_id",
-            "subject_kind",
-            "dataset_name",
-            "origin_url",
-            "outlet_licensed",
-            "publicly_available",
-            "license_found_via",
-        }
-        optional = {
-            "dataset_version",
-            "origin_year",
-            "description",
-            "collection_process",
-            "downloaded_outlet",
-            "notes",
-            "license_location",
-            "license_content",
-            "digest",
-            "size_bytes",
-            "archive_format",
-        }
-        _check_fields(data, path, required, optional, strict)
-        digest = None
-        if data.get("digest") is not None:
-            digest = Digest.from_dict(data["digest"], f"{path}.digest", strict)
-        return cls(
-            subject_id=_get_str(data, "subject_id", path),
-            subject_kind=_get_enum(SubjectKind, data, "subject_kind", path),
-            dataset_name=_get_str(data, "dataset_name", path),
-            dataset_version=_get_opt_str(data, "dataset_version", path),
-            origin_year=_get_opt_int(data, "origin_year", path),
-            origin_url=_get_str(data, "origin_url", path),
-            description=_get_str_default(data, "description", path),
-            collection_process=_get_str_default(data, "collection_process", path),
-            downloaded_outlet=_get_opt_str(data, "downloaded_outlet", path),
-            outlet_licensed=_get_enum(TriState, data, "outlet_licensed", path),
-            publicly_available=_get_enum(TriState, data, "publicly_available", path),
-            notes=_get_str_default(data, "notes", path),
-            license_found_via=_get_enum(LicenseFoundVia, data, "license_found_via", path),
-            license_location=_get_opt_str(data, "license_location", path),
-            license_content=_get_opt_str(data, "license_content", path),
-            digest=digest,
-            size_bytes=_get_opt_int(data, "size_bytes", path),
-            archive_format=_get_opt_str(data, "archive_format", path),
-        )
 
 
 def validate_provenance(record: ProvenanceRecord) -> list[Violation]:
@@ -368,7 +416,7 @@ def validate_provenance(record: ProvenanceRecord) -> list[Violation]:
 
 
 @dataclass(frozen=True)
-class LicenseRange:
+class LicenseRange(Document, path="range"):
     """Two consecutive years bracketing when a dataset's contents were likely
     collected. ``start_year`` is always ``end_year - 1``."""
 
@@ -389,53 +437,21 @@ class LicenseRange:
     def __contains__(self, year: int) -> bool:
         return self.start_year <= year <= self.end_year
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"start_year": self.start_year, "end_year": self.end_year}
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "range", strict: bool = True) -> "LicenseRange":
-        data = _expect_mapping(data, path)
-        _check_fields(data, path, {"start_year", "end_year"}, set(), strict)
-        return cls(_get_int(data, "start_year", path), _get_int(data, "end_year", path))
-
-
-@dataclass(frozen=True)
-class LicenseCapture:
+@dataclass(frozen=True, kw_only=True)
+class LicenseCapture(Document, path="capture"):
     """A dated snapshot of a data source's license text, with its selection
     status relative to the license range."""
 
     source_id: str
-    status: CaptureStatus
     capture_year: int | None = None
     capture_url: str | None = None
     content: str | None = None
+    status: CaptureStatus
 
     def __post_init__(self) -> None:
         if (self.status is CaptureStatus.UNAVAILABLE) != (self.content is None):
             raise ValueError("capture content must be absent exactly when status is 'unavailable'")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "source_id": self.source_id,
-            "capture_year": self.capture_year,
-            "capture_url": self.capture_url,
-            "content": self.content,
-            "status": self.status.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "capture", strict: bool = True) -> "LicenseCapture":
-        data = _expect_mapping(data, path)
-        _check_fields(
-            data, path, {"source_id", "status"}, {"capture_year", "capture_url", "content"}, strict
-        )
-        return cls(
-            source_id=_get_str(data, "source_id", path),
-            status=_get_enum(CaptureStatus, data, "status", path),
-            capture_year=_get_opt_int(data, "capture_year", path),
-            capture_url=_get_opt_str(data, "capture_url", path),
-            content=_get_opt_str(data, "content", path),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +460,13 @@ class LicenseCapture:
 
 
 @dataclass(frozen=True)
-class Obligation:
+class Obligation(Document, path="obligation"):
     """A requirement attached to a right. Identity for set union is the id
     token; wording may vary across licenses that impose the same duty."""
 
     id: str
     text: str
     kind: ObligationKind
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "text": self.text, "kind": self.kind.value}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "obligation", strict: bool = True) -> "Obligation":
-        data = _expect_mapping(data, path)
-        _check_fields(data, path, {"id", "text", "kind"}, set(), strict)
-        return cls(
-            id=_get_str(data, "id", path),
-            text=_get_str(data, "text", path),
-            kind=_get_enum(ObligationKind, data, "kind", path),
-        )
 
 
 def merge_obligations(groups: Iterable[Sequence[Obligation]]) -> tuple[Obligation, ...]:
@@ -480,38 +483,26 @@ def merge_obligations(groups: Iterable[Sequence[Obligation]]) -> tuple[Obligatio
     return tuple(seen.values())
 
 
+_decode_grant_name = decoder_for(Grant)
+
+
+def _decode_grant(value: Any, path: DocPath, strict: bool) -> Grant:
+    # Boolean shorthand: true marks the right granted, false denied.
+    if isinstance(value, bool):
+        return Grant.GRANTED if value else Grant.DENIED
+    return _decode_grant_name(value, path, strict)
+
+
 @dataclass(frozen=True)
-class RightEntry:
+class RightEntry(Document, path="right"):
     """Grant state plus the obligations owed when the right is exercised."""
 
-    grant: Grant
+    grant: Grant = codec_field(decode=_decode_grant)
     obligations: tuple[Obligation, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "grant": self.grant.value,
-            "obligations": [o.to_dict() for o in self.obligations],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "right", strict: bool = True) -> "RightEntry":
-        data = _expect_mapping(data, path)
-        _check_fields(data, path, {"grant"}, {"obligations"}, strict)
-        raw_grant = data["grant"]
-        # Boolean shorthand: true marks the right granted, false denied.
-        if isinstance(raw_grant, bool):
-            grant = Grant.GRANTED if raw_grant else Grant.DENIED
-        else:
-            grant = _get_enum(Grant, data, "grant", path)
-        obligations = tuple(
-            Obligation.from_dict(item, f"{path}.obligations[{i}]", strict)
-            for i, item in enumerate(_get_list(data, "obligations", path))
-        )
-        return cls(grant=grant, obligations=obligations)
 
 
 @dataclass(frozen=True)
-class LicenseMetadata:
+class LicenseMetadata(Document, path="metadata"):
     """Descriptive header of a license interpretation."""
 
     licensor: str
@@ -523,44 +514,6 @@ class LicenseMetadata:
     liability_warranty: str | None = None
     designated_third_parties: str | None = None
     additional_conditions: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "licensor": self.licensor,
-            "license_name": self.license_name,
-            "dataset_name": self.dataset_name,
-            "dataset_version": self.dataset_version,
-            "credit_notice": self.credit_notice,
-            "validity_period": self.validity_period,
-            "liability_warranty": self.liability_warranty,
-            "designated_third_parties": self.designated_third_parties,
-            "additional_conditions": self.additional_conditions,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "metadata", strict: bool = True) -> "LicenseMetadata":
-        data = _expect_mapping(data, path)
-        required = {"licensor", "license_name", "dataset_name"}
-        optional = {
-            "dataset_version",
-            "credit_notice",
-            "validity_period",
-            "liability_warranty",
-            "designated_third_parties",
-            "additional_conditions",
-        }
-        _check_fields(data, path, required, optional, strict)
-        return cls(
-            licensor=_get_str(data, "licensor", path),
-            license_name=_get_str(data, "license_name", path),
-            dataset_name=_get_str(data, "dataset_name", path),
-            dataset_version=_get_opt_str(data, "dataset_version", path),
-            credit_notice=_get_opt_str(data, "credit_notice", path),
-            validity_period=_get_opt_str(data, "validity_period", path),
-            liability_warranty=_get_opt_str(data, "liability_warranty", path),
-            designated_third_parties=_get_opt_str(data, "designated_third_parties", path),
-            additional_conditions=_get_opt_str(data, "additional_conditions", path),
-        )
 
 
 def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
@@ -576,7 +529,7 @@ def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -
 
 
 @dataclass(frozen=True)
-class RightsVector:
+class RightsVector(Document, path="vector"):
     """One license decomposed into metadata, standalone-data rights, rights in
     conjunction with models, and optional custom rights."""
 
@@ -605,39 +558,6 @@ class RightsVector:
         """The recorded grant, with Unspecified for rights never mentioned."""
         entry = self.entry(right_name)
         return entry.grant if entry is not None else Grant.UNSPECIFIED
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "metadata": self.metadata.to_dict(),
-            "standalone_rights": {k: v.to_dict() for k, v in self.standalone_rights.items()},
-            "model_rights": {k: v.to_dict() for k, v in self.model_rights.items()},
-            "custom_rights": {k: v.to_dict() for k, v in self.custom_rights.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "vector", strict: bool = True) -> "RightsVector":
-        data = _expect_mapping(data, path)
-        _check_fields(
-            data,
-            path,
-            {"metadata", "standalone_rights", "model_rights"},
-            {"custom_rights"},
-            strict,
-        )
-
-        def parse_group(key: str) -> dict[str, RightEntry]:
-            group = _expect_mapping(data.get(key) or {}, f"{path}.{key}")
-            return {
-                name: RightEntry.from_dict(entry, f"{path}.{key}.{name}", strict)
-                for name, entry in group.items()
-            }
-
-        return cls(
-            metadata=LicenseMetadata.from_dict(data["metadata"], f"{path}.metadata", strict),
-            standalone_rights=parse_group("standalone_rights"),
-            model_rights=parse_group("model_rights"),
-            custom_rights=parse_group("custom_rights"),
-        )
 
 
 def validate_rights_vector(vector: RightsVector) -> list[Violation]:
@@ -679,7 +599,7 @@ def validate_rights_vector(vector: RightsVector) -> list[Violation]:
 
 
 @dataclass(frozen=True)
-class AuditInfo:
+class AuditInfo(Document, path="audit"):
     """Reproducibility trailer attached to emitted verified licenses."""
 
     engine_version: str
@@ -688,41 +608,9 @@ class AuditInfo:
     template_digests: Mapping[str, str] = field(default_factory=dict)
     generated_at: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "engine_version": self.engine_version,
-            "inputs_digest": self.inputs_digest,
-            "policy": dict(self.policy),
-            "template_digests": dict(self.template_digests),
-            "generated_at": self.generated_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "audit", strict: bool = True) -> "AuditInfo":
-        data = _expect_mapping(data, path)
-        _check_fields(
-            data,
-            path,
-            {"engine_version", "inputs_digest", "policy"},
-            {"template_digests", "generated_at"},
-            strict,
-        )
-        return cls(
-            engine_version=_get_str(data, "engine_version", path),
-            inputs_digest=_get_str(data, "inputs_digest", path),
-            policy={k: bool(v) for k, v in _expect_mapping(data["policy"], f"{path}.policy").items()},
-            template_digests={
-                k: str(v)
-                for k, v in _expect_mapping(
-                    data.get("template_digests") or {}, f"{path}.template_digests"
-                ).items()
-            },
-            generated_at=_get_opt_str(data, "generated_at", path),
-        )
-
 
 @dataclass(frozen=True)
-class VerifiedLicense:
+class VerifiedLicense(Document, path="verified"):
     """The effective rights of a root dataset after restrictive-wins
     reconciliation against every interpreted lineage node.
 
@@ -759,60 +647,27 @@ class VerifiedLicense:
     def is_granted(self, right_name: str) -> bool:
         return self.grant(right_name) is Grant.GRANTED
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "root_id": self.root_id,
-            "rights": {k: v.to_dict() for k, v in self.rights.items()},
-            "restrictors": {k: list(v) for k, v in self.restrictors.items()},
-            "changed": list(self.changed),
-            "residual_risk_flags": list(self.residual_risk_flags),
-            "audit": self.audit.to_dict() if self.audit else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "verified", strict: bool = True) -> "VerifiedLicense":
-        data = _expect_mapping(data, path)
-        _check_fields(
-            data,
-            path,
-            {"root_id", "rights", "restrictors", "changed", "residual_risk_flags"},
-            {"audit"},
-            strict,
-        )
-        rights = {
-            name: RightEntry.from_dict(entry, f"{path}.rights.{name}", strict)
-            for name, entry in _expect_mapping(data["rights"], f"{path}.rights").items()
-        }
-        restrictors = {
-            name: tuple(str(s) for s in ids)
-            for name, ids in _expect_mapping(data["restrictors"], f"{path}.restrictors").items()
-        }
-        audit = None
-        if data.get("audit") is not None:
-            audit = AuditInfo.from_dict(data["audit"], f"{path}.audit", strict)
-        return cls(
-            root_id=_get_str(data, "root_id", path),
-            rights=rights,
-            restrictors=restrictors,
-            changed=tuple(str(r) for r in _get_list(data, "changed", path)),
-            residual_risk_flags=tuple(
-                str(r) for r in _get_list(data, "residual_risk_flags", path)
-            ),
-            audit=audit,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Usage scenarios and assessment tables
 # ---------------------------------------------------------------------------
 
+_decode_names = decoder_for(tuple[str, ...])
+
+
+def _decode_required_rights(value: Any, path: DocPath, strict: bool) -> tuple[str, ...]:
+    rights = _decode_names(value, path, strict)
+    if not rights:
+        parse_error(path, "must be a nonempty array")
+    return rights
+
 
 @dataclass(frozen=True)
-class UsageScenario:
+class UsageScenario(Document, path="scenario"):
     """A commercial action to check, expressed as the rights it needs."""
 
     id: str
-    required_rights: tuple[str, ...]
+    required_rights: tuple[str, ...] = codec_field(decode=_decode_required_rights)
 
     def __post_init__(self) -> None:
         deduped = tuple(dict.fromkeys(self.required_rights))
@@ -820,65 +675,41 @@ class UsageScenario:
             raise ValueError(f"scenario {self.id!r} must require at least one right")
         object.__setattr__(self, "required_rights", deduped)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "required_rights": list(self.required_rights)}
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "scenario", strict: bool = True) -> "UsageScenario":
-        data = _expect_mapping(data, path)
-        _check_fields(data, path, {"id", "required_rights"}, set(), strict)
-        rights = _get_list(data, "required_rights", path)
-        if not rights:
-            raise ParseError(f"{path}.required_rights", "must be a nonempty array")
-        return cls(id=_get_str(data, "id", path), required_rights=tuple(str(r) for r in rights))
+@dataclass(frozen=True)
+class _BlockingRight(Document, path="blocking_right"):
+    """The JSON form of one entry of :attr:`AssessmentRow.blocking_rights`."""
+
+    right: str
+    restrictors: tuple[str, ...] = ()
+
+
+_decode_blocking_rights = array_decoder(decoder_for(_BlockingRight))
+
+
+def _decode_blocking(value: Any, path: DocPath, strict: bool) -> tuple:
+    return tuple((b.right, b.restrictors) for b in _decode_blocking_rights(value, path, strict))
+
+
+def _encode_blocking(value: tuple) -> list[dict[str, Any]]:
+    return [{"right": right, "restrictors": list(restrictors)} for right, restrictors in value]
 
 
 @dataclass(frozen=True)
-class AssessmentRow:
+class AssessmentRow(Document, path="row"):
     """One scenario's decision: permitted flag, obligation ids owed, and the
     rights (with their restrictors) that block a denied scenario."""
 
     scenario_id: str
     permitted: bool
     obligations: tuple[str, ...]
-    blocking_rights: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario_id": self.scenario_id,
-            "permitted": self.permitted,
-            "obligations": list(self.obligations),
-            "blocking_rights": [
-                {"right": right, "restrictors": list(restrictors)}
-                for right, restrictors in self.blocking_rights
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "row", strict: bool = True) -> "AssessmentRow":
-        data = _expect_mapping(data, path)
-        _check_fields(
-            data, path, {"scenario_id", "permitted", "obligations", "blocking_rights"}, set(), strict
-        )
-        permitted = data["permitted"]
-        if not isinstance(permitted, bool):
-            raise ParseError(f"{path}.permitted", "expected boolean")
-        blocking: list[tuple[str, tuple[str, ...]]] = []
-        for i, item in enumerate(_get_list(data, "blocking_rights", path)):
-            item = _expect_mapping(item, f"{path}.blocking_rights[{i}]")
-            blocking.append(
-                (str(item["right"]), tuple(str(s) for s in item.get("restrictors", [])))
-            )
-        return cls(
-            scenario_id=_get_str(data, "scenario_id", path),
-            permitted=permitted,
-            obligations=tuple(str(o) for o in _get_list(data, "obligations", path)),
-            blocking_rights=tuple(blocking),
-        )
+    blocking_rights: tuple[tuple[str, tuple[str, ...]], ...] = codec_field(
+        decode=_decode_blocking, encode=_encode_blocking
+    )
 
 
 @dataclass(frozen=True)
-class AssessmentTable:
+class AssessmentTable(Document, path="assessment"):
     """Per-scenario decisions for one dataset, plus the obligation legend and
     an advisory list of obligation ids attached to granted rights no shipped
     scenario asked about."""
@@ -899,40 +730,3 @@ class AssessmentTable:
             if row.scenario_id == scenario_id:
                 return row
         raise KeyError(scenario_id)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dataset_id": self.dataset_id,
-            "dataset_name": self.dataset_name,
-            "rows": [row.to_dict() for row in self.rows],
-            "obligation_legend": {k: v.to_dict() for k, v in self.obligation_legend.items()},
-            "advisory_obligations": list(self.advisory_obligations),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "assessment", strict: bool = True) -> "AssessmentTable":
-        data = _expect_mapping(data, path)
-        _check_fields(
-            data,
-            path,
-            {"dataset_id", "dataset_name", "rows", "obligation_legend"},
-            {"advisory_obligations"},
-            strict,
-        )
-        return cls(
-            dataset_id=_get_str(data, "dataset_id", path),
-            dataset_name=_get_str(data, "dataset_name", path),
-            rows=tuple(
-                AssessmentRow.from_dict(row, f"{path}.rows[{i}]", strict)
-                for i, row in enumerate(_get_list(data, "rows", path))
-            ),
-            obligation_legend={
-                k: Obligation.from_dict(v, f"{path}.obligation_legend.{k}", strict)
-                for k, v in _expect_mapping(
-                    data["obligation_legend"], f"{path}.obligation_legend"
-                ).items()
-            },
-            advisory_obligations=tuple(
-                str(o) for o in _get_list(data, "advisory_obligations", path)
-            ),
-        )

@@ -8,10 +8,6 @@ from pathlib import Path
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-def data_dir() -> Path:
-    return _DATA_DIR
-
-
 def templates_dir() -> Path:
     return _DATA_DIR / "templates"
 

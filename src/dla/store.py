@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .engine import EnginePolicy, fingerprint_inputs, verify
-from .errors import ParseError, ReadOnlyStoreWarning, StaleEntryWarning, StoreCorrupt
+from .errors import ReadOnlyStoreWarning, StaleEntryWarning, StoreCorrupt
 from .lineage import LineageGraph
 from .model import ProvenanceRecord, RightsVector, VerifiedLicense, canonical_json
 
@@ -78,9 +78,9 @@ class AnalysisStore:
         try:
             data = json.loads(self._index_path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(str(self._index_path), f"invalid index: {exc}")
-        if not isinstance(data, dict) or "entries" not in data:
-            raise ParseError(str(self._index_path), "index missing 'entries'")
+            raise StoreCorrupt(_INDEX_NAME, f"invalid index: {exc}")
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
+            raise StoreCorrupt(_INDEX_NAME, "index missing 'entries'")
         return data
 
     def _write_atomic(self, path: Path, text: str) -> None:
@@ -176,7 +176,6 @@ def lookup_or_verify(
     policy: EnginePolicy = EnginePolicy(),
     *,
     template_digests: Mapping[str, str] | None = None,
-    generated_at: str | None = None,
 ) -> tuple[VerifiedLicense, bool]:
     """Return the verified license, consulting the store first.
 
@@ -201,13 +200,7 @@ def lookup_or_verify(
                 stacklevel=2,
             )
 
-    verified = verify(
-        graph,
-        interpretations,
-        policy,
-        template_digests=template_digests,
-        generated_at=generated_at,
-    )
+    verified = verify(graph, interpretations, policy, template_digests=template_digests)
     if store is not None:
         store.put(key, verified, graph.root.dataset_name, current_digest)
     return verified, False

@@ -11,7 +11,6 @@ from dla import (
     extend_schema,
     load_catalog,
     load_interpretation,
-    lookup_template,
 )
 from dla.catalog import load_interpretations_dir, parse_interpretation
 from dla.errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
@@ -59,7 +58,7 @@ class TestTemplates:
         assert vector.grant("CommercializeModel") is Grant.DENIED
 
     def test_cc_by(self):
-        vector = lookup_template("CC-BY-4.0", catalog=CATALOG)
+        vector = CATALOG.lookup_template("CC-BY-4.0")
         for right in ("Distribute", "CommercializeOutput", "CommercializeModel"):
             assert vector.grant(right) is Grant.GRANTED
         assert [o.id for o in vector.entry("Distribute").obligations] == ["B", "E"]

@@ -152,6 +152,23 @@ class TestLineageCmd:
         assert result.output == canonical_json(json.loads(result.output))
 
 
+    def test_deep_chain_lists_every_node(self, runner, tmp_path):
+        ids = [f"n{i:05d}" for i in range(5000)]
+        lineage = tmp_path / "lineage.json"
+        lineage.write_text(
+            json.dumps(
+                {
+                    "records": [record_for(i).to_dict() for i in ids],
+                    "edges": [list(edge) for edge in zip(ids, ids[1:])],
+                    "root_id": ids[0],
+                }
+            )
+        )
+        result = invoke(runner, "lineage", lineage)
+        assert result.exit_code == 0
+        assert f"{ids[-2]} -> {ids[-1]}" in result.output
+
+
 class TestAssess:
     def test_cifar_denied_exit_3(self, runner):
         lineage, interp = bundle_paths("cifar-10")
@@ -268,3 +285,34 @@ class TestStoreCli:
             cli, ["--store", str(store), "assess", str(lineage), str(interp)]
         )
         assert "(cached analysis)" in second.output
+
+    def test_unreadable_index_exits_64_in_every_command(self, runner, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "index.json").write_text("{not json", encoding="utf-8")
+        lineage, interp = bundle_paths("cityscapes")
+        for args in (["assess", lineage, interp], ["store", "ls"], ["store", "rm", "k"]):
+            result = runner.invoke(cli, ["--store", str(store)] + [str(a) for a in args])
+            assert result.exit_code == 64, (args, result.output)
+            assert result.stderr.startswith("error: store entry 'index.json' is corrupt")
+
+    def test_audit_timestamps_stamp_a_cached_analysis(self, runner, tmp_path):
+        store = tmp_path / "store"
+        lineage, interp = bundle_paths("cityscapes")
+        args = ["--store", store, "--format", "json", "assess", "--no-gate", lineage, interp]
+
+        def generated_at(result):
+            return json.loads(result.stdout)["verified_license"]["audit"]["generated_at"]
+
+        first = invoke(runner, *args)
+        assert generated_at(first) is None
+        second = invoke(runner, *args, "--audit-timestamps")
+        assert "(cached analysis)" in second.stderr
+        assert generated_at(second) is not None
+        third = invoke(runner, *args)
+        assert "(cached analysis)" in third.stderr
+        assert generated_at(third) is None
+        for blob in store.glob("*.json"):
+            doc = json.loads(blob.read_text(encoding="utf-8"))
+            if "verified_license" in doc:
+                assert doc["verified_license"]["audit"]["generated_at"] is None

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from dla import EnginePolicy, diff_rights, verify
-from dla.errors import MissingRootInterpretation, RightSpaceMismatch, UninterpretedNode
+from dla import EnginePolicy, verify
+from dla.errors import MissingRootInterpretation, UninterpretedNode
 from dla.model import (
     FIXED_RIGHTS,
     Grant,
@@ -215,38 +215,35 @@ class TestUnknownDeniesPolicy:
 
 
 class TestDiffRights:
+    """``VerifiedLicense.changed`` names exactly the rights whose grant differs
+    from the root's own vector."""
+
+    @staticmethod
+    def grant_diff(own: RightsVector, verified) -> set[str]:
+        return {name for name in own.right_names() if own.grant(name) is not verified.grant(name)}
+
     def test_cifar_diff_names_the_five_flipped_rights(self):
         graph, interp = load_bundle("cifar-10")
         verified = verify(graph, interp.vectors)
-        assert diff_rights(interp.vectors["cifar-10"], verified) == CHANGED_RIGHTS
+        assert set(verified.changed) == CHANGED_RIGHTS
+        assert self.grant_diff(interp.vectors["cifar-10"], verified) == CHANGED_RIGHTS
 
     def test_identical_vectors_diff_empty(self):
         vector = total_vector()
         graph = build_lineage([record_for("solo")], [], "solo")
         verified = verify(graph, {"solo": vector})
-        assert diff_rights(vector, verified) == set()
+        assert verified.changed == ()
+        assert self.grant_diff(vector, verified) == set()
 
     def test_grant_only_semantics_ignores_restrictors_and_obligations(self):
         # Root denies a right itself; a source also denies it. Grants agree,
-        # so the diff is empty no matter who restricted what.
+        # so nothing changed no matter who restricted what.
         root = total_vector(grant=Grant.DENIED, name="r")
         source = total_vector(grant=Grant.DENIED, name="s")
         graph = build_lineage([record_for("r"), record_for("s")], [("r", "s")], "r")
         verified = verify(graph, {"r": root, "s": source})
-        assert diff_rights(root, verified) == set()
-
-    def test_right_space_mismatch(self):
-        vector = total_vector()
-        extended = RightsVector(
-            metadata=vector.metadata,
-            standalone_rights=vector.standalone_rights,
-            model_rights=vector.model_rights,
-            custom_rights={"Extra": RightEntry(grant=Grant.GRANTED)},
-        )
-        graph = build_lineage([record_for("solo")], [], "solo")
-        verified = verify(graph, {"solo": vector})
-        with pytest.raises(RightSpaceMismatch):
-            diff_rights(extended, verified)
+        assert verified.changed == ()
+        assert self.grant_diff(root, verified) == set()
 
 
 class TestCustomRights:

@@ -47,6 +47,20 @@ class TestBuildLineage:
         assert cycle[0] == cycle[-1]
         assert set(cycle) == {"a", "b"}
 
+    def test_deep_chain_builds(self):
+        ids = [f"n{i:05d}" for i in range(5000)]
+        graph = build_lineage([record_for(i) for i in ids], list(zip(ids, ids[1:])), ids[0])
+        assert len(graph.edges) == 4999
+        assert graph.children(ids[-2]) == (ids[-1],)
+
+    def test_deep_cycle_named_in_full(self):
+        ids = [f"n{i:05d}" for i in range(3000)]
+        edges = list(zip(ids, ids[1:])) + [(ids[-1], ids[1])]
+        with pytest.raises(CycleDetected) as exc:
+            build_lineage([record_for(i) for i in ids], edges, ids[0])
+        assert exc.value.cycle == tuple(ids[1:]) + (ids[1],)
+        assert str(exc.value) == "cycle detected: " + " -> ".join(ids[1:] + [ids[1]])
+
     def test_dangling_reference_names_missing_id(self):
         with pytest.raises(DanglingReference) as exc:
             build_lineage([record_for("a")], [("a", "ghost")], "a")
