@@ -137,7 +137,8 @@ class UnknownFieldWarning(DlaWarning):
 
 
 class StaleEntryWarning(DlaWarning):
-    """A cached analysis exists under the key but its inputs have changed."""
+    """A cached analysis exists under the key but was computed from other
+    inputs or by another engine version."""
 
 
 class ReadOnlyStoreWarning(DlaWarning):

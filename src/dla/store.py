@@ -1,10 +1,14 @@
 """Content-addressed persistence of completed analyses.
 
-Layout is deliberately plain text so results can be shared and reviewed: a
-flat directory of JSON blobs named ``<key>.json`` plus an ``index.json``
-mapping each key to the dataset name, the digest of the blob file, and the
-digest of the inputs that produced it. Writes go through a temp file and an
-atomic rename; multiple readers are fine, writers must not race each other.
+A store is a flat directory of self-describing JSON blobs, one per analysis,
+named ``<key>.json`` and holding a :class:`StoreEntry`: the key, the dataset
+name, the verified license, and the sha256 of that license's canonical JSON.
+The inputs digest and engine version are read from the license's own audit
+trailer, so each fact is stored once. As in git's loose-object store there is
+no index to keep consistent: listing scans the directory, and every write
+goes through its own temp file and an atomic rename, so concurrent writers
+are safe. A blob that does not decode, names another key or fails its digest
+is corrupt.
 """
 
 from __future__ import annotations
@@ -12,18 +16,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
-from .engine import EnginePolicy, fingerprint_inputs, verify
-from .errors import ReadOnlyStoreWarning, StaleEntryWarning, StoreCorrupt
+from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
+from .errors import ParseError, ReadOnlyStoreWarning, StaleEntryWarning, StoreCorrupt
 from .lineage import LineageGraph
-from .model import ProvenanceRecord, RightsVector, VerifiedLicense, canonical_json
+from .model import Document, ProvenanceRecord, RightsVector, VerifiedLicense, canonical_json
 
 _KEY_SCHEME = "dla-analysis-key-v1"
-_INDEX_NAME = "index.json"
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 def analysis_key(record: ProvenanceRecord, policy: EnginePolicy = EnginePolicy()) -> str:
@@ -49,12 +55,18 @@ def analysis_key(record: ProvenanceRecord, policy: EnginePolicy = EnginePolicy()
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def _payload_sha256(verified: VerifiedLicense) -> str:
+    return hashlib.sha256(canonical_json(verified.to_dict()).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
-class StoreEntry:
+class StoreEntry(Document, path="store_entry"):
+    """One stored analysis, exactly as its blob holds it."""
+
     key: str
     dataset_name: str
-    inputs_digest: str
-    blob_sha256: str
+    payload_sha256: str
+    verified_license: VerifiedLicense
 
 
 class AnalysisStore:
@@ -66,73 +78,41 @@ class AnalysisStore:
         if not read_only:
             self.root.mkdir(parents=True, exist_ok=True)
 
-    # -- index ------------------------------------------------------------
+    def _blob_path(self, key: str) -> Path | None:
+        """The blob of a well-formed key; None for any other string, so a
+        key never names a path outside the store."""
+        return self.root / f"{key}.json" if _KEY.fullmatch(key) else None
 
-    @property
-    def _index_path(self) -> Path:
-        return self.root / _INDEX_NAME
-
-    def _load_index(self) -> dict[str, Any]:
-        if not self._index_path.exists():
-            return {"version": 1, "entries": {}}
+    def _read(self, path: Path) -> StoreEntry:
+        key = path.stem
         try:
-            data = json.loads(self._index_path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreCorrupt(_INDEX_NAME, f"invalid index: {exc}")
-        if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
-            raise StoreCorrupt(_INDEX_NAME, "index missing 'entries'")
-        return data
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-
-    # -- public API --------------------------------------------------------
+            entry = StoreEntry.from_dict(json.loads(path.read_bytes().decode("utf-8")))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError) as exc:
+            raise StoreCorrupt(key, f"invalid blob: {exc}")
+        if entry.key != key:
+            raise StoreCorrupt(key, f"blob names key {entry.key!r}")
+        if entry.payload_sha256 != _payload_sha256(entry.verified_license):
+            raise StoreCorrupt(key, "payload does not match its sha256")
+        return entry
 
     def entries(self) -> list[StoreEntry]:
-        index = self._load_index()
         return [
-            StoreEntry(
-                key=key,
-                dataset_name=str(meta.get("dataset_name", "")),
-                inputs_digest=str(meta.get("inputs_digest", "")),
-                blob_sha256=str(meta.get("blob_sha256", "")),
-            )
-            for key, meta in sorted(index["entries"].items())
+            self._read(path)
+            for path in sorted(self.root.glob("*.json"))
+            if _KEY.fullmatch(path.stem)
         ]
 
-    def get(self, key: str) -> tuple[VerifiedLicense, str] | None:
-        """Stored (verified license, inputs digest) for a key, or None.
+    def get(self, key: str) -> VerifiedLicense | None:
+        """The stored verified license for a key, or None.
 
-        Raises StoreCorrupt when the blob on disk does not match the digest
-        recorded in the index.
+        Raises StoreCorrupt when the key's blob cannot be trusted.
         """
-        index = self._load_index()
-        meta = index["entries"].get(key)
-        if meta is None:
+        path = self._blob_path(key)
+        if path is None or not path.exists():
             return None
-        blob_path = self.root / f"{key}.json"
-        if not blob_path.exists():
-            raise StoreCorrupt(key, "indexed blob file is missing")
-        raw = blob_path.read_bytes()
-        actual = hashlib.sha256(raw).hexdigest()
-        if actual != meta.get("blob_sha256"):
-            raise StoreCorrupt(key, "blob digest does not match index")
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreCorrupt(key, f"blob is not valid JSON: {exc}")
-        verified = VerifiedLicense.from_dict(doc["verified_license"], f"{blob_path}")
-        return verified, str(doc.get("inputs_digest", ""))
+        return self._read(path).verified_license
 
-    def put(
-        self,
-        key: str,
-        verified: VerifiedLicense,
-        dataset_name: str,
-        inputs_digest: str,
-    ) -> None:
+    def put(self, key: str, verified: VerifiedLicense, dataset_name: str) -> None:
         if self.read_only:
             warnings.warn(
                 f"store {self.root} is read-only; result for {dataset_name!r} not persisted",
@@ -140,33 +120,40 @@ class AnalysisStore:
                 stacklevel=2,
             )
             return
-        blob_doc = {
-            "key": key,
-            "inputs_digest": inputs_digest,
-            "verified_license": verified.to_dict(),
-        }
-        blob_text = canonical_json(blob_doc)
-        blob_path = self.root / f"{key}.json"
-        self._write_atomic(blob_path, blob_text)
-        index = self._load_index()
-        index["entries"][key] = {
-            "dataset_name": dataset_name,
-            "inputs_digest": inputs_digest,
-            "blob_sha256": hashlib.sha256(blob_text.encode("utf-8")).hexdigest(),
-        }
-        index["entries"] = dict(sorted(index["entries"].items()))
-        self._write_atomic(self._index_path, canonical_json(index))
+        path = self._blob_path(key)
+        if path is None:
+            raise ValueError(f"not a store key: {key!r}")
+        entry = StoreEntry(key, dataset_name, _payload_sha256(verified), verified)
+        fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.root)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(canonical_json(entry.to_dict()))
+            os.chmod(tmp, 0o644)  # mkstemp makes it private; a store is shared
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def remove(self, key: str) -> bool:
-        index = self._load_index()
-        if key not in index["entries"]:
+        path = self._blob_path(key)
+        if path is None:
             return False
-        del index["entries"][key]
-        blob_path = self.root / f"{key}.json"
-        if blob_path.exists():
-            blob_path.unlink()
-        self._write_atomic(self._index_path, canonical_json(index))
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            return False
         return True
+
+
+def _stale_reason(stored: VerifiedLicense, current_digest: str) -> str | None:
+    audit = stored.audit
+    if audit is None:
+        return "has no audit trailer"
+    if audit.engine_version != ENGINE_VERSION:
+        return f"was computed by engine {audit.engine_version}"
+    if audit.inputs_digest != current_digest:
+        return "was computed from different inputs"
+    return None
 
 
 def lookup_or_verify(
@@ -179,28 +166,27 @@ def lookup_or_verify(
 ) -> tuple[VerifiedLicense, bool]:
     """Return the verified license, consulting the store first.
 
-    On a hit whose recorded inputs match the current ones, the engine is not
-    invoked at all. A hit with different inputs is treated as a miss and a
-    StaleEntryWarning is emitted. Misses run the engine and persist (unless
-    the store is read-only or None).
+    A stored analysis is served only when its audit trailer names this
+    engine version and the current inputs digest; the engine is then not
+    invoked at all. Any other stored analysis is stale: a StaleEntryWarning
+    is emitted and the analysis reruns. Misses run the engine and persist
+    (unless the store is read-only or None). The inputs are fingerprinted
+    here only to judge a stored analysis; otherwise ``verify`` does it.
     """
     key = analysis_key(graph.root, policy)
-    current_digest = fingerprint_inputs(graph, interpretations, policy)
-
     if store is not None:
-        found = store.get(key)
-        if found is not None:
-            stored, recorded_digest = found
-            if recorded_digest == current_digest:
+        stored = store.get(key)
+        if stored is not None:
+            reason = _stale_reason(stored, fingerprint_inputs(graph, interpretations, policy))
+            if reason is None:
                 return stored, True
             warnings.warn(
-                f"stored analysis for key {key[:12]}... was computed from different "
-                "inputs; re-analyzing",
+                f"stored analysis for key {key[:12]}... {reason}; re-analyzing",
                 StaleEntryWarning,
                 stacklevel=2,
             )
 
     verified = verify(graph, interpretations, policy, template_digests=template_digests)
     if store is not None:
-        store.put(key, verified, graph.root.dataset_name, current_digest)
+        store.put(key, verified, graph.root.dataset_name)
     return verified, False

@@ -7,10 +7,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from dla import analysis_key
 from dla.cli import cli
 from dla.model import canonical_json
 
-from helpers import BUNDLE_NAMES, bundle_paths, record_for, write_synthetic_bundle
+from helpers import BUNDLE_NAMES, bundle_paths, load_bundle, record_for, write_synthetic_bundle
 
 
 @pytest.fixture()
@@ -271,7 +272,8 @@ class TestStoreCli:
         lineage, interp = bundle_paths("cityscapes")
         result = invoke(runner, "assess", lineage, interp)
         assert result.exit_code == 3
-        assert (tmp_path / "envstore" / "index.json").exists()
+        blobs = list((tmp_path / "envstore").glob("*.json"))
+        assert [blob.stem for blob in blobs] == [analysis_key(load_bundle("cityscapes")[0].root)]
 
     def test_store_commands_require_a_store(self, runner):
         result = invoke(runner, "store", "ls")
@@ -286,15 +288,39 @@ class TestStoreCli:
         )
         assert "(cached analysis)" in second.output
 
-    def test_unreadable_index_exits_64_in_every_command(self, runner, tmp_path):
+    def test_unreadable_blob_exits_64_and_rm_prunes_it(self, runner, tmp_path):
         store = tmp_path / "store"
-        store.mkdir()
-        (store / "index.json").write_text("{not json", encoding="utf-8")
         lineage, interp = bundle_paths("cityscapes")
-        for args in (["assess", lineage, interp], ["store", "ls"], ["store", "rm", "k"]):
+        invoke(runner, "--store", store, "assess", lineage, interp)
+        (blob,) = store.glob("*.json")
+        blob.write_text("{not json", encoding="utf-8")
+        for args in (["assess", lineage, interp], ["store", "ls"]):
             result = runner.invoke(cli, ["--store", str(store)] + [str(a) for a in args])
             assert result.exit_code == 64, (args, result.output)
-            assert result.stderr.startswith("error: store entry 'index.json' is corrupt")
+            assert result.stderr.startswith(f"error: store entry '{blob.stem}' is corrupt")
+        removed = invoke(runner, "--store", store, "store", "rm", blob.stem)
+        assert removed.exit_code == 0
+        assert not blob.exists()
+
+    def test_blob_without_verified_license_exits_64(self, runner, tmp_path):
+        store = tmp_path / "store"
+        lineage, interp = bundle_paths("cityscapes")
+        invoke(runner, "--store", store, "assess", lineage, interp)
+        (blob,) = store.glob("*.json")
+        doc = json.loads(blob.read_text(encoding="utf-8"))
+        del doc["verified_license"]
+        blob.write_text(canonical_json(doc), encoding="utf-8")
+        result = runner.invoke(cli, ["--store", str(store), "assess", str(lineage), str(interp)])
+        assert result.exit_code == 64, result.output
+        assert result.stderr.startswith(f"error: store entry '{blob.stem}' is corrupt")
+
+    def test_rm_of_a_path_like_key_touches_nothing(self, runner, tmp_path):
+        victim = tmp_path / "victim.json"
+        victim.write_text("{}", encoding="utf-8")
+        result = invoke(runner, "--store", tmp_path / "store", "store", "rm", "../victim")
+        assert result.exit_code == 0
+        assert result.output == "no entry for ../victim\n"
+        assert victim.read_text(encoding="utf-8") == "{}"
 
     def test_audit_timestamps_stamp_a_cached_analysis(self, runner, tmp_path):
         store = tmp_path / "store"
@@ -314,5 +340,4 @@ class TestStoreCli:
         assert generated_at(third) is None
         for blob in store.glob("*.json"):
             doc = json.loads(blob.read_text(encoding="utf-8"))
-            if "verified_license" in doc:
-                assert doc["verified_license"]["audit"]["generated_at"] is None
+            assert doc["verified_license"]["audit"]["generated_at"] is None

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import dla.engine
+import dla.store
 from dla import AnalysisStore, EnginePolicy, analysis_key, lookup_or_verify, verify
+from dla.engine import ENGINE_VERSION
 from dla.errors import ReadOnlyStoreWarning, StaleEntryWarning, StoreCorrupt
 from dla.model import Grant, RightEntry, canonical_json
 
@@ -99,6 +103,42 @@ class TestLookupOrVerify:
         uncached = verify(graph, interp.vectors, template_digests=interp.template_digests)
         assert canonical_json(cached.to_dict()) == canonical_json(uncached.to_dict())
 
+    @pytest.mark.parametrize(
+        "audit",
+        [lambda a: replace(a, engine_version="0.0.0"), lambda a: None],
+        ids=["other-engine", "no-audit"],
+    )
+    def test_entry_from_another_engine_is_stale(self, tmp_path, audit):
+        graph, interp = load_bundle("cifar-10")
+        store = AnalysisStore(tmp_path / "store")
+        verified = verify(graph, interp.vectors)
+        key = analysis_key(graph.root)
+        store.put(key, replace(verified, audit=audit(verified.audit)), graph.root.dataset_name)
+        with pytest.warns(StaleEntryWarning):
+            result, hit = lookup_or_verify(store, graph, interp.vectors)
+        assert hit is False
+        assert result == verified
+        assert store.get(key) == verified
+
+    @pytest.mark.parametrize("path", ["no-store", "miss", "hit"])
+    def test_inputs_fingerprinted_once_per_lookup(self, tmp_path, monkeypatch, path):
+        graph, interp = load_bundle("cifar-10")
+        store = None if path == "no-store" else AnalysisStore(tmp_path / "store")
+        if path == "hit":
+            lookup_or_verify(store, graph, interp.vectors)
+        calls = []
+        real = dla.engine.fingerprint_inputs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dla.engine, "fingerprint_inputs", counted)
+        monkeypatch.setattr(dla.store, "fingerprint_inputs", counted)
+        _, hit = lookup_or_verify(store, graph, interp.vectors)
+        assert hit is (path == "hit")
+        assert len(calls) == 1
+
     def test_no_store_runs_engine(self):
         graph, interp = load_bundle("cityscapes")
         result, hit = lookup_or_verify(None, graph, interp.vectors)
@@ -112,9 +152,8 @@ class TestStoreIntegrity:
         store = AnalysisStore(tmp_path / "store")
         verified = verify(graph, interp.vectors, template_digests=interp.template_digests)
         key = analysis_key(graph.root)
-        store.put(key, verified, graph.root.dataset_name, "digest")
-        loaded, recorded = store.get(key)
-        assert recorded == "digest"
+        store.put(key, verified, graph.root.dataset_name)
+        loaded = store.get(key)
         assert loaded == verified
         assert canonical_json(loaded.to_dict()) == canonical_json(verified.to_dict())
 
@@ -128,14 +167,31 @@ class TestStoreIntegrity:
         with pytest.raises(StoreCorrupt):
             store.get(key)
 
-    def test_missing_blob_is_corrupt(self, tmp_path):
+    def test_missing_blob_is_a_clean_miss(self, tmp_path):
         graph, interp = load_bundle("cityscapes")
         store = AnalysisStore(tmp_path / "store")
         lookup_or_verify(store, graph, interp.vectors)
         key = analysis_key(graph.root)
         (store.root / f"{key}.json").unlink()
+        assert store.get(key) is None
+        assert store.entries() == []
+
+    @pytest.mark.parametrize(
+        "field, value", [("payload_sha256", "0" * 64), ("key", "f" * 64)], ids=["digest", "key"]
+    )
+    def test_blob_disagreeing_with_itself_is_corrupt(self, tmp_path, field, value):
+        graph, interp = load_bundle("cityscapes")
+        store = AnalysisStore(tmp_path / "store")
+        lookup_or_verify(store, graph, interp.vectors)
+        key = analysis_key(graph.root)
+        blob = store.root / f"{key}.json"
+        doc = json.loads(blob.read_text())
+        doc[field] = value
+        blob.write_text(canonical_json(doc))
         with pytest.raises(StoreCorrupt):
             store.get(key)
+        with pytest.raises(StoreCorrupt):
+            store.entries()
 
     def test_entries_and_remove(self, tmp_path):
         graph, interp = load_bundle("cityscapes")
@@ -152,6 +208,18 @@ class TestStoreIntegrity:
         store = AnalysisStore(tmp_path / "store")
         assert store.get("0" * 64) is None
 
+    def test_malformed_keys_never_leave_the_store(self, tmp_path):
+        victim = tmp_path / "victim.json"
+        victim.write_text("{}")
+        store = AnalysisStore(tmp_path / "store")
+        for key in ("../victim", "A" * 64, "0" * 63, ""):
+            assert store.get(key) is None
+            assert store.remove(key) is False
+        graph, interp = load_bundle("cityscapes")
+        with pytest.raises(ValueError):
+            store.put("../victim", verify(graph, interp.vectors), "victim")
+        assert victim.read_text() == "{}"
+
     def test_distinct_policies_do_not_collide(self, tmp_path):
         graph, interp = load_bundle("cifar-10")
         store = AnalysisStore(tmp_path / "store")
@@ -162,3 +230,34 @@ class TestStoreIntegrity:
         assert hit is False
         assert len(store.entries()) == 2
         assert set(strict.changed) >= set(default.changed)
+
+
+def _put_many(root, verified, keys, barrier):
+    """One writer process: waits for the others, then puts its keys."""
+    store = AnalysisStore(root)
+    barrier.wait()
+    for key in keys:
+        store.put(key, verified, f"dataset-{key[:8]}")
+
+
+class TestConcurrentWriters:
+    def test_four_processes_lose_no_entry(self, tmp_path):
+        graph, interp = load_bundle("cityscapes")
+        verified = verify(graph, interp.vectors)
+        root = tmp_path / "store"
+        keys = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(100)]
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4, timeout=60)
+        writers = [
+            context.Process(target=_put_many, args=(root, verified, keys[i::4], barrier))
+            for i in range(4)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0] * 4
+        store = AnalysisStore(root)
+        assert sorted(entry.key for entry in store.entries()) == sorted(keys)
+        assert all(store.get(key) == verified for key in keys)
+        assert list(root.glob("*.tmp")) == []
