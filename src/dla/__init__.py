@@ -11,7 +11,6 @@ from .catalog import (
     LicenseCatalog,
     extend_schema,
     load_catalog,
-    load_interpretation,
     load_interpretations_dir,
 )
 from .engine import EnginePolicy, fingerprint_inputs, verify
@@ -85,7 +84,6 @@ __all__ = [
     "extend_schema",
     "fingerprint_inputs",
     "load_catalog",
-    "load_interpretation",
     "load_interpretations_dir",
     "lookup_or_verify",
     "render_markdown",

@@ -9,7 +9,6 @@ output) needs CommercializeOutput.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Sequence
 
@@ -22,16 +21,14 @@ from .model import (
     UsageScenario,
     VerifiedLicense,
     merge_obligations,
+    read_json,
 )
 from .resources import scenarios_path
 
 
 def load_scenarios(path: Path) -> list[UsageScenario]:
     """Read a scenarios JSON document (an array of scenario objects)."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(str(path), f"invalid JSON: {exc}")
+    data = read_json(path)
     if not isinstance(data, list):
         raise ParseError(str(path), "expected an array of scenarios")
     return [

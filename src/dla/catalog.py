@@ -12,12 +12,11 @@ code change.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
+from .errors import DuplicateRight, InputError, ParseError, SchemaViolation, UnknownLicense
 from .model import (
     FIXED_RIGHTS,
     Document,
@@ -30,23 +29,11 @@ from .model import (
     codec_field,
     decoder_for,
     merge_obligations,
+    read_input,
+    read_json,
     validate_rights_vector,
 )
 from .resources import templates_dir
-
-_CUSTOM_APPLIES_TO = ("standalone", "model")
-
-
-@dataclass(frozen=True)
-class CustomRight:
-    """A user-defined right added to the schema beside the fixed sets."""
-
-    name: str
-    applies_to: str  # "standalone" or "model"
-
-    def __post_init__(self) -> None:
-        if self.applies_to not in _CUSTOM_APPLIES_TO:
-            raise ValueError(f"applies_to must be one of {_CUSTOM_APPLIES_TO}")
 
 
 @dataclass(frozen=True)
@@ -62,49 +49,39 @@ class LicenseTemplate:
 
 @dataclass(frozen=True)
 class LicenseCatalog:
-    """Read-only bundle of shipped templates plus registered custom rights."""
+    """Read-only bundle of shipped templates plus the names of registered
+    custom rights."""
 
     templates: Mapping[str, LicenseTemplate]
-    custom_rights: tuple[CustomRight, ...] = ()
+    custom_rights: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "templates", dict(self.templates))
 
-    def custom_right_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.custom_rights)
-
-    def lookup_template(self, license_id: str, version: str | None = None) -> RightsVector:
-        """The template vector for a shipped license id.
+    def template_info(self, license_id: str, version: str | None = None) -> LicenseTemplate:
+        """The shipped template for a license id.
 
         Raises UnknownLicense when the id (or the id/version pair) is not in
         the catalog.
         """
         template = self.templates.get(license_id)
-        if template is None:
+        if template is None or (version is not None and template.version != version):
             raise UnknownLicense(license_id, version)
-        if version is not None and template.version != version:
-            raise UnknownLicense(license_id, version)
-        return template.vector
-
-    def template_info(self, license_id: str) -> LicenseTemplate:
-        template = self.templates.get(license_id)
-        if template is None:
-            raise UnknownLicense(license_id)
         return template
 
 
-def extend_schema(catalog: LicenseCatalog, right_name: str, applies_to: str) -> LicenseCatalog:
+def extend_schema(catalog: LicenseCatalog, right_name: str) -> LicenseCatalog:
     """Register a custom right and return the extended catalog.
 
-    Vectors stored before the extension simply report the new right as
-    Unspecified when loaded; pass ``require_custom=True`` to
-    :func:`load_interpretation` to demand explicit values instead.
+    Interpretations parsed against the extended catalog report the new right
+    as Unspecified unless they state it, so vectors written before the
+    extension stay valid.
     """
-    if right_name in FIXED_RIGHTS or right_name in catalog.custom_right_names():
+    if right_name in FIXED_RIGHTS or right_name in catalog.custom_rights:
         raise DuplicateRight(right_name)
     return LicenseCatalog(
         templates=catalog.templates,
-        custom_rights=catalog.custom_rights + (CustomRight(right_name, applies_to),),
+        custom_rights=catalog.custom_rights + (right_name,),
     )
 
 
@@ -119,12 +96,8 @@ class _TemplateDocument(Document, path="template"):
 
 
 def _parse_template_file(path: Path, strict: bool = True) -> LicenseTemplate:
-    raw = path.read_bytes()
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(str(path), f"invalid template file: {exc}")
-    doc = _TemplateDocument.from_dict(data, str(path), strict)
+    raw = read_input(path)
+    doc = _TemplateDocument.from_dict(read_json(path, raw), str(path), strict)
     vector = doc.vector
     violations = validate_rights_vector(vector)
     for name in FIXED_RIGHTS:
@@ -175,19 +148,15 @@ class Interpretation:
     template_id: str | None = None
 
 
-def _fill_custom_rights(
-    vector: RightsVector, catalog: LicenseCatalog | None, require_custom: bool, path: str
-) -> RightsVector:
-    if catalog is None or not catalog.custom_rights:
+def _fill_custom_rights(vector: RightsVector, catalog: LicenseCatalog | None) -> RightsVector:
+    if catalog is None:
         return vector
-    custom = dict(vector.custom_rights)
-    missing = [c.name for c in catalog.custom_rights if c.name not in custom]
-    if missing and require_custom:
-        raise SchemaViolation(f"{path}: custom rights must be populated: {missing}")
-    for name in missing:
-        custom[name] = RightEntry(grant=Grant.UNSPECIFIED)
+    missing = [name for name in catalog.custom_rights if name not in vector.custom_rights]
     if not missing:
         return vector
+    custom = dict(vector.custom_rights)
+    for name in missing:
+        custom[name] = RightEntry(grant=Grant.UNSPECIFIED)
     return replace(vector, custom_rights=custom)
 
 
@@ -199,7 +168,7 @@ def _apply_template(
     extra_obligations: Mapping[str, Sequence[Obligation]] | None,
     path: str,
 ) -> RightsVector:
-    base = catalog.lookup_template(template_id, template_version)
+    base = catalog.template_info(template_id, template_version).vector
     metadata = base.metadata
     if metadata_overrides:
         known = set(LicenseMetadata.__dataclass_fields__)
@@ -258,7 +227,6 @@ def parse_interpretation(
     catalog: LicenseCatalog | None = None,
     *,
     strict: bool = True,
-    require_custom: bool = False,
     path: str = "interpretation",
 ) -> Interpretation:
     """Parse one interpretation document (inline, template-based, or unavailable)."""
@@ -284,42 +252,11 @@ def parse_interpretation(
             path,
         )
 
-    vector = _fill_custom_rights(vector, catalog, require_custom, path)
+    vector = _fill_custom_rights(vector, catalog)
     violations = validate_rights_vector(vector)
     if violations:
         raise SchemaViolation(f"{path}: " + "; ".join(str(v) for v in violations))
     return Interpretation(subject_id=doc.subject_id, vector=vector, template_id=doc.template)
-
-
-def load_interpretation(
-    data: Any,
-    catalog: LicenseCatalog | None = None,
-    *,
-    strict: bool = True,
-    require_custom: bool = False,
-) -> RightsVector:
-    """Parse an interpretation document into a validated rights vector.
-
-    Accepts either a bare rights-vector document or a subject wrapper with an
-    inline vector or template reference. Raises ParseError on malformed input
-    and SchemaViolation when the vector is incomplete; a document marked
-    unavailable carries no vector and is rejected here.
-    """
-    if not isinstance(data, Mapping) or "subject_id" not in data:
-        vector = RightsVector.from_dict(data, "interpretation", strict)
-        vector = _fill_custom_rights(vector, catalog, require_custom, "interpretation")
-        violations = validate_rights_vector(vector)
-        if violations:
-            raise SchemaViolation("interpretation: " + "; ".join(str(v) for v in violations))
-        return vector
-    parsed = parse_interpretation(
-        data, catalog, strict=strict, require_custom=require_custom
-    )
-    if parsed.vector is None:
-        raise ParseError(
-            "interpretation", f"subject {parsed.subject_id!r} is marked unavailable"
-        )
-    return parsed.vector
 
 
 @dataclass(frozen=True)
@@ -339,23 +276,19 @@ def load_interpretations_dir(
     catalog: LicenseCatalog | None = None,
     *,
     strict: bool = True,
-    require_custom: bool = False,
 ) -> InterpretationSet:
     """Load every ``*.json`` interpretation in a directory.
 
     Files are read in sorted order; each must carry a distinct subject_id.
+    Raises InputError when the directory or one of its files cannot be read.
     """
+    if not directory.is_dir():
+        raise InputError(directory, "not a directory")
     catalog = catalog or load_catalog()
     vectors: dict[str, RightsVector | None] = {}
     digests: dict[str, str] = {}
     for path in sorted(directory.glob("*.json")):
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(str(path), f"invalid JSON: {exc}")
-        parsed = parse_interpretation(
-            data, catalog, strict=strict, require_custom=require_custom, path=str(path)
-        )
+        parsed = parse_interpretation(read_json(path), catalog, strict=strict, path=str(path))
         if parsed.subject_id in vectors:
             raise ParseError(str(path), f"duplicate interpretation for {parsed.subject_id!r}")
         vectors[parsed.subject_id] = parsed.vector

@@ -2,13 +2,15 @@
 
 Exit codes are a contract for pipeline gating:
 0 all clean / all scenarios permitted, 1 validation problem, 2 lineage
-problem, 3 at least one scenario denied, 64 unreadable or malformed input
-file (and damaged store entries).
+problem, 3 at least one scenario denied, 64 an input file that is missing,
+unreadable or not UTF-8 JSON (lineage, interpretation, template, scenario,
+capture list or validated document), and an unusable store or damaged store
+entry. Every input file is read through :func:`dla.model.read_json`.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -24,11 +26,12 @@ from .assessment import (
     render_markdown,
     render_rights_markdown,
 )
-from .catalog import load_catalog, load_interpretations_dir, parse_interpretation
+from .catalog import LicenseCatalog, load_catalog, load_interpretations_dir, parse_interpretation
 from .engine import EnginePolicy
 from .errors import (
     CatalogError,
     DlaError,
+    InputError,
     LineageError,
     ParseError,
     SchemaViolation,
@@ -45,6 +48,7 @@ from .model import (
     RightsVector,
     VerifiedLicense,
     canonical_json,
+    read_json,
     validate_provenance,
     validate_rights_vector,
 )
@@ -58,34 +62,15 @@ EXIT_DENIED = 3
 EXIT_IO = 64
 
 
-class _InputError(Exception):
-    """Unreadable or syntactically broken input file; maps to exit 64."""
-
-    def __init__(self, path: Path, message: str) -> None:
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
 # Exit code of every error a command may end with; the first matching class
 # wins. Any other package error (parse, schema, catalog, engine, assessment)
 # is a validation problem.
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
-    (_InputError, EXIT_IO),
+    (InputError, EXIT_IO),
     (StoreError, EXIT_IO),
     (LineageError, EXIT_LINEAGE),
     (DlaError, EXIT_VALIDATION),
 )
-
-
-def _read_json(path: Path) -> Any:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(path, f"cannot read file: {exc.strerror or exc}")
-    try:
-        return json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _InputError(path, f"invalid JSON: {exc}")
 
 
 class _Commands(click.Group):
@@ -163,11 +148,10 @@ def cli(
 
 
 def _load_graph(path: Path, strict: bool) -> LineageGraph:
-    data = _read_json(path)
-    return LineageGraph.from_dict(data, str(path), strict)
+    return LineageGraph.from_dict(read_json(path), str(path), strict)
 
 
-def _validate_one(path: Path, data: Any, strict: bool) -> list[str]:
+def _validate_one(path: Path, data: Any, strict: bool, catalog: LicenseCatalog) -> list[str]:
     """Validate one document of any recognized shape; returns problem lines."""
     problems: list[str] = []
     try:
@@ -184,7 +168,7 @@ def _validate_one(path: Path, data: Any, strict: bool) -> list[str]:
             record = ProvenanceRecord.from_dict(data, str(path), strict)
             problems.extend(str(v) for v in validate_provenance(record))
         elif isinstance(data, dict) and "subject_id" in data:
-            parse_interpretation(data, load_catalog(), strict=strict, path=str(path))
+            parse_interpretation(data, catalog, strict=strict, path=str(path))
         elif isinstance(data, dict) and "metadata" in data and "standalone_rights" in data:
             vector = RightsVector.from_dict(data, str(path), strict)
             problems.extend(str(v) for v in validate_rights_vector(vector))
@@ -200,9 +184,10 @@ def _validate_one(path: Path, data: Any, strict: bool) -> list[str]:
 @click.pass_obj
 def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> None:
     """Validate provenance, interpretation, lineage, or capture documents."""
+    catalog = load_catalog()
     any_problem = False
     for path in paths:
-        problems = _validate_one(path, _read_json(path), settings.strict)
+        problems = _validate_one(path, read_json(path), settings.strict, catalog)
         if problems:
             any_problem = True
             click.echo(f"{path}: {len(problems)} problem(s)")
@@ -254,9 +239,11 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
         if captures_dir is not None:
             capture_path = captures_dir / f"{node_id}.json"
             captures = []
-            if capture_path.exists():
+            # A name that is there but cannot be read is a broken capture
+            # list, not a source without one.
+            if os.path.lexists(capture_path):
                 captures = parse_capture_list(
-                    _read_json(capture_path), str(capture_path), settings.strict
+                    read_json(capture_path), str(capture_path), settings.strict
                 )
             capture = select_capture(node_id, captures, node_range)
             if capture.capture_year is not None:
@@ -275,8 +262,6 @@ def _run_pipeline(
 ) -> tuple[LineageGraph, VerifiedLicense]:
     graph = _load_graph(lineage_path, settings.strict)
     catalog = load_catalog()
-    if not interpretations_dir.is_dir():
-        raise _InputError(interpretations_dir, "not a directory")
     interpretations = load_interpretations_dir(
         interpretations_dir, catalog, strict=settings.strict
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class DlaError(Exception):
     """Base class for all errors raised by this package."""
@@ -14,6 +16,14 @@ class ParseError(DlaError):
     """
 
     def __init__(self, path: str, message: str) -> None:
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+class InputError(DlaError):
+    """An input file could not be read or is not UTF-8 JSON."""
+
+    def __init__(self, path: Path, message: str) -> None:
         self.path = path
         super().__init__(f"{path}: {message}")
 

@@ -20,10 +20,11 @@ import types
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ParseError, UnknownFieldWarning
+from .errors import InputError, ParseError, UnknownFieldWarning
 
 
 class SubjectKind(str, Enum):
@@ -95,6 +96,26 @@ DIGEST_HEX_LENGTHS: dict[str, int] = {
 def canonical_json(doc: Any) -> str:
     """Render a document dict exactly as it is written to disk."""
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def read_input(path: Path) -> bytes:
+    """The bytes of an input file; raises InputError when it cannot be read."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InputError(path, f"cannot read file: {exc.strerror or exc}") from exc
+
+
+def read_json(path: Path, raw: bytes | None = None) -> Any:
+    """The JSON document held by an input file; ``raw`` is the file's bytes
+    when the caller has read them already. Raises InputError when the file
+    cannot be read or is not UTF-8 JSON."""
+    if raw is None:
+        raw = read_input(path)
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(path, f"invalid JSON: {exc}") from exc
 
 
 def compact_json(doc: Any) -> str:
@@ -644,9 +665,6 @@ class VerifiedLicense(Document, path="verified"):
         entry = self.rights.get(right_name)
         return entry.grant if entry is not None else Grant.UNSPECIFIED
 
-    def is_granted(self, right_name: str) -> bool:
-        return self.grant(right_name) is Grant.GRANTED
-
 
 # ---------------------------------------------------------------------------
 # Usage scenarios and assessment tables
@@ -724,9 +742,3 @@ class AssessmentTable(Document, path="assessment"):
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "obligation_legend", dict(self.obligation_legend))
         object.__setattr__(self, "advisory_obligations", tuple(self.advisory_obligations))
-
-    def row(self, scenario_id: str) -> AssessmentRow:
-        for row in self.rows:
-            if row.scenario_id == scenario_id:
-                return row
-        raise KeyError(scenario_id)

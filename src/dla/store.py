@@ -14,7 +14,6 @@ is corrupt.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import tempfile
@@ -24,9 +23,23 @@ from pathlib import Path
 from typing import Mapping
 
 from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
-from .errors import ParseError, ReadOnlyStoreWarning, StaleEntryWarning, StoreCorrupt
+from .errors import (
+    InputError,
+    ParseError,
+    ReadOnlyStoreWarning,
+    StaleEntryWarning,
+    StoreCorrupt,
+    StoreError,
+)
 from .lineage import LineageGraph
-from .model import Document, ProvenanceRecord, RightsVector, VerifiedLicense, canonical_json
+from .model import (
+    Document,
+    ProvenanceRecord,
+    RightsVector,
+    VerifiedLicense,
+    canonical_json,
+    read_json,
+)
 
 _KEY_SCHEME = "dla-analysis-key-v1"
 _KEY = re.compile(r"[0-9a-f]{64}")
@@ -75,8 +88,14 @@ class AnalysisStore:
     def __init__(self, root: Path | str, read_only: bool = False) -> None:
         self.root = Path(root)
         self.read_only = read_only
+        if self.root.exists() and not self.root.is_dir():
+            raise StoreError(f"store {self.root} is not a directory")
         if not read_only:
-            self.root.mkdir(parents=True, exist_ok=True)
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                detail = exc.strerror or exc
+                raise StoreError(f"cannot create store {self.root}: {detail}") from exc
 
     def _blob_path(self, key: str) -> Path | None:
         """The blob of a well-formed key; None for any other string, so a
@@ -86,8 +105,8 @@ class AnalysisStore:
     def _read(self, path: Path) -> StoreEntry:
         key = path.stem
         try:
-            entry = StoreEntry.from_dict(json.loads(path.read_bytes().decode("utf-8")))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError) as exc:
+            entry = StoreEntry.from_dict(read_json(path))
+        except (InputError, ParseError) as exc:
             raise StoreCorrupt(key, f"invalid blob: {exc}")
         if entry.key != key:
             raise StoreCorrupt(key, f"blob names key {entry.key!r}")

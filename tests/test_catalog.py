@@ -6,14 +6,9 @@ import json
 
 import pytest
 
-from dla import (
-    Grant,
-    extend_schema,
-    load_catalog,
-    load_interpretation,
-)
+from dla import Grant, extend_schema, load_catalog
 from dla.catalog import load_interpretations_dir, parse_interpretation
-from dla.errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
+from dla.errors import DuplicateRight, InputError, ParseError, SchemaViolation, UnknownLicense
 from dla.model import FIXED_RIGHTS, ObligationKind
 
 from helpers import bundle_paths
@@ -38,7 +33,7 @@ class TestTemplates:
             assert len(template.digest) == 64
 
     def test_cc_by_nc_sa(self):
-        vector = CATALOG.lookup_template("CC-BY-NC-SA-4.0")
+        vector = CATALOG.template_info("CC-BY-NC-SA-4.0").vector
         assert vector.grant("Distribute") is Grant.GRANTED
         assert [o.id for o in vector.entry("Distribute").obligations] == ["C"]
         rerepresent = vector.entry("Rerepresent")
@@ -51,14 +46,14 @@ class TestTemplates:
         assert vector.grant("CommercializeModel") is Grant.DENIED
 
     def test_cc_by_nc(self):
-        vector = CATALOG.lookup_template("CC-BY-NC-4.0", "4.0")
+        vector = CATALOG.template_info("CC-BY-NC-4.0", "4.0").vector
         assert [o.id for o in vector.entry("Distribute").obligations] == ["A", "E"]
         assert vector.entry("Distribute").obligations[0].kind is ObligationKind.LINK_LICENSE
         assert vector.grant("CommercializeOutput") is Grant.DENIED
         assert vector.grant("CommercializeModel") is Grant.DENIED
 
     def test_cc_by(self):
-        vector = CATALOG.lookup_template("CC-BY-4.0")
+        vector = CATALOG.template_info("CC-BY-4.0").vector
         for right in ("Distribute", "CommercializeOutput", "CommercializeModel"):
             assert vector.grant(right) is Grant.GRANTED
         assert [o.id for o in vector.entry("Distribute").obligations] == ["B", "E"]
@@ -66,12 +61,19 @@ class TestTemplates:
 
     def test_unknown_license(self):
         with pytest.raises(UnknownLicense):
-            CATALOG.lookup_template("WTFPL")
+            CATALOG.template_info("WTFPL")
         with pytest.raises(UnknownLicense):
-            CATALOG.lookup_template("CC-BY-4.0", "3.0")
+            CATALOG.template_info("CC-BY-4.0", "3.0")
+
+    @pytest.mark.parametrize("content", [b'{"license_id": ', b"\xff\xfe"])
+    def test_malformed_template_file_is_an_input_error(self, tmp_path, content):
+        (tmp_path / "bad.json").write_bytes(content)
+        with pytest.raises(InputError, match="bad.json: invalid JSON"):
+            load_catalog(tmp_path)
 
     def test_lookup_is_referentially_transparent(self):
-        assert CATALOG.lookup_template("CC-BY-4.0") == CATALOG.lookup_template("CC-BY-4.0")
+        first, second = CATALOG.template_info("CC-BY-4.0"), CATALOG.template_info("CC-BY-4.0")
+        assert first.vector == second.vector
 
 
 def minimal_vector_doc(**overrides) -> dict:
@@ -92,11 +94,16 @@ def minimal_vector_doc(**overrides) -> dict:
     return doc
 
 
+def interpret(vector_doc: dict, catalog=CATALOG):
+    """The vector of an interpretation that inlines ``vector_doc``."""
+    return parse_interpretation({"subject_id": "x", "vector": vector_doc}, catalog).vector
+
+
 class TestLoadInterpretation:
     def test_cifar_fixture_document(self):
         _, interpretations_dir = bundle_paths("cifar-10")
         doc = json.loads((interpretations_dir / "cifar-10.json").read_text())
-        vector = load_interpretation(doc, CATALOG)
+        vector = parse_interpretation(doc, CATALOG).vector
         for right in FIXED_RIGHTS:
             assert vector.grant(right) is Grant.GRANTED
             assert [o.id for o in vector.entry(right).obligations] == ["cite-cifar10"]
@@ -104,7 +111,7 @@ class TestLoadInterpretation:
     def test_granted_true_without_obligations(self):
         doc = minimal_vector_doc()
         doc["standalone_rights"]["Tagging"] = {"grant": True}
-        vector = load_interpretation(doc, CATALOG)
+        vector = interpret(doc)
         assert vector.grant("Tagging") is Grant.GRANTED
         assert vector.entry("Tagging").obligations == ()
 
@@ -112,19 +119,19 @@ class TestLoadInterpretation:
         doc = minimal_vector_doc()
         doc["standalone_rights"]["Tagging"] = {"grant": "maybe"}
         with pytest.raises(ParseError) as exc:
-            load_interpretation(doc, CATALOG)
+            interpret(doc)
         assert "Tagging.grant" in str(exc.value)
 
     def test_missing_fixed_right_is_schema_violation(self):
         doc = minimal_vector_doc()
         del doc["model_rights"]["ModelReverseEngineer"]
         with pytest.raises(SchemaViolation, match="ModelReverseEngineer"):
-            load_interpretation(doc, CATALOG)
+            interpret(doc)
 
     def test_unspecified_is_an_accepted_explicit_value(self):
         doc = minimal_vector_doc()
         doc["standalone_rights"]["Tagging"] = {"grant": "unspecified"}
-        vector = load_interpretation(doc, CATALOG)
+        vector = interpret(doc)
         assert vector.grant("Tagging") is Grant.UNSPECIFIED
 
     def test_template_reference_with_overrides(self):
@@ -138,7 +145,7 @@ class TestLoadInterpretation:
                 ]
             },
         }
-        vector = load_interpretation(doc, CATALOG)
+        vector = parse_interpretation(doc, CATALOG).vector
         assert vector.metadata.licensor == "Org"
         assert vector.metadata.dataset_name == "Demo"
         assert vector.metadata.license_name == "CC-BY-NC-SA-4.0"
@@ -151,13 +158,13 @@ class TestLoadInterpretation:
             "extra_obligations": {"Teleport": []},
         }
         with pytest.raises(ParseError, match="Teleport"):
-            load_interpretation(doc, CATALOG)
+            parse_interpretation(doc, CATALOG)
 
     def test_unavailable_document_has_no_vector(self):
         parsed = parse_interpretation({"subject_id": "x", "unavailable": True}, CATALOG)
+        assert parsed.subject_id == "x"
         assert parsed.vector is None
-        with pytest.raises(ParseError, match="unavailable"):
-            load_interpretation({"subject_id": "x", "unavailable": True}, CATALOG)
+        assert parsed.template_id is None
 
     def test_exactly_one_body_form_required(self):
         with pytest.raises(ParseError, match="exactly one"):
@@ -170,38 +177,32 @@ class TestLoadInterpretation:
 
 class TestExtendSchema:
     def test_extension_accepts_new_model_right(self):
-        extended = extend_schema(CATALOG, "AdversarialModelTraining", "model")
-        assert "AdversarialModelTraining" in extended.custom_right_names()
+        extended = extend_schema(CATALOG, "AdversarialModelTraining")
+        assert extended.custom_rights == ("AdversarialModelTraining",)
         # The original catalog is untouched.
-        assert "AdversarialModelTraining" not in CATALOG.custom_right_names()
+        assert CATALOG.custom_rights == ()
 
     def test_collision_with_fixed_right(self):
         with pytest.raises(DuplicateRight):
-            extend_schema(CATALOG, "Distribute", "standalone")
+            extend_schema(CATALOG, "Distribute")
 
     def test_collision_with_existing_custom_right(self):
-        extended = extend_schema(CATALOG, "AdversarialModelTraining", "model")
+        extended = extend_schema(CATALOG, "AdversarialModelTraining")
         with pytest.raises(DuplicateRight):
-            extend_schema(extended, "AdversarialModelTraining", "model")
+            extend_schema(extended, "AdversarialModelTraining")
 
     def test_old_vector_reports_new_right_unspecified(self):
-        extended = extend_schema(CATALOG, "AdversarialModelTraining", "model")
-        vector = load_interpretation(minimal_vector_doc(), extended)
+        extended = extend_schema(CATALOG, "AdversarialModelTraining")
+        vector = interpret(minimal_vector_doc(), extended)
         assert vector.grant("AdversarialModelTraining") is Grant.UNSPECIFIED
 
-    def test_require_custom_demands_explicit_value(self):
-        extended = extend_schema(CATALOG, "AdversarialModelTraining", "model")
-        with pytest.raises(SchemaViolation, match="AdversarialModelTraining"):
-            load_interpretation(minimal_vector_doc(), extended, require_custom=True)
+    def test_explicit_custom_value_is_kept(self):
+        extended = extend_schema(CATALOG, "AdversarialModelTraining")
         doc = minimal_vector_doc(
             custom_rights={"AdversarialModelTraining": {"grant": "denied"}}
         )
-        vector = load_interpretation(doc, extended, require_custom=True)
+        vector = interpret(doc, extended)
         assert vector.grant("AdversarialModelTraining") is Grant.DENIED
-
-    def test_invalid_applies_to_rejected(self):
-        with pytest.raises(ValueError):
-            extend_schema(CATALOG, "SomethingNew", "sideways")
 
 
 class TestInterpretationsDir:
@@ -220,3 +221,7 @@ class TestInterpretationsDir:
         assert loaded.template_digests["CC-BY-NC-SA-4.0"] == (
             CATALOG.template_info("CC-BY-NC-SA-4.0").digest
         )
+
+    def test_missing_directory_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="not a directory"):
+            load_interpretations_dir(tmp_path / "nope", CATALOG)

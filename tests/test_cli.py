@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -86,6 +88,53 @@ class TestValidate:
                 cli, ["--lenient", "validate", str(path)], catch_exceptions=False
             )
         assert lenient.exit_code == 0
+
+
+# Each kind of input file: the file to break, relative to a copy of the
+# cifar-10 bundle, and a command that reads it.
+INPUT_KINDS = {
+    "lineage": ("lineage.json", ["assess", "lineage.json", "interpretations"]),
+    "interpretation": ("interpretations/zz.json", ["assess", "lineage.json", "interpretations"]),
+    "scenarios": (
+        "scenarios.json",
+        ["assess", "lineage.json", "interpretations", "--scenarios", "scenarios.json"],
+    ),
+    "capture-list": (
+        "captures/cifar-10.json", ["range", "lineage.json", "--captures", "captures"]
+    ),
+    "validate": ("lineage.json", ["validate", "lineage.json"]),
+}
+FAULT_BYTES = {"truncated": b'{"records": [', "not-utf8": b"\xff\xfe"}
+
+
+def break_file(path, fault):
+    if path.exists():
+        path.unlink()
+    if fault == "missing":
+        # A dangling symlink: the name is still listed by its directory, but
+        # no file is behind it.
+        path.symlink_to("absent.json")
+    elif fault == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(FAULT_BYTES[fault])
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("fault", ["missing", "directory", "truncated", "not-utf8"])
+    @pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+    def test_bad_input_file_exits_64_naming_it(
+        self, runner, tmp_path, monkeypatch, kind, fault
+    ):
+        lineage, _ = bundle_paths("cifar-10")
+        shutil.copytree(lineage.parent, tmp_path / "bundle")
+        monkeypatch.chdir(tmp_path / "bundle")
+        target, args = INPUT_KINDS[kind]
+        break_file(Path(target), fault)
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 64, repr(result.exception)
+        assert result.stderr.startswith(f"error: {target}: ")
+        assert "Traceback" not in result.stderr
 
 
 class TestRange:
@@ -278,6 +327,15 @@ class TestStoreCli:
     def test_store_commands_require_a_store(self, runner):
         result = invoke(runner, "store", "ls")
         assert result.exit_code == 64
+
+    def test_store_that_is_a_regular_file_exits_64(self, runner, tmp_path):
+        store = tmp_path / "store"
+        store.write_text("", encoding="utf-8")
+        lineage, interp = bundle_paths("cityscapes")
+        for args in (["assess", lineage, interp], ["store", "rm", "0" * 64], ["store", "ls"]):
+            result = runner.invoke(cli, ["--store", str(store)] + [str(a) for a in args])
+            assert result.exit_code == 64, (args, repr(result.exception))
+            assert result.stderr == f"error: store {store} is not a directory\n"
 
     def test_cached_second_run_prints_notice(self, runner, tmp_path):
         store = tmp_path / "store"
