@@ -4,7 +4,8 @@ Exit codes are a contract for pipeline gating:
 0 all clean / all scenarios permitted, 1 validation problem, 2 lineage
 problem, 3 at least one scenario denied, 64 an input file that is missing,
 unreadable or not UTF-8 JSON (lineage, interpretation, template, scenario,
-capture list or validated document), and an unusable store or damaged store
+capture list or validated document), an interpretations or captures
+directory that is not a directory, and an unusable store or damaged store
 entry. Every input file is read through :func:`dla.model.read_json`.
 """
 
@@ -229,6 +230,8 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
 def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> None:
     """License range per lineage node (and the applicable capture, if given)."""
     graph = _load_graph(lineage_path, settings.strict)
+    if captures_dir is not None and not captures_dir.is_dir():
+        raise InputError(captures_dir, "not a directory")
     for node_id in graph.nodes:
         try:
             node_range = compute_license_range(node_id, graph)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -53,7 +54,9 @@ class LineageGraph:
     """Validated, canonically ordered lineage DAG.
 
     Construct through :func:`build_lineage`; the constructor itself does not
-    re-run structural validation.
+    re-run structural validation. The child, parent and nearest-dataset maps
+    are derived from the fields on first use; they are not fields, so they
+    take no part in equality or serialization.
     """
 
     nodes: Mapping[str, ProvenanceRecord]
@@ -64,11 +67,44 @@ class LineageGraph:
         object.__setattr__(self, "nodes", dict(self.nodes))
         object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
 
+    @cached_property
+    def _child_map(self) -> dict[str, list[str]]:
+        return _adjacency(self.nodes, self.edges)
+
+    @cached_property
+    def _parent_map(self) -> dict[str, list[str]]:
+        return _adjacency(self.nodes, ((child, parent) for parent, child in self.edges))
+
+    @cached_property
+    def _nearest_datasets(self) -> dict[str, frozenset[str]]:
+        """Every node with a dataset upstream, mapped to its nearest ones.
+
+        One breadth-first pass runs down from all datasets at once (each is
+        its own nearest) and never through one, so a node is first reached at
+        its distance from the nearest dataset, by every parent on the level
+        above; it takes the union of their sets.
+        """
+        nearest = {
+            node_id: frozenset((node_id,))
+            for node_id, record in self.nodes.items()
+            if record.subject_kind is SubjectKind.DATASET
+        }
+        level = list(nearest)
+        while level:
+            reached: dict[str, frozenset[str]] = {}
+            for parent in level:
+                for child in self._child_map[parent]:
+                    if child not in nearest:
+                        reached[child] = reached.get(child, frozenset()) | nearest[parent]
+            nearest.update(reached)
+            level = list(reached)
+        return nearest
+
     def children(self, node_id: str) -> tuple[str, ...]:
-        return tuple(c for p, c in self.edges if p == node_id)
+        return tuple(self._child_map.get(node_id, ()))
 
     def parents(self, node_id: str) -> tuple[str, ...]:
-        return tuple(p for p, c in self.edges if c == node_id)
+        return tuple(self._parent_map.get(node_id, ()))
 
     @property
     def root(self) -> ProvenanceRecord:
@@ -83,6 +119,14 @@ class LineageGraph:
     def from_dict(cls, data: Any, path: str = "lineage", strict: bool = True) -> "LineageGraph":
         doc = _LineageDocument.from_dict(data, path, strict)
         return build_lineage(doc.records, doc.edges, doc.root_id)
+
+
+def _adjacency(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """Map every node to the second elements of its pairs, in pair order."""
+    grouped: dict[str, list[str]] = {node_id: [] for node_id in nodes}
+    for key, value in pairs:
+        grouped[key].append(value)
+    return grouped
 
 
 def _find_cycle(adjacency: Mapping[str, Sequence[str]]) -> tuple[str, ...] | None:
@@ -145,10 +189,12 @@ def build_lineage(
     if root not in nodes:
         raise DanglingReference(root)
 
-    adjacency: dict[str, list[str]] = {node_id: [] for node_id in sorted(nodes)}
-    for parent, child in edge_list:
-        adjacency[parent].append(child)
-
+    graph = LineageGraph(
+        nodes={node_id: nodes[node_id] for node_id in sorted(nodes)},
+        edges=tuple(edge_list),
+        root_id=root,
+    )
+    adjacency = graph._child_map
     cycle = _find_cycle(adjacency)
     if cycle:
         raise CycleDetected(cycle)
@@ -156,17 +202,14 @@ def build_lineage(
     reachable = {root}
     queue = deque([root])
     while queue:
-        current = queue.popleft()
-        for child in adjacency[current]:
+        for child in adjacency[queue.popleft()]:
             if child not in reachable:
                 reachable.add(child)
                 queue.append(child)
-    for node_id in sorted(nodes):
+    for node_id in graph.nodes:
         if node_id not in reachable:
             raise UnreachableNode(node_id)
-
-    ordered_nodes = {node_id: nodes[node_id] for node_id in sorted(nodes)}
-    return LineageGraph(nodes=ordered_nodes, edges=tuple(edge_list), root_id=root)
+    return graph
 
 
 def compute_license_range(node_id: str, graph: LineageGraph) -> LicenseRange:
@@ -174,11 +217,15 @@ def compute_license_range(node_id: str, graph: LineageGraph) -> LicenseRange:
 
     Datasets use their own origin year: the range runs from the year before
     the origin to the origin. Websites and search engines inherit the range
-    of their nearest dataset ancestor (the dataset they fed content into).
+    of their nearest dataset ancestors (the datasets they fed content into):
+    the datasets with the fewest edges down to the node, on paths that pass
+    through no other dataset. All of them must agree.
 
     Raises:
         KeyError: unknown node id.
-        MissingOriginYear: a dataset node without an origin year.
+        MissingOriginYear: a dataset node without an origin year; for a
+            website or search engine, the first nearest dataset ancestor in
+            id order that lacks one.
         NoDatasetAncestor: a non-dataset node with no dataset upstream.
         AmbiguousRange: two equally near dataset ancestors disagree.
     """
@@ -187,29 +234,13 @@ def compute_license_range(node_id: str, graph: LineageGraph) -> LicenseRange:
         if record.origin_year is None:
             raise MissingOriginYear(node_id)
         return LicenseRange.ending_at(record.origin_year)
-
-    # Breadth-first walk upward; the first level containing dataset nodes
-    # decides, and all of them must agree.
-    level = {node_id}
-    seen = {node_id}
-    while level:
-        datasets = sorted(
-            n for n in level if graph.nodes[n].subject_kind is SubjectKind.DATASET
-        )
-        if datasets:
-            ranges = {d: compute_license_range(d, graph) for d in datasets}
-            distinct = {r for r in ranges.values()}
-            if len(distinct) > 1:
-                raise AmbiguousRange(node_id, tuple(datasets))
-            return next(iter(distinct))
-        next_level: set[str] = set()
-        for n in level:
-            for parent in graph.parents(n):
-                if parent not in seen:
-                    seen.add(parent)
-                    next_level.add(parent)
-        level = next_level
-    raise NoDatasetAncestor(node_id)
+    datasets = sorted(graph._nearest_datasets.get(node_id, ()))
+    if not datasets:
+        raise NoDatasetAncestor(node_id)
+    distinct = {compute_license_range(d, graph) for d in datasets}
+    if len(distinct) > 1:
+        raise AmbiguousRange(node_id, tuple(datasets))
+    return next(iter(distinct))
 
 
 @dataclass(frozen=True)

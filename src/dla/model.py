@@ -566,9 +566,6 @@ class RightsVector(Document, path="vector"):
         object.__setattr__(self, "model_rights", _ordered_rights(self.model_rights, MODEL_RIGHTS))
         object.__setattr__(self, "custom_rights", dict(self.custom_rights))
 
-    def right_names(self) -> tuple[str, ...]:
-        return FIXED_RIGHTS + tuple(self.custom_rights)
-
     def entry(self, right_name: str) -> RightEntry | None:
         for group in (self.standalone_rights, self.model_rights, self.custom_rights):
             if right_name in group:
@@ -657,9 +654,6 @@ class VerifiedLicense(Document, path="verified"):
         )
         object.__setattr__(self, "changed", tuple(self.changed))
         object.__setattr__(self, "residual_risk_flags", tuple(self.residual_risk_flags))
-
-    def right_names(self) -> tuple[str, ...]:
-        return tuple(self.rights)
 
     def grant(self, right_name: str) -> Grant:
         entry = self.rights.get(right_name)

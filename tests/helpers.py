@@ -23,8 +23,9 @@ from dla import (
     load_interpretations_dir,
 )
 from dla.catalog import InterpretationSet
+from dla.errors import AmbiguousRange, MissingOriginYear, NoDatasetAncestor
 from dla.lineage import LineageGraph
-from dla.model import LicenseFoundVia
+from dla.model import LicenseFoundVia, LicenseRange
 from dla.resources import fixture_bundle
 
 BUNDLE_NAMES = [
@@ -99,6 +100,16 @@ def record_for(subject_id: str, kind: SubjectKind = SubjectKind.DATASET) -> Prov
         license_found_via=LicenseFoundVia.OFFICIAL_WEBSITE,
         license_content="terms",
     )
+
+
+def website_chain(
+    root_id: str, length: int
+) -> tuple[list[ProvenanceRecord], list[tuple[str, str]]]:
+    """Records and edges of a chain of ``length`` nodes: the dataset
+    ``root_id`` (origin 2010) over websites ``w00001``, ``w00002``, ..."""
+    ids = [root_id] + [f"w{i:05d}" for i in range(1, length)]
+    records = [record_for(root_id)] + [record_for(i, SubjectKind.WEBSITE) for i in ids[1:]]
+    return records, list(zip(ids, ids[1:]))
 
 
 def random_case(
@@ -211,3 +222,34 @@ def oracle_verify(
         "obligations": obligations,
         "residual": sorted(unavailable),
     }
+
+
+def oracle_range(node_id: str, graph: LineageGraph) -> LicenseRange:
+    """Brute-force reference for ``compute_license_range``, written against
+    ``graph.edges`` alone: a dataset's range ends at its origin year; any other
+    node walks upward breadth-first, scanning every edge per level, and the
+    first level holding datasets decides. They must all agree; the first of
+    them in id order without an origin year is the one named."""
+
+    def dataset_range(dataset_id: str) -> LicenseRange:
+        year = graph.nodes[dataset_id].origin_year
+        if year is None:
+            raise MissingOriginYear(dataset_id)
+        return LicenseRange(year - 1, year)
+
+    def is_dataset(subject_id: str) -> bool:
+        return graph.nodes[subject_id].subject_kind is SubjectKind.DATASET
+
+    if is_dataset(node_id):
+        return dataset_range(node_id)
+    level, seen = {node_id}, {node_id}
+    while level:
+        level = {p for p, c in graph.edges if c in level and p not in seen}
+        seen |= level
+        datasets = sorted(n for n in level if is_dataset(n))
+        if datasets:
+            ranges = [dataset_range(d) for d in datasets]
+            if len(set(ranges)) > 1:
+                raise AmbiguousRange(node_id, tuple(datasets))
+            return ranges[0]
+    raise NoDatasetAncestor(node_id)

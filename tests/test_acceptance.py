@@ -160,7 +160,7 @@ def test_criterion_5_property_suite(tmp_path):
         )
         enlarged = {**interpretations, "zz-new": rng.choice([None, random_vector(rng, "zz-new")])}
         after = verify(bigger, enlarged)
-        for right in before.right_names():
+        for right in before.rights:
             if before.grant(right) is not Grant.GRANTED:
                 monotone &= after.grant(right) is not Grant.GRANTED
 
@@ -181,7 +181,7 @@ def test_criterion_5_property_suite(tmp_path):
             model_rights={r: RightEntry(grant=Grant.GRANTED) for r in FIXED_RIGHTS[4:]},
         )
         after = verify(graph, {**interpretations, unavailable[0]: granted_all})
-        for right in before.right_names():
+        for right in before.rights:
             neutral &= before.grant(right) is after.grant(right)
 
     # Cache transparency: cached result is byte-identical to a fresh run.

@@ -106,7 +106,7 @@ class TestAssessAll:
         while checked < 50:
             graph, interpretations = random_case(rng)
             verified = verify(graph, interpretations)
-            granted = [r for r in verified.right_names() if verified.grant(r) is Grant.GRANTED]
+            granted = [r for r in verified.rights if verified.grant(r) is Grant.GRANTED]
             if not granted:
                 continue
             checked += 1

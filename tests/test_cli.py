@@ -13,7 +13,14 @@ from dla import analysis_key
 from dla.cli import cli
 from dla.model import canonical_json
 
-from helpers import BUNDLE_NAMES, bundle_paths, load_bundle, record_for, write_synthetic_bundle
+from helpers import (
+    BUNDLE_NAMES,
+    bundle_paths,
+    load_bundle,
+    record_for,
+    website_chain,
+    write_synthetic_bundle,
+)
 
 
 @pytest.fixture()
@@ -107,6 +114,21 @@ INPUT_KINDS = {
 FAULT_BYTES = {"truncated": b'{"records": [', "not-utf8": b"\xff\xfe"}
 
 
+def write_chain_lineage(path: Path, root_id: str, length: int) -> list[str]:
+    """Write a ``website_chain`` lineage file; returns the node ids, root first."""
+    records, edges = website_chain(root_id, length)
+    path.write_text(
+        json.dumps(
+            {
+                "records": [record.to_dict() for record in records],
+                "edges": [list(edge) for edge in edges],
+                "root_id": root_id,
+            }
+        )
+    )
+    return [record.subject_id for record in records]
+
+
 def break_file(path, fault):
     if path.exists():
         path.unlink()
@@ -177,6 +199,24 @@ class TestRange:
         assert "ask: 2005-2006 capture: 2007 (out_of_range_fallback)" in result.output
         assert "cydral: 2005-2006 capture: (unavailable)" in result.output
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_captures_that_is_not_a_directory_exits_64(self, runner, tmp_path, kind):
+        lineage, _ = bundle_paths("cifar-10")
+        captures = tmp_path / "captures"
+        if kind == "file":
+            captures.write_text("[]")
+        result = invoke(runner, "range", lineage, "--captures", captures)
+        assert result.exit_code == 64
+        assert result.stdout == ""
+        assert result.stderr == f"error: {captures}: not a directory\n"
+
+    def test_deep_website_chain_inherits_the_root_range(self, runner, tmp_path):
+        lineage = tmp_path / "lineage.json"
+        ids = write_chain_lineage(lineage, "root", 5000)
+        result = invoke(runner, "range", lineage)
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == [f"{node_id}: 2009-2010" for node_id in ids]
+
     def test_per_node_errors_inline(self, runner, tmp_path):
         record = record_for("solo").to_dict()
         record["origin_year"] = None
@@ -237,6 +277,19 @@ class TestAssess:
         result = invoke(runner, "assess", lineage, interp)
         assert result.exit_code == 0
         assert "| synthetic | Yes | Yes | Yes |" in result.output
+
+    def test_deep_website_chain_denied_by_its_last_source_exits_3(self, runner, tmp_path):
+        _, interp = write_synthetic_bundle(tmp_path)
+        ids = write_chain_lineage(tmp_path / "lineage.json", "synthetic", 5000)
+        for node_id in ids[1:]:
+            template = "CC-BY-NC-4.0" if node_id == ids[-1] else "CC-BY-4.0"
+            (interp / f"{node_id}.json").write_text(
+                json.dumps({"subject_id": node_id, "template": template})
+            )
+        result = invoke(runner, "--format", "json", "assess", tmp_path / "lineage.json", interp)
+        assert result.exit_code == 3
+        restrictors = json.loads(result.stdout)["verified_license"]["restrictors"]
+        assert {tuple(sources) for sources in restrictors.values() if sources} == {(ids[-1],)}
 
     def test_no_gate_downgrades_exit(self, runner):
         lineage, interp = bundle_paths("cifar-10")

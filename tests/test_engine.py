@@ -138,7 +138,7 @@ class TestProperties:
             enlarged = dict(interpretations)
             enlarged["zz-extra"] = rng.choice([None, random_vector(rng, "zz-extra")])
             after = verify(bigger, enlarged)
-            for right in before.right_names():
+            for right in before.rights:
                 if before.grant(right) is not Grant.GRANTED:
                     assert after.grant(right) is not Grant.GRANTED
 
@@ -147,7 +147,7 @@ class TestProperties:
         for _ in range(100):
             graph, interpretations = random_case(rng)
             verified = verify(graph, interpretations)
-            for right in verified.right_names():
+            for right in verified.rights:
                 if verified.grant(right) is Grant.GRANTED:
                     for node_id, vector in interpretations.items():
                         if vector is not None:
@@ -159,7 +159,7 @@ class TestProperties:
             graph, interpretations = random_case(rng)
             verified = verify(graph, interpretations)
             root = interpretations[graph.root_id]
-            for right in verified.right_names():
+            for right in verified.rights:
                 if verified.grant(right) is Grant.GRANTED:
                     root_ids = {o.id for o in root.entry(right).obligations}
                     verified_ids = {o.id for o in verified.rights[right].obligations}
@@ -178,7 +178,7 @@ class TestProperties:
             swapped = dict(interpretations)
             swapped[unavailable[0]] = total_vector(name=unavailable[0])
             after = verify(graph, swapped)
-            for right in before.right_names():
+            for right in before.rights:
                 assert before.grant(right) is after.grant(right)
 
     def test_determinism_under_permutation(self):
@@ -220,7 +220,8 @@ class TestDiffRights:
 
     @staticmethod
     def grant_diff(own: RightsVector, verified) -> set[str]:
-        return {name for name in own.right_names() if own.grant(name) is not verified.grant(name)}
+        names = FIXED_RIGHTS + tuple(own.custom_rights)
+        return {name for name in names if own.grant(name) is not verified.grant(name)}
 
     def test_cifar_diff_names_the_five_flipped_rights(self):
         graph, interp = load_bundle("cifar-10")
@@ -259,7 +260,7 @@ class TestCustomRights:
         verified = verify(graph, {"r": root, "s": source})
         # The root never granted it, so it stays unspecified (not granted).
         assert verified.grant("AdversarialModelTraining") is Grant.UNSPECIFIED
-        assert "AdversarialModelTraining" in verified.right_names()
+        assert "AdversarialModelTraining" in verified.rights
         assert "AdversarialModelTraining" not in verified.changed
 
     def test_audit_trailer_contents(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from dla.errors import (
     AmbiguousRange,
     CycleDetected,
     DanglingReference,
+    LineageError,
     MissingOriginYear,
     NoDatasetAncestor,
     UnreachableNode,
@@ -21,7 +24,7 @@ from dla.errors import (
 from dla.lineage import CaptureInput, LineageGraph
 from dla.model import CaptureStatus, LicenseRange, SubjectKind, canonical_json
 
-from helpers import load_bundle, record_for
+from helpers import load_bundle, oracle_range, random_case, record_for, website_chain
 
 
 class TestBuildLineage:
@@ -183,6 +186,59 @@ class TestLicenseRange:
             "top",
         )
         assert compute_license_range("site", graph) == LicenseRange(2009, 2010)
+
+
+def range_outcome(compute, node_id: str, graph: LineageGraph) -> tuple:
+    """A range, or the type, arguments and attributes of the lineage error."""
+    try:
+        return LicenseRange, compute(node_id, graph)
+    except LineageError as exc:
+        return type(exc), exc.args, vars(exc)
+
+
+def varied_case(rng: random.Random) -> LineageGraph:
+    """A ``random_case`` graph whose root may be of any kind and whose datasets
+    have origin years drawn from a small pool that includes none."""
+    graph, _ = random_case(rng, max_nodes=12)
+    records = []
+    for node_id, record in graph.nodes.items():
+        kind = rng.choice(list(SubjectKind)) if node_id == graph.root_id else record.subject_kind
+        year = rng.choice([None, 2000, 2001, 2005]) if kind is SubjectKind.DATASET else None
+        records.append(replace(record, subject_kind=kind, origin_year=year))
+    return build_lineage(records, graph.edges, graph.root_id)
+
+
+class TestRangeOracle:
+    def test_matches_oracle_on_random_graphs(self):
+        rng = random.Random(31)
+        kinds: Counter = Counter()
+        for _ in range(2000):
+            graph = varied_case(rng)
+            for node_id in graph.nodes:
+                expected = range_outcome(oracle_range, node_id, graph)
+                assert range_outcome(compute_license_range, node_id, graph) == expected
+                kinds[expected[0]] += 1
+        assert set(kinds) == {LicenseRange, MissingOriginYear, AmbiguousRange, NoDatasetAncestor}
+
+    def test_parent_and_child_maps_equal_an_edge_scan(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            graph, _ = random_case(rng, max_nodes=12)
+            for node_id in graph.nodes:
+                edges = graph.edges
+                assert graph.children(node_id) == tuple(sorted(c for p, c in edges if p == node_id))
+                assert graph.parents(node_id) == tuple(sorted(p for p, c in edges if c == node_id))
+
+    def test_deep_website_chain_inherits_the_root_range(self):
+        records, edges = website_chain("root", 5000)
+        graph = build_lineage(records, edges, "root")
+        ranges = {compute_license_range(node_id, graph) for node_id in graph.nodes}
+        assert ranges == {LicenseRange(2009, 2010)}
+        assert graph.parents("w04999") == ("w04998",)
+        # The maps and ranges derived above are not part of the document.
+        again = LineageGraph.from_dict(graph.to_dict())
+        assert again == graph
+        assert canonical_json(again.to_dict()) == canonical_json(graph.to_dict())
 
 
 # ---------------------------------------------------------------------------
