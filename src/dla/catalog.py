@@ -148,9 +148,7 @@ class Interpretation:
     template_id: str | None = None
 
 
-def _fill_custom_rights(vector: RightsVector, catalog: LicenseCatalog | None) -> RightsVector:
-    if catalog is None:
-        return vector
+def _fill_custom_rights(vector: RightsVector, catalog: LicenseCatalog) -> RightsVector:
     missing = [name for name in catalog.custom_rights if name not in vector.custom_rights]
     if not missing:
         return vector
@@ -224,7 +222,7 @@ class _InterpretationDocument(Document, path="interpretation"):
 
 def parse_interpretation(
     data: Any,
-    catalog: LicenseCatalog | None = None,
+    catalog: LicenseCatalog,
     *,
     strict: bool = True,
     path: str = "interpretation",
@@ -241,8 +239,6 @@ def parse_interpretation(
 
     vector = doc.vector
     if vector is None:
-        if catalog is None:
-            raise ParseError(f"{path}.template", "no catalog available to resolve template")
         vector = _apply_template(
             catalog,
             doc.template,
@@ -273,7 +269,7 @@ class InterpretationSet:
 
 def load_interpretations_dir(
     directory: Path,
-    catalog: LicenseCatalog | None = None,
+    catalog: LicenseCatalog,
     *,
     strict: bool = True,
 ) -> InterpretationSet:
@@ -284,7 +280,6 @@ def load_interpretations_dir(
     """
     if not directory.is_dir():
         raise InputError(directory, "not a directory")
-    catalog = catalog or load_catalog()
     vectors: dict[str, RightsVector | None] = {}
     digests: dict[str, str] = {}
     for path in sorted(directory.glob("*.json")):

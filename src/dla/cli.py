@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes are a contract for pipeline gating:
-0 all clean / all scenarios permitted, 1 validation problem, 2 lineage
-problem, 3 at least one scenario denied, 64 an input file that is missing,
-unreadable or not UTF-8 JSON (lineage, interpretation, template, scenario,
-capture list or validated document), an interpretations or captures
+0 all clean / all scenarios permitted, 1 validation problem (a non-string
+edge endpoint included), 2 lineage problem, 3 at least one scenario denied,
+64 an input file that is missing, unreadable or not UTF-8 JSON (lineage,
+interpretation, template, scenario, capture list or validated document), JSON
+nested deeper than the parser allows, an interpretations or captures
 directory that is not a directory, and an unusable store or damaged store
 entry. Every input file is read through :func:`dla.model.read_json`.
 """
@@ -29,15 +30,7 @@ from .assessment import (
 )
 from .catalog import LicenseCatalog, load_catalog, load_interpretations_dir, parse_interpretation
 from .engine import EnginePolicy
-from .errors import (
-    CatalogError,
-    DlaError,
-    InputError,
-    LineageError,
-    ParseError,
-    SchemaViolation,
-    StoreError,
-)
+from .errors import DlaError, InputError, LineageError, StoreError
 from .lineage import (
     LineageGraph,
     compute_license_range,
@@ -92,10 +85,6 @@ class Settings:
     output_format: str
     strict: bool
     unknown_denies: bool
-
-    @property
-    def policy(self) -> EnginePolicy:
-        return EnginePolicy(unknown_denies=self.unknown_denies)
 
 
 @click.group(cls=_Commands)
@@ -175,7 +164,7 @@ def _validate_one(path: Path, data: Any, strict: bool, catalog: LicenseCatalog) 
             problems.extend(str(v) for v in validate_rights_vector(vector))
         else:
             problems.append("unrecognized document shape")
-    except (ParseError, SchemaViolation, LineageError, CatalogError) as exc:
+    except DlaError as exc:
         problems.append(str(exc))
     return problems
 
@@ -273,7 +262,7 @@ def _run_pipeline(
         store,
         graph,
         interpretations.vectors,
-        settings.policy,
+        EnginePolicy(unknown_denies=settings.unknown_denies),
         template_digests=interpretations.template_digests,
     )
     if cache_hit:

@@ -94,17 +94,13 @@ class DuplicateRight(CatalogError):
         super().__init__(f"right name already defined: {right_name!r}")
 
 
-class EngineError(DlaError):
-    """Base class for compatibility engine errors."""
-
-
-class MissingRootInterpretation(EngineError):
+class MissingRootInterpretation(DlaError):
     def __init__(self, root_id: str) -> None:
         self.root_id = root_id
         super().__init__(f"root subject {root_id!r} has no license interpretation")
 
 
-class UninterpretedNode(EngineError):
+class UninterpretedNode(DlaError):
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
         super().__init__(
@@ -112,17 +108,13 @@ class UninterpretedNode(EngineError):
         )
 
 
-class AssessmentError(DlaError):
-    """Base class for scenario assessment errors."""
-
-
-class UnknownRight(AssessmentError):
+class UnknownRight(DlaError):
     def __init__(self, right_name: str) -> None:
         self.right_name = right_name
         super().__init__(f"scenario requires unknown right: {right_name!r}")
 
 
-class DuplicateScenario(AssessmentError):
+class DuplicateScenario(DlaError):
     def __init__(self, scenario_id: str) -> None:
         self.scenario_id = scenario_id
         super().__init__(f"duplicate scenario id: {scenario_id!r}")

@@ -31,13 +31,17 @@ from .model import (
     SubjectKind,
     array_decoder,
     codec_field,
+    decoder_for,
     parse_error,
 )
+
+_decode_endpoints = decoder_for(tuple[str, ...])
+
 
 def _decode_edge(value: Any, path: DocPath, strict: bool) -> tuple[str, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         parse_error(path, "expected [parent_id, child_id] pair")
-    return (str(value[0]), str(value[1]))
+    return _decode_endpoints(value, path, strict)
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,8 @@ class LineageGraph:
     """Validated, canonically ordered lineage DAG.
 
     Construct through :func:`build_lineage`; the constructor itself does not
-    re-run structural validation. The child, parent and nearest-dataset maps
-    are derived from the fields on first use; they are not fields, so they
+    re-run structural validation. The child and nearest-dataset maps are
+    derived from the fields on first use; they are not fields, so they
     take no part in equality or serialization.
     """
 
@@ -69,11 +73,10 @@ class LineageGraph:
 
     @cached_property
     def _child_map(self) -> dict[str, list[str]]:
-        return _adjacency(self.nodes, self.edges)
-
-    @cached_property
-    def _parent_map(self) -> dict[str, list[str]]:
-        return _adjacency(self.nodes, ((child, parent) for parent, child in self.edges))
+        children: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
+        for parent, child in self.edges:
+            children[parent].append(child)
+        return children
 
     @cached_property
     def _nearest_datasets(self) -> dict[str, frozenset[str]]:
@@ -100,12 +103,6 @@ class LineageGraph:
             level = list(reached)
         return nearest
 
-    def children(self, node_id: str) -> tuple[str, ...]:
-        return tuple(self._child_map.get(node_id, ()))
-
-    def parents(self, node_id: str) -> tuple[str, ...]:
-        return tuple(self._parent_map.get(node_id, ()))
-
     @property
     def root(self) -> ProvenanceRecord:
         return self.nodes[self.root_id]
@@ -119,14 +116,6 @@ class LineageGraph:
     def from_dict(cls, data: Any, path: str = "lineage", strict: bool = True) -> "LineageGraph":
         doc = _LineageDocument.from_dict(data, path, strict)
         return build_lineage(doc.records, doc.edges, doc.root_id)
-
-
-def _adjacency(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
-    """Map every node to the second elements of its pairs, in pair order."""
-    grouped: dict[str, list[str]] = {node_id: [] for node_id in nodes}
-    for key, value in pairs:
-        grouped[key].append(value)
-    return grouped
 
 
 def _find_cycle(adjacency: Mapping[str, Sequence[str]]) -> tuple[str, ...] | None:

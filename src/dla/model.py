@@ -116,6 +116,8 @@ def read_json(path: Path, raw: bytes | None = None) -> Any:
         return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(path, f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(path, "invalid JSON: nested deeper than the parser allows") from exc
 
 
 def compact_json(doc: Any) -> str:
@@ -186,16 +188,22 @@ def object_decoder(item: Decoder) -> Decoder:
     return decode
 
 
-def decoder_for(tp: Any, optional: bool = False) -> Decoder:
-    """The decoder of one field type; ``optional`` marks an ``X | None`` field,
-    whose type errors say "or null"."""
+def _field_codec(
+    tp: Any, expr: str, scope: dict[str, Any], depth: int = 0, optional: bool = False
+) -> tuple[Decoder, str | None]:
+    """The decoder of one field type, and the source of an expression that
+    writes ``expr``, of that type, as JSON (None when the value is JSON
+    already); names the expression calls are put in ``scope``. ``optional``
+    marks the inside of an ``X | None``, whose type errors say "or null"."""
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decode_inner = decoder_for(inner, optional=True)
-        return lambda value, path, strict: (
-            None if value is None else decode_inner(value, path, strict)
-        )
+        decode_inner, encoded = _field_codec(inner, expr, scope, depth, optional=True)
+
+        def decode_optional(value: Any, path: DocPath, strict: bool) -> Any:
+            return None if value is None else decode_inner(value, path, strict)
+
+        return decode_optional, encoded and f"(None if {expr} is None else {encoded})"
     if tp in _SCALAR_NAMES:
         expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
         # bool is a subclass of int, but never an integer here.
@@ -206,7 +214,7 @@ def decoder_for(tp: Any, optional: bool = False) -> Decoder:
                 return value
             parse_error(path, _got(expected, value))
 
-        return decode_scalar
+        return decode_scalar, None
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = {m.value: m for m in tp}
         allowed = ", ".join(members)
@@ -219,42 +227,28 @@ def decoder_for(tp: Any, optional: bool = False) -> Decoder:
                 parse_error(path, f"invalid value {value!r}; expected one of: {allowed}")
             return member
 
-        return decode_enum
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        return array_decoder(decoder_for(args[0]))
-    if origin is collections.abc.Mapping and args[0] is str:
-        return object_decoder(decoder_for(args[1]))
-    if isinstance(tp, type) and issubclass(tp, Document):
-        # Through the class attribute, so a wrapped from_dict sees every call.
-        return lambda value, path, strict: tp.from_dict(value, path, strict)
-    raise TypeError(f"no document codec for type {tp!r}")
-
-
-def _encoding(tp: Any, value: str, scope: dict[str, Any], depth: int = 0) -> str | None:
-    """Source of an expression that writes ``value``, of type ``tp``, as JSON;
-    None when the value is JSON already. Names it calls are put in ``scope``."""
-    origin, args = get_origin(tp), get_args(tp)
-    if origin in (Union, types.UnionType) and type(None) in args:
-        (inner,) = [a for a in args if a is not type(None)]
-        encoded = _encoding(inner, value, scope, depth)
-        return encoded and f"(None if {value} is None else {encoded})"
-    if tp in _SCALAR_NAMES:
-        return None
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return f"{value}.value"
+        return decode_enum, f"{expr}.value"
     item = f"x{depth}"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        encoded = _encoding(args[0], item, scope, depth + 1)
-        return f"list({value})" if encoded is None else f"[{encoded} for {item} in {value}]"
+        decode_item, encoded = _field_codec(args[0], item, scope, depth + 1)
+        encoded = f"list({expr})" if encoded is None else f"[{encoded} for {item} in {expr}]"
+        return array_decoder(decode_item), encoded
     if origin is collections.abc.Mapping and args[0] is str:
-        encoded = _encoding(args[1], item, scope, depth + 1)
-        if encoded is None:
-            return f"dict({value})"
-        return f"{{k{depth}: {encoded} for k{depth}, {item} in {value}.items()}}"
+        decode_item, encoded = _field_codec(args[1], item, scope, depth + 1)
+        if encoded is not None:
+            encoded = f"{{k{depth}: {encoded} for k{depth}, {item} in {expr}.items()}}"
+        return object_decoder(decode_item), encoded or f"dict({expr})"
     if isinstance(tp, type) and issubclass(tp, Document):
         scope[f"encode_{tp.__name__}"] = (tp._codec or tp._build_codec()).encode
-        return f"encode_{tp.__name__}({value})"
+        # Through the class attribute, so a wrapped from_dict sees every call.
+        decode = lambda value, path, strict: tp.from_dict(value, path, strict)  # noqa: E731
+        return decode, f"encode_{tp.__name__}({expr})"
     raise TypeError(f"no document codec for type {tp!r}")
+
+
+def decoder_for(tp: Any) -> Decoder:
+    """The decoder of one field type, for a field hook to call."""
+    return _field_codec(tp, "value", {})[0]
 
 
 def codec_field(
@@ -276,22 +270,26 @@ class _Codec:
         self.required = tuple(
             f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
         )
-        self.decoders = tuple(
-            (f.name, f.metadata.get("decode") or decoder_for(hints[f.name])) for f in declared
-        )
         # The encoder is compiled, as dataclasses compiles __init__: one dict
         # display in declaration order, each value written by its type's
-        # expression or by the field's encode hook.
+        # expression or by the field's encode hook. A field with both hooks
+        # has a type the codec need not know.
         scope: dict[str, Any] = {}
-        items = []
+        decoders, items = [], []
         for f in declared:
+            decode, encode = f.metadata.get("decode"), f.metadata.get("encode")
             value = f"self.{f.name}"
-            if f.metadata.get("encode"):
-                scope[f"hook_{f.name}"] = f.metadata["encode"]
-                value = f"hook_{f.name}({value})"
+            if decode and encode:
+                encoded = None
             else:
-                value = _encoding(hints[f.name], value, scope) or value
-            items.append(f"{f.name!r}: {value}")
+                derived, encoded = _field_codec(hints[f.name], value, scope)
+                decode = decode or derived
+            if encode:
+                scope[f"hook_{f.name}"] = encode
+                encoded = f"hook_{f.name}({value})"
+            decoders.append((f.name, decode))
+            items.append(f"{f.name!r}: {encoded or value}")
+        self.decoders = tuple(decoders)
         exec(f"def encode(self):\n    return {{{', '.join(items)}}}", scope)
         self.encode = scope["encode"]
 

@@ -1,5 +1,5 @@
-"""Paths to data shipped with the package: license templates, the default
-usage scenarios, and the worked example bundles."""
+"""Paths to data shipped with the package: license templates and the default
+usage scenarios."""
 
 from __future__ import annotations
 
@@ -15,15 +15,3 @@ def templates_dir() -> Path:
 def scenarios_path() -> Path:
     return _DATA_DIR / "scenarios.json"
 
-
-def fixtures_dir() -> Path:
-    return _DATA_DIR / "fixtures"
-
-
-def fixture_bundle(name: str) -> Path:
-    """Directory of one example bundle (lineage.json, interpretations/, captures/)."""
-    path = fixtures_dir() / name
-    if not path.is_dir():
-        known = sorted(p.name for p in fixtures_dir().iterdir() if p.is_dir())
-        raise FileNotFoundError(f"no bundle named {name!r}; shipped bundles: {known}")
-    return path

@@ -6,6 +6,7 @@ import json
 import random
 from pathlib import Path
 
+import dla
 from dla import (
     EnginePolicy,
     FIXED_RIGHTS,
@@ -26,7 +27,6 @@ from dla.catalog import InterpretationSet
 from dla.errors import AmbiguousRange, MissingOriginYear, NoDatasetAncestor
 from dla.lineage import LineageGraph
 from dla.model import LicenseFoundVia, LicenseRange
-from dla.resources import fixture_bundle
 
 BUNDLE_NAMES = [
     "cifar-10",
@@ -39,12 +39,13 @@ BUNDLE_NAMES = [
 ]
 
 GOLDEN_KEYS_PATH = Path(__file__).parent / "data" / "golden_keys.json"
+FIXTURES_DIR = Path(dla.__file__).resolve().parent / "data" / "fixtures"
 
 _CATALOG = load_catalog()
 
 
 def load_bundle(name: str) -> tuple[LineageGraph, InterpretationSet]:
-    base = fixture_bundle(name)
+    base = FIXTURES_DIR / name
     graph = LineageGraph.from_dict(
         json.loads((base / "lineage.json").read_text(encoding="utf-8"))
     )
@@ -53,7 +54,7 @@ def load_bundle(name: str) -> tuple[LineageGraph, InterpretationSet]:
 
 
 def bundle_paths(name: str) -> tuple[Path, Path]:
-    base = fixture_bundle(name)
+    base = FIXTURES_DIR / name
     return base / "lineage.json", base / "interpretations"
 
 

@@ -158,6 +158,23 @@ class TestInputErrors:
         assert result.stderr.startswith(f"error: {target}: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000 + "]" * 200_000,
+            '{"records": ' + "[" * 3000 + "]" * 3000 + ', "edges": [], "root_id": "x"}',
+        ],
+        ids=["brackets", "records"],
+    )
+    @pytest.mark.parametrize("command", ["lineage", "validate"])
+    def test_json_nested_past_the_parser_exits_64(self, runner, tmp_path, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        result = runner.invoke(cli, [command, str(path)])
+        assert result.exit_code == 64, repr(result.exception)
+        message = "invalid JSON: nested deeper than the parser allows"
+        assert result.stderr == f"error: {path}: {message}\n"
+
 
 class TestRange:
     def test_cifar_ranges(self, runner):
@@ -228,6 +245,18 @@ class TestRange:
 
 
 class TestLineageCmd:
+    @pytest.mark.parametrize("endpoint", [None, {"a": 1}], ids=["null", "object"])
+    def test_non_string_edge_endpoint_exits_1(self, runner, tmp_path, endpoint):
+        lineage, _ = bundle_paths("imagenet")
+        doc = json.loads(lineage.read_text(encoding="utf-8"))
+        doc["edges"][0] = [endpoint, "google-images"]
+        path = tmp_path / "lineage.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["lineage", str(path)])
+        assert result.exit_code == 1, repr(result.exception)
+        got = type(endpoint).__name__
+        assert result.stderr == f"error: {path}.edges[0][0]: expected string, got {got}\n"
+
     def test_markdown_listing(self, runner):
         lineage, _ = bundle_paths("cifar-10")
         result = invoke(runner, "lineage", lineage)
