@@ -14,9 +14,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
-from .errors import DuplicateRight, InputError, ParseError, SchemaViolation, UnknownLicense
+from .errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
 from .model import (
     FIXED_RIGHTS,
     Document,
@@ -29,7 +29,7 @@ from .model import (
     codec_field,
     decoder_for,
     merge_obligations,
-    read_input,
+    read_inputs,
     read_json,
     validate_rights_vector,
 )
@@ -54,9 +54,6 @@ class LicenseCatalog:
 
     templates: Mapping[str, LicenseTemplate]
     custom_rights: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "templates", dict(self.templates))
 
     def template_info(self, license_id: str, version: str | None = None) -> LicenseTemplate:
         """The shipped template for a license id.
@@ -95,9 +92,8 @@ class _TemplateDocument(Document, path="template"):
     note: str | None = None
 
 
-def _parse_template_file(path: Path, strict: bool = True) -> LicenseTemplate:
-    raw = read_input(path)
-    doc = _TemplateDocument.from_dict(read_json(path, raw), str(path), strict)
+def _parse_template_file(path: Path, raw: bytes) -> LicenseTemplate:
+    doc = _TemplateDocument.from_dict(read_json(path, raw), str(path))
     vector = doc.vector
     violations = validate_rights_vector(vector)
     for name in FIXED_RIGHTS:
@@ -118,12 +114,16 @@ def _parse_template_file(path: Path, strict: bool = True) -> LicenseTemplate:
     )
 
 
-def load_catalog(directory: Path | None = None) -> LicenseCatalog:
-    """Load all license templates from a directory (the shipped one by default)."""
+def load_catalog(
+    directory: Path | None = None, files: Mapping[str, bytes] | None = None
+) -> LicenseCatalog:
+    """Load all license templates from a directory (the shipped one by
+    default), or from its ``files`` as :func:`read_inputs` gave them."""
     directory = directory or templates_dir()
     templates: dict[str, LicenseTemplate] = {}
-    for path in sorted(directory.glob("*.json")):
-        template = _parse_template_file(path)
+    for name, raw in (read_inputs(directory) if files is None else files).items():
+        path = directory / name
+        template = _parse_template_file(path, raw)
         if template.license_id in templates:
             raise ParseError(str(path), f"duplicate template id {template.license_id!r}")
         templates[template.license_id] = template
@@ -262,30 +262,30 @@ class InterpretationSet:
     vectors: Mapping[str, RightsVector | None]
     template_digests: Mapping[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", dict(self.vectors))
-        object.__setattr__(self, "template_digests", dict(self.template_digests))
-
 
 def load_interpretations_dir(
     directory: Path,
     catalog: LicenseCatalog,
     *,
     strict: bool = True,
+    files: Mapping[str, bytes] | None = None,
+    subjects: Collection[str] | None = None,
 ) -> InterpretationSet:
-    """Load every ``*.json`` interpretation in a directory.
+    """Load every ``*.json`` interpretation in a directory, in sorted order,
+    or its ``files`` when the caller has read them with :func:`read_inputs`.
 
-    Files are read in sorted order; each must carry a distinct subject_id.
-    Raises InputError when the directory or one of its files cannot be read.
+    Each must carry a distinct subject_id, one of ``subjects`` (the lineage
+    nodes) when given. Raises InputError when a file cannot be read.
     """
-    if not directory.is_dir():
-        raise InputError(directory, "not a directory")
     vectors: dict[str, RightsVector | None] = {}
     digests: dict[str, str] = {}
-    for path in sorted(directory.glob("*.json")):
-        parsed = parse_interpretation(read_json(path), catalog, strict=strict, path=str(path))
+    for name, raw in (read_inputs(directory) if files is None else files).items():
+        path = directory / name
+        parsed = parse_interpretation(read_json(path, raw), catalog, strict=strict, path=str(path))
         if parsed.subject_id in vectors:
             raise ParseError(str(path), f"duplicate interpretation for {parsed.subject_id!r}")
+        if subjects is not None and parsed.subject_id not in subjects:
+            raise ParseError(str(path), f"subject_id {parsed.subject_id!r} names no lineage node")
         vectors[parsed.subject_id] = parsed.vector
         if parsed.template_id is not None:
             info = catalog.template_info(parsed.template_id)

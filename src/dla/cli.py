@@ -12,6 +12,7 @@ entry. Every input file is read through :func:`dla.model.read_json`.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -28,8 +29,9 @@ from .assessment import (
     render_markdown,
     render_rights_markdown,
 )
-from .catalog import LicenseCatalog, load_catalog, load_interpretations_dir, parse_interpretation
-from .engine import EnginePolicy
+from .catalog import InterpretationSet, LicenseCatalog, load_catalog, load_interpretations_dir
+from .catalog import parse_interpretation
+from .engine import EnginePolicy, fingerprint_inputs
 from .errors import DlaError, InputError, LineageError, StoreError
 from .lineage import (
     LineageGraph,
@@ -42,10 +44,13 @@ from .model import (
     RightsVector,
     VerifiedLicense,
     canonical_json,
+    read_input,
+    read_inputs,
     read_json,
     validate_provenance,
     validate_rights_vector,
 )
+from .resources import templates_dir
 from .store import AnalysisStore, lookup_or_verify
 from .version import __version__
 
@@ -137,8 +142,8 @@ def cli(
     )
 
 
-def _load_graph(path: Path, strict: bool) -> LineageGraph:
-    return LineageGraph.from_dict(read_json(path), str(path), strict)
+def _load_graph(path: Path, strict: bool, raw: bytes | None = None) -> LineageGraph:
+    return LineageGraph.from_dict(read_json(path, raw), str(path), strict)
 
 
 def _validate_one(path: Path, data: Any, strict: bool, catalog: LicenseCatalog) -> list[str]:
@@ -252,19 +257,25 @@ def _run_pipeline(
     interpretations_dir: Path,
     audit_timestamps: bool,
 ) -> tuple[LineageGraph, VerifiedLicense]:
-    graph = _load_graph(lineage_path, settings.strict)
-    catalog = load_catalog()
-    interpretations = load_interpretations_dir(
-        interpretations_dir, catalog, strict=settings.strict
+    # The lineage is parsed on every run, since the store key names its
+    # root; the other inputs are only read and hashed, and parsed on a miss.
+    lineage_raw = read_input(lineage_path)
+    graph = _load_graph(lineage_path, settings.strict, lineage_raw)
+    interpretation_files = read_inputs(interpretations_dir)
+    template_files = read_inputs(templates_dir())
+    policy = EnginePolicy(unknown_denies=settings.unknown_denies)
+    digest = fingerprint_inputs(
+        lineage_raw, interpretation_files, policy, strict=settings.strict,
+        template_digests={n: hashlib.sha256(b).hexdigest() for n, b in template_files.items()},
     )
+
+    def parse() -> InterpretationSet:
+        catalog = load_catalog(files=template_files)
+        return load_interpretations_dir(interpretations_dir, catalog, strict=settings.strict,
+                                        files=interpretation_files, subjects=graph.nodes)
+
     store = AnalysisStore(settings.store_path) if settings.store_path else None
-    verified, cache_hit = lookup_or_verify(
-        store,
-        graph,
-        interpretations.vectors,
-        EnginePolicy(unknown_denies=settings.unknown_denies),
-        template_digests=interpretations.template_digests,
-    )
+    verified, cache_hit = lookup_or_verify(store, graph, parse, policy, inputs_digest=digest)
     if cache_hit:
         click.echo("(cached analysis)", err=True)
     # Stamped at output time, so a stored analysis never carries a stamp and

@@ -12,6 +12,7 @@ conservative callers.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -25,7 +26,7 @@ from .model import (
     RightEntry,
     RightsVector,
     VerifiedLicense,
-    compact_json,
+    canonical_json,
     merge_obligations,
 )
 from .version import __version__
@@ -43,21 +44,39 @@ class EnginePolicy(Document, path="policy"):
         return f"unknown_denies={int(self.unknown_denies)}"
 
 
+def _leaf(value: bytes | LineageGraph | Document | None) -> str:
+    if not isinstance(value, bytes):
+        value = canonical_json(value.to_dict() if value is not None else None).encode("utf-8")
+    return hashlib.sha256(value).hexdigest()
+
+
+def _node(children: Mapping[str, str]) -> str:
+    return _leaf(json.dumps(children, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+
+
 def fingerprint_inputs(
-    graph: LineageGraph,
-    interpretations: Mapping[str, RightsVector | None],
+    lineage: LineageGraph | bytes,
+    interpretations: Mapping[str, RightsVector | bytes | None],
     policy: EnginePolicy,
+    *,
+    template_digests: Mapping[str, str] | None = None,
+    strict: bool = True,
 ) -> str:
-    """Stable digest of everything the engine's answer depends on."""
-    doc = {
-        "graph": graph.to_dict(),
-        "interpretations": {
-            subject_id: (vector.to_dict() if vector is not None else None)
-            for subject_id, vector in sorted(interpretations.items())
-        },
-        "policy": policy.to_dict(),
-    }
-    return hashlib.sha256(compact_json(doc).encode("utf-8")).hexdigest()
+    """Stable digest of everything the engine's answer depends on: a Merkle
+    root (Merkle 1987) over sha256 leaves of the lineage, each interpretation
+    by name, each template digest by name, the policy, the parse mode and the
+    engine version. A leaf hashes authored bytes (the CLI: files by name,
+    every template) or a parsed object's canonical JSON (library callers:
+    vectors by subject id), so the two kinds of digest never meet.
+    """
+    return _node({
+        "lineage": _leaf(lineage),
+        "interpretations": _node({name: _leaf(v) for name, v in interpretations.items()}),
+        "templates": _node(dict(template_digests or {})),
+        "policy": _leaf(policy.token().encode("utf-8")),
+        "mode": _leaf(b"strict" if strict else b"lenient"),
+        "engine": _leaf(ENGINE_VERSION.encode("utf-8")),
+    })
 
 
 def _right_space(
@@ -80,6 +99,7 @@ def verify(
     policy: EnginePolicy = EnginePolicy(),
     *,
     template_digests: Mapping[str, str] | None = None,
+    inputs_digest: str | None = None,
 ) -> VerifiedLicense:
     """Resolve the verified license of the graph's root dataset.
 
@@ -89,6 +109,7 @@ def verify(
     obligation unions list the root's obligations first, then each source's
     in subject-id order. The audit trailer's ``generated_at`` is left null;
     a caller that wants a timestamp stamps the result it emits.
+    ``inputs_digest`` is their :func:`fingerprint_inputs`, if already known.
     """
     if graph.root_id not in interpretations or interpretations[graph.root_id] is None:
         raise MissingRootInterpretation(graph.root_id)
@@ -145,7 +166,8 @@ def verify(
         residual_risk_flags=unavailable,
         audit=AuditInfo(
             engine_version=ENGINE_VERSION,
-            inputs_digest=fingerprint_inputs(graph, interpretations, policy),
+            inputs_digest=inputs_digest
+            or fingerprint_inputs(graph, interpretations, policy, template_digests=template_digests),
             policy=policy.to_dict(),
             template_digests=dict(template_digests or {}),
         ),

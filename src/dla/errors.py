@@ -76,11 +76,7 @@ class AmbiguousRange(LineageError):
         )
 
 
-class CatalogError(DlaError):
-    """Base class for license catalog errors."""
-
-
-class UnknownLicense(CatalogError):
+class UnknownLicense(DlaError):
     def __init__(self, license_id: str, version: str | None = None) -> None:
         self.license_id = license_id
         self.version = version
@@ -88,7 +84,7 @@ class UnknownLicense(CatalogError):
         super().__init__(f"no template for license {license_id!r}{suffix}")
 
 
-class DuplicateRight(CatalogError):
+class DuplicateRight(DlaError):
     def __init__(self, right_name: str) -> None:
         self.right_name = right_name
         super().__init__(f"right name already defined: {right_name!r}")

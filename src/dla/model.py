@@ -106,6 +106,14 @@ def read_input(path: Path) -> bytes:
         raise InputError(path, f"cannot read file: {exc.strerror or exc}") from exc
 
 
+def read_inputs(directory: Path) -> dict[str, bytes]:
+    """The bytes of every ``*.json`` file in a directory by name, in sorted
+    order; raises InputError when a file or the directory cannot be read."""
+    if not directory.is_dir():
+        raise InputError(directory, "not a directory")
+    return {path.name: read_input(path) for path in sorted(directory.glob("*.json"))}
+
+
 def read_json(path: Path, raw: bytes | None = None) -> Any:
     """The JSON document held by an input file; ``raw`` is the file's bytes
     when the caller has read them already. Raises InputError when the file
@@ -118,11 +126,6 @@ def read_json(path: Path, raw: bytes | None = None) -> Any:
         raise InputError(path, f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(path, "invalid JSON: nested deeper than the parser allows") from exc
-
-
-def compact_json(doc: Any) -> str:
-    """Key-sorted single-line JSON, used for fingerprints and store keys."""
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True, ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -342,7 +345,10 @@ class Document:
             value = data.get(name)
             if value is not None:
                 values[name] = decode(value, (path, name), strict)
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:  # a rule across fields, checked by __post_init__
+            parse_error(path, str(exc))
 
     @classmethod
     def _build_codec(cls) -> _Codec:

@@ -8,7 +8,7 @@ trailer, so each fact is stored once. As in git's loose-object store there is
 no index to keep consistent: listing scans the directory, and every write
 goes through its own temp file and an atomic rename, so concurrent writers
 are safe. A blob that does not decode, names another key or fails its digest
-is corrupt.
+is corrupt; one removed between a listing or lookup and its read is a miss.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
+from .catalog import InterpretationSet
 from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
 from .errors import (
     InputError,
@@ -102,11 +103,13 @@ class AnalysisStore:
         key never names a path outside the store."""
         return self.root / f"{key}.json" if _KEY.fullmatch(key) else None
 
-    def _read(self, path: Path) -> StoreEntry:
+    def _read(self, path: Path) -> StoreEntry | None:
         key = path.stem
         try:
             entry = StoreEntry.from_dict(read_json(path))
         except (InputError, ParseError) as exc:
+            if isinstance(exc.__cause__, FileNotFoundError):
+                return None  # removed (``store rm``) since it was listed or looked up
             raise StoreCorrupt(key, f"invalid blob: {exc}")
         if entry.key != key:
             raise StoreCorrupt(key, f"blob names key {entry.key!r}")
@@ -115,11 +118,8 @@ class AnalysisStore:
         return entry
 
     def entries(self) -> list[StoreEntry]:
-        return [
-            self._read(path)
-            for path in sorted(self.root.glob("*.json"))
-            if _KEY.fullmatch(path.stem)
-        ]
+        found = (self._read(p) for p in sorted(self.root.glob("*.json")) if _KEY.fullmatch(p.stem))
+        return [entry for entry in found if entry is not None]
 
     def get(self, key: str) -> VerifiedLicense | None:
         """The stored verified license for a key, or None.
@@ -127,9 +127,8 @@ class AnalysisStore:
         Raises StoreCorrupt when the key's blob cannot be trusted.
         """
         path = self._blob_path(key)
-        if path is None or not path.exists():
-            return None
-        return self._read(path).verified_license
+        entry = self._read(path) if path is not None else None
+        return entry.verified_license if entry is not None else None
 
     def put(self, key: str, verified: VerifiedLicense, dataset_name: str) -> None:
         if self.read_only:
@@ -178,25 +177,30 @@ def _stale_reason(stored: VerifiedLicense, current_digest: str) -> str | None:
 def lookup_or_verify(
     store: AnalysisStore | None,
     graph: LineageGraph,
-    interpretations: Mapping[str, RightsVector | None],
+    interpretations: Mapping[str, RightsVector | None] | Callable[[], InterpretationSet],
     policy: EnginePolicy = EnginePolicy(),
     *,
     template_digests: Mapping[str, str] | None = None,
+    inputs_digest: str | None = None,
 ) -> tuple[VerifiedLicense, bool]:
     """Return the verified license, consulting the store first.
 
-    A stored analysis is served only when its audit trailer names this
-    engine version and the current inputs digest; the engine is then not
-    invoked at all. Any other stored analysis is stale: a StaleEntryWarning
-    is emitted and the analysis reruns. Misses run the engine and persist
-    (unless the store is read-only or None). The inputs are fingerprinted
-    here only to judge a stored analysis; otherwise ``verify`` does it.
+    ``interpretations`` is the parsed vectors, fingerprinted here; or, with
+    the ``inputs_digest`` of the authored bytes, a function that parses them,
+    called only when the engine runs. A stored analysis is served only when
+    its audit trailer names this engine version and the inputs digest; the
+    engine is then not invoked at all. Any other stored analysis is stale: a
+    StaleEntryWarning is emitted and the analysis reruns. Misses run the
+    engine and persist (unless the store is read-only or None).
     """
+    if inputs_digest is None:
+        inputs_digest = fingerprint_inputs(graph, interpretations, policy,
+                                           template_digests=template_digests)
     key = analysis_key(graph.root, policy)
     if store is not None:
         stored = store.get(key)
         if stored is not None:
-            reason = _stale_reason(stored, fingerprint_inputs(graph, interpretations, policy))
+            reason = _stale_reason(stored, inputs_digest)
             if reason is None:
                 return stored, True
             warnings.warn(
@@ -205,7 +209,11 @@ def lookup_or_verify(
                 stacklevel=2,
             )
 
-    verified = verify(graph, interpretations, policy, template_digests=template_digests)
+    if callable(interpretations):
+        parsed = interpretations()
+        interpretations, template_digests = parsed.vectors, parsed.template_digests
+    verified = verify(graph, interpretations, policy, template_digests=template_digests,
+                      inputs_digest=inputs_digest)
     if store is not None:
         store.put(key, verified, graph.root.dataset_name)
     return verified, False

@@ -364,6 +364,18 @@ class TestAssess:
         result = invoke(runner, "assess", lineage, partial)
         assert result.exit_code == 1
 
+    def test_interpretation_of_no_lineage_node_exits_1_naming_the_file(self, runner, tmp_path):
+        lineage, interp = bundle_paths("cityscapes")
+        extra = tmp_path / "interpretations"
+        shutil.copytree(interp, extra)
+        orphan = extra / "renamed-source.json"
+        orphan.write_text(json.dumps({"subject_id": "renamed-source", "unavailable": True}))
+        result = runner.invoke(cli, ["assess", str(lineage), str(extra)])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {orphan}: subject_id 'renamed-source' names no lineage node\n"
+        )
+
 
 class TestVerifyCmd:
     def test_json_document(self, runner):

@@ -65,6 +65,9 @@ MUTATIONS_PER_TYPE = 96
 # One value of each JSON type, and a string no enum accepts.
 SWAPS = ("zz", 7, -1, True, 1.5, [], ["zz"], {}, {"zz": 1})
 UNKNOWN_FIELD = "zz_unknown"
+# The inputs digest of the imagenet analysis as first recorded. This file
+# freezes the codec, not the fingerprint, so the analysis carries it as is.
+INPUTS_DIGEST = "a68a9ed14f0a2aeee2060644ec8b663440e607381258fc327e3e656019c36b5f"
 
 
 def document_types() -> set[type]:
@@ -91,6 +94,7 @@ def base_documents() -> dict[type, Any]:
         interpretations.vectors,
         EnginePolicy(),
         template_digests=interpretations.template_digests,
+        inputs_digest=INPUTS_DIGEST,
     )
     table = assess_all(verified, default_scenarios(), dataset_name=graph.root.dataset_name)
     blocked = next(row for row in table.rows if row.blocking_rights)

@@ -3,7 +3,10 @@ on every shipped bundle, recorded once in ``tests/data/golden_outputs.json``.
 
 A reordered document field, a changed number format or a changed exit code
 fails here even where the round-trip tests still pass. The hashes are a
-contract; they are never regenerated to make a change pass.
+contract; they are never regenerated to make a change pass. The JSON
+``verify`` and ``assess`` rows were re-recorded once, when the inputs digest
+became a Merkle root over the authored bytes; ``tests/golden_digest_diff.py``
+shows that their stdout moved only in ``inputs_digest``.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -120,12 +121,16 @@ class TestLookupOrVerify:
         assert result == verified
         assert store.get(key) == verified
 
-    @pytest.mark.parametrize("path", ["no-store", "miss", "hit"])
+    @pytest.mark.parametrize("path", ["no-store", "miss", "hit", "stale"])
     def test_inputs_fingerprinted_once_per_lookup(self, tmp_path, monkeypatch, path):
         graph, interp = load_bundle("cifar-10")
         store = None if path == "no-store" else AnalysisStore(tmp_path / "store")
         if path == "hit":
             lookup_or_verify(store, graph, interp.vectors)
+        if path == "stale":
+            verified = verify(graph, interp.vectors)
+            stale = replace(verified, audit=replace(verified.audit, inputs_digest="0" * 64))
+            store.put(analysis_key(graph.root), stale, graph.root.dataset_name)
         calls = []
         real = dla.engine.fingerprint_inputs
 
@@ -135,7 +140,8 @@ class TestLookupOrVerify:
 
         monkeypatch.setattr(dla.engine, "fingerprint_inputs", counted)
         monkeypatch.setattr(dla.store, "fingerprint_inputs", counted)
-        _, hit = lookup_or_verify(store, graph, interp.vectors)
+        with pytest.warns(StaleEntryWarning) if path == "stale" else contextlib.nullcontext():
+            _, hit = lookup_or_verify(store, graph, interp.vectors)
         assert hit is (path == "hit")
         assert len(calls) == 1
 
@@ -192,6 +198,24 @@ class TestStoreIntegrity:
             store.get(key)
         with pytest.raises(StoreCorrupt):
             store.entries()
+
+    @pytest.mark.parametrize("read", ["get", "entries"])
+    def test_blob_removed_before_it_is_read_is_a_clean_miss(self, tmp_path, monkeypatch, read):
+        graph, interp = load_bundle("cifar-10")
+        store = AnalysisStore(tmp_path / "store")
+        lookup_or_verify(store, graph, interp.vectors)
+        real = Path.read_bytes
+
+        def racing(path):  # a ``store rm`` lands between the lookup or listing and the read
+            if path.parent == store.root:
+                path.unlink()
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", racing)
+        if read == "get":
+            assert store.get(analysis_key(graph.root)) is None
+        else:
+            assert store.entries() == []
 
     def test_entries_and_remove(self, tmp_path):
         graph, interp = load_bundle("cityscapes")
