@@ -67,7 +67,7 @@ def fingerprint_inputs(
     by name, each template digest by name, the policy, the parse mode and the
     engine version. A leaf hashes authored bytes (the CLI: files by name,
     every template) or a parsed object's canonical JSON (library callers:
-    vectors by subject id), so the two kinds of digest never meet.
+    vectors by subject id), so the two kinds of digest differ.
     """
     return _node({
         "lineage": _leaf(lineage),

@@ -107,11 +107,12 @@ def read_input(path: Path) -> bytes:
 
 
 def read_inputs(directory: Path) -> dict[str, bytes]:
-    """The bytes of every ``*.json`` file in a directory by name, in sorted
-    order; raises InputError when a file or the directory cannot be read."""
+    """The bytes of every ``*.json`` file in a directory, by file name, sorted
+    on the name string (comparing Paths is slower); raises InputError when a
+    file or the directory cannot be read."""
     if not directory.is_dir():
         raise InputError(directory, "not a directory")
-    return {path.name: read_input(path) for path in sorted(directory.glob("*.json"))}
+    return {p.name: read_input(p) for p in sorted(directory.glob("*.json"), key=lambda p: p.name)}
 
 
 def read_json(path: Path, raw: bytes | None = None) -> Any:
