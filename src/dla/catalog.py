@@ -12,7 +12,7 @@ code change.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Collection, Mapping, Sequence
 
@@ -173,6 +173,9 @@ def _apply_template(
         unknown = sorted(k for k in metadata_overrides if k not in known)
         if unknown:
             raise ParseError(f"{path}.metadata", f"unknown metadata fields: {unknown}")
+        for name, value in metadata_overrides.items():
+            if value is None and LicenseMetadata.__dataclass_fields__[name].default is MISSING:
+                raise ParseError(f"{path}.metadata.{name}", "a required field cannot be null")
         metadata = replace(metadata, **dict(metadata_overrides))
 
     def extended(group: Mapping[str, RightEntry]) -> dict[str, RightEntry]:

@@ -29,19 +29,24 @@ from .model import (
     LicenseRange,
     ProvenanceRecord,
     SubjectKind,
-    array_decoder,
     codec_field,
     decoder_for,
     parse_error,
+    wrong_type,
 )
 
 _decode_endpoints = decoder_for(tuple[str, ...])
 
 
-def _decode_edge(value: Any, path: DocPath, strict: bool) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        parse_error(path, "expected [parent_id, child_id] pair")
-    return _decode_endpoints(value, path, strict)
+def _decode_edges(value: Any, path: DocPath, strict: bool) -> tuple[tuple[str, ...], ...]:
+    if not isinstance(value, (list, tuple)):
+        wrong_type(path, "array", value)
+    edges = []
+    for i, edge in enumerate(value):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            parse_error((path, i), "expected [parent_id, child_id] pair")
+        edges.append(_decode_endpoints(edge, (path, i), strict))
+    return tuple(edges)
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class _LineageDocument(Document, path="lineage"):
     """The JSON form of a lineage graph: records as a list, edges as pairs."""
 
     records: tuple[ProvenanceRecord, ...]
-    edges: tuple[tuple[str, ...], ...] = codec_field(decode=array_decoder(_decode_edge))
+    edges: tuple[tuple[str, ...], ...] = codec_field(decode=_decode_edges)
     root_id: str
 
 

@@ -20,6 +20,7 @@ import types
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
@@ -166,93 +167,103 @@ def parse_error(path: DocPath, message: str) -> NoReturn:
     raise ParseError(render_path(path), message)
 
 
-def _got(expected: str, value: Any) -> str:
-    return f"expected {expected}, got {type(value).__name__}"
+def wrong_type(path: DocPath, expected: str, value: Any) -> NoReturn:
+    parse_error(path, f"expected {expected}, got {type(value).__name__}")
 
 
-def array_decoder(item: Decoder) -> Decoder:
-    """Decode a JSON array into a tuple, each item with ``item``."""
-
-    def decode(value: Any, path: DocPath, strict: bool) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            parse_error(path, _got("array", value))
-        return tuple([item(x, (path, i), strict) for i, x in enumerate(value)])
-
-    return decode
+def _bad_member(path: DocPath, value: Any, members: Mapping[str, Enum]) -> NoReturn:
+    if not isinstance(value, str):
+        wrong_type(path, "string", value)
+    parse_error(path, f"invalid value {value!r}; expected one of: {', '.join(members)}")
 
 
-def object_decoder(item: Decoder) -> Decoder:
-    """Decode a JSON object into a dict, each value with ``item``."""
+def _unknown_fields(path: DocPath, data: Mapping, known: frozenset, strict: bool) -> None:
+    unknown = sorted(data.keys() - known)
+    if strict:
+        parse_error(path, f"unknown fields: {unknown}")
+    # Attributed to the caller of Document.from_dict, above the compiled decoder.
+    warnings.warn(
+        f"{render_path(path)}: ignoring unknown fields {unknown}", UnknownFieldWarning, stacklevel=4
+    )
 
-    def decode(value: Any, path: DocPath, strict: bool) -> dict:
-        if not isinstance(value, Mapping):
-            parse_error(path, _got("object", value))
-        return {k: item(v, (path, k), strict) for k, v in value.items()}
 
-    return decode
+# The names compiled codecs use besides builtins and their own tables.
+_CODEC_SCOPE = {"Mapping": collections.abc.Mapping} | {
+    f.__name__: f for f in (wrong_type, _bad_member, _unknown_fields, parse_error)
+}
 
 
 def _field_codec(
-    tp: Any, expr: str, scope: dict[str, Any], depth: int = 0, optional: bool = False
-) -> tuple[Decoder, str | None]:
-    """The decoder of one field type, and the source of an expression that
-    writes ``expr``, of that type, as JSON (None when the value is JSON
-    already); names the expression calls are put in ``scope``. ``optional``
-    marks the inside of an ``X | None``, whose type errors say "or null"."""
+    tp: Any, expr: str, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False
+) -> tuple[str, str | None]:
+    """One walk of a field type: the source of an expression that decodes
+    ``x<depth>``, a JSON value that is not None, whose document path is the
+    expression ``path``; and the source of an expression that writes
+    ``expr``, of that type, as JSON (None when the value is JSON already).
+    Names the expressions use are put in ``scope``. ``optional`` marks the
+    inside of an ``X | None``, whose type errors say "or null"."""
     origin, args = get_origin(tp), get_args(tp)
+    x = f"x{depth}"
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decode_inner, encoded = _field_codec(inner, expr, scope, depth, optional=True)
-
-        def decode_optional(value: Any, path: DocPath, strict: bool) -> Any:
-            return None if value is None else decode_inner(value, path, strict)
-
-        return decode_optional, encoded and f"(None if {expr} is None else {encoded})"
+        decoded, encoded = _field_codec(inner, expr, path, scope, depth, optional=True)
+        encoded = encoded and f"(None if {expr} is None else {encoded})"
+        return f"(None if {x} is None else {decoded})", encoded
     if tp in _SCALAR_NAMES:
         expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
-        # bool is a subclass of int, but never an integer here.
-        excluded = bool if tp is int else ()
-
-        def decode_scalar(value: Any, path: DocPath, strict: bool) -> Any:
-            if isinstance(value, tp) and not isinstance(value, excluded):
-                return value
-            parse_error(path, _got(expected, value))
-
-        return decode_scalar, None
+        test = f"isinstance({x}, {tp.__name__})"
+        if tp is int:  # bool is a subclass of int, but never an integer here
+            test += f" and {x}.__class__ is not bool"
+        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None
     if isinstance(tp, type) and issubclass(tp, Enum):
-        members = {m.value: m for m in tp}
-        allowed = ", ".join(members)
-
-        def decode_enum(value: Any, path: DocPath, strict: bool) -> Enum:
-            if not isinstance(value, str):
-                parse_error(path, _got("string", value))
-            member = members.get(value)
-            if member is None:
-                parse_error(path, f"invalid value {value!r}; expected one of: {allowed}")
-            return member
-
-        return decode_enum, f"{expr}.value"
-    item = f"x{depth}"
+        members = f"members_{tp.__name__}"
+        scope[members] = {m.value: m for m in tp}
+        decoded = f"{members}[{x}] if isinstance({x}, str) and {x} in {members}"
+        return f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value"
+    item, ipath = f"x{depth + 1}", f"({path}, i{depth})"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        decode_item, encoded = _field_codec(args[0], item, scope, depth + 1)
-        encoded = f"list({expr})" if encoded is None else f"[{encoded} for {item} in {expr}]"
-        return array_decoder(decode_item), encoded
+        decoded, encoded = _field_codec(args[0], item, ipath, scope, depth + 1)
+        return (
+            f"(tuple([{decoded} for i{depth}, {item} in enumerate({x})]) "
+            f"if isinstance({x}, (list, tuple)) else wrong_type({path}, 'array', {x}))",
+            f"list({expr})" if encoded is None else f"[{encoded} for {item} in {expr}]",
+        )
     if origin is collections.abc.Mapping and args[0] is str:
-        decode_item, encoded = _field_codec(args[1], item, scope, depth + 1)
-        if encoded is not None:
-            encoded = f"{{k{depth}: {encoded} for k{depth}, {item} in {expr}.items()}}"
-        return object_decoder(decode_item), encoded or f"dict({expr})"
+        decoded, encoded = _field_codec(args[1], item, ipath, scope, depth + 1)
+        return (
+            f"({{i{depth}: {decoded} for i{depth}, {item} in {x}.items()}} "
+            f"if {x}.__class__ is dict or isinstance({x}, Mapping) "
+            f"else wrong_type({path}, 'object', {x}))",
+            f"dict({expr})"
+            if encoded is None
+            else f"{{i{depth}: {encoded} for i{depth}, {item} in {expr}.items()}}",
+        )
     if isinstance(tp, type) and issubclass(tp, Document):
-        scope[f"encode_{tp.__name__}"] = (tp._codec or tp._build_codec()).encode
+        scope[f"doc_{tp.__name__}"] = tp
+        scope[f"codec_{tp.__name__}"] = tp._codec or _Codec(tp)
         # Through the class attribute, so a wrapped from_dict sees every call.
-        decode = lambda value, path, strict: tp.from_dict(value, path, strict)  # noqa: E731
-        return decode, f"encode_{tp.__name__}({expr})"
+        return (
+            f"doc_{tp.__name__}.from_dict({x}, {path}, strict)",
+            f"codec_{tp.__name__}.encode({expr})",
+        )
     raise TypeError(f"no document codec for type {tp!r}")
+
+
+def _compile(owner: str, name: str, source: str, scope: dict[str, Any]) -> Any:
+    """Define the function ``name`` that ``source`` holds, in ``scope``, in a
+    file named ``<codec owner>``, so a profile or traceback names its owner."""
+    exec(compile(source, f"<codec {owner}>", "exec"), scope)
+    function = scope[name]
+    function.__qualname__ = f"{owner}.{name}"
+    return function
 
 
 def decoder_for(tp: Any) -> Decoder:
     """The decoder of one field type, for a field hook to call."""
-    return _field_codec(tp, "value", {})[0]
+    scope = dict(_CODEC_SCOPE)
+    decoded, _ = _field_codec(tp, "x0", "path", scope)
+    owner = tp.__name__ if isinstance(tp, type) else repr(tp)
+    return _compile(owner, "decode", f"def decode(x0, path, strict):\n    return {decoded}", scope)
 
 
 def codec_field(
@@ -264,38 +275,70 @@ def codec_field(
 
 
 class _Codec:
-    """Per-class field tables and encoder, derived once from the dataclass
-    fields and their type hints."""
+    """A class's encoder and decoder, compiled from its dataclass fields and
+    their type hints as dataclasses compiles ``__init__``: a dict display, and
+    a function that checks the object and its unknown and missing fields, then
+    decodes each field in declaration order, null meaning its default. A field
+    hook replaces its type's expression; a field with both hooks has a type
+    the codec need not know. A codec is kept on its class as ``_codec``, and
+    each direction is compiled on its first call.
+    """
 
     def __init__(self, cls: type) -> None:
         hints = get_type_hints(cls)
         declared = fields(cls)
-        self.known = frozenset(f.name for f in declared)
-        self.required = tuple(
+        required = tuple(
             f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
         )
-        # The encoder is compiled, as dataclasses compiles __init__: one dict
-        # display in declaration order, each value written by its type's
-        # expression or by the field's encode hook. A field with both hooks
-        # has a type the codec need not know.
-        scope: dict[str, Any] = {}
-        decoders, items = [], []
+        scope = dict(_CODEC_SCOPE, known=frozenset(f.name for f in declared), required=required)
+        items, body = [], [
+            "if data.__class__ is not dict and not isinstance(data, Mapping):",
+            "    wrong_type(path, 'object', data)",
+            "if not known.issuperset(data):",
+            "    _unknown_fields(path, data, known, strict)",
+        ]
+        if required:
+            body += [
+                "if " + " or ".join(f"data.get({name!r}) is None" for name in required) + ":",
+                "    missing = sorted(n for n in required if data.get(n) is None)",
+                "    parse_error(path, f'missing required fields: {missing}')",
+            ]
         for f in declared:
             decode, encode = f.metadata.get("decode"), f.metadata.get("encode")
-            value = f"self.{f.name}"
-            if decode and encode:
-                encoded = None
-            else:
-                derived, encoded = _field_codec(hints[f.name], value, scope)
-                decode = decode or derived
+            value, path = f"self.{f.name}", f"(path, {f.name!r})"
+            if not (decode and encode):
+                decoded, encoded = _field_codec(hints[f.name], value, path, scope)
+            if decode:
+                scope[f"decode_hook_{f.name}"] = decode
+                decoded = f"decode_hook_{f.name}(x0, {path}, strict)"
             if encode:
-                scope[f"hook_{f.name}"] = encode
-                encoded = f"hook_{f.name}({value})"
-            decoders.append((f.name, decode))
+                scope[f"encode_hook_{f.name}"] = encode
+                encoded = f"encode_hook_{f.name}({value})"
             items.append(f"{f.name!r}: {encoded or value}")
-        self.decoders = tuple(decoders)
-        exec(f"def encode(self):\n    return {{{', '.join(items)}}}", scope)
-        self.encode = scope["encode"]
+            body.append(f"x0 = data.get({f.name!r})")
+            if f.name not in required:
+                factory = f.default_factory is not MISSING
+                scope[f"default_{f.name}"] = f.default_factory if factory else f.default
+                decoded = f"default_{f.name}{'()' if factory else ''} if x0 is None else {decoded}"
+            body.append(f"f_{f.name} = {decoded}")
+        body += [
+            "try:",
+            f"    return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})",
+            "except ValueError as exc:  # a rule across fields, checked by __post_init__",
+            "    parse_error(path, str(exc))",
+        ]
+        self._owner, self._scope = cls.__name__, scope
+        self._to_dict = f"def to_dict(self):\n    return {{{', '.join(items)}}}"
+        self._from_dict = "def from_dict(cls, data, path, strict):\n    " + "\n    ".join(body)
+        cls._codec = self
+
+    @cached_property
+    def encode(self) -> Callable[[Any], dict[str, Any]]:
+        return _compile(self._owner, "to_dict", self._to_dict, self._scope)
+
+    @cached_property
+    def decode(self) -> Callable[[type, Any, DocPath, bool], Any]:
+        return _compile(self._owner, "from_dict", self._from_dict, self._scope)
 
 
 class Document:
@@ -320,41 +363,12 @@ class Document:
         cls.from_dict = Document.__dict__["from_dict"]  # type: ignore[method-assign]
 
     def to_dict(self) -> dict[str, Any]:
-        return (self._codec or type(self)._build_codec()).encode(self)
+        return (self._codec or _Codec(type(self))).encode(self)
 
     @classmethod
     def from_dict(cls, data: Any, path: DocPath | None = None, strict: bool = True) -> Any:
-        codec = cls._codec or cls._build_codec()
-        if path is None:
-            path = cls._path
-        if not isinstance(data, Mapping):
-            parse_error(path, _got("object", data))
-        unknown = data.keys() - codec.known
-        if unknown:
-            if strict:
-                parse_error(path, f"unknown fields: {sorted(unknown)}")
-            warnings.warn(
-                f"{render_path(path)}: ignoring unknown fields {sorted(unknown)}",
-                UnknownFieldWarning,
-                stacklevel=2,
-            )
-        missing = [name for name in codec.required if data.get(name) is None]
-        if missing:
-            parse_error(path, f"missing required fields: {sorted(missing)}")
-        values = {}
-        for name, decode in codec.decoders:
-            value = data.get(name)
-            if value is not None:
-                values[name] = decode(value, (path, name), strict)
-        try:
-            return cls(**values)
-        except ValueError as exc:  # a rule across fields, checked by __post_init__
-            parse_error(path, str(exc))
-
-    @classmethod
-    def _build_codec(cls) -> _Codec:
-        cls._codec = _Codec(cls)
-        return cls._codec
+        codec = cls._codec or _Codec(cls)
+        return codec.decode(cls, data, cls._path if path is None else path, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +558,8 @@ class LicenseMetadata(Document, path="metadata"):
 
 def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
     """Reorder a rights map so fixed names come first in canonical order."""
-    ordered: dict[str, RightEntry] = {}
-    for name in fixed:
-        if name in entries:
-            ordered[name] = entries[name]
-    for name in entries:
-        if name not in ordered:
-            ordered[name] = entries[name]
-    return ordered
+    # Merging keeps each key where it was first inserted.
+    return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 
 
 @dataclass(frozen=True)
@@ -586,30 +594,22 @@ class RightsVector(Document, path="vector"):
 def validate_rights_vector(vector: RightsVector) -> list[Violation]:
     """Check completeness of the fixed right sets and custom-key disjointness."""
     report: list[Violation] = []
-    for name in STANDALONE_RIGHTS:
-        if name not in vector.standalone_rights:
-            report.append(Violation(f"standalone_rights.{name}", "missing right"))
-    for name in vector.standalone_rights:
-        if name not in STANDALONE_RIGHTS:
-            report.append(Violation(f"standalone_rights.{name}", "not a standalone right"))
-    for name in MODEL_RIGHTS:
-        if name not in vector.model_rights:
-            report.append(Violation(f"model_rights.{name}", "missing right"))
-    for name in vector.model_rights:
-        if name not in MODEL_RIGHTS:
-            report.append(Violation(f"model_rights.{name}", "not a model-conjunction right"))
+    for attr, fixed, kind in (
+        ("standalone_rights", STANDALONE_RIGHTS, "standalone"),
+        ("model_rights", MODEL_RIGHTS, "model-conjunction"),
+    ):
+        group = getattr(vector, attr)
+        if tuple(group) != fixed:  # a complete group is ordered as the fixed names
+            report += [Violation(f"{attr}.{n}", "missing right") for n in fixed if n not in group]
+            report += [Violation(f"{attr}.{n}", f"not a {kind} right") for n in group if n not in fixed]
     for name in vector.custom_rights:
         if name in FIXED_RIGHTS:
             report.append(Violation(f"custom_rights.{name}", "custom key collides with fixed right"))
-    for group_name, group in (
-        ("standalone_rights", vector.standalone_rights),
-        ("model_rights", vector.model_rights),
-        ("custom_rights", vector.custom_rights),
-    ):
-        for right_name, entry in group.items():
-            ids = [o.id for o in entry.obligations]
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            if dupes:
+    for group_name in ("standalone_rights", "model_rights", "custom_rights"):
+        for right_name, entry in getattr(vector, group_name).items():
+            ids = [o.id for o in entry.obligations] if len(entry.obligations) > 1 else ()
+            if len(set(ids)) != len(ids):
+                dupes = sorted({i for i in ids if ids.count(i) > 1})
                 report.append(
                     Violation(f"{group_name}.{right_name}", f"duplicate obligation ids: {dupes}")
                 )
@@ -701,7 +701,7 @@ class _BlockingRight(Document, path="blocking_right"):
     restrictors: tuple[str, ...] = ()
 
 
-_decode_blocking_rights = array_decoder(decoder_for(_BlockingRight))
+_decode_blocking_rights = decoder_for(tuple[_BlockingRight, ...])
 
 
 def _decode_blocking(value: Any, path: DocPath, strict: bool) -> tuple:

@@ -151,6 +151,19 @@ class TestLoadInterpretation:
         assert vector.metadata.license_name == "CC-BY-NC-SA-4.0"
         assert [o.id for o in vector.entry("Distribute").obligations] == ["C", "D"]
 
+    @pytest.mark.parametrize("name", ["licensor", "license_name", "dataset_name"])
+    def test_template_override_may_not_null_a_required_metadata_field(self, name):
+        doc = {"subject_id": "demo", "template": "CC-BY-4.0", "metadata": {name: None}}
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(doc, CATALOG, path="demo.json")
+        assert exc.value.path == f"demo.json.metadata.{name}"
+
+    def test_template_override_may_null_an_optional_metadata_field(self):
+        doc = {"subject_id": "demo", "template": "CC-BY-4.0", "metadata": {"credit_notice": None}}
+        vector = parse_interpretation(doc, CATALOG).vector
+        assert vector.metadata.credit_notice is None
+        assert vector.from_dict(vector.to_dict()) == vector
+
     def test_template_reference_unknown_right_in_extras(self):
         doc = {
             "subject_id": "demo",

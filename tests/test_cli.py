@@ -376,6 +376,21 @@ class TestAssess:
             f"error: {orphan}: subject_id 'renamed-source' names no lineage node\n"
         )
 
+    def test_template_nulling_a_required_metadata_field_exits_1(self, runner, tmp_path):
+        lineage, interp = bundle_paths("ffhq")
+        copy = tmp_path / "interpretations"
+        shutil.copytree(interp, copy)
+        target = copy / "ffhq.json"
+        doc = json.loads(target.read_text())
+        assert "template" in doc
+        doc["metadata"] = {**doc.get("metadata", {}), "licensor": None}
+        target.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["assess", str(lineage), str(copy)])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {target}.metadata.licensor: a required field cannot be null\n"
+        )
+
 
 class TestVerifyCmd:
     def test_json_document(self, runner):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from dla.model import (
     canonical_json,
     merge_obligations,
 )
+from dla.resources import templates_dir
 
 from helpers import record_for
 
@@ -174,6 +176,55 @@ class TestRightEntryParsing:
         with pytest.warns(UnknownFieldWarning):
             entry = RightEntry.from_dict({"grant": "granted", "bonus": 1}, strict=False)
         assert entry.grant is Grant.GRANTED
+
+
+def template_vector_doc() -> dict:
+    return json.loads((templates_dir() / "cc-by-4.0.json").read_text(encoding="utf-8"))["vector"]
+
+
+class TestMappingInput:
+    """``from_dict`` reads any Mapping, not only a dict, at the top and nested;
+    anything else in an object's place is an error naming that place."""
+
+    def test_mapping_proxies_decode_like_dicts(self):
+        doc = template_vector_doc()
+        rights = doc["standalone_rights"]
+        rights = dict(rights, Access=MappingProxyType(rights["Access"]))
+        proxied = MappingProxyType(dict(doc, standalone_rights=MappingProxyType(rights)))
+        assert RightsVector.from_dict(proxied) == RightsVector.from_dict(doc)
+
+    def test_unknown_field_in_a_mapping_proxy(self):
+        proxied = MappingProxyType({"grant": "granted", "bonus": 1})
+        with pytest.raises(ParseError, match=r"^right: unknown fields: \['bonus'\]$"):
+            RightEntry.from_dict(proxied)
+        with pytest.warns(UnknownFieldWarning, match=r"^right: ignoring unknown fields \['bonus'\]$"):
+            assert RightEntry.from_dict(proxied, strict=False).grant is Grant.GRANTED
+
+    @pytest.mark.parametrize(
+        "where", [(), ("standalone_rights",), ("standalone_rights", "Access")], ids=len
+    )
+    def test_a_list_in_an_objects_place_names_the_place(self, where):
+        doc = template_vector_doc()
+        if where:
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = []
+        else:
+            doc = []
+        with pytest.raises(ParseError) as exc:
+            RightsVector.from_dict(doc)
+        path = "vector" + "".join(f".{key}" for key in where)
+        assert str(exc.value) == f"{path}: expected object, got list"
+
+
+def test_compiled_codecs_are_named_for_their_class():
+    """A profile or traceback names the class a compiled codec belongs to."""
+    RightEntry.from_dict(RightEntry(Grant.GRANTED).to_dict())
+    codec = RightEntry._codec
+    for function, name in ((codec.decode, "from_dict"), (codec.encode, "to_dict")):
+        assert function.__code__.co_filename == "<codec RightEntry>"
+        assert (function.__name__, function.__qualname__) == (name, f"RightEntry.{name}")
 
 
 class TestObligationUnion:
