@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections.abc
 import json
+import sys
 import types
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -23,7 +24,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 from .errors import InputError, ParseError, UnknownFieldWarning
 
@@ -187,8 +188,8 @@ def _unknown_fields(path: DocPath, data: Mapping, known: frozenset, strict: bool
     )
 
 
-# The names compiled codecs use besides builtins and their own tables.
-_CODEC_SCOPE = {"Mapping": collections.abc.Mapping} | {
+# What compiled codecs call, and __name__, so their warnings filter as this module's.
+_CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
     f.__name__: f for f in (wrong_type, _bad_member, _unknown_fields, parse_error)
 }
 
@@ -208,7 +209,8 @@ def _field_codec(
         (inner,) = [a for a in args if a is not type(None)]
         decoded, encoded = _field_codec(inner, expr, path, scope, depth, optional=True)
         encoded = encoded and f"(None if {expr} is None else {encoded})"
-        return f"(None if {x} is None else {decoded})", encoded
+        # A field's own value (depth 0) is decoded only when it is not None.
+        return decoded if depth == 0 else f"(None if {x} is None else {decoded})", encoded
     if tp in _SCALAR_NAMES:
         expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
         test = f"isinstance({x}, {tp.__name__})"
@@ -285,7 +287,8 @@ class _Codec:
     """
 
     def __init__(self, cls: type) -> None:
-        hints = get_type_hints(cls)
+        # Annotations are strings; eval costs a third of what get_type_hints does.
+        namespace = vars(sys.modules[cls.__module__])
         declared = fields(cls)
         required = tuple(
             f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
@@ -307,7 +310,7 @@ class _Codec:
             decode, encode = f.metadata.get("decode"), f.metadata.get("encode")
             value, path = f"self.{f.name}", f"(path, {f.name!r})"
             if not (decode and encode):
-                decoded, encoded = _field_codec(hints[f.name], value, path, scope)
+                decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope)
             if decode:
                 scope[f"decode_hook_{f.name}"] = decode
                 decoded = f"decode_hook_{f.name}(x0, {path}, strict)"
@@ -315,18 +318,12 @@ class _Codec:
                 scope[f"encode_hook_{f.name}"] = encode
                 encoded = f"encode_hook_{f.name}({value})"
             items.append(f"{f.name!r}: {encoded or value}")
-            body.append(f"x0 = data.get({f.name!r})")
             if f.name not in required:
                 factory = f.default_factory is not MISSING
                 scope[f"default_{f.name}"] = f.default_factory if factory else f.default
                 decoded = f"default_{f.name}{'()' if factory else ''} if x0 is None else {decoded}"
-            body.append(f"f_{f.name} = {decoded}")
-        body += [
-            "try:",
-            f"    return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})",
-            "except ValueError as exc:  # a rule across fields, checked by __post_init__",
-            "    parse_error(path, str(exc))",
-        ]
+            body += [f"x0 = data.get({f.name!r})", f"f_{f.name} = {decoded}"]
+        body.append(f"return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})")
         self._owner, self._scope = cls.__name__, scope
         self._to_dict = f"def to_dict(self):\n    return {{{', '.join(items)}}}"
         self._from_dict = "def from_dict(cls, data, path, strict):\n    " + "\n    ".join(body)
@@ -367,8 +364,11 @@ class Document:
 
     @classmethod
     def from_dict(cls, data: Any, path: DocPath | None = None, strict: bool = True) -> Any:
-        codec = cls._codec or _Codec(cls)
-        return codec.decode(cls, data, cls._path if path is None else path, strict)
+        codec, path = cls._codec or _Codec(cls), cls._path if path is None else path
+        try:
+            return codec.decode(cls, data, path, strict)
+        except ValueError as exc:  # a rule across fields, checked by __post_init__
+            parse_error(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +594,14 @@ class RightsVector(Document, path="vector"):
 def validate_rights_vector(vector: RightsVector) -> list[Violation]:
     """Check completeness of the fixed right sets and custom-key disjointness."""
     report: list[Violation] = []
-    for attr, fixed, kind in (
-        ("standalone_rights", STANDALONE_RIGHTS, "standalone"),
-        ("model_rights", MODEL_RIGHTS, "model-conjunction"),
+    for attr, fixed, foreign in (
+        ("standalone_rights", STANDALONE_RIGHTS, "not a standalone right"),
+        ("model_rights", MODEL_RIGHTS, "not a model-conjunction right"),
     ):
         group = getattr(vector, attr)
         if tuple(group) != fixed:  # a complete group is ordered as the fixed names
             report += [Violation(f"{attr}.{n}", "missing right") for n in fixed if n not in group]
-            report += [Violation(f"{attr}.{n}", f"not a {kind} right") for n in group if n not in fixed]
+            report += [Violation(f"{attr}.{n}", foreign) for n in group if n not in fixed]
     for name in vector.custom_rights:
         if name in FIXED_RIGHTS:
             report.append(Violation(f"custom_rights.{name}", "custom key collides with fixed right"))
