@@ -197,7 +197,8 @@ class TestMappingInput:
         proxied = MappingProxyType({"grant": "granted", "bonus": 1})
         with pytest.raises(ParseError, match=r"^right: unknown fields: \['bonus'\]$"):
             RightEntry.from_dict(proxied)
-        with pytest.warns(UnknownFieldWarning, match=r"^right: ignoring unknown fields \['bonus'\]$"):
+        warning = r"^right: ignoring unknown fields \['bonus'\]$"
+        with pytest.warns(UnknownFieldWarning, match=warning):
             assert RightEntry.from_dict(proxied, strict=False).grant is Grant.GRANTED
 
     @pytest.mark.parametrize(
