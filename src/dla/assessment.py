@@ -20,6 +20,7 @@ from .model import (
     Obligation,
     UsageScenario,
     VerifiedLicense,
+    _BlockingRight,
     merge_obligations,
     read_json,
 )
@@ -59,7 +60,7 @@ def assess(verified: VerifiedLicense, scenario: UsageScenario) -> AssessmentRow:
         scenario_id=scenario.id,
         permitted=not blocked,
         obligations=tuple(o.id for o in obligations),
-        blocking_rights=tuple((r, verified.restrictors.get(r, ())) for r in blocked),
+        blocking_rights=tuple(_BlockingRight(r, verified.restrictors.get(r, ())) for r in blocked),
     )
 
 
@@ -117,6 +118,14 @@ def render_cell(row: AssessmentRow) -> str:
     return "Yes"
 
 
+def _residual_risk(verified: VerifiedLicense) -> list[str]:
+    """The report lines naming the sources never checked, if there are any."""
+    if not verified.residual_risk_flags:
+        return []
+    flags = ", ".join(verified.residual_risk_flags)
+    return ["", f"Residual risk (license content unavailable, not checked): {flags}"]
+
+
 def render_markdown(
     table: AssessmentTable, verified: VerifiedLicense | None = None
 ) -> str:
@@ -143,15 +152,11 @@ def render_markdown(
         lines.append("")
         lines.append("Blocked scenarios:")
         for scenario_id, rights in blocking:
-            for right, restrictors in rights:
-                if restrictors:
-                    lines.append(
-                        f"- {scenario_id}: {right} denied by {', '.join(restrictors)}"
-                    )
+            for b in rights:
+                if b.restrictors:
+                    lines.append(f"- {scenario_id}: {b.right} denied by {', '.join(b.restrictors)}")
                 else:
-                    lines.append(
-                        f"- {scenario_id}: {right} not granted by the dataset license"
-                    )
+                    lines.append(f"- {scenario_id}: {b.right} not granted by the dataset license")
 
     if verified is not None:
         if verified.changed:
@@ -161,12 +166,7 @@ def render_markdown(
                 restrictors = verified.restrictors.get(right, ())
                 who = ", ".join(restrictors) if restrictors else "(policy)"
                 lines.append(f"- {right}: denied by {who}")
-        if verified.residual_risk_flags:
-            lines.append("")
-            lines.append(
-                "Residual risk (license content unavailable, not checked): "
-                + ", ".join(verified.residual_risk_flags)
-            )
+        lines += _residual_risk(verified)
 
     if table.advisory_obligations:
         lines.append("")
@@ -193,11 +193,6 @@ def render_rights_markdown(verified: VerifiedLicense, dataset_name: str | None =
         obligations = "+".join(o.id for o in entry.obligations) or "-"
         restrictors = ", ".join(verified.restrictors.get(right, ())) or "-"
         lines.append(f"| {right} | {grant} | {obligations} | {restrictors} |")
-    if verified.residual_risk_flags:
-        lines.append("")
-        lines.append(
-            "Residual risk (license content unavailable, not checked): "
-            + ", ".join(verified.residual_risk_flags)
-        )
+    lines += _residual_risk(verified)
     lines.append("")
     return "\n".join(lines)

@@ -42,7 +42,6 @@ class LicenseTemplate:
 
     license_id: str
     version: str
-    note: str
     vector: RightsVector
     digest: str
 
@@ -108,7 +107,6 @@ def _parse_template_file(path: Path, raw: bytes) -> LicenseTemplate:
     return LicenseTemplate(
         license_id=doc.license_id,
         version=doc.version,
-        note=doc.note or "",
         vector=vector,
         digest=hashlib.sha256(raw).hexdigest(),
     )

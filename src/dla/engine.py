@@ -83,18 +83,10 @@ def fingerprint_inputs(
     })
 
 
-def _right_space(
-    root_vector: RightsVector,
-    vectors: list[RightsVector],
-) -> tuple[str, ...]:
-    names = list(FIXED_RIGHTS) + list(root_vector.custom_rights)
-    seen = set(names)
-    extra: set[str] = set()
-    for vector in vectors:
-        for name in vector.custom_rights:
-            if name not in seen:
-                extra.add(name)
-    return tuple(names) + tuple(sorted(extra))
+def _right_space(root_vector: RightsVector, vectors: list[RightsVector]) -> tuple[str, ...]:
+    names = FIXED_RIGHTS + tuple(root_vector.custom_rights)
+    extra = {name for vector in vectors for name in vector.custom_rights}.difference(names)
+    return names + tuple(sorted(extra))
 
 
 def verify(
@@ -134,32 +126,26 @@ def verify(
     changed: list[str] = []
 
     for right in right_space:
-        root_grant = root_vector.grant(right)
-        root_entry = root_vector.entry(right) or RightEntry(grant=_UNSPECIFIED)
-        denying = [s for s, v in interpreted if v.grant(right) is not _GRANTED]
-        if policy.unknown_denies:
-            denying.extend(unavailable)
-        denying.sort()
-
-        if root_grant is _GRANTED and not denying:
-            obligations = merge_obligations(
-                [root_entry.obligations]
-                + [
-                    v.entry(right).obligations
-                    for _, v in interpreted
-                    if v.entry(right) is not None
-                ]
-            )
-            rights[right] = RightEntry(grant=_GRANTED, obligations=obligations)
-            restrictors[right] = ()
-        elif root_grant is _GRANTED:
-            rights[right] = RightEntry(grant=_DENIED, obligations=root_entry.obligations)
-            restrictors[right] = tuple(denying)
-            changed.append(right)
-        else:
+        root_entry = root_vector.entry(right)
+        if root_entry is None or root_entry.grant is not _GRANTED:
             # The root itself withholds the right; sources cannot restrict
             # further and the root's literal grant is preserved.
-            rights[right] = root_entry
+            rights[right] = root_entry or RightEntry(grant=_UNSPECIFIED)
+            restrictors[right] = ()
+            continue
+        entries = [(s, v.entry(right)) for s, v in interpreted]
+        denying = [s for s, e in entries if e is None or e.grant is not _GRANTED]
+        if policy.unknown_denies:
+            denying.extend(unavailable)
+        if denying:
+            rights[right] = RightEntry(grant=_DENIED, obligations=root_entry.obligations)
+            restrictors[right] = tuple(sorted(denying))
+            changed.append(right)
+        else:
+            obligations = merge_obligations(
+                [root_entry.obligations] + [e.obligations for _, e in entries]
+            )
+            rights[right] = RightEntry(grant=_GRANTED, obligations=obligations)
             restrictors[right] = ()
 
     return VerifiedLicense(

@@ -72,10 +72,6 @@ class LineageGraph:
     edges: tuple[tuple[str, str], ...]
     root_id: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", dict(self.nodes))
-        object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
-
     @cached_property
     def _child_map(self) -> dict[str, list[str]]:
         children: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
@@ -166,7 +162,8 @@ def build_lineage(
         DanglingReference: an edge endpoint or the root names no record.
         CycleDetected: the edge set contains a directed cycle (one is named).
         UnreachableNode: a non-root node cannot be reached from the root.
-        ParseError: duplicate subject ids in ``records``.
+        ParseError: duplicate subject ids in ``records``, or an edge endpoint
+            that is not a string.
     """
     nodes: dict[str, ProvenanceRecord] = {}
     for record in records:
@@ -174,7 +171,12 @@ def build_lineage(
             raise ParseError("records", f"duplicate subject_id {record.subject_id!r}")
         nodes[record.subject_id] = record
 
-    edge_list = sorted((str(p), str(c)) for p, c in edges)
+    edge_list = [(p, c) for p, c in edges]
+    for i, edge in enumerate(edge_list):
+        for j, end in enumerate(edge):
+            if not isinstance(end, str):
+                wrong_type((("edges", i), j), "string", end)
+    edge_list.sort()
     for parent, child in edge_list:
         if parent not in nodes:
             raise DanglingReference(parent)

@@ -268,22 +268,20 @@ def decoder_for(tp: Any) -> Decoder:
     return _compile(owner, "decode", f"def decode(x0, path, strict):\n    return {decoded}", scope)
 
 
-def codec_field(
-    *, decode: Decoder | None = None, encode: Callable[[Any], Any] | None = None, **kwargs: Any
-) -> Any:
-    """A dataclass field whose JSON form comes from the given hooks instead of
-    its type; a hook left out is derived from the type as usual."""
-    return field(metadata={"decode": decode, "encode": encode}, **kwargs)
+def codec_field(*, decode: Decoder, **kwargs: Any) -> Any:
+    """A dataclass field read by the given decode hook instead of its type's
+    decoder; it is written from its type as usual."""
+    return field(metadata={"decode": decode}, **kwargs)
 
 
 class _Codec:
     """A class's encoder and decoder, compiled from its dataclass fields and
     their type hints as dataclasses compiles ``__init__``: a dict display, and
     a function that checks the object and its unknown and missing fields, then
-    decodes each field in declaration order, null meaning its default. A field
-    hook replaces its type's expression; a field with both hooks has a type
-    the codec need not know. A codec is kept on its class as ``_codec``, and
-    each direction is compiled on its first call.
+    decodes each field in declaration order, null meaning its default. A
+    field's decode hook replaces its type's decoder expression. A codec is
+    kept on its class as ``_codec``, and each direction is compiled on its
+    first call.
     """
 
     def __init__(self, cls: type) -> None:
@@ -307,16 +305,11 @@ class _Codec:
                 "    parse_error(path, f'missing required fields: {missing}')",
             ]
         for f in declared:
-            decode, encode = f.metadata.get("decode"), f.metadata.get("encode")
             value, path = f"self.{f.name}", f"(path, {f.name!r})"
-            if not (decode and encode):
-                decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope)
-            if decode:
+            decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope)
+            if decode := f.metadata.get("decode"):
                 scope[f"decode_hook_{f.name}"] = decode
                 decoded = f"decode_hook_{f.name}(x0, {path}, strict)"
-            if encode:
-                scope[f"encode_hook_{f.name}"] = encode
-                encoded = f"encode_hook_{f.name}({value})"
             items.append(f"{f.name!r}: {encoded or value}")
             if f.name not in required:
                 factory = f.default_factory is not MISSING
@@ -577,7 +570,6 @@ class RightsVector(Document, path="vector"):
             self, "standalone_rights", _ordered_rights(self.standalone_rights, STANDALONE_RIGHTS)
         )
         object.__setattr__(self, "model_rights", _ordered_rights(self.model_rights, MODEL_RIGHTS))
-        object.__setattr__(self, "custom_rights", dict(self.custom_rights))
 
     def entry(self, right_name: str) -> RightEntry | None:
         for group in (self.standalone_rights, self.model_rights, self.custom_rights):
@@ -652,14 +644,6 @@ class VerifiedLicense(Document, path="verified"):
     residual_risk_flags: tuple[str, ...]
     audit: AuditInfo | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rights", dict(self.rights))
-        object.__setattr__(
-            self, "restrictors", {k: tuple(v) for k, v in self.restrictors.items()}
-        )
-        object.__setattr__(self, "changed", tuple(self.changed))
-        object.__setattr__(self, "residual_risk_flags", tuple(self.residual_risk_flags))
-
     def grant(self, right_name: str) -> Grant:
         entry = self.rights.get(right_name)
         return entry.grant if entry is not None else Grant.UNSPECIFIED
@@ -695,21 +679,10 @@ class UsageScenario(Document, path="scenario"):
 
 @dataclass(frozen=True)
 class _BlockingRight(Document, path="blocking_right"):
-    """The JSON form of one entry of :attr:`AssessmentRow.blocking_rights`."""
+    """A right that blocks a denied scenario, with the sources that denied it."""
 
     right: str
     restrictors: tuple[str, ...] = ()
-
-
-_decode_blocking_rights = decoder_for(tuple[_BlockingRight, ...])
-
-
-def _decode_blocking(value: Any, path: DocPath, strict: bool) -> tuple:
-    return tuple((b.right, b.restrictors) for b in _decode_blocking_rights(value, path, strict))
-
-
-def _encode_blocking(value: tuple) -> list[dict[str, Any]]:
-    return [{"right": right, "restrictors": list(restrictors)} for right, restrictors in value]
 
 
 @dataclass(frozen=True)
@@ -720,9 +693,7 @@ class AssessmentRow(Document, path="row"):
     scenario_id: str
     permitted: bool
     obligations: tuple[str, ...]
-    blocking_rights: tuple[tuple[str, tuple[str, ...]], ...] = codec_field(
-        decode=_decode_blocking, encode=_encode_blocking
-    )
+    blocking_rights: tuple[_BlockingRight, ...]
 
 
 @dataclass(frozen=True)
@@ -736,8 +707,3 @@ class AssessmentTable(Document, path="assessment"):
     rows: tuple[AssessmentRow, ...]
     obligation_legend: Mapping[str, Obligation]
     advisory_obligations: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "obligation_legend", dict(self.obligation_legend))
-        object.__setattr__(self, "advisory_obligations", tuple(self.advisory_obligations))

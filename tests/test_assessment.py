@@ -26,8 +26,8 @@ class TestAssess:
         rpeai = UsageScenario(id="RPEAI", required_rights=("CommercializeModel",))
         row = assess(verified, rpeai)
         assert not row.permitted
-        assert [r for r, _ in row.blocking_rights] == ["CommercializeModel"]
-        assert row.blocking_rights[0][1]  # restrictors are attributed
+        assert [b.right for b in row.blocking_rights] == ["CommercializeModel"]
+        assert row.blocking_rights[0].restrictors  # restrictors are attributed
 
     def test_ffhq_dd_permitted_with_link_and_takedown(self):
         verified, _ = verified_for("ffhq")

@@ -3,23 +3,35 @@ equivalence, and the engine's algebraic properties."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from dla import EnginePolicy, verify
+from dla import EnginePolicy, assess_all, default_scenarios, verify
 from dla.errors import MissingRootInterpretation, UninterpretedNode
 from dla.model import (
     FIXED_RIGHTS,
+    AssessmentTable,
     Grant,
     LicenseMetadata,
+    ProvenanceRecord,
     RightEntry,
     RightsVector,
+    VerifiedLicense,
     canonical_json,
 )
-from dla.lineage import build_lineage
+from dla.lineage import LineageGraph, build_lineage
 
-from helpers import load_bundle, oracle_verify, random_case, record_for, random_vector
+from helpers import (
+    BUNDLE_NAMES,
+    bundle_paths,
+    load_bundle,
+    oracle_verify,
+    random_case,
+    random_vector,
+    record_for,
+)
 
 CHANGED_RIGHTS = {"Tagging", "Distribute", "Rerepresent", "CommercializeOutput", "CommercializeModel"}
 PRESERVED_RIGHTS = {"Access", "Benchmark", "Research", "Publish", "InternalUse", "ModelReverseEngineer"}
@@ -273,3 +285,28 @@ class TestCustomRights:
         assert "CC-BY-NC-SA-4.0" in verified.audit.template_digests
         assert verified.audit.generated_at is None
         assert len(verified.audit.inputs_digest) == 64
+
+
+def round_trip(cls, value):
+    return cls.from_dict(json.loads(canonical_json(value.to_dict())))
+
+
+@pytest.mark.parametrize("unknown_denies", [False, True])
+@pytest.mark.parametrize("bundle", BUNDLE_NAMES)
+def test_every_analysis_equals_its_canonical_json_round_trip(bundle, unknown_denies):
+    # Built from the lineage file's own lists, so the graph must hold tuples.
+    lineage_path, _ = bundle_paths(bundle)
+    doc = json.loads(lineage_path.read_text(encoding="utf-8"))
+    records = [ProvenanceRecord.from_dict(r) for r in doc["records"]]
+    graph = build_lineage(records, doc["edges"], doc["root_id"])
+    _, interp = load_bundle(bundle)
+    verified = verify(
+        graph,
+        interp.vectors,
+        EnginePolicy(unknown_denies=unknown_denies),
+        template_digests=interp.template_digests,
+    )
+    table = assess_all(verified, default_scenarios(), graph.root.dataset_name)
+    assert round_trip(LineageGraph, graph) == graph
+    assert round_trip(VerifiedLicense, verified) == verified
+    assert round_trip(AssessmentTable, table) == table

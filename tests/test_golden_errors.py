@@ -13,8 +13,9 @@ Edge endpoints are decoded by the lineage document's own hook, not by the
 derived codec, so mutations stop at each ``edges`` pair and do not reach
 inside it; the endpoint typing is tested by the CLI tests.
 
-Write the file from the current code (once, before a codec change) with
-``PYTHONPATH=src python tests/test_golden_errors.py``.
+Show the cases whose outcome differs from the file with
+``PYTHONPATH=src python tests/test_golden_errors.py``; add ``--write`` to
+write the file from the current code (once, before a codec change).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 import warnings
 from pathlib import Path
 from typing import Any, Iterator
@@ -98,7 +100,6 @@ def base_documents() -> dict[type, Any]:
     )
     table = assess_all(verified, default_scenarios(), dataset_name=graph.root.dataset_name)
     blocked = next(row for row in table.rows if row.blocking_rights)
-    right, restrictors = blocked.blocking_rights[0]
     template = read(templates_dir() / "cc-by-4.0.json")
     vector = template["vector"]
     entry = next(e for e in vector["standalone_rights"].values() if e.get("obligations"))
@@ -128,7 +129,7 @@ def base_documents() -> dict[type, Any]:
         UsageScenario: default_scenarios()[0].to_dict(),
         AssessmentTable: table.to_dict(),
         AssessmentRow: blocked.to_dict(),
-        _BlockingRight: {"right": right, "restrictors": list(restrictors)},
+        _BlockingRight: blocked.blocking_rights[0].to_dict(),
         StoreEntry: {
             "key": analysis_key(graph.root),
             "dataset_name": graph.root.dataset_name,
@@ -229,7 +230,21 @@ def test_mutated_documents_match_golden():
     assert cases() == golden
 
 
+def main(write: bool) -> int:
+    """Print each case added, removed or changed against the file, and exit
+    1 when there is one; with ``write``, then record the current outcomes."""
+    golden, current = read(GOLDEN_ERRORS_PATH), cases()
+    differ = sorted(k for k in golden.keys() | current.keys() if golden.get(k) != current.get(k))
+    for key in differ:
+        kind = "added" if key not in golden else "removed" if key not in current else "changed"
+        print(f"{kind}: {key}\n  was {golden.get(key)}\n  now {current.get(key)}")
+    print(f"{len(differ)} of {len(current)} cases differ from {GOLDEN_ERRORS_PATH.name}")
+    if write:
+        GOLDEN_ERRORS_PATH.write_text(
+            json.dumps(current, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    GOLDEN_ERRORS_PATH.write_text(
-        json.dumps(cases(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    sys.exit(main("--write" in sys.argv[1:]))

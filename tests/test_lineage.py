@@ -19,6 +19,7 @@ from dla.errors import (
     LineageError,
     MissingOriginYear,
     NoDatasetAncestor,
+    ParseError,
     UnreachableNode,
 )
 from dla.lineage import CaptureInput, LineageGraph
@@ -79,6 +80,20 @@ class TestBuildLineage:
         records = [record_for("a"), record_for("b")]
         with pytest.raises((UnreachableNode, CycleDetected)):
             build_lineage(records, [("b", "a")], "a")
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([("a", "b"), (None, "b")], r"^edges\[1\]\[0\]: expected string, got NoneType$"),
+            # Not coerced: "1" names a node, but the int 1 does not.
+            ([("a", "b"), ("a", 1)], r"^edges\[1\]\[1\]: expected string, got int$"),
+        ],
+        ids=["null", "int"],
+    )
+    def test_non_string_edge_endpoint_rejected(self, edges, message):
+        records = [record_for("a"), record_for("b"), record_for("1")]
+        with pytest.raises(ParseError, match=message):
+            build_lineage(records, edges, "a")
 
     def test_duplicate_subject_ids_rejected(self):
         from dla.errors import ParseError

@@ -37,6 +37,7 @@ from dla.model import (
     AuditInfo,
     LicenseFoundVia,
     VerifiedLicense,
+    _BlockingRight,
     canonical_json,
     merge_obligations,
 )
@@ -386,9 +387,10 @@ row_st = st.builds(
     permitted=st.booleans(),
     obligations=st.lists(st.sampled_from("ABCDE"), max_size=3, unique=True).map(tuple),
     blocking_rights=st.lists(
-        st.tuples(
-            st.sampled_from(FIXED_RIGHTS),
-            st.lists(st.sampled_from(["s1", "s2"]), max_size=2, unique=True).map(tuple),
+        st.builds(
+            _BlockingRight,
+            right=st.sampled_from(FIXED_RIGHTS),
+            restrictors=st.lists(st.sampled_from(["s1", "s2"]), max_size=2, unique=True).map(tuple),
         ),
         max_size=2,
     ).map(tuple),
