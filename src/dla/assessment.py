@@ -27,13 +27,14 @@ from .model import (
 from .resources import scenarios_path
 
 
-def load_scenarios(path: Path) -> list[UsageScenario]:
-    """Read a scenarios JSON document (an array of scenario objects)."""
+def load_scenarios(path: Path, strict: bool = True) -> list[UsageScenario]:
+    """Read a scenarios JSON document (an array of scenario objects); unknown
+    fields are rejected, or warned about when ``strict`` is false."""
     data = read_json(path)
     if not isinstance(data, list):
         raise ParseError(str(path), "expected an array of scenarios")
     return [
-        UsageScenario.from_dict(item, f"{path}[{i}]") for i, item in enumerate(data)
+        UsageScenario.from_dict(item, f"{path}[{i}]", strict) for i, item in enumerate(data)
     ]
 
 
@@ -126,12 +127,10 @@ def _residual_risk(verified: VerifiedLicense) -> list[str]:
     return ["", f"Residual risk (license content unavailable, not checked): {flags}"]
 
 
-def render_markdown(
-    table: AssessmentTable, verified: VerifiedLicense | None = None
-) -> str:
+def render_markdown(table: AssessmentTable, verified: VerifiedLicense) -> str:
     """Markdown report: one scenario-per-column table row, the obligation
-    legend, and (when the verified license is supplied) the changed-rights
-    diff with restrictor attribution and residual-risk flags."""
+    legend, the changed-rights diff with restrictor attribution, and the
+    residual-risk flags."""
     lines: list[str] = []
     lines.append(f"# License compliance assessment: {table.dataset_name}")
     lines.append("")
@@ -158,15 +157,14 @@ def render_markdown(
                 else:
                     lines.append(f"- {scenario_id}: {b.right} not granted by the dataset license")
 
-    if verified is not None:
-        if verified.changed:
-            lines.append("")
-            lines.append("Rights changed by source licenses:")
-            for right in verified.changed:
-                restrictors = verified.restrictors.get(right, ())
-                who = ", ".join(restrictors) if restrictors else "(policy)"
-                lines.append(f"- {right}: denied by {who}")
-        lines += _residual_risk(verified)
+    if verified.changed:
+        lines.append("")
+        lines.append("Rights changed by source licenses:")
+        for right in verified.changed:
+            restrictors = verified.restrictors.get(right, ())
+            who = ", ".join(restrictors) if restrictors else "(policy)"
+            lines.append(f"- {right}: denied by {who}")
+    lines += _residual_risk(verified)
 
     if table.advisory_obligations:
         lines.append("")

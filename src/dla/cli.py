@@ -13,7 +13,6 @@ entry. Every input file is read through :func:`dla.model.read_json`.
 from __future__ import annotations
 
 import hashlib
-import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -208,7 +207,6 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
             click.echo(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
         for parent, child in graph.edges:
             click.echo(f"{parent} -> {child}")
-    sys.exit(EXIT_OK)
 
 
 @cli.command("range")
@@ -224,8 +222,7 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
 def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> None:
     """License range per lineage node (and the applicable capture, if given)."""
     graph = _load_graph(lineage_path, settings.strict)
-    if captures_dir is not None and not captures_dir.is_dir():
-        raise InputError(captures_dir, "not a directory")
+    capture_files = read_inputs(captures_dir) if captures_dir is not None else None
     for node_id in graph.nodes:
         try:
             node_range = compute_license_range(node_id, graph)
@@ -233,14 +230,13 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
             click.echo(f"{node_id}: error: {exc}")
             continue
         line = f"{node_id}: {node_range.start_year}-{node_range.end_year}"
-        if captures_dir is not None:
-            capture_path = captures_dir / f"{node_id}.json"
+        if capture_files is not None:
+            name = f"{node_id}.json"
             captures = []
-            # A name that is there but cannot be read is a broken capture
-            # list, not a source without one.
-            if os.path.lexists(capture_path):
+            if name in capture_files:
+                capture_path = captures_dir / name
                 captures = parse_capture_list(
-                    read_json(capture_path), str(capture_path), settings.strict
+                    read_json(capture_path, capture_files[name]), str(capture_path), settings.strict
                 )
             capture = select_capture(node_id, captures, node_range)
             if capture.capture_year is not None:
@@ -248,7 +244,6 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
             else:
                 line += f" capture: ({capture.status.value})"
         click.echo(line)
-    sys.exit(EXIT_OK)
 
 
 def _run_pipeline(
@@ -304,7 +299,6 @@ def cmd_verify(
         click.echo(canonical_json(verified.to_dict()), nl=False)
     else:
         click.echo(render_rights_markdown(verified, graph.root.dataset_name), nl=False)
-    sys.exit(EXIT_OK)
 
 
 @cli.command("assess")
@@ -337,7 +331,7 @@ def cmd_assess(
     """
     graph, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
     if scenarios_path is not None:
-        scenarios = load_scenarios(scenarios_path)
+        scenarios = load_scenarios(scenarios_path, settings.strict)
     else:
         scenarios = default_scenarios()
     table = assess_all(verified, scenarios, dataset_name=graph.root.dataset_name)
@@ -367,7 +361,6 @@ def cmd_store_ls(settings: Settings) -> None:
     """List stored analyses."""
     for entry in _open_store(settings, read_only=True).entries():
         click.echo(f"{entry.key}  {entry.dataset_name}")
-    sys.exit(EXIT_OK)
 
 
 @cmd_store.command("rm")
@@ -377,7 +370,6 @@ def cmd_store_rm(settings: Settings, key: str) -> None:
     """Remove one stored analysis by key."""
     removed = _open_store(settings, read_only=False).remove(key)
     click.echo(f"removed {key}" if removed else f"no entry for {key}")
-    sys.exit(EXIT_OK)
 
 
 def main() -> None:

@@ -7,7 +7,6 @@ The root is the dataset under analysis and must reach every other node.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
@@ -119,33 +118,27 @@ class LineageGraph:
         return build_lineage(doc.records, doc.edges, doc.root_id)
 
 
-def _find_cycle(adjacency: Mapping[str, Sequence[str]]) -> tuple[str, ...] | None:
-    """Return one directed cycle as (n0, ..., n0), or None if acyclic.
-
-    Depth-first from each node in sorted order, children in adjacency order.
-    The walk keeps its own stack, so a lineage of any depth fits.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
-    for root in sorted(adjacency):
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        stack = [root]  # the current path from root
-        pending = [iter(adjacency[root])]  # unvisited children per path node
-        while pending:
-            for child in pending[-1]:
-                if color[child] == GRAY:
-                    return tuple(stack[stack.index(child):]) + (child,)
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append(child)
-                    pending.append(iter(adjacency[child]))
-                    break
-            else:
-                color[stack.pop()] = BLACK
-                pending.pop()
-    return None
+def _reach(adjacency: Mapping[str, Sequence[str]], root: str) -> set[str]:
+    """The nodes ``root`` reaches, by one depth-first walk in adjacency order
+    that keeps its own stack, so a lineage of any depth fits. Raises
+    CycleDetected, naming the cycle (n0, ..., n0), when the walk meets a node
+    on its current path."""
+    on_path = {root: True}  # every node reached; True while it is on the path
+    path = [root]
+    pending = [iter(adjacency[root])]  # unvisited children per path node
+    while pending:
+        for child in pending[-1]:
+            if on_path.get(child):
+                raise CycleDetected(tuple(path[path.index(child):]) + (child,))
+            if child not in on_path:
+                on_path[child] = True
+                path.append(child)
+                pending.append(iter(adjacency[child]))
+                break
+        else:
+            on_path[path.pop()] = False
+            pending.pop()
+    return set(on_path)
 
 
 def build_lineage(
@@ -158,12 +151,17 @@ def build_lineage(
     Nodes and edges are stored sorted lexicographically by id, so permuting
     the inputs yields an identical graph.
 
+    One depth-first walk from the root decides both cycles and reachability:
+    a cycle the root reaches is named where the walk first meets it, and a
+    node the root cannot reach is unreachable, even one on a cycle.
+
     Raises:
         DanglingReference: an edge endpoint or the root names no record.
-        CycleDetected: the edge set contains a directed cycle (one is named).
-        UnreachableNode: a non-root node cannot be reached from the root.
-        ParseError: duplicate subject ids in ``records``, or an edge endpoint
-            that is not a string.
+        CycleDetected: the root reaches a directed cycle (it is named).
+        UnreachableNode: a non-root node cannot be reached from the root;
+            the first in id order is named.
+        ParseError: duplicate subject ids in ``records``, an edge that is not
+            a pair, or an edge endpoint that is not a string.
     """
     nodes: dict[str, ProvenanceRecord] = {}
     for record in records:
@@ -171,11 +169,14 @@ def build_lineage(
             raise ParseError("records", f"duplicate subject_id {record.subject_id!r}")
         nodes[record.subject_id] = record
 
-    edge_list = [(p, c) for p, c in edges]
-    for i, edge in enumerate(edge_list):
+    edge_list = []
+    for i, edge in enumerate(edges):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            parse_error(("edges", i), "expected [parent_id, child_id] pair")
         for j, end in enumerate(edge):
             if not isinstance(end, str):
                 wrong_type((("edges", i), j), "string", end)
+        edge_list.append(tuple(edge))
     edge_list.sort()
     for parent, child in edge_list:
         if parent not in nodes:
@@ -190,18 +191,7 @@ def build_lineage(
         edges=tuple(edge_list),
         root_id=root,
     )
-    adjacency = graph._child_map
-    cycle = _find_cycle(adjacency)
-    if cycle:
-        raise CycleDetected(cycle)
-
-    reachable = {root}
-    queue = deque([root])
-    while queue:
-        for child in adjacency[queue.popleft()]:
-            if child not in reachable:
-                reachable.add(child)
-                queue.append(child)
+    reachable = _reach(graph._child_map, root)
     for node_id in graph.nodes:
         if node_id not in reachable:
             raise UnreachableNode(node_id)

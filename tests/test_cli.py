@@ -227,6 +227,27 @@ class TestRange:
         assert result.stdout == ""
         assert result.stderr == f"error: {captures}: not a directory\n"
 
+    def test_node_id_naming_a_path_outside_the_captures_reads_nothing(self, runner, tmp_path):
+        lineage, _ = bundle_paths("cifar-10")
+        bundle = tmp_path / "bundle"
+        shutil.copytree(lineage.parent, bundle)
+        text = (bundle / "lineage.json").read_text()
+        (bundle / "lineage.json").write_text(text.replace('"flickr"', '"../outside"'))
+        shutil.copy(bundle / "captures" / "flickr.json", bundle / "outside.json")
+        result = invoke(runner, "range", bundle / "lineage.json", "--captures", bundle / "captures")
+        assert result.exit_code == 0
+        assert "../outside: 2005-2006 capture: (unavailable)" in result.stdout.splitlines()
+
+    def test_unreadable_capture_list_of_no_node_exits_64(self, runner, tmp_path):
+        lineage, _ = bundle_paths("cifar-10")
+        captures = tmp_path / "captures"
+        shutil.copytree(lineage.parent / "captures", captures)
+        (captures / "stray.json").symlink_to("absent.json")
+        result = invoke(runner, "range", lineage, "--captures", captures)
+        assert result.exit_code == 64
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {captures / 'stray.json'}: cannot read file")
+
     def test_deep_website_chain_inherits_the_root_range(self, runner, tmp_path):
         lineage = tmp_path / "lineage.json"
         ids = write_chain_lineage(lineage, "root", 5000)
@@ -349,6 +370,17 @@ class TestAssess:
         result = invoke(runner, "assess", lineage, interp, "--scenarios", scenarios)
         assert result.exit_code == 0
         assert "| CIFAR-10 | Yes(cite-cifar10) |" in result.output
+
+    def test_lenient_mode_warns_about_unknown_scenario_fields(self, runner, tmp_path):
+        lineage, interp = bundle_paths("cifar-10")
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text('[{"id": "DD", "required_rights": ["Distribute"], "note": "x"}]')
+        with pytest.warns(UserWarning, match="note"):
+            result = invoke(
+                runner, "--lenient", "assess", lineage, interp, "--scenarios", scenarios
+            )
+        assert result.exit_code == 3
+        assert "| CIFAR-10 | No |" in result.stdout
 
     def test_missing_interpretations_dir_exits_64(self, runner, tmp_path):
         lineage, _ = bundle_paths("cifar-10")

@@ -95,6 +95,19 @@ class TestBuildLineage:
         with pytest.raises(ParseError, match=message):
             build_lineage(records, edges, "a")
 
+    @pytest.mark.parametrize("edge", ["ab", ("a", "b", "a")], ids=["string", "triple"])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        records = [record_for("a"), record_for("b")]
+        message = r"^edges\[0\]: expected \[parent_id, child_id\] pair$"
+        with pytest.raises(ParseError, match=message):
+            build_lineage(records, [edge], "a")
+
+    def test_cycle_the_root_cannot_reach_is_an_unreachable_node(self):
+        records = [record_for(n) for n in ("r", "x", "y")]
+        with pytest.raises(UnreachableNode) as exc:
+            build_lineage(records, [("x", "y"), ("y", "x")], "r")
+        assert exc.value.node_id == "x"
+
     def test_duplicate_subject_ids_rejected(self):
         from dla.errors import ParseError
 

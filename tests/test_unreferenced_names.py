@@ -1,4 +1,5 @@
-"""Every module-level function and class in ``src/dla`` has a caller.
+"""Every module-level function and class in ``src/dla`` has a caller, and
+every name a module imports is used.
 
 A name that no code in ``src/dla`` or ``bench/`` refers to, and that ``dla``
 does not export, is API that nothing calls, or that only tests call; delete
@@ -40,3 +41,23 @@ def test_every_module_level_definition_is_referenced():
         and node.name not in dla.__all__
     ]
     assert unreferenced == []
+
+
+def test_every_import_is_used():
+    """A name a module imports is used in that module; ``__init__`` re-exports
+    the names in ``__all__``, and ``__future__`` imports are directives."""
+    unused = []
+    for path in SOURCES:
+        tree = parse(path)
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(dla.__all__)
+        unused += [f"{path.stem}: {name}" for name in sorted(imported - used)]
+    assert unused == []
