@@ -12,6 +12,7 @@ code change.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Collection, Mapping, Sequence
@@ -280,13 +281,16 @@ def load_interpretations_dir(
     """
     vectors: dict[str, RightsVector | None] = {}
     digests: dict[str, str] = {}
+    # Each file's path as ``str(directory / name)`` gives it: Path joins a
+    # name to "." as the bare name.
+    prefix = "" if directory == Path(".") else os.path.join(directory, "")
     for name, raw in (read_inputs(directory) if files is None else files).items():
-        path = directory / name
-        parsed = parse_interpretation(read_json(path, raw), catalog, strict=strict, path=str(path))
+        path = prefix + name
+        parsed = parse_interpretation(read_json(path, raw), catalog, strict=strict, path=path)
         if parsed.subject_id in vectors:
-            raise ParseError(str(path), f"duplicate interpretation for {parsed.subject_id!r}")
+            raise ParseError(path, f"duplicate interpretation for {parsed.subject_id!r}")
         if subjects is not None and parsed.subject_id not in subjects:
-            raise ParseError(str(path), f"subject_id {parsed.subject_id!r} names no lineage node")
+            raise ParseError(path, f"subject_id {parsed.subject_id!r} names no lineage node")
         vectors[parsed.subject_id] = parsed.vector
         if parsed.template_id is not None:
             info = catalog.template_info(parsed.template_id)

@@ -12,6 +12,7 @@ entry. Every input file is read through :func:`dla.model.read_json`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, replace
@@ -33,8 +34,10 @@ from .catalog import parse_interpretation
 from .engine import EnginePolicy, fingerprint_inputs
 from .errors import DlaError, InputError, LineageError, StoreError
 from .lineage import (
+    CaptureInput,
     LineageGraph,
     compute_license_range,
+    decode_root,
     parse_capture_list,
     select_capture,
 )
@@ -141,8 +144,8 @@ def cli(
     )
 
 
-def _load_graph(path: Path, strict: bool, raw: bytes | None = None) -> LineageGraph:
-    return LineageGraph.from_dict(read_json(path, raw), str(path), strict)
+def _load_graph(path: Path, strict: bool) -> LineageGraph:
+    return LineageGraph.from_dict(read_json(path), str(path), strict)
 
 
 def _validate_one(path: Path, data: Any, strict: bool, catalog: LicenseCatalog) -> list[str]:
@@ -222,7 +225,18 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
 def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> None:
     """License range per lineage node (and the applicable capture, if given)."""
     graph = _load_graph(lineage_path, settings.strict)
-    capture_files = read_inputs(captures_dir) if captures_dir is not None else None
+    # Every capture list a node names is decoded before the first line, so a
+    # bad one ends the run with nothing on stdout.
+    captures: dict[str, list[CaptureInput]] | None = None
+    if captures_dir is not None:
+        capture_files, captures = read_inputs(captures_dir), {}
+        for node_id in graph.nodes:
+            name = f"{node_id}.json"
+            if name in capture_files:
+                path = captures_dir / name
+                captures[node_id] = parse_capture_list(
+                    read_json(path, capture_files[name]), str(path), settings.strict
+                )
     for node_id in graph.nodes:
         try:
             node_range = compute_license_range(node_id, graph)
@@ -230,15 +244,8 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
             click.echo(f"{node_id}: error: {exc}")
             continue
         line = f"{node_id}: {node_range.start_year}-{node_range.end_year}"
-        if capture_files is not None:
-            name = f"{node_id}.json"
-            captures = []
-            if name in capture_files:
-                capture_path = captures_dir / name
-                captures = parse_capture_list(
-                    read_json(capture_path, capture_files[name]), str(capture_path), settings.strict
-                )
-            capture = select_capture(node_id, captures, node_range)
+        if captures is not None:
+            capture = select_capture(node_id, captures.get(node_id, []), node_range)
             if capture.capture_year is not None:
                 line += f" capture: {capture.capture_year} ({capture.status.value})"
             else:
@@ -251,11 +258,13 @@ def _run_pipeline(
     lineage_path: Path,
     interpretations_dir: Path,
     audit_timestamps: bool,
-) -> tuple[LineageGraph, VerifiedLicense]:
-    # The lineage is parsed on every run, since the store key names its
-    # root; the other inputs are only read and hashed, and parsed on a miss.
+) -> tuple[ProvenanceRecord, VerifiedLicense]:
+    # Every input is read and hashed; with a store, only the lineage's root
+    # record is decoded, for the key. The inputs digest covers the lineage
+    # bytes and only analyses of valid inputs are stored, so a hit needs no
+    # other parse. A miss parses and validates everything.
     lineage_raw = read_input(lineage_path)
-    graph = _load_graph(lineage_path, settings.strict, lineage_raw)
+    lineage = read_json(lineage_path, lineage_raw)
     interpretation_files = read_inputs(interpretations_dir)
     template_files = read_inputs(templates_dir())
     policy = EnginePolicy(unknown_denies=settings.unknown_denies)
@@ -263,22 +272,29 @@ def _run_pipeline(
         lineage_raw, interpretation_files, policy, strict=settings.strict,
         template_digests={n: hashlib.sha256(b).hexdigest() for n, b in template_files.items()},
     )
+    graph = functools.cache(
+        lambda: LineageGraph.from_dict(lineage, str(lineage_path), settings.strict)
+    )
 
     def parse() -> InterpretationSet:
         catalog = load_catalog(files=template_files)
         return load_interpretations_dir(interpretations_dir, catalog, strict=settings.strict,
-                                        files=interpretation_files, subjects=graph.nodes)
+                                        files=interpretation_files, subjects=graph().nodes)
 
     store = AnalysisStore(settings.store_path) if settings.store_path else None
-    verified, cache_hit = lookup_or_verify(store, graph, parse, policy, inputs_digest=digest)
+    root = decode_root(lineage, str(lineage_path), settings.strict) if store is not None else None
+    verified, cache_hit = lookup_or_verify(store, graph, parse, policy, root=root,
+                                           inputs_digest=digest)
     if cache_hit:
         click.echo("(cached analysis)", err=True)
+    else:
+        root = graph().root
     # Stamped at output time, so a stored analysis never carries a stamp and
     # a hit is stamped like a miss.
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if audit_timestamps else None
     if verified.audit is not None and verified.audit.generated_at != stamp:
         verified = replace(verified, audit=replace(verified.audit, generated_at=stamp))
-    return graph, verified
+    return root, verified
 
 
 @cli.command("verify")
@@ -294,11 +310,11 @@ def cmd_verify(
     audit_timestamps: bool,
 ) -> None:
     """Compute the verified license of a dataset against its data sources."""
-    graph, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
+    root, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
     if settings.output_format == "json":
         click.echo(canonical_json(verified.to_dict()), nl=False)
     else:
-        click.echo(render_rights_markdown(verified, graph.root.dataset_name), nl=False)
+        click.echo(render_rights_markdown(verified, root.dataset_name), nl=False)
 
 
 @cli.command("assess")
@@ -329,12 +345,12 @@ def cmd_assess(
     Exits 3 when any requested scenario is denied so CI pipelines can gate
     on compliance; --no-gate downgrades that to 0.
     """
-    graph, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
+    root, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
     if scenarios_path is not None:
         scenarios = load_scenarios(scenarios_path, settings.strict)
     else:
         scenarios = default_scenarios()
-    table = assess_all(verified, scenarios, dataset_name=graph.root.dataset_name)
+    table = assess_all(verified, scenarios, dataset_name=root.dataset_name)
     if settings.output_format == "json":
         doc = {"assessment": table.to_dict(), "verified_license": verified.to_dict()}
         click.echo(canonical_json(doc), nl=False)

@@ -7,6 +7,7 @@ The root is the dataset under analysis and must reach every other node.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
@@ -15,9 +16,11 @@ from .errors import (
     AmbiguousRange,
     CycleDetected,
     DanglingReference,
+    DlaError,
     MissingOriginYear,
     NoDatasetAncestor,
     ParseError,
+    UnknownFieldWarning,
     UnreachableNode,
 )
 from .model import (
@@ -116,6 +119,31 @@ class LineageGraph:
     def from_dict(cls, data: Any, path: str = "lineage", strict: bool = True) -> "LineageGraph":
         doc = _LineageDocument.from_dict(data, path, strict)
         return build_lineage(doc.records, doc.edges, doc.root_id)
+
+
+def decode_root(data: Any, path: str = "lineage", strict: bool = True) -> ProvenanceRecord | None:
+    """The root record of a lineage document, decoded alone as
+    :meth:`LineageGraph.from_dict` decodes it; None when it cannot be found
+    or decoded, for the full parse to report why. Unknown-field warnings are
+    left to the full parse too."""
+    if not isinstance(data, dict):
+        return None
+    root_id, records = data.get("root_id"), data.get("records")
+    if not isinstance(root_id, str) or not isinstance(records, list):
+        return None
+    found = [
+        (i, record) for i, record in enumerate(records)
+        if isinstance(record, dict) and record.get("subject_id") == root_id
+    ]
+    if len(found) != 1:
+        return None
+    [(i, record)] = found
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnknownFieldWarning)
+        try:
+            return ProvenanceRecord.from_dict(record, ((path, "records"), i), strict)
+        except DlaError:
+            return None
 
 
 def _reach(adjacency: Mapping[str, Sequence[str]], root: str) -> set[str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections.abc
 import json
+import os
 import sys
 import types
 import warnings
@@ -105,22 +106,36 @@ def read_input(path: Path) -> bytes:
     try:
         return path.read_bytes()
     except OSError as exc:
-        raise InputError(path, f"cannot read file: {exc.strerror or exc}") from exc
+        raise _unreadable(path, exc) from exc
+
+
+def _unreadable(path: Path, exc: OSError) -> InputError:
+    return InputError(path, f"cannot read file: {exc.strerror or exc}")
 
 
 def read_inputs(directory: Path) -> dict[str, bytes]:
-    """The bytes of every ``*.json`` file in a directory, by file name, sorted
-    on the name string (comparing Paths is slower); raises InputError when a
-    file or the directory cannot be read."""
+    """The bytes of every ``*.json`` file in a directory, dot files included,
+    by file name in name order; raises InputError, naming the directory or
+    ``directory / name``, when either cannot be read."""
     if not directory.is_dir():
         raise InputError(directory, "not a directory")
-    return {p.name: read_input(p) for p in sorted(directory.glob("*.json"), key=lambda p: p.name)}
+    with os.scandir(directory) as entries:
+        found = sorted((e.name, e.path) for e in entries if e.name.endswith(".json"))
+    files = {}
+    for name, path in found:
+        try:
+            with open(path, "rb") as file:
+                files[name] = file.read()
+        except OSError as exc:
+            raise _unreadable(directory / name, exc) from exc
+    return files
 
 
-def read_json(path: Path, raw: bytes | None = None) -> Any:
+def read_json(path: Path | str, raw: bytes | None = None) -> Any:
     """The JSON document held by an input file; ``raw`` is the file's bytes
-    when the caller has read them already. Raises InputError when the file
-    cannot be read or is not UTF-8 JSON."""
+    when the caller has read them already, and then ``path`` may be the
+    path's string. Raises InputError when the file cannot be read or is not
+    UTF-8 JSON."""
     if raw is None:
         raw = read_input(path)
     try:

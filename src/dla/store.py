@@ -176,28 +176,34 @@ def _stale_reason(stored: VerifiedLicense, current_digest: str) -> str | None:
 
 def lookup_or_verify(
     store: AnalysisStore | None,
-    graph: LineageGraph,
+    graph: LineageGraph | Callable[[], LineageGraph],
     interpretations: Mapping[str, RightsVector | None] | Callable[[], InterpretationSet],
     policy: EnginePolicy = EnginePolicy(),
     *,
+    root: ProvenanceRecord | None = None,
     template_digests: Mapping[str, str] | None = None,
     inputs_digest: str | None = None,
 ) -> tuple[VerifiedLicense, bool]:
     """Return the verified license, consulting the store first.
 
-    ``interpretations`` is the parsed vectors, fingerprinted here; or, with
-    the ``inputs_digest`` of the authored bytes, a function that parses them,
-    called only when the engine runs. A stored analysis is served only when
-    its audit trailer names this engine version and the inputs digest; the
-    engine is then not invoked at all. Any other stored analysis is stale: a
+    ``graph`` is the lineage graph; or a function that builds it, called
+    only when the engine runs, with ``root``, its root record, for the store
+    key (None: the store is not consulted). ``interpretations`` is the parsed
+    vectors; or a function that parses them, also called only when the engine
+    runs. Either function needs the ``inputs_digest`` of the authored bytes;
+    objects are fingerprinted here. A stored analysis is served only when its
+    audit trailer names this engine version and the inputs digest; the engine
+    is then not invoked at all. Any other stored analysis is stale: a
     StaleEntryWarning is emitted and the analysis reruns. Misses run the
     engine and persist (unless the store is read-only or None).
     """
+    if isinstance(graph, LineageGraph):
+        root = graph.root
     if inputs_digest is None:
         inputs_digest = fingerprint_inputs(graph, interpretations, policy,
                                            template_digests=template_digests)
-    key = analysis_key(graph.root, policy)
-    if store is not None:
+    if store is not None and root is not None:
+        key = analysis_key(root, policy)
         stored = store.get(key)
         if stored is not None:
             reason = _stale_reason(stored, inputs_digest)
@@ -209,11 +215,13 @@ def lookup_or_verify(
                 stacklevel=2,
             )
 
+    if callable(graph):
+        graph = graph()
     if callable(interpretations):
         parsed = interpretations()
         interpretations, template_digests = parsed.vectors, parsed.template_digests
     verified = verify(graph, interpretations, policy, template_digests=template_digests,
                       inputs_digest=inputs_digest)
     if store is not None:
-        store.put(key, verified, graph.root.dataset_name)
+        store.put(analysis_key(graph.root, policy), verified, graph.root.dataset_name)
     return verified, False

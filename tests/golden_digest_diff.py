@@ -1,16 +1,17 @@
-"""Show that the JSON ``verify`` and ``assess`` stdout of every shipped bundle
-differs from an earlier golden only in the audit trailer's ``inputs_digest``.
+"""Show that an engine version bump moved the JSON ``verify`` and ``assess``
+stdout of every shipped bundle only in the audit trailer's ``engine_version``
+and ``inputs_digest`` (the digest covers the engine version).
 
-The inputs digest became a Merkle root over the authored bytes; before, it
-was the sha256 of one compact JSON document holding the parsed graph, every
-parsed vector and the policy. For each of the 14 JSON rows this script runs
-the command, puts the digest of the old formula in place of the new one, and
-checks that the result hashes to the old golden row. Every other row must be
-the same in both files. With ``--write`` it then records the 14 rows of the
-current code in ``tests/data/golden_outputs.json`` and leaves the rest alone.
+For each of the 14 JSON rows this script runs the command twice: as it is,
+and with ``ENGINE_VERSION`` set back to the earlier version. The second run
+must hash to the earlier golden row, and the first must equal the second once
+its engine version and inputs digest, each found exactly once, are put back.
+Every other row must be the same in both files. With ``--write`` it then
+records the 14 rows of the current code in ``tests/data/golden_outputs.json``
+and leaves the rest alone.
 
-    git show b6c0a3c:tests/data/golden_outputs.json > /tmp/old_golden.json
-    PYTHONPATH=src python tests/golden_digest_diff.py /tmp/old_golden.json [--write]
+    git show <commit>:tests/data/golden_outputs.json > old_golden.json
+    PYTHONPATH=src python tests/golden_digest_diff.py old_golden.json 0.1.0 [--write]
 """
 
 from __future__ import annotations
@@ -19,38 +20,38 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 from click.testing import CliRunner
 
-from dla import EnginePolicy
+import dla.engine
 from dla.cli import cli
 from test_golden_outputs import COMMANDS, GOLDEN_OUTPUTS_PATH
 
-from helpers import BUNDLE_NAMES, bundle_paths, load_bundle
+from helpers import BUNDLE_NAMES, bundle_paths
 
 DIGEST_ROWS = ("json assess", "json verify")
 
 
-def old_digest(bundle: str) -> str:
-    """The inputs digest as the earlier engine computed it."""
-    graph, interpretations = load_bundle(bundle)
-    doc = {
-        "graph": graph.to_dict(),
-        "interpretations": {
-            subject_id: vector.to_dict() if vector is not None else None
-            for subject_id, vector in sorted(interpretations.vectors.items())
-        },
-        "policy": EnginePolicy().to_dict(),
-    }
-    text = json.dumps(doc, separators=(",", ":"), sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def run(args: list[str]) -> tuple[bytes, int, dict]:
+    """stdout, exit code and audit trailer of one command."""
+    result = CliRunner().invoke(cli, args, catch_exceptions=False)
+    doc = json.loads(result.stdout)
+    return result.stdout_bytes, result.exit_code, doc.get("verified_license", doc)["audit"]
 
 
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def put_back(stdout: bytes, audit: dict, earlier: dict) -> bytes | None:
+    """``stdout`` with the audit's engine version and inputs digest replaced by
+    the earlier ones; None unless each occurs exactly once."""
+    for field in ("engine_version", "inputs_digest"):
+        now, was = (f'"{field}": "{a[field]}"'.encode() for a in (audit, earlier))
+        if stdout.count(now) != 1:
+            return None
+        stdout = stdout.replace(now, was)
+    return stdout
 
 
-def main(old_path: Path, write: bool) -> int:
+def main(old_path: Path, old_version: str, write: bool) -> int:
     old = json.loads(old_path.read_text(encoding="utf-8"))
     golden = json.loads(GOLDEN_OUTPUTS_PATH.read_text(encoding="utf-8"))
     problems = []
@@ -61,21 +62,21 @@ def main(old_path: Path, write: bool) -> int:
                 if golden[bundle][command] != old[bundle][command]:
                     problems.append(f"{bundle} {command}: row changed")
                 continue
-            args = COMMANDS[command](lineage, interp, lineage.parent / "captures")
-            result = CliRunner().invoke(cli, [str(a) for a in args], catch_exceptions=False)
-            doc = json.loads(result.stdout)
-            audit = doc.get("verified_license", doc)["audit"]
-            new_digest, was = audit["inputs_digest"], old_digest(bundle)
-            assert result.stdout.count(new_digest) == 1
-            restored = result.stdout_bytes.replace(new_digest.encode(), was.encode())
-            same = {"sha256": sha256(restored), "exit_code": result.exit_code}
-            verdict = "only inputs_digest differs" if same == old[bundle][command] else "DIFFERS"
-            if verdict == "DIFFERS":
-                problems.append(f"{bundle} {command}: more than inputs_digest changed")
-            print(f"{bundle:<20} {command:<12} {was[:12]} -> {new_digest[:12]}  {verdict}")
+            args = [str(a) for a in COMMANDS[command](lineage, interp, lineage.parent / "captures")]
+            stdout, code, audit = run(args)
+            with mock.patch.object(dla.engine, "ENGINE_VERSION", old_version):
+                earlier_stdout, earlier_code, earlier = run(args)
+            earlier_row = {
+                "sha256": hashlib.sha256(earlier_stdout).hexdigest(), "exit_code": earlier_code
+            }
+            if earlier_row != old[bundle][command]:
+                problems.append(f"{bundle} {command}: the earlier version's row differs")
+            elif put_back(stdout, audit, earlier) != earlier_stdout or code != earlier_code:
+                problems.append(f"{bundle} {command}: more than the two audit fields changed")
+            else:
+                print(f"{bundle:<26} {command:<12} only engine_version and inputs_digest moved")
             golden[bundle][command] = {
-                "sha256": sha256(result.stdout_bytes),
-                "exit_code": result.exit_code,
+                "sha256": hashlib.sha256(stdout).hexdigest(), "exit_code": code
             }
     for problem in problems:
         print(problem)
@@ -85,4 +86,4 @@ def main(old_path: Path, write: bool) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(Path(sys.argv[1]), "--write" in sys.argv[2:]))
+    sys.exit(main(Path(sys.argv[1]), sys.argv[2], "--write" in sys.argv[3:]))

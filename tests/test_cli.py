@@ -248,6 +248,21 @@ class TestRange:
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {captures / 'stray.json'}: cannot read file")
 
+    @pytest.mark.parametrize(
+        "text, code, error",
+        [("[", 64, "invalid JSON"), ("{}", 1, "expected array of captures")],
+        ids=["truncated", "not-an-array"],
+    )
+    def test_bad_capture_list_exits_before_any_line(self, runner, tmp_path, text, code, error):
+        lineage, _ = bundle_paths("cifar-10")
+        captures = tmp_path / "captures"
+        shutil.copytree(lineage.parent / "captures", captures)
+        (captures / "google.json").write_text(text)
+        result = invoke(runner, "range", lineage, "--captures", captures)
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {captures / 'google.json'}: {error}")
+
     def test_deep_website_chain_inherits_the_root_range(self, runner, tmp_path):
         lineage = tmp_path / "lineage.json"
         ids = write_chain_lineage(lineage, "root", 5000)

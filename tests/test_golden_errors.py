@@ -26,6 +26,7 @@ import json
 import random
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -67,9 +68,11 @@ MUTATIONS_PER_TYPE = 96
 # One value of each JSON type, and a string no enum accepts.
 SWAPS = ("zz", 7, -1, True, 1.5, [], ["zz"], {}, {"zz": 1})
 UNKNOWN_FIELD = "zz_unknown"
-# The inputs digest of the imagenet analysis as first recorded. This file
-# freezes the codec, not the fingerprint, so the analysis carries it as is.
+# The inputs digest and engine version of the imagenet analysis as first
+# recorded. This file freezes the codec, not the fingerprint or the engine
+# version, so the analysis carries them as they were.
 INPUTS_DIGEST = "a68a9ed14f0a2aeee2060644ec8b663440e607381258fc327e3e656019c36b5f"
+ENGINE_VERSION = "0.1.0"
 
 
 def document_types() -> set[type]:
@@ -98,6 +101,7 @@ def base_documents() -> dict[type, Any]:
         template_digests=interpretations.template_digests,
         inputs_digest=INPUTS_DIGEST,
     )
+    verified = replace(verified, audit=replace(verified.audit, engine_version=ENGINE_VERSION))
     table = assess_all(verified, default_scenarios(), dataset_name=graph.root.dataset_name)
     blocked = next(row for row in table.rows if row.blocking_rights)
     template = read(templates_dir() / "cc-by-4.0.json")

@@ -4,9 +4,10 @@ on every shipped bundle, recorded once in ``tests/data/golden_outputs.json``.
 A reordered document field, a changed number format or a changed exit code
 fails here even where the round-trip tests still pass. The hashes are a
 contract; they are never regenerated to make a change pass. The JSON
-``verify`` and ``assess`` rows were re-recorded once, when the inputs digest
-became a Merkle root over the authored bytes; ``tests/golden_digest_diff.py``
-shows that their stdout moved only in ``inputs_digest``.
+``verify`` and ``assess`` rows were re-recorded twice: when the inputs digest
+became a Merkle root over the authored bytes, and when ``ENGINE_VERSION``
+moved from 0.1.0 to 0.2.0. ``tests/golden_digest_diff.py`` shows that the
+second moved their stdout only in ``engine_version`` and ``inputs_digest``.
 """
 
 from __future__ import annotations

@@ -2,16 +2,19 @@
 
 The inputs digest is a Merkle root over the authored bytes: the lineage file,
 each interpretation file by name, every catalog template, and the policy,
-parse mode and engine version. ``assess`` reads and hashes those bytes, looks
-the key up, and parses interpretations and templates only when the engine
-has to run.
+parse mode and engine version. ``assess`` reads and hashes those bytes,
+decodes the lineage's root record alone to look the key up, and parses the
+whole lineage, the interpretations and the templates only when the engine has
+to run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,12 +23,14 @@ from click.testing import CliRunner
 import dla.catalog
 import dla.cli
 import dla.engine
+import dla.lineage
 import dla.store
 from dla.cli import cli
-from dla.errors import StaleEntryWarning
+from dla.errors import StaleEntryWarning, UnknownFieldWarning
+from dla.model import ProvenanceRecord
 from dla.resources import templates_dir
 
-from helpers import bundle_paths
+from helpers import BUNDLE_NAMES, bundle_paths
 
 OLDER_BLOB = Path(__file__).parent / "data" / "older_store_blob.json"
 
@@ -117,8 +122,8 @@ def test_switching_strict_and_lenient_is_a_miss(bundle):
 
 
 def test_blob_written_before_the_merkle_digest_is_stale_and_overwritten(tmp_path):
-    """``older_store_blob.json`` is the cityscapes analysis as the same engine
-    version stored it while the digest was a sha256 of the parsed inputs."""
+    """``older_store_blob.json`` is the cityscapes analysis as engine 0.1.0
+    stored it while the digest was a sha256 of the parsed inputs."""
     lineage, interp = bundle_paths("cityscapes")
     store = tmp_path / "store"
     store.mkdir()
@@ -126,7 +131,7 @@ def test_blob_written_before_the_merkle_digest_is_stale_and_overwritten(tmp_path
     blob = blob.with_suffix(".json")
     shutil.copy(OLDER_BLOB, blob)
     args = ["--store", str(store), "assess", str(lineage), str(interp)]
-    with pytest.warns(StaleEntryWarning, match="computed from different inputs"):
+    with pytest.warns(StaleEntryWarning, match="was computed by engine 0.1.0"):
         first = CliRunner().invoke(cli, args, catch_exceptions=False)
     assert first.exit_code == 3
     assert first.stderr == ""  # neither corrupt nor a hit
@@ -157,3 +162,104 @@ def test_cli_run_fingerprints_once(bundle, monkeypatch, path):
         result = CliRunner().invoke(cli, args, catch_exceptions=False)
     assert cached(result) is (path == "hit")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("output_format", ["json", "markdown"])
+@pytest.mark.parametrize("command", ["assess", "verify"])
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_hit_prints_what_the_miss_printed(tmp_path, name, command, output_format):
+    lineage, interp = bundle_paths(name)
+    args = ["--store", str(tmp_path / "store"), "--format", output_format, command,
+            str(lineage), str(interp)]
+    miss, hit = (CliRunner().invoke(cli, args, catch_exceptions=False) for _ in range(2))
+    assert not cached(miss) and cached(hit)
+    assert (hit.stdout, hit.exit_code) == (miss.stdout, miss.exit_code)
+
+
+def test_hit_decodes_the_root_record_alone(bundle, monkeypatch):
+    calls = []
+    real_record, real_build = ProvenanceRecord.from_dict, dla.lineage.build_lineage
+
+    def record(cls, *args, **kwargs):
+        calls.append("record")
+        return real_record(*args, **kwargs)
+
+    def build(*args, **kwargs):
+        calls.append("build_lineage")
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(ProvenanceRecord, "from_dict", classmethod(record))
+    monkeypatch.setattr(dla.lineage, "build_lineage", build)
+    assert not cached(assess(bundle))
+    assert sorted(calls) == ["build_lineage"] + ["record"] * 3  # the root alone, then both
+    calls.clear()
+    assert cached(assess(bundle))
+    assert calls == ["record"]
+
+
+def edit_lineage(doc: dict, edit: str) -> None:
+    """Make the ffhq lineage invalid in place."""
+    if edit == "cycle":
+        doc["edges"].append(["flickr", "ffhq"])
+    elif edit == "duplicate-root":
+        doc["records"].append(doc["records"][0])
+    else:
+        del doc["records"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, code, error",
+    [("cycle", 2, "cycle detected: ffhq -> flickr -> ffhq"),
+     ("duplicate-root", 1, "records: duplicate subject_id 'ffhq'"),
+     ("deleted-root", 2, "edge references unknown subject: 'ffhq'")],
+    ids=["cycle", "duplicate-root", "deleted-root"],
+)
+def test_stored_lineage_edited_into_an_invalid_one_is_a_miss(bundle, edit, code, error):
+    assess(bundle)
+    lineage = bundle / "lineage.json"
+    doc = json.loads(lineage.read_text(encoding="utf-8"))
+    assert doc["records"][0]["subject_id"] == doc["root_id"] == "ffhq"
+    edit_lineage(doc, edit)
+    lineage.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = assess(bundle)
+    stale = [w for w in caught if issubclass(w.category, StaleEntryWarning)]
+    assert len(stale) == (edit == "cycle")  # only a cycle leaves the root decodable
+    assert not cached(result)
+    assert (result.exit_code, result.stdout) == (code, "")
+    assert result.stderr == f"error: {error}\n"  # no traceback
+
+
+def test_blob_of_the_previous_engine_version_is_stale(bundle, monkeypatch):
+    history = json.loads((OLDER_BLOB.parent / "engine_version.json").read_text("utf-8"))
+    previous = history["versions"][-2]["engine_version"]
+    with monkeypatch.context() as patched:
+        patched.setattr(dla.engine, "ENGINE_VERSION", previous)
+        assess(bundle)
+    with pytest.warns(StaleEntryWarning, match=f"was computed by engine {re.escape(previous)};"):
+        stale = assess(bundle)
+    assert not cached(stale)
+    assert json.loads(stale.stdout)["verified_license"]["audit"]["engine_version"] != previous
+    assert cached(assess(bundle))
+
+
+def test_lineage_unknown_field_warns_once_on_a_miss_and_never_on_a_hit(bundle):
+    lineage = bundle / "lineage.json"
+    doc = json.loads(lineage.read_text(encoding="utf-8"))
+    for record in doc["records"]:
+        record["zz_unknown"] = 1
+    lineage.write_text(json.dumps(doc), encoding="utf-8")
+
+    def warned() -> list[str]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assess(bundle, "--lenient")
+        return sorted(str(w.message) for w in caught
+                      if issubclass(w.category, UnknownFieldWarning))
+
+    miss = warned()
+    assert [m.split(": ")[0].rsplit(".", 1)[1] for m in miss] == ["records[0]", "records[1]"]
+    assert warned() == []  # a hit
+    lineage.write_bytes(lineage.read_bytes() + b"\n")
+    assert warned() == miss  # a stale entry: the full parse warns, once per record
