@@ -45,7 +45,7 @@ from .model import (
     validate_provenance,
     validate_rights_vector,
 )
-from .store import AnalysisStore, analysis_key, lookup_or_verify
+from .store import AnalysisStore, Bundle, analysis_key, lookup_or_verify
 from .version import __version__
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "AnalysisStore",
     "AssessmentRow",
     "AssessmentTable",
+    "Bundle",
     "CaptureStatus",
     "Digest",
     "EnginePolicy",

@@ -12,8 +12,6 @@ entry. Every input file is read through :func:`dla.model.read_json`.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -29,15 +27,13 @@ from .assessment import (
     render_markdown,
     render_rights_markdown,
 )
-from .catalog import InterpretationSet, LicenseCatalog, load_catalog, load_interpretations_dir
-from .catalog import parse_interpretation
-from .engine import EnginePolicy, fingerprint_inputs
+from .catalog import LicenseCatalog, load_catalog, parse_interpretation
+from .engine import EnginePolicy
 from .errors import DlaError, InputError, LineageError, StoreError
 from .lineage import (
     CaptureInput,
     LineageGraph,
     compute_license_range,
-    decode_root,
     parse_capture_list,
     select_capture,
 )
@@ -46,14 +42,12 @@ from .model import (
     RightsVector,
     VerifiedLicense,
     canonical_json,
-    read_input,
     read_inputs,
     read_json,
     validate_provenance,
     validate_rights_vector,
 )
-from .resources import templates_dir
-from .store import AnalysisStore, lookup_or_verify
+from .store import AnalysisStore, Bundle, lookup_or_verify
 from .version import __version__
 
 EXIT_OK = 0
@@ -259,42 +253,18 @@ def _run_pipeline(
     interpretations_dir: Path,
     audit_timestamps: bool,
 ) -> tuple[ProvenanceRecord, VerifiedLicense]:
-    # Every input is read and hashed; with a store, only the lineage's root
-    # record is decoded, for the key. The inputs digest covers the lineage
-    # bytes and only analyses of valid inputs are stored, so a hit needs no
-    # other parse. A miss parses and validates everything.
-    lineage_raw = read_input(lineage_path)
-    lineage = read_json(lineage_path, lineage_raw)
-    interpretation_files = read_inputs(interpretations_dir)
-    template_files = read_inputs(templates_dir())
-    policy = EnginePolicy(unknown_denies=settings.unknown_denies)
-    digest = fingerprint_inputs(
-        lineage_raw, interpretation_files, policy, strict=settings.strict,
-        template_digests={n: hashlib.sha256(b).hexdigest() for n, b in template_files.items()},
-    )
-    graph = functools.cache(
-        lambda: LineageGraph.from_dict(lineage, str(lineage_path), settings.strict)
-    )
-
-    def parse() -> InterpretationSet:
-        catalog = load_catalog(files=template_files)
-        return load_interpretations_dir(interpretations_dir, catalog, strict=settings.strict,
-                                        files=interpretation_files, subjects=graph().nodes)
-
+    bundle = Bundle.read(lineage_path, interpretations_dir, settings.strict)
     store = AnalysisStore(settings.store_path) if settings.store_path else None
-    root = decode_root(lineage, str(lineage_path), settings.strict) if store is not None else None
-    verified, cache_hit = lookup_or_verify(store, graph, parse, policy, root=root,
-                                           inputs_digest=digest)
+    verified, cache_hit = lookup_or_verify(
+        store, bundle, EnginePolicy(unknown_denies=settings.unknown_denies))
     if cache_hit:
         click.echo("(cached analysis)", err=True)
-    else:
-        root = graph().root
     # Stamped at output time, so a stored analysis never carries a stamp and
     # a hit is stamped like a miss.
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if audit_timestamps else None
     if verified.audit is not None and verified.audit.generated_at != stamp:
         verified = replace(verified, audit=replace(verified.audit, generated_at=stamp))
-    return root, verified
+    return bundle.root, verified  # decodable: the lineage is valid, or it was a hit
 
 
 @cli.command("verify")
@@ -365,17 +335,17 @@ def cmd_store() -> None:
     """Inspect or prune the analysis store."""
 
 
-def _open_store(settings: Settings, read_only: bool) -> AnalysisStore:
+def _open_store(settings: Settings) -> AnalysisStore:
     if settings.store_path is None:
         raise StoreError("no store configured; pass --store or set DLA_STORE")
-    return AnalysisStore(settings.store_path, read_only=read_only)
+    return AnalysisStore(settings.store_path)
 
 
 @cmd_store.command("ls")
 @click.pass_obj
 def cmd_store_ls(settings: Settings) -> None:
     """List stored analyses."""
-    for entry in _open_store(settings, read_only=True).entries():
+    for entry in _open_store(settings).entries():
         click.echo(f"{entry.key}  {entry.dataset_name}")
 
 
@@ -384,7 +354,7 @@ def cmd_store_ls(settings: Settings) -> None:
 @click.pass_obj
 def cmd_store_rm(settings: Settings, key: str) -> None:
     """Remove one stored analysis by key."""
-    removed = _open_store(settings, read_only=False).remove(key)
+    removed = _open_store(settings).remove(key)
     click.echo(f"removed {key}" if removed else f"no entry for {key}")
 
 

@@ -26,7 +26,6 @@ from .model import (
     RightEntry,
     RightsVector,
     VerifiedLicense,
-    canonical_json,
     merge_obligations,
 )
 
@@ -51,9 +50,7 @@ class EnginePolicy(Document, path="policy"):
         return f"unknown_denies={int(self.unknown_denies)}"
 
 
-def _leaf(value: bytes | LineageGraph | Document | None) -> str:
-    if not isinstance(value, bytes):
-        value = canonical_json(value.to_dict() if value is not None else None).encode("utf-8")
+def _leaf(value: bytes) -> str:
     return hashlib.sha256(value).hexdigest()
 
 
@@ -62,24 +59,22 @@ def _node(children: Mapping[str, str]) -> str:
 
 
 def fingerprint_inputs(
-    lineage: LineageGraph | bytes,
-    interpretations: Mapping[str, RightsVector | bytes | None],
+    lineage: bytes,
+    interpretations: Mapping[str, bytes],
+    templates: Mapping[str, bytes],
     policy: EnginePolicy,
     *,
-    template_digests: Mapping[str, str] | None = None,
     strict: bool = True,
 ) -> str:
     """Stable digest of everything the engine's answer depends on: a Merkle
-    root (Merkle 1987) over sha256 leaves of the lineage, each interpretation
-    by name, each template digest by name, the policy, the parse mode and the
-    engine version. A leaf hashes authored bytes (the CLI: files by name,
-    every template) or a parsed object's canonical JSON (library callers:
-    vectors by subject id), so the two kinds of digest differ.
+    root (Merkle 1987) over sha256 leaves of the lineage file's bytes, of each
+    interpretation file and each template file by name, and of the policy,
+    the parse mode and the engine version.
     """
     return _node({
         "lineage": _leaf(lineage),
-        "interpretations": _node({name: _leaf(v) for name, v in interpretations.items()}),
-        "templates": _node(dict(template_digests or {})),
+        "interpretations": _node({name: _leaf(raw) for name, raw in interpretations.items()}),
+        "templates": _node({name: _leaf(raw) for name, raw in templates.items()}),
         "policy": _leaf(policy.token().encode("utf-8")),
         "mode": _leaf(b"strict" if strict else b"lenient"),
         "engine": _leaf(ENGINE_VERSION.encode("utf-8")),
@@ -98,7 +93,7 @@ def verify(
     policy: EnginePolicy = EnginePolicy(),
     *,
     template_digests: Mapping[str, str] | None = None,
-    inputs_digest: str | None = None,
+    inputs_digest: str,
 ) -> VerifiedLicense:
     """Resolve the verified license of the graph's root dataset.
 
@@ -108,7 +103,8 @@ def verify(
     obligation unions list the root's obligations first, then each source's
     in subject-id order. The audit trailer's ``generated_at`` is left null;
     a caller that wants a timestamp stamps the result it emits.
-    ``inputs_digest`` is their :func:`fingerprint_inputs`, if already known.
+    ``inputs_digest`` is the :func:`fingerprint_inputs` of the files they
+    were parsed from, for the audit trailer.
     """
     if graph.root_id not in interpretations or interpretations[graph.root_id] is None:
         raise MissingRootInterpretation(graph.root_id)
@@ -159,8 +155,7 @@ def verify(
         residual_risk_flags=unavailable,
         audit=AuditInfo(
             engine_version=ENGINE_VERSION,
-            inputs_digest=inputs_digest
-            or fingerprint_inputs(graph, interpretations, policy, template_digests=template_digests),
+            inputs_digest=inputs_digest,
             policy=policy.to_dict(),
             template_digests=dict(template_digests or {}),
         ),

@@ -137,7 +137,3 @@ class UnknownFieldWarning(DlaWarning):
 class StaleEntryWarning(DlaWarning):
     """A cached analysis exists under the key but was computed from other
     inputs or by another engine version."""
-
-
-class ReadOnlyStoreWarning(DlaWarning):
-    """A result should have been persisted but the store is read-only."""

@@ -9,6 +9,10 @@ no index to keep consistent: listing scans the directory, and every write
 goes through its own temp file and an atomic rename, so concurrent writers
 are safe. A blob that does not decode, names another key or fails its digest
 is corrupt; one removed between a listing or lookup and its read is a miss.
+
+:func:`lookup_or_verify` analyses a :class:`Bundle`, the files of one dataset
+as read from disk, through the store; the CLI and library callers share it,
+and so share store entries.
 """
 
 from __future__ import annotations
@@ -19,28 +23,24 @@ import re
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Any, Mapping
 
-from .catalog import InterpretationSet
+from .catalog import InterpretationSet, load_catalog, load_interpretations_dir
 from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
-from .errors import (
-    InputError,
-    ParseError,
-    ReadOnlyStoreWarning,
-    StaleEntryWarning,
-    StoreCorrupt,
-    StoreError,
-)
-from .lineage import LineageGraph
+from .errors import InputError, ParseError, StaleEntryWarning, StoreCorrupt, StoreError
+from .lineage import LineageGraph, decode_root
 from .model import (
     Document,
     ProvenanceRecord,
-    RightsVector,
     VerifiedLicense,
     canonical_json,
+    read_input,
+    read_inputs,
     read_json,
 )
+from .resources import templates_dir
 
 _KEY_SCHEME = "dla-analysis-key-v1"
 _KEY = re.compile(r"[0-9a-f]{64}")
@@ -84,19 +84,14 @@ class StoreEntry(Document, path="store_entry"):
 
 
 class AnalysisStore:
-    """Filesystem-backed result store with lookup-before-analyze semantics."""
+    """Filesystem-backed result store with lookup-before-analyze semantics.
+    The directory is created by the first :meth:`put`; until then the store
+    is empty."""
 
-    def __init__(self, root: Path | str, read_only: bool = False) -> None:
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self.read_only = read_only
         if self.root.exists() and not self.root.is_dir():
             raise StoreError(f"store {self.root} is not a directory")
-        if not read_only:
-            try:
-                self.root.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                detail = exc.strerror or exc
-                raise StoreError(f"cannot create store {self.root}: {detail}") from exc
 
     def _blob_path(self, key: str) -> Path | None:
         """The blob of a well-formed key; None for any other string, so a
@@ -108,8 +103,8 @@ class AnalysisStore:
         try:
             entry = StoreEntry.from_dict(read_json(path))
         except (InputError, ParseError) as exc:
-            if isinstance(exc.__cause__, FileNotFoundError):
-                return None  # removed (``store rm``) since it was listed or looked up
+            if isinstance(exc.__cause__, (FileNotFoundError, NotADirectoryError)):
+                return None  # removed (``store rm``) since it was listed, or no store yet
             raise StoreCorrupt(key, f"invalid blob: {exc}")
         if entry.key != key:
             raise StoreCorrupt(key, f"blob names key {entry.key!r}")
@@ -131,16 +126,13 @@ class AnalysisStore:
         return entry.verified_license if entry is not None else None
 
     def put(self, key: str, verified: VerifiedLicense, dataset_name: str) -> None:
-        if self.read_only:
-            warnings.warn(
-                f"store {self.root} is read-only; result for {dataset_name!r} not persisted",
-                ReadOnlyStoreWarning,
-                stacklevel=2,
-            )
-            return
         path = self._blob_path(key)
         if path is None:
             raise ValueError(f"not a store key: {key!r}")
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StoreError(f"cannot create store {self.root}: {exc.strerror or exc}") from exc
         entry = StoreEntry(key, dataset_name, _payload_sha256(verified), verified)
         fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.root)
         try:
@@ -158,7 +150,7 @@ class AnalysisStore:
             return False
         try:
             path.unlink()
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             return False
         return True
 
@@ -174,36 +166,68 @@ def _stale_reason(stored: VerifiedLicense, current_digest: str) -> str | None:
     return None
 
 
-def lookup_or_verify(
-    store: AnalysisStore | None,
-    graph: LineageGraph | Callable[[], LineageGraph],
-    interpretations: Mapping[str, RightsVector | None] | Callable[[], InterpretationSet],
-    policy: EnginePolicy = EnginePolicy(),
-    *,
-    root: ProvenanceRecord | None = None,
-    template_digests: Mapping[str, str] | None = None,
-    inputs_digest: str | None = None,
-) -> tuple[VerifiedLicense, bool]:
-    """Return the verified license, consulting the store first.
+@dataclass(frozen=True)
+class Bundle:
+    """A dataset's bundle as read from disk: the lineage file's bytes and
+    JSON document, the interpretation files by name, the license template
+    files by name, and the parse mode. The inputs digest hashes these bytes;
+    the root record, the lineage graph and the parsed interpretations are
+    decoded from them only when asked, and then once."""
 
-    ``graph`` is the lineage graph; or a function that builds it, called
-    only when the engine runs, with ``root``, its root record, for the store
-    key (None: the store is not consulted). ``interpretations`` is the parsed
-    vectors; or a function that parses them, also called only when the engine
-    runs. Either function needs the ``inputs_digest`` of the authored bytes;
-    objects are fingerprinted here. A stored analysis is served only when its
-    audit trailer names this engine version and the inputs digest; the engine
-    is then not invoked at all. Any other stored analysis is stale: a
-    StaleEntryWarning is emitted and the analysis reruns. Misses run the
-    engine and persist (unless the store is read-only or None).
+    lineage_path: Path
+    lineage_bytes: bytes
+    lineage: Any
+    interpretations_dir: Path
+    interpretation_files: Mapping[str, bytes]
+    template_files: Mapping[str, bytes]
+    strict: bool = True
+
+    @classmethod
+    def read(cls, lineage_path: Path, interpretations_dir: Path, strict: bool = True) -> Bundle:
+        """Read a bundle and the shipped templates; raises InputError, naming
+        the file, when one cannot be read or the lineage is not JSON."""
+        raw = read_input(lineage_path)
+        return cls(lineage_path, raw, read_json(lineage_path, raw), interpretations_dir,
+                   read_inputs(interpretations_dir), read_inputs(templates_dir()), strict)
+
+    def digest(self, policy: EnginePolicy) -> str:
+        return fingerprint_inputs(self.lineage_bytes, self.interpretation_files,
+                                  self.template_files, policy, strict=self.strict)
+
+    @cached_property
+    def root(self) -> ProvenanceRecord | None:
+        """The lineage's root record, decoded alone (:func:`decode_root`)."""
+        return decode_root(self.lineage, str(self.lineage_path), self.strict)
+
+    @cached_property
+    def graph(self) -> LineageGraph:
+        return LineageGraph.from_dict(self.lineage, str(self.lineage_path), self.strict)
+
+    @cached_property
+    def interpretations(self) -> InterpretationSet:
+        catalog = load_catalog(files=self.template_files)
+        return load_interpretations_dir(self.interpretations_dir, catalog, strict=self.strict,
+                                        files=self.interpretation_files,
+                                        subjects=self.graph.nodes)
+
+
+def lookup_or_verify(
+    store: AnalysisStore | None, bundle: Bundle, policy: EnginePolicy = EnginePolicy()
+) -> tuple[VerifiedLicense, bool]:
+    """Return the bundle's verified license and whether the store held it.
+
+    The store is looked up under the key of the lineage's root record, decoded
+    alone. A stored analysis is served only when its audit trailer names this
+    engine version and the bundle's inputs digest. The digest covers every
+    byte of the bundle and only analyses of valid bundles are stored, so a hit
+    parses nothing more and the engine is not invoked. Any other stored
+    analysis is stale: a StaleEntryWarning is emitted and the analysis reruns.
+    Otherwise the lineage and interpretations are parsed and validated, the
+    engine runs, and the result is stored (unless the store is None).
     """
-    if isinstance(graph, LineageGraph):
-        root = graph.root
-    if inputs_digest is None:
-        inputs_digest = fingerprint_inputs(graph, interpretations, policy,
-                                           template_digests=template_digests)
-    if store is not None and root is not None:
-        key = analysis_key(root, policy)
+    inputs_digest = bundle.digest(policy)
+    if store is not None and bundle.root is not None:
+        key = analysis_key(bundle.root, policy)
         stored = store.get(key)
         if stored is not None:
             reason = _stale_reason(stored, inputs_digest)
@@ -215,12 +239,8 @@ def lookup_or_verify(
                 stacklevel=2,
             )
 
-    if callable(graph):
-        graph = graph()
-    if callable(interpretations):
-        parsed = interpretations()
-        interpretations, template_digests = parsed.vectors, parsed.template_digests
-    verified = verify(graph, interpretations, policy, template_digests=template_digests,
+    graph, parsed = bundle.graph, bundle.interpretations
+    verified = verify(graph, parsed.vectors, policy, template_digests=parsed.template_digests,
                       inputs_digest=inputs_digest)
     if store is not None:
         store.put(analysis_key(graph.root, policy), verified, graph.root.dataset_name)

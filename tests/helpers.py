@@ -8,6 +8,7 @@ from pathlib import Path
 
 import dla
 from dla import (
+    Bundle,
     EnginePolicy,
     FIXED_RIGHTS,
     Grant,
@@ -39,6 +40,9 @@ BUNDLE_NAMES = [
 ]
 
 GOLDEN_KEYS_PATH = Path(__file__).parent / "data" / "golden_keys.json"
+# The inputs digest ``verify`` records for an analysis of parsed objects,
+# which no file bytes were hashed for.
+DIGEST = "d" * 64
 FIXTURES_DIR = Path(dla.__file__).resolve().parent / "data" / "fixtures"
 
 _CATALOG = load_catalog()
@@ -56,6 +60,10 @@ def load_bundle(name: str) -> tuple[LineageGraph, InterpretationSet]:
 def bundle_paths(name: str) -> tuple[Path, Path]:
     base = FIXTURES_DIR / name
     return base / "lineage.json", base / "interpretations"
+
+
+def read_bundle(name: str) -> Bundle:
+    return Bundle.read(*bundle_paths(name))
 
 
 # ---------------------------------------------------------------------------

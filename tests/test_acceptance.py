@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from dla import (
     AnalysisStore,
+    EnginePolicy,
     LicenseRange,
     build_lineage,
     compute_license_range,
@@ -35,11 +36,13 @@ from dla.model import (
 )
 
 from helpers import (
+    DIGEST,
     bundle_paths,
     load_bundle,
     oracle_verify,
     random_case,
     random_vector,
+    read_bundle,
     record_for,
     write_synthetic_bundle,
 )
@@ -91,7 +94,7 @@ def test_criterion_1_assessment_table_reproduction():
 
 def test_criterion_2_changed_rights_reproduction():
     graph, interp = load_bundle("cifar-10")
-    verified = verify(graph, interp.vectors)
+    verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
     expected_changed = {
         "Tagging", "Distribute", "Rerepresent", "CommercializeOutput", "CommercializeModel",
     }
@@ -127,7 +130,7 @@ def test_criterion_4_oracle_equivalence():
     for _ in range(1000):
         graph, interpretations = random_case(rng, max_nodes=8)
         cases += 1
-        verified = verify(graph, interpretations)
+        verified = verify(graph, interpretations, inputs_digest=DIGEST)
         expected = oracle_verify(graph, interpretations)
         for right, granted in expected["grants"].items():
             if (verified.grant(right) is Grant.GRANTED) != granted:
@@ -151,7 +154,7 @@ def test_criterion_5_property_suite(tmp_path):
     monotone = True
     for _ in range(50):
         graph, interpretations = random_case(rng, max_nodes=6)
-        before = verify(graph, interpretations)
+        before = verify(graph, interpretations, inputs_digest=DIGEST)
         attach = rng.choice(sorted(graph.nodes))
         bigger = build_lineage(
             list(graph.nodes.values()) + [record_for("zz-new")],
@@ -159,7 +162,7 @@ def test_criterion_5_property_suite(tmp_path):
             graph.root_id,
         )
         enlarged = {**interpretations, "zz-new": rng.choice([None, random_vector(rng, "zz-new")])}
-        after = verify(bigger, enlarged)
+        after = verify(bigger, enlarged, inputs_digest=DIGEST)
         for right in before.rights:
             if before.grant(right) is not Grant.GRANTED:
                 monotone &= after.grant(right) is not Grant.GRANTED
@@ -173,23 +176,25 @@ def test_criterion_5_property_suite(tmp_path):
         if not unavailable:
             continue
         checked += 1
-        before = verify(graph, interpretations)
+        before = verify(graph, interpretations, inputs_digest=DIGEST)
         permissive = random_vector(rng, "swap")
         granted_all = RightsVector(
             metadata=permissive.metadata,
             standalone_rights={r: RightEntry(grant=Grant.GRANTED) for r in FIXED_RIGHTS[:4]},
             model_rights={r: RightEntry(grant=Grant.GRANTED) for r in FIXED_RIGHTS[4:]},
         )
-        after = verify(graph, {**interpretations, unavailable[0]: granted_all})
+        after = verify(graph, {**interpretations, unavailable[0]: granted_all},
+                       inputs_digest=DIGEST)
         for right in before.rights:
             neutral &= before.grant(right) is after.grant(right)
 
     # Cache transparency: cached result is byte-identical to a fresh run.
     graph, interp = load_bundle("cifar-10")
     store = AnalysisStore(tmp_path / "store")
-    fresh, _ = lookup_or_verify(store, graph, interp.vectors)
-    cached, hit = lookup_or_verify(store, graph, interp.vectors)
-    uncached = verify(graph, interp.vectors)
+    fresh, _ = lookup_or_verify(store, read_bundle("cifar-10"))
+    cached, hit = lookup_or_verify(store, read_bundle("cifar-10"))
+    uncached = verify(graph, interp.vectors, template_digests=interp.template_digests,
+                      inputs_digest=read_bundle("cifar-10").digest(EnginePolicy()))
     transparent = (
         hit
         and canonical_json(cached.to_dict()) == canonical_json(uncached.to_dict())
@@ -198,7 +203,7 @@ def test_criterion_5_property_suite(tmp_path):
 
     # Serialization round-trip for every document type.
     graph_doc = graph.to_dict()
-    verified = verify(graph, interp.vectors)
+    verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
     samples: list[tuple[type, object]] = [
         (ProvenanceRecord, graph.root),
         (RightsVector, interp.vectors["cifar-10"]),
@@ -234,7 +239,9 @@ def test_criterion_5_property_suite(tmp_path):
         rng.shuffle(records)
         rng.shuffle(edges)
         rng.shuffle(items)
-        deterministic &= verify(build_lineage(records, edges, g.root_id), dict(items)) == verify(g, i)
+        rebuilt = build_lineage(records, edges, g.root_id)
+        deterministic &= (verify(rebuilt, dict(items), inputs_digest=DIGEST)
+                          == verify(g, i, inputs_digest=DIGEST))
 
     ok = monotone and neutral and transparent and round_trip and deterministic
     report("5 property suite", ok)

@@ -12,12 +12,14 @@ from dla.assessment import load_scenarios, render_cell, render_markdown
 from dla.errors import DuplicateScenario, UnknownRight
 from dla.model import Grant, RightEntry
 
-from helpers import load_bundle, random_case
+from helpers import DIGEST, load_bundle, random_case
 
 
 def verified_for(bundle: str):
     graph, interp = load_bundle(bundle)
-    return verify(graph, interp.vectors, template_digests=interp.template_digests), graph
+    verified = verify(graph, interp.vectors, template_digests=interp.template_digests,
+                      inputs_digest=DIGEST)
+    return verified, graph
 
 
 class TestAssess:
@@ -90,7 +92,7 @@ class TestAssessAll:
         scenarios = default_scenarios()
         for _ in range(50):
             graph, interpretations = random_case(rng)
-            verified = verify(graph, interpretations)
+            verified = verify(graph, interpretations, inputs_digest=DIGEST)
             table = assess_all(verified, scenarios)
             all_ids = {
                 o.id for entry in verified.rights.values() for o in entry.obligations
@@ -105,7 +107,7 @@ class TestAssessAll:
         checked = 0
         while checked < 50:
             graph, interpretations = random_case(rng)
-            verified = verify(graph, interpretations)
+            verified = verify(graph, interpretations, inputs_digest=DIGEST)
             granted = [r for r in verified.rights if verified.grant(r) is Grant.GRANTED]
             if not granted:
                 continue

@@ -484,6 +484,22 @@ class TestStoreCli:
         result = invoke(runner, "store", "ls")
         assert result.exit_code == 64
 
+    @pytest.mark.parametrize("args", [["store", "ls"], ["store", "rm", "0" * 64]], ids=["ls", "rm"])
+    def test_store_commands_on_a_missing_store_create_nothing(self, runner, tmp_path, args):
+        store = tmp_path / "missing" / "store"
+        result = invoke(runner, "--store", store, *args)
+        assert result.exit_code == 0
+        assert result.stdout == ("" if args[1] == "ls" else f"no entry for {args[2]}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_that_cannot_be_created_exits_64_before_any_output(self, runner, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        store = tmp_path / "file" / "store"
+        lineage, interp = bundle_paths("cityscapes")
+        result = runner.invoke(cli, ["--store", str(store), "assess", str(lineage), str(interp)])
+        assert (result.exit_code, result.stdout) == (64, "")
+        assert result.stderr == f"error: cannot create store {store}: Not a directory\n"
+
     def test_store_that_is_a_regular_file_exits_64(self, runner, tmp_path):
         store = tmp_path / "store"
         store.write_text("", encoding="utf-8")

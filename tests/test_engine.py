@@ -25,6 +25,7 @@ from dla.lineage import LineageGraph, build_lineage
 
 from helpers import (
     BUNDLE_NAMES,
+    DIGEST,
     bundle_paths,
     load_bundle,
     oracle_verify,
@@ -49,28 +50,28 @@ def total_vector(grant: Grant = Grant.GRANTED, name: str = "v") -> RightsVector:
 class TestCifarFixture:
     def test_changed_rights_exactly(self):
         graph, interp = load_bundle("cifar-10")
-        verified = verify(graph, interp.vectors)
+        verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
         assert set(verified.changed) == CHANGED_RIGHTS
 
     def test_preserved_rights_stay_granted(self):
         graph, interp = load_bundle("cifar-10")
-        verified = verify(graph, interp.vectors)
+        verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
         for right in PRESERVED_RIGHTS:
             assert verified.grant(right) is Grant.GRANTED
 
     def test_residual_risk_flags(self):
         graph, interp = load_bundle("cifar-10")
-        verified = verify(graph, interp.vectors)
+        verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
         assert {"80-million-tiny-images", "cydral"} <= set(verified.residual_risk_flags)
 
     def test_tagging_restricted_by_google_and_flickr(self):
         graph, interp = load_bundle("cifar-10")
-        verified = verify(graph, interp.vectors)
+        verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
         assert {"google", "flickr"} <= set(verified.restrictors["Tagging"])
 
     def test_granted_rights_keep_citation_obligation(self):
         graph, interp = load_bundle("cifar-10")
-        verified = verify(graph, interp.vectors)
+        verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
         for right in PRESERVED_RIGHTS:
             assert [o.id for o in verified.rights[right].obligations] == ["cite-cifar10"]
 
@@ -79,7 +80,7 @@ class TestSingleNode:
     def test_identity_with_root_vector(self):
         vector = total_vector()
         graph = build_lineage([record_for("solo")], [], "solo")
-        verified = verify(graph, {"solo": vector})
+        verified = verify(graph, {"solo": vector}, inputs_digest=DIGEST)
         assert verified.changed == ()
         assert verified.residual_risk_flags == ()
         for right in FIXED_RIGHTS:
@@ -88,7 +89,7 @@ class TestSingleNode:
     def test_identity_preserves_unspecified(self):
         vector = total_vector(grant=Grant.UNSPECIFIED)
         graph = build_lineage([record_for("solo")], [], "solo")
-        verified = verify(graph, {"solo": vector})
+        verified = verify(graph, {"solo": vector}, inputs_digest=DIGEST)
         assert verified.changed == ()
         for right in FIXED_RIGHTS:
             assert verified.grant(right) is Grant.UNSPECIFIED
@@ -98,14 +99,14 @@ class TestErrors:
     def test_missing_root_interpretation(self):
         graph = build_lineage([record_for("solo")], [], "solo")
         with pytest.raises(MissingRootInterpretation):
-            verify(graph, {})
+            verify(graph, {}, inputs_digest=DIGEST)
         with pytest.raises(MissingRootInterpretation):
-            verify(graph, {"solo": None})
+            verify(graph, {"solo": None}, inputs_digest=DIGEST)
 
     def test_uninterpreted_node(self):
         graph = build_lineage([record_for("r"), record_for("s")], [("r", "s")], "r")
         with pytest.raises(UninterpretedNode) as exc:
-            verify(graph, {"r": total_vector()})
+            verify(graph, {"r": total_vector()}, inputs_digest=DIGEST)
         assert exc.value.node_id == "s"
 
 
@@ -114,7 +115,7 @@ class TestOracleEquivalence:
         rng = random.Random(20240817)
         for _ in range(300):
             graph, interpretations = random_case(rng)
-            verified = verify(graph, interpretations)
+            verified = verify(graph, interpretations, inputs_digest=DIGEST)
             expected = oracle_verify(graph, interpretations)
             for right, granted in expected["grants"].items():
                 assert (verified.grant(right) is Grant.GRANTED) == granted, right
@@ -128,7 +129,7 @@ class TestOracleEquivalence:
         policy = EnginePolicy(unknown_denies=True)
         for _ in range(150):
             graph, interpretations = random_case(rng)
-            verified = verify(graph, interpretations, policy)
+            verified = verify(graph, interpretations, policy, inputs_digest=DIGEST)
             expected = oracle_verify(graph, interpretations, policy)
             for right, granted in expected["grants"].items():
                 assert (verified.grant(right) is Grant.GRANTED) == granted, right
@@ -139,7 +140,7 @@ class TestProperties:
         rng = random.Random(9)
         for _ in range(100):
             graph, interpretations = random_case(rng, max_nodes=6)
-            before = verify(graph, interpretations)
+            before = verify(graph, interpretations, inputs_digest=DIGEST)
             extra = record_for("zz-extra")
             attach = rng.choice(sorted(graph.nodes))
             bigger = build_lineage(
@@ -149,7 +150,7 @@ class TestProperties:
             )
             enlarged = dict(interpretations)
             enlarged["zz-extra"] = rng.choice([None, random_vector(rng, "zz-extra")])
-            after = verify(bigger, enlarged)
+            after = verify(bigger, enlarged, inputs_digest=DIGEST)
             for right in before.rights:
                 if before.grant(right) is not Grant.GRANTED:
                     assert after.grant(right) is not Grant.GRANTED
@@ -158,7 +159,7 @@ class TestProperties:
         rng = random.Random(10)
         for _ in range(100):
             graph, interpretations = random_case(rng)
-            verified = verify(graph, interpretations)
+            verified = verify(graph, interpretations, inputs_digest=DIGEST)
             for right in verified.rights:
                 if verified.grant(right) is Grant.GRANTED:
                     for node_id, vector in interpretations.items():
@@ -169,7 +170,7 @@ class TestProperties:
         rng = random.Random(11)
         for _ in range(100):
             graph, interpretations = random_case(rng)
-            verified = verify(graph, interpretations)
+            verified = verify(graph, interpretations, inputs_digest=DIGEST)
             root = interpretations[graph.root_id]
             for right in verified.rights:
                 if verified.grant(right) is Grant.GRANTED:
@@ -186,10 +187,10 @@ class TestProperties:
             if not unavailable:
                 continue
             checked += 1
-            before = verify(graph, interpretations)
+            before = verify(graph, interpretations, inputs_digest=DIGEST)
             swapped = dict(interpretations)
             swapped[unavailable[0]] = total_vector(name=unavailable[0])
-            after = verify(graph, swapped)
+            after = verify(graph, swapped, inputs_digest=DIGEST)
             for right in before.rights:
                 assert before.grant(right) is after.grant(right)
 
@@ -204,8 +205,8 @@ class TestProperties:
             rng.shuffle(edges)
             rng.shuffle(items)
             permuted_graph = build_lineage(records, edges, graph.root_id)
-            permuted = verify(permuted_graph, dict(items))
-            original = verify(graph, interpretations)
+            permuted = verify(permuted_graph, dict(items), inputs_digest=DIGEST)
+            original = verify(graph, interpretations, inputs_digest=DIGEST)
             assert permuted == original
             assert canonical_json(permuted.to_dict()) == canonical_json(original.to_dict())
 
@@ -214,8 +215,9 @@ class TestUnknownDeniesPolicy:
     def test_unavailable_sources_deny_when_flagged(self):
         graph = build_lineage([record_for("r"), record_for("s")], [("r", "s")], "r")
         interpretations = {"r": total_vector(), "s": None}
-        default = verify(graph, interpretations)
-        strict = verify(graph, interpretations, EnginePolicy(unknown_denies=True))
+        default = verify(graph, interpretations, inputs_digest=DIGEST)
+        strict = verify(graph, interpretations, EnginePolicy(unknown_denies=True),
+                        inputs_digest=DIGEST)
         assert all(default.grant(r) is Grant.GRANTED for r in FIXED_RIGHTS)
         assert all(strict.grant(r) is Grant.DENIED for r in FIXED_RIGHTS)
         assert set(strict.changed) == set(FIXED_RIGHTS)
@@ -237,14 +239,14 @@ class TestDiffRights:
 
     def test_cifar_diff_names_the_five_flipped_rights(self):
         graph, interp = load_bundle("cifar-10")
-        verified = verify(graph, interp.vectors)
+        verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
         assert set(verified.changed) == CHANGED_RIGHTS
         assert self.grant_diff(interp.vectors["cifar-10"], verified) == CHANGED_RIGHTS
 
     def test_identical_vectors_diff_empty(self):
         vector = total_vector()
         graph = build_lineage([record_for("solo")], [], "solo")
-        verified = verify(graph, {"solo": vector})
+        verified = verify(graph, {"solo": vector}, inputs_digest=DIGEST)
         assert verified.changed == ()
         assert self.grant_diff(vector, verified) == set()
 
@@ -254,7 +256,7 @@ class TestDiffRights:
         root = total_vector(grant=Grant.DENIED, name="r")
         source = total_vector(grant=Grant.DENIED, name="s")
         graph = build_lineage([record_for("r"), record_for("s")], [("r", "s")], "r")
-        verified = verify(graph, {"r": root, "s": source})
+        verified = verify(graph, {"r": root, "s": source}, inputs_digest=DIGEST)
         assert verified.changed == ()
         assert self.grant_diff(root, verified) == set()
 
@@ -269,7 +271,7 @@ class TestCustomRights:
             custom_rights={"AdversarialModelTraining": RightEntry(grant=Grant.GRANTED)},
         )
         graph = build_lineage([record_for("r"), record_for("s")], [("r", "s")], "r")
-        verified = verify(graph, {"r": root, "s": source})
+        verified = verify(graph, {"r": root, "s": source}, inputs_digest=DIGEST)
         # The root never granted it, so it stays unspecified (not granted).
         assert verified.grant("AdversarialModelTraining") is Grant.UNSPECIFIED
         assert "AdversarialModelTraining" in verified.rights
@@ -278,7 +280,7 @@ class TestCustomRights:
     def test_audit_trailer_contents(self):
         graph, interp = load_bundle("ffhq")
         verified = verify(
-            graph, interp.vectors, template_digests=interp.template_digests
+            graph, interp.vectors, template_digests=interp.template_digests, inputs_digest=DIGEST
         )
         assert verified.audit is not None
         assert verified.audit.policy == {"unknown_denies": False}
@@ -305,6 +307,7 @@ def test_every_analysis_equals_its_canonical_json_round_trip(bundle, unknown_den
         interp.vectors,
         EnginePolicy(unknown_denies=unknown_denies),
         template_digests=interp.template_digests,
+        inputs_digest=DIGEST,
     )
     table = assess_all(verified, default_scenarios(), graph.root.dataset_name)
     assert round_trip(LineageGraph, graph) == graph

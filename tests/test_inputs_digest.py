@@ -21,10 +21,10 @@ import pytest
 from click.testing import CliRunner
 
 import dla.catalog
-import dla.cli
 import dla.engine
 import dla.lineage
 import dla.store
+from dla import AnalysisStore, Bundle, EnginePolicy, lookup_or_verify
 from dla.cli import cli
 from dla.errors import StaleEntryWarning, UnknownFieldWarning
 from dla.model import ProvenanceRecord
@@ -37,11 +37,11 @@ OLDER_BLOB = Path(__file__).parent / "data" / "older_store_blob.json"
 
 @pytest.fixture()
 def bundle(tmp_path, monkeypatch):
-    """A writable copy of the ffhq bundle, and of the templates the CLI reads."""
+    """A writable copy of the ffhq bundle, and of the templates a bundle reads."""
     lineage, _ = bundle_paths("ffhq")
     shutil.copytree(lineage.parent, tmp_path / "ffhq")
     shutil.copytree(templates_dir(), tmp_path / "templates")
-    monkeypatch.setattr(dla.cli, "templates_dir", lambda: tmp_path / "templates")
+    monkeypatch.setattr(dla.store, "templates_dir", lambda: tmp_path / "templates")
     return tmp_path / "ffhq"
 
 
@@ -77,7 +77,7 @@ def test_hit_parses_no_interpretation_and_no_template(bundle, monkeypatch):
 
     monkeypatch.setattr(dla.catalog, "parse_interpretation",
                         counted("parse_interpretation", dla.catalog.parse_interpretation))
-    monkeypatch.setattr(dla.cli, "load_catalog", counted("load_catalog", dla.cli.load_catalog))
+    monkeypatch.setattr(dla.store, "load_catalog", counted("load_catalog", dla.store.load_catalog))
     assert not cached(assess(bundle))
     assert sorted(set(calls)) == ["load_catalog", "parse_interpretation"]
     calls.clear()
@@ -154,7 +154,7 @@ def test_cli_run_fingerprints_once(bundle, monkeypatch, path):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (dla.cli, dla.engine, dla.store):
+    for module in (dla.engine, dla.store):
         monkeypatch.setattr(module, "fingerprint_inputs", counted)
     options = ("--store", str(bundle.parent / "store")) if path != "no-store" else ()
     args = [*options, "assess", str(bundle / "lineage.json"), str(bundle / "interpretations")]
@@ -263,3 +263,19 @@ def test_lineage_unknown_field_warns_once_on_a_miss_and_never_on_a_hit(bundle):
     assert warned() == []  # a hit
     lineage.write_bytes(lineage.read_bytes() + b"\n")
     assert warned() == miss  # a stale entry: the full parse warns, once per record
+
+
+def test_cli_and_library_share_one_store_entry(bundle):
+    store = bundle.parent / "store"
+    library = Bundle.read(bundle / "lineage.json", bundle / "interpretations")
+    verified, hit = lookup_or_verify(AnalysisStore(store), library, EnginePolicy())
+    assert not hit
+    args = ["--format", "json", "assess", "--no-gate",
+            str(bundle / "lineage.json"), str(bundle / "interpretations")]
+    runner = CliRunner()
+    shared = runner.invoke(cli, ["--store", str(store), *args], catch_exceptions=False)
+    alone = runner.invoke(cli, args, catch_exceptions=False)
+    assert cached(shared)
+    assert len(list(store.glob("*.json"))) == 1
+    assert shared.stdout == alone.stdout
+    assert inputs_digest(shared) == verified.audit.inputs_digest

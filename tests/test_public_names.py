@@ -1,6 +1,7 @@
 """Every name the package exports, and every attribute the traced benchmark
-(``bench/tracing.py``) patches, must exist: deleting one fails here and not
-only in the benchmark's own self-test."""
+(``bench/tracing.py``) patches, must exist, and the patched functions must be
+the ones an ``assess`` run calls: deleting one, or calling a layer some other
+way, fails here and not only in the benchmark's own self-test."""
 
 from __future__ import annotations
 
@@ -10,14 +11,22 @@ import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import dla
+from dla.cli import cli
 from dla.lineage import LineageGraph
 from dla.model import ProvenanceRecord
 
 from helpers import bundle_paths
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+# The layers of an ``assess`` store miss and hit whose per-layer metrics the
+# benchmark reports.
+ASSESS_LAYERS = ("engine.fingerprint", "store.lookup", "store.get", "store.put",
+                 "catalog.load_catalog", "catalog.read", "catalog.parse", "lineage.build",
+                 "engine.verify")
 
 
 def traced_spans() -> list[tuple]:
@@ -61,3 +70,20 @@ def test_wrapped_record_decoder_sees_every_record(monkeypatch):
     graph = LineageGraph.from_dict(doc)
     assert calls == [record["subject_id"] for record in doc["records"]]
     assert sorted(graph.nodes) == sorted(calls)
+
+
+def test_traced_assess_records_every_layer(tmp_path, monkeypatch):
+    """``bench/tracing.py``, imported as it is, records a span for each layer
+    of an ``assess`` miss and hit run in process."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    lineage, interp = bundle_paths("cifar-10")
+    args = ["--store", str(tmp_path / "store"), "assess", str(lineage), str(interp)]
+    with tracing.Patches(tracer).applied():
+        miss, hit = (CliRunner().invoke(cli, args) for _ in range(2))
+    assert (miss.exit_code, hit.exit_code) == (3, 3)
+    assert "(cached analysis)" not in miss.stderr and "(cached analysis)" in hit.stderr
+    for name in ASSESS_LAYERS:
+        spans = [span for span in tracer.spans if span.name == name]
+        assert spans and [span.error for span in spans if span.error] == [], name

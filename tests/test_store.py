@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import multiprocessing
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,20 +14,12 @@ import pytest
 
 import dla.engine
 import dla.store
-from dla import AnalysisStore, EnginePolicy, analysis_key, lookup_or_verify, verify
+from dla import AnalysisStore, Bundle, EnginePolicy, analysis_key, lookup_or_verify, verify
 from dla.engine import ENGINE_VERSION
-from dla.errors import ReadOnlyStoreWarning, StaleEntryWarning, StoreCorrupt
-from dla.model import Grant, RightEntry, canonical_json
+from dla.errors import StaleEntryWarning, StoreCorrupt
+from dla.model import Grant, VerifiedLicense, canonical_json
 
-from helpers import GOLDEN_KEYS_PATH, load_bundle, record_for
-
-
-def dir_digest(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+from helpers import DIGEST, GOLDEN_KEYS_PATH, bundle_paths, load_bundle, read_bundle, record_for
 
 
 class TestAnalysisKey:
@@ -53,55 +46,54 @@ class TestAnalysisKey:
         )
 
 
+def verified_of(bundle: Bundle) -> VerifiedLicense:
+    """The bundle's analysis as :func:`lookup_or_verify` computes it on a miss."""
+    interp = bundle.interpretations
+    return verify(bundle.graph, interp.vectors, template_digests=interp.template_digests,
+                  inputs_digest=bundle.digest(EnginePolicy()))
+
+
+def copy_bundle(name: str, into: Path) -> Bundle:
+    """A writable copy of a fixture bundle, read."""
+    lineage, interp = bundle_paths(name)
+    shutil.copy(lineage, into / "lineage.json")
+    shutil.copytree(interp, into / "interpretations")
+    return Bundle.read(into / "lineage.json", into / "interpretations")
+
+
 class TestLookupOrVerify:
     def test_second_call_hits_and_is_byte_identical(self, tmp_path):
-        graph, interp = load_bundle("cifar-10")
+        bundle = read_bundle("cifar-10")
         store = AnalysisStore(tmp_path / "store")
-        first, hit1 = lookup_or_verify(store, graph, interp.vectors)
-        second, hit2 = lookup_or_verify(store, graph, interp.vectors)
+        first, hit1 = lookup_or_verify(store, bundle)
+        second, hit2 = lookup_or_verify(store, read_bundle("cifar-10"))
         assert (hit1, hit2) == (False, True)
         assert canonical_json(first.to_dict()) == canonical_json(second.to_dict())
 
     def test_changed_interpretation_is_stale(self, tmp_path):
-        graph, interp = load_bundle("cifar-10")
+        bundle = copy_bundle("cifar-10", tmp_path)
         store = AnalysisStore(tmp_path / "store")
-        lookup_or_verify(store, graph, interp.vectors)
-        changed = dict(interp.vectors)
-        google = changed["google"]
-        flipped = replace(
-            google,
-            standalone_rights={
-                **google.standalone_rights,
-                "Access": RightEntry(grant=Grant.DENIED),
-            },
-        )
-        changed["google"] = flipped
+        first, _ = lookup_or_verify(store, bundle)
+        assert first.grant("Access") is Grant.GRANTED
+        google = bundle.interpretations_dir / "google.json"
+        doc = json.loads(google.read_text(encoding="utf-8"))
+        doc["vector"]["standalone_rights"]["Access"]["grant"] = "denied"
+        google.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.warns(StaleEntryWarning):
-            result, hit = lookup_or_verify(store, graph, changed)
+            result, hit = lookup_or_verify(store, Bundle.read(bundle.lineage_path,
+                                                              bundle.interpretations_dir))
         assert hit is False
         assert result.grant("Access") is Grant.DENIED
 
-    def test_read_only_store_runs_but_does_not_persist(self, tmp_path):
-        graph, interp = load_bundle("cifar-10")
-        root = tmp_path / "store"
-        root.mkdir()
-        before = dir_digest(root)
-        store = AnalysisStore(root, read_only=True)
-        with pytest.warns(ReadOnlyStoreWarning):
-            result, hit = lookup_or_verify(store, graph, interp.vectors)
-        assert hit is False
-        assert set(result.changed)  # the engine really ran
-        assert dir_digest(root) == before
-
     def test_cache_transparency(self, tmp_path):
-        graph, interp = load_bundle("ffhq")
         store = AnalysisStore(tmp_path / "store")
-        lookup_or_verify(store, graph, interp.vectors,
-                         template_digests=interp.template_digests)
-        cached, hit = lookup_or_verify(store, graph, interp.vectors,
-                                       template_digests=interp.template_digests)
+        lookup_or_verify(store, read_bundle("ffhq"))
+        bundle = read_bundle("ffhq")
+        cached, hit = lookup_or_verify(store, bundle)
         assert hit is True
-        uncached = verify(graph, interp.vectors, template_digests=interp.template_digests)
+        interp = bundle.interpretations
+        uncached = verify(bundle.graph, interp.vectors, template_digests=interp.template_digests,
+                          inputs_digest=bundle.digest(EnginePolicy()))
         assert canonical_json(cached.to_dict()) == canonical_json(uncached.to_dict())
 
     @pytest.mark.parametrize(
@@ -110,27 +102,27 @@ class TestLookupOrVerify:
         ids=["other-engine", "no-audit"],
     )
     def test_entry_from_another_engine_is_stale(self, tmp_path, audit):
-        graph, interp = load_bundle("cifar-10")
+        bundle = read_bundle("cifar-10")
         store = AnalysisStore(tmp_path / "store")
-        verified = verify(graph, interp.vectors)
-        key = analysis_key(graph.root)
-        store.put(key, replace(verified, audit=audit(verified.audit)), graph.root.dataset_name)
+        verified = verified_of(bundle)
+        key = analysis_key(bundle.root)
+        store.put(key, replace(verified, audit=audit(verified.audit)), bundle.root.dataset_name)
         with pytest.warns(StaleEntryWarning):
-            result, hit = lookup_or_verify(store, graph, interp.vectors)
+            result, hit = lookup_or_verify(store, bundle)
         assert hit is False
         assert result == verified
         assert store.get(key) == verified
 
     @pytest.mark.parametrize("path", ["no-store", "miss", "hit", "stale"])
     def test_inputs_fingerprinted_once_per_lookup(self, tmp_path, monkeypatch, path):
-        graph, interp = load_bundle("cifar-10")
+        bundle = read_bundle("cifar-10")
         store = None if path == "no-store" else AnalysisStore(tmp_path / "store")
         if path == "hit":
-            lookup_or_verify(store, graph, interp.vectors)
+            lookup_or_verify(store, bundle)
         if path == "stale":
-            verified = verify(graph, interp.vectors)
+            verified = verified_of(bundle)
             stale = replace(verified, audit=replace(verified.audit, inputs_digest="0" * 64))
-            store.put(analysis_key(graph.root), stale, graph.root.dataset_name)
+            store.put(analysis_key(bundle.root), stale, bundle.root.dataset_name)
         calls = []
         real = dla.engine.fingerprint_inputs
 
@@ -141,22 +133,30 @@ class TestLookupOrVerify:
         monkeypatch.setattr(dla.engine, "fingerprint_inputs", counted)
         monkeypatch.setattr(dla.store, "fingerprint_inputs", counted)
         with pytest.warns(StaleEntryWarning) if path == "stale" else contextlib.nullcontext():
-            _, hit = lookup_or_verify(store, graph, interp.vectors)
+            _, hit = lookup_or_verify(store, bundle)
         assert hit is (path == "hit")
         assert len(calls) == 1
 
     def test_no_store_runs_engine(self):
-        graph, interp = load_bundle("cityscapes")
-        result, hit = lookup_or_verify(None, graph, interp.vectors)
+        result, hit = lookup_or_verify(None, read_bundle("cityscapes"))
         assert hit is False
         assert result.root_id == "cityscapes"
+
+    def test_a_missing_store_is_created_by_the_first_analysis(self, tmp_path):
+        store = AnalysisStore(tmp_path / "a" / "store")
+        assert store.entries() == [] and store.get("0" * 64) is None
+        assert store.remove("0" * 64) is False
+        assert not (tmp_path / "a").exists()
+        lookup_or_verify(store, read_bundle("cityscapes"))
+        assert [entry.dataset_name for entry in store.entries()] == ["Cityscapes"]
 
 
 class TestStoreIntegrity:
     def test_round_trip_identical_document(self, tmp_path):
         graph, interp = load_bundle("vggface2")
         store = AnalysisStore(tmp_path / "store")
-        verified = verify(graph, interp.vectors, template_digests=interp.template_digests)
+        verified = verify(graph, interp.vectors, template_digests=interp.template_digests,
+                          inputs_digest=DIGEST)
         key = analysis_key(graph.root)
         store.put(key, verified, graph.root.dataset_name)
         loaded = store.get(key)
@@ -164,20 +164,20 @@ class TestStoreIntegrity:
         assert canonical_json(loaded.to_dict()) == canonical_json(verified.to_dict())
 
     def test_tampered_blob_is_corrupt(self, tmp_path):
-        graph, interp = load_bundle("cityscapes")
+        bundle = read_bundle("cityscapes")
         store = AnalysisStore(tmp_path / "store")
-        lookup_or_verify(store, graph, interp.vectors)
-        key = analysis_key(graph.root)
+        lookup_or_verify(store, bundle)
+        key = analysis_key(bundle.root)
         blob = store.root / f"{key}.json"
         blob.write_text(blob.read_text().replace("denied", "granted"))
         with pytest.raises(StoreCorrupt):
             store.get(key)
 
     def test_missing_blob_is_a_clean_miss(self, tmp_path):
-        graph, interp = load_bundle("cityscapes")
+        bundle = read_bundle("cityscapes")
         store = AnalysisStore(tmp_path / "store")
-        lookup_or_verify(store, graph, interp.vectors)
-        key = analysis_key(graph.root)
+        lookup_or_verify(store, bundle)
+        key = analysis_key(bundle.root)
         (store.root / f"{key}.json").unlink()
         assert store.get(key) is None
         assert store.entries() == []
@@ -186,10 +186,10 @@ class TestStoreIntegrity:
         "field, value", [("payload_sha256", "0" * 64), ("key", "f" * 64)], ids=["digest", "key"]
     )
     def test_blob_disagreeing_with_itself_is_corrupt(self, tmp_path, field, value):
-        graph, interp = load_bundle("cityscapes")
+        bundle = read_bundle("cityscapes")
         store = AnalysisStore(tmp_path / "store")
-        lookup_or_verify(store, graph, interp.vectors)
-        key = analysis_key(graph.root)
+        lookup_or_verify(store, bundle)
+        key = analysis_key(bundle.root)
         blob = store.root / f"{key}.json"
         doc = json.loads(blob.read_text())
         doc[field] = value
@@ -201,9 +201,9 @@ class TestStoreIntegrity:
 
     @pytest.mark.parametrize("read", ["get", "entries"])
     def test_blob_removed_before_it_is_read_is_a_clean_miss(self, tmp_path, monkeypatch, read):
-        graph, interp = load_bundle("cifar-10")
+        bundle = read_bundle("cifar-10")
         store = AnalysisStore(tmp_path / "store")
-        lookup_or_verify(store, graph, interp.vectors)
+        lookup_or_verify(store, bundle)
         real = Path.read_bytes
 
         def racing(path):  # a ``store rm`` lands between the lookup or listing and the read
@@ -213,14 +213,14 @@ class TestStoreIntegrity:
 
         monkeypatch.setattr(Path, "read_bytes", racing)
         if read == "get":
-            assert store.get(analysis_key(graph.root)) is None
+            assert store.get(analysis_key(bundle.root)) is None
         else:
             assert store.entries() == []
 
     def test_entries_and_remove(self, tmp_path):
-        graph, interp = load_bundle("cityscapes")
+        bundle = read_bundle("cityscapes")
         store = AnalysisStore(tmp_path / "store")
-        lookup_or_verify(store, graph, interp.vectors)
+        lookup_or_verify(store, bundle)
         entries = store.entries()
         assert len(entries) == 1
         assert entries[0].dataset_name == "Cityscapes"
@@ -241,16 +241,14 @@ class TestStoreIntegrity:
             assert store.remove(key) is False
         graph, interp = load_bundle("cityscapes")
         with pytest.raises(ValueError):
-            store.put("../victim", verify(graph, interp.vectors), "victim")
+            store.put("../victim", verify(graph, interp.vectors, inputs_digest=DIGEST), "victim")
         assert victim.read_text() == "{}"
 
     def test_distinct_policies_do_not_collide(self, tmp_path):
-        graph, interp = load_bundle("cifar-10")
+        bundle = read_bundle("cifar-10")
         store = AnalysisStore(tmp_path / "store")
-        default, _ = lookup_or_verify(store, graph, interp.vectors)
-        strict, hit = lookup_or_verify(
-            store, graph, interp.vectors, EnginePolicy(unknown_denies=True)
-        )
+        default, _ = lookup_or_verify(store, bundle)
+        strict, hit = lookup_or_verify(store, bundle, EnginePolicy(unknown_denies=True))
         assert hit is False
         assert len(store.entries()) == 2
         assert set(strict.changed) >= set(default.changed)
@@ -267,7 +265,7 @@ def _put_many(root, verified, keys, barrier):
 class TestConcurrentWriters:
     def test_four_processes_lose_no_entry(self, tmp_path):
         graph, interp = load_bundle("cityscapes")
-        verified = verify(graph, interp.vectors)
+        verified = verify(graph, interp.vectors, inputs_digest=DIGEST)
         root = tmp_path / "store"
         keys = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(100)]
         context = multiprocessing.get_context("spawn")
