@@ -26,6 +26,7 @@ from .model import (
     Obligation,
     RightEntry,
     RightsVector,
+    Value,
     Violation,
     codec_field,
     decoder_for,
@@ -37,8 +38,8 @@ from .model import (
 from .resources import templates_dir
 
 
-@dataclass(frozen=True)
-class LicenseTemplate:
+@dataclass(init=False, repr=False, eq=False)
+class LicenseTemplate(Value):
     """A shipped rights vector for a standard license, with file digest."""
 
     license_id: str
@@ -47,8 +48,8 @@ class LicenseTemplate:
     digest: str
 
 
-@dataclass(frozen=True)
-class LicenseCatalog:
+@dataclass(init=False, repr=False, eq=False)
+class LicenseCatalog(Value):
     """Read-only bundle of shipped templates plus the names of registered
     custom rights."""
 
@@ -82,7 +83,7 @@ def extend_schema(catalog: LicenseCatalog, right_name: str) -> LicenseCatalog:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class _TemplateDocument(Document, path="template"):
     """The JSON form of a shipped template file."""
 
@@ -134,8 +135,8 @@ def load_catalog(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interpretation:
+@dataclass(init=False, repr=False, eq=False)
+class Interpretation(Value):
     """A parsed interpretation document for one lineage subject.
 
     ``vector`` is None exactly when the subject's license content was
@@ -205,7 +206,7 @@ def _apply_template(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class _InterpretationDocument(Document, path="interpretation"):
     """The JSON form of an interpretation document. Exactly one of
     ``unavailable``, ``vector`` and ``template`` gives its body; ``notes`` is
@@ -257,8 +258,8 @@ def parse_interpretation(
     return Interpretation(subject_id=doc.subject_id, vector=vector, template_id=doc.template)
 
 
-@dataclass(frozen=True)
-class InterpretationSet:
+@dataclass(init=False, repr=False, eq=False)
+class InterpretationSet(Value):
     """All interpretations for one analysis, keyed by subject id."""
 
     vectors: Mapping[str, RightsVector | None]

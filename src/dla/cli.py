@@ -13,30 +13,14 @@ entry. Every input file is read through :func:`dla.model.read_json`.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import click
 
-from .assessment import (
-    assess_all,
-    default_scenarios,
-    load_scenarios,
-    render_markdown,
-    render_rights_markdown,
-)
-from .catalog import LicenseCatalog, load_catalog, parse_interpretation
-from .engine import EnginePolicy
 from .errors import DlaError, InputError, LineageError, StoreError
-from .lineage import (
-    CaptureInput,
-    LineageGraph,
-    compute_license_range,
-    parse_capture_list,
-    select_capture,
-)
 from .model import (
     ProvenanceRecord,
     RightsVector,
@@ -47,8 +31,13 @@ from .model import (
     validate_provenance,
     validate_rights_vector,
 )
-from .store import AnalysisStore, Bundle, lookup_or_verify
 from .version import __version__
+
+# Each command imports the layers it runs when it runs, so `dla --version`,
+# `lineage` and `range` do not load the store, engine, catalog or assessment.
+if TYPE_CHECKING:
+    from .lineage import LineageGraph
+    from .store import AnalysisStore
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,12 +69,16 @@ class _Commands(click.Group):
             sys.exit(code)
 
 
-@dataclass
 class Settings:
-    store_path: Path | None
-    output_format: str
-    strict: bool
-    unknown_denies: bool
+    """The group's options, as every command reads them."""
+
+    def __init__(
+        self, store_path: Path | None, output_format: str, strict: bool, unknown_denies: bool
+    ) -> None:
+        self.store_path = store_path
+        self.output_format = output_format
+        self.strict = strict
+        self.unknown_denies = unknown_denies
 
 
 @click.group(cls=_Commands)
@@ -130,44 +123,56 @@ def cli(
     """Check whether a publicly available dataset can be used in a commercial
     scenario without breaking its license or the licenses of its data sources.
     """
-    ctx.obj = Settings(
-        store_path=store_path,
-        output_format=output_format,
-        strict=strict,
-        unknown_denies=unknown_denies,
-    )
+    ctx.obj = Settings(store_path, output_format, strict, unknown_denies)
 
 
 def _load_graph(path: Path, strict: bool) -> LineageGraph:
+    from .lineage import LineageGraph
+
     return LineageGraph.from_dict(read_json(path), str(path), strict)
 
 
-def _validate_one(path: Path, data: Any, strict: bool, catalog: LicenseCatalog) -> list[str]:
+def _document_shapes() -> tuple[tuple[Callable, Callable, Callable | None], ...]:
+    """Each document shape ``validate`` recognises, in the order they are
+    tried: a test of the decoded JSON, its decoder (data, path, strict), and
+    the check that lists the problems of what the decoder gave."""
+    from .lineage import LineageGraph, parse_capture_list
+
+    def has(*keys: str) -> Callable[[Any], bool]:
+        return lambda data: isinstance(data, dict) and all(key in data for key in keys)
+
+    catalogs = []  # the license catalog, loaded for the first interpretation
+
+    def interpretation(data: Any, path: str, strict: bool) -> Any:
+        from .catalog import load_catalog, parse_interpretation
+
+        if not catalogs:
+            catalogs.append(load_catalog())
+        return parse_interpretation(data, catalogs[0], strict=strict, path=path)
+
+    def lineage_problems(graph: LineageGraph) -> list[str]:
+        return [f"{record.subject_id}.{v}"
+                for record in graph.nodes.values() for v in validate_provenance(record)]
+
+    return (
+        (lambda data: isinstance(data, list), parse_capture_list, None),
+        (has("records", "root_id"), LineageGraph.from_dict, lineage_problems),
+        (has("subject_kind"), ProvenanceRecord.from_dict, validate_provenance),
+        (has("subject_id"), interpretation, None),
+        (has("metadata", "standalone_rights"), RightsVector.from_dict, validate_rights_vector),
+    )
+
+
+def _validate_one(path: Path, data: Any, strict: bool, shapes: tuple) -> list[str]:
     """Validate one document of any recognized shape; returns problem lines."""
-    problems: list[str] = []
-    try:
-        if isinstance(data, list):
-            parse_capture_list(data, str(path), strict)
-        elif isinstance(data, dict) and "records" in data and "root_id" in data:
-            graph = LineageGraph.from_dict(data, str(path), strict)
-            for record in graph.nodes.values():
-                problems.extend(
-                    f"{record.subject_id}.{v.field}: {v.message}"
-                    for v in validate_provenance(record)
-                )
-        elif isinstance(data, dict) and "subject_kind" in data:
-            record = ProvenanceRecord.from_dict(data, str(path), strict)
-            problems.extend(str(v) for v in validate_provenance(record))
-        elif isinstance(data, dict) and "subject_id" in data:
-            parse_interpretation(data, catalog, strict=strict, path=str(path))
-        elif isinstance(data, dict) and "metadata" in data and "standalone_rights" in data:
-            vector = RightsVector.from_dict(data, str(path), strict)
-            problems.extend(str(v) for v in validate_rights_vector(vector))
-        else:
-            problems.append("unrecognized document shape")
-    except DlaError as exc:
-        problems.append(str(exc))
-    return problems
+    for test, decode, check in shapes:
+        if test(data):
+            try:
+                value = decode(data, str(path), strict)
+            except DlaError as exc:
+                return [str(exc)]
+            return [str(problem) for problem in check(value)] if check else []
+    return ["unrecognized document shape"]
 
 
 @cli.command("validate")
@@ -175,10 +180,13 @@ def _validate_one(path: Path, data: Any, strict: bool, catalog: LicenseCatalog) 
 @click.pass_obj
 def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> None:
     """Validate provenance, interpretation, lineage, or capture documents."""
-    catalog = load_catalog()
+    # Every file is read before the first line, so one that cannot be read
+    # ends the run with nothing on stdout.
+    documents = [(path, read_json(path)) for path in paths]
+    shapes = _document_shapes()
     any_problem = False
-    for path in paths:
-        problems = _validate_one(path, read_json(path), settings.strict, catalog)
+    for path, data in documents:
+        problems = _validate_one(path, data, settings.strict, shapes)
         if problems:
             any_problem = True
             click.echo(f"{path}: {len(problems)} problem(s)")
@@ -218,6 +226,8 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
 @click.pass_obj
 def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> None:
     """License range per lineage node (and the applicable capture, if given)."""
+    from .lineage import CaptureInput, compute_license_range, parse_capture_list, select_capture
+
     graph = _load_graph(lineage_path, settings.strict)
     # Every capture list a node names is decoded before the first line, so a
     # bad one ends the run with nothing on stdout.
@@ -253,6 +263,9 @@ def _run_pipeline(
     interpretations_dir: Path,
     audit_timestamps: bool,
 ) -> tuple[ProvenanceRecord, VerifiedLicense]:
+    from .engine import EnginePolicy
+    from .store import AnalysisStore, Bundle, lookup_or_verify
+
     bundle = Bundle.read(lineage_path, interpretations_dir, settings.strict)
     store = AnalysisStore(settings.store_path) if settings.store_path else None
     verified, cache_hit = lookup_or_verify(
@@ -280,6 +293,8 @@ def cmd_verify(
     audit_timestamps: bool,
 ) -> None:
     """Compute the verified license of a dataset against its data sources."""
+    from .assessment import render_rights_markdown
+
     root, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
     if settings.output_format == "json":
         click.echo(canonical_json(verified.to_dict()), nl=False)
@@ -315,6 +330,8 @@ def cmd_assess(
     Exits 3 when any requested scenario is denied so CI pipelines can gate
     on compliance; --no-gate downgrades that to 0.
     """
+    from .assessment import assess_all, default_scenarios, load_scenarios, render_markdown
+
     root, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
     if scenarios_path is not None:
         scenarios = load_scenarios(scenarios_path, settings.strict)
@@ -336,6 +353,8 @@ def cmd_store() -> None:
 
 
 def _open_store(settings: Settings) -> AnalysisStore:
+    from .store import AnalysisStore
+
     if settings.store_path is None:
         raise StoreError("no store configured; pass --store or set DLA_STORE")
     return AnalysisStore(settings.store_path)

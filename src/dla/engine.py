@@ -40,7 +40,7 @@ ENGINE_VERSION = "0.2.0"
 _GRANTED, _DENIED, _UNSPECIFIED = Grant.GRANTED, Grant.DENIED, Grant.UNSPECIFIED
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class EnginePolicy(Document, path="policy"):
     """Resolution policy knobs. Part of every cache key and audit trailer."""
 

@@ -31,6 +31,7 @@ from .model import (
     LicenseRange,
     ProvenanceRecord,
     SubjectKind,
+    Value,
     codec_field,
     decoder_for,
     parse_error,
@@ -51,7 +52,7 @@ def _decode_edges(value: Any, path: DocPath, strict: bool) -> tuple[tuple[str, .
     return tuple(edges)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class _LineageDocument(Document, path="lineage"):
     """The JSON form of a lineage graph: records as a list, edges as pairs."""
 
@@ -60,8 +61,8 @@ class _LineageDocument(Document, path="lineage"):
     root_id: str
 
 
-@dataclass(frozen=True)
-class LineageGraph:
+@dataclass(init=False, repr=False, eq=False)
+class LineageGraph(Value):
     """Validated, canonically ordered lineage DAG.
 
     Construct through :func:`build_lineage`; the constructor itself does not
@@ -257,7 +258,7 @@ def compute_license_range(node_id: str, graph: LineageGraph) -> LicenseRange:
     return next(iter(distinct))
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class CaptureInput(Document, path="capture"):
     """One dated license snapshot offered for selection."""
 

@@ -1,15 +1,15 @@
 """Core domain model: provenance records, rights vectors, verified licenses,
 usage scenarios, and their canonical JSON documents.
 
-All types are immutable values. Every document type derives ``to_dict`` and
-``from_dict`` from its dataclass fields through one codec, built once per
-class (:class:`Document`). Canonical serialization writes every field in
-declaration order, so equal values always produce byte-identical documents,
-and ``from_dict(to_dict(x)) == x`` holds by construction. Validation
-functions do not raise on bad domain data; they return a list of violations
-so callers can report all problems at once. Parsing, by contrast, raises
-:class:`ParseError` because a document that cannot be decoded has no value to
-report on.
+All types are immutable values (:class:`Value`). Every document type derives
+``to_dict`` and ``from_dict`` from its dataclass fields through one codec,
+built once per class (:class:`Document`). Canonical serialization writes every
+field in declaration order, so equal values always produce byte-identical
+documents, and ``from_dict(to_dict(x)) == x`` holds by construction.
+Validation functions do not raise on bad domain data; they return a list of
+violations so callers can report all problems at once. Parsing, by contrast,
+raises :class:`ParseError` because a document that cannot be decoded has no
+value to report on.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import sys
 import types
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -146,8 +146,83 @@ def read_json(path: Path | str, raw: bytes | None = None) -> Any:
         raise InputError(path, "invalid JSON: nested deeper than the parser allows") from exc
 
 
-@dataclass(frozen=True)
-class Violation:
+class Value:
+    """Base of the package's immutable dataclasses, each declared with
+    ``@dataclass(init=False, repr=False, eq=False)``. Its ``__init__``,
+    ``__eq__`` and ``__hash__`` are those of a frozen dataclass, but each is
+    compiled from the fields on its first call, not when the module is
+    imported; ``repr`` and the refusal to assign or delete a field are
+    shared. ``__post_init__`` sets a field through ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Each class compiles its own methods, from its own fields.
+        cls.__init__ = Value.__init__  # type: ignore[method-assign]
+        cls.__eq__ = Value.__eq__  # type: ignore[method-assign]
+        cls.__hash__ = Value.__hash__  # type: ignore[method-assign]
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        _define(type(self), "__init__")(self, *args, **kwargs)
+
+    def __eq__(self, other: object) -> bool:
+        return _define(type(self), "__eq__")(self, other)
+
+    def __hash__(self) -> int:
+        return _define(type(self), "__hash__")(self)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> NoReturn:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _define(cls: type, name: str) -> Callable[..., Any]:
+    """Compile a value class's ``__init__``, ``__eq__`` or ``__hash__`` from
+    its fields as dataclasses does, and put it on the class. Names in the
+    scope start with ``__``, which no field name can."""
+    declared = fields(cls)
+    mine = "".join(f"self.{f.name}, " for f in declared)
+    scope: dict[str, Any] = {"__setattr": object.__setattr__, "__MISSING": MISSING}
+    if name == "__eq__":
+        theirs = "".join(f"other.{f.name}, " for f in declared)
+        body = [
+            "if other.__class__ is not self.__class__:",
+            "    return NotImplemented",
+            f"return ({mine}) == ({theirs})",
+        ]
+        params = ["self", "other"]
+    elif name == "__hash__":
+        body, params = [f"return hash(({mine}))"], ["self"]
+    else:
+        positional, keyword, body = [], [], []
+        for f in declared:
+            param = f.name
+            if f.default is not MISSING:
+                scope[f"__default_{f.name}"] = f.default
+                param += f"=__default_{f.name}"
+            elif f.default_factory is not MISSING:
+                scope[f"__factory_{f.name}"] = f.default_factory
+                param += "=__MISSING"
+                body += [f"if {f.name} is __MISSING:", f"    {f.name} = __factory_{f.name}()"]
+            (keyword if f.kw_only else positional).append(param)
+            body.append(f"__setattr(self, {f.name!r}, {f.name})")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        params = ["self", *positional, *(["*", *keyword] if keyword else [])]
+    source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+    function = _compile(cls.__name__, name, source, scope)
+    setattr(cls, name, function)
+    return function
+
+
+@dataclass(init=False, repr=False, eq=False)
+class Violation(Value):
     """One broken invariant, named by field and rule. Violations are data."""
 
     field: str
@@ -276,11 +351,21 @@ def _compile(owner: str, name: str, source: str, scope: dict[str, Any]) -> Any:
 
 
 def decoder_for(tp: Any) -> Decoder:
-    """The decoder of one field type, for a field hook to call."""
-    scope = dict(_CODEC_SCOPE)
-    decoded, _ = _field_codec(tp, "x0", "path", scope)
-    owner = tp.__name__ if isinstance(tp, type) else repr(tp)
-    return _compile(owner, "decode", f"def decode(x0, path, strict):\n    return {decoded}", scope)
+    """The decoder of one field type, for a field hook to call; it is
+    compiled on its first call."""
+    compiled: Decoder | None = None
+
+    def decode(value: Any, path: DocPath, strict: bool) -> Any:
+        nonlocal compiled
+        if compiled is None:
+            scope = dict(_CODEC_SCOPE)
+            decoded, _ = _field_codec(tp, "x0", "path", scope)
+            owner = tp.__name__ if isinstance(tp, type) else repr(tp)
+            source = f"def decode(x0, path, strict):\n    return {decoded}"
+            compiled = _compile(owner, "decode", source, scope)
+        return compiled(value, path, strict)
+
+    return decode
 
 
 def codec_field(*, decode: Decoder, **kwargs: Any) -> Any:
@@ -346,7 +431,7 @@ class _Codec:
         return _compile(self._owner, "from_dict", self._from_dict, self._scope)
 
 
-class Document:
+class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the dataclass
     fields in declaration order; ``from_dict`` reads them back, type-checked,
     with null meaning the field's default.
@@ -384,7 +469,7 @@ class Document:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Digest(Document, path="digest"):
     """A content digest: algorithm name plus lowercase hex string."""
 
@@ -392,7 +477,7 @@ class Digest(Document, path="digest"):
     hex: str
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(init=False, repr=False, eq=False, kw_only=True)
 class ProvenanceRecord(Document, path="provenance"):
     """Origin metadata, license-location evidence, and content digests for one
     dataset or data source."""
@@ -463,7 +548,7 @@ def validate_provenance(record: ProvenanceRecord) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class LicenseRange(Document, path="range"):
     """Two consecutive years bracketing when a dataset's contents were likely
     collected. ``start_year`` is always ``end_year - 1``."""
@@ -486,7 +571,7 @@ class LicenseRange(Document, path="range"):
         return self.start_year <= year <= self.end_year
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(init=False, repr=False, eq=False, kw_only=True)
 class LicenseCapture(Document, path="capture"):
     """A dated snapshot of a data source's license text, with its selection
     status relative to the license range."""
@@ -507,7 +592,7 @@ class LicenseCapture(Document, path="capture"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Obligation(Document, path="obligation"):
     """A requirement attached to a right. Identity for set union is the id
     token; wording may vary across licenses that impose the same duty."""
@@ -541,7 +626,7 @@ def _decode_grant(value: Any, path: DocPath, strict: bool) -> Grant:
     return _decode_grant_name(value, path, strict)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class RightEntry(Document, path="right"):
     """Grant state plus the obligations owed when the right is exercised."""
 
@@ -549,7 +634,7 @@ class RightEntry(Document, path="right"):
     obligations: tuple[Obligation, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class LicenseMetadata(Document, path="metadata"):
     """Descriptive header of a license interpretation."""
 
@@ -570,7 +655,7 @@ def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -
     return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class RightsVector(Document, path="vector"):
     """One license decomposed into metadata, standalone-data rights, rights in
     conjunction with models, and optional custom rights."""
@@ -628,7 +713,7 @@ def validate_rights_vector(vector: RightsVector) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class AuditInfo(Document, path="audit"):
     """Reproducibility trailer attached to emitted verified licenses."""
 
@@ -639,7 +724,7 @@ class AuditInfo(Document, path="audit"):
     generated_at: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class VerifiedLicense(Document, path="verified"):
     """The effective rights of a root dataset after restrictive-wins
     reconciliation against every interpreted lineage node.
@@ -678,7 +763,7 @@ def _decode_required_rights(value: Any, path: DocPath, strict: bool) -> tuple[st
     return rights
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class UsageScenario(Document, path="scenario"):
     """A commercial action to check, expressed as the rights it needs."""
 
@@ -692,7 +777,7 @@ class UsageScenario(Document, path="scenario"):
         object.__setattr__(self, "required_rights", deduped)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class _BlockingRight(Document, path="blocking_right"):
     """A right that blocks a denied scenario, with the sources that denied it."""
 
@@ -700,7 +785,7 @@ class _BlockingRight(Document, path="blocking_right"):
     restrictors: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class AssessmentRow(Document, path="row"):
     """One scenario's decision: permitted flag, obligation ids owed, and the
     rights (with their restrictors) that block a denied scenario."""
@@ -711,7 +796,7 @@ class AssessmentRow(Document, path="row"):
     blocking_rights: tuple[_BlockingRight, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class AssessmentTable(Document, path="assessment"):
     """Per-scenario decisions for one dataset, plus the obligation legend and
     an advisory list of obligation ids attached to granted rights no shipped

@@ -25,15 +25,15 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from .catalog import InterpretationSet, load_catalog, load_interpretations_dir
 from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
 from .errors import InputError, ParseError, StaleEntryWarning, StoreCorrupt, StoreError
 from .lineage import LineageGraph, decode_root
 from .model import (
     Document,
     ProvenanceRecord,
+    Value,
     VerifiedLicense,
     canonical_json,
     read_input,
@@ -41,6 +41,9 @@ from .model import (
     read_json,
 )
 from .resources import templates_dir
+
+if TYPE_CHECKING:
+    from .catalog import InterpretationSet
 
 _KEY_SCHEME = "dla-analysis-key-v1"
 _KEY = re.compile(r"[0-9a-f]{64}")
@@ -73,7 +76,7 @@ def _payload_sha256(verified: VerifiedLicense) -> str:
     return hashlib.sha256(canonical_json(verified.to_dict()).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class StoreEntry(Document, path="store_entry"):
     """One stored analysis, exactly as its blob holds it."""
 
@@ -166,8 +169,8 @@ def _stale_reason(stored: VerifiedLicense, current_digest: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Bundle:
+@dataclass(init=False, repr=False, eq=False)
+class Bundle(Value):
     """A dataset's bundle as read from disk: the lineage file's bytes and
     JSON document, the interpretation files by name, the license template
     files by name, and the parse mode. The inputs digest hashes these bytes;
@@ -205,6 +208,9 @@ class Bundle:
 
     @cached_property
     def interpretations(self) -> InterpretationSet:
+        # Imported here, so a store hit does not load the catalog.
+        from .catalog import load_catalog, load_interpretations_dir
+
         catalog = load_catalog(files=self.template_files)
         return load_interpretations_dir(self.interpretations_dir, catalog, strict=self.strict,
                                         files=self.interpretation_files,

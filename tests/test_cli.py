@@ -55,6 +55,17 @@ class TestValidate:
         result = invoke(runner, "validate", tmp_path / "nope.json")
         assert result.exit_code == 64
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_later_file_exits_64_before_any_line(self, runner, tmp_path, kind):
+        lineage, _ = bundle_paths("cifar-10")
+        bad = tmp_path / "bad.json"
+        if kind == "directory":
+            bad.mkdir()
+        result = invoke(runner, "validate", lineage, bad)
+        assert result.exit_code == 64
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {bad}: cannot read file")
+
     def test_vector_missing_fixed_right_exits_1(self, runner, tmp_path):
         doc = {
             "subject_id": "x",

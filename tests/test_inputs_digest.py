@@ -77,7 +77,7 @@ def test_hit_parses_no_interpretation_and_no_template(bundle, monkeypatch):
 
     monkeypatch.setattr(dla.catalog, "parse_interpretation",
                         counted("parse_interpretation", dla.catalog.parse_interpretation))
-    monkeypatch.setattr(dla.store, "load_catalog", counted("load_catalog", dla.store.load_catalog))
+    monkeypatch.setattr(dla.catalog, "load_catalog", counted("load_catalog", dla.catalog.load_catalog))
     assert not cached(assess(bundle))
     assert sorted(set(calls)) == ["load_catalog", "parse_interpretation"]
     calls.clear()
