@@ -33,12 +33,10 @@ from .model import (
     SubjectKind,
     Value,
     codec_field,
-    decoder_for,
+    decode_names,
     parse_error,
     wrong_type,
 )
-
-_decode_endpoints = decoder_for(tuple[str, ...])
 
 
 def _decode_edges(value: Any, path: DocPath, strict: bool) -> tuple[tuple[str, ...], ...]:
@@ -48,7 +46,7 @@ def _decode_edges(value: Any, path: DocPath, strict: bool) -> tuple[tuple[str, .
     for i, edge in enumerate(value):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             parse_error((path, i), "expected [parent_id, child_id] pair")
-        edges.append(_decode_endpoints(edge, (path, i), strict))
+        edges.append(decode_names(edge, (path, i), strict))
     return tuple(edges)
 
 

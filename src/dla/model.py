@@ -120,14 +120,23 @@ def read_inputs(directory: Path) -> dict[str, bytes]:
     if not directory.is_dir():
         raise InputError(directory, "not a directory")
     with os.scandir(directory) as entries:
-        found = sorted((e.name, e.path) for e in entries if e.name.endswith(".json"))
+        names = sorted(e.name for e in entries if e.name.endswith(".json"))
     files = {}
-    for name, path in found:
-        try:
-            with open(path, "rb") as file:
-                files[name] = file.read()
-        except OSError as exc:
-            raise _unreadable(directory / name, exc) from exc
+    directory_fd = os.open(directory, os.O_RDONLY)  # no path walk, no file object per file
+    try:
+        for name in names:
+            try:
+                fd = os.open(name, os.O_RDONLY, dir_fd=directory_fd)
+                try:
+                    files[name] = b""
+                    while chunk := os.read(fd, 1 << 16):
+                        files[name] += chunk
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                raise _unreadable(directory / name, exc) from exc
+    finally:
+        os.close(directory_fd)
     return files
 
 
@@ -244,6 +253,8 @@ DocPath = Union[str, tuple]
 Decoder = Callable[[Any, DocPath, bool], Any]
 
 _SCALAR_NAMES = {str: "string", int: "integer", bool: "boolean"}
+# How many values a shared document class keeps before it forgets them all.
+_SHARED_LIMIT = 4096
 
 
 def render_path(path: DocPath) -> str:
@@ -286,42 +297,46 @@ _CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
 
 def _field_codec(
     tp: Any, expr: str, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False
-) -> tuple[str, str | None]:
+) -> tuple[str, str | None, str]:
     """One walk of a field type: the source of an expression that decodes
     ``x<depth>``, a JSON value that is not None, whose document path is the
-    expression ``path``; and the source of an expression that writes
-    ``expr``, of that type, as JSON (None when the value is JSON already).
-    Names the expressions use are put in ``scope``. ``optional`` marks the
-    inside of an ``X | None``, whose type errors say "or null"."""
+    expression ``path``; of one that writes ``expr``, of that type, as JSON
+    (None when the value is JSON already); and of one that keys ``x<depth>``
+    (see :class:`Document`). Names the expressions use are put in ``scope``.
+    ``optional`` marks the inside of an ``X | None``, whose type errors say
+    "or null"."""
     origin, args = get_origin(tp), get_args(tp)
     x = f"x{depth}"
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decoded, encoded = _field_codec(inner, expr, path, scope, depth, optional=True)
+        decoded, encoded, keyed = _field_codec(inner, expr, path, scope, depth, optional=True)
         encoded = encoded and f"(None if {expr} is None else {encoded})"
-        # A field's own value (depth 0) is decoded only when it is not None.
-        return decoded if depth == 0 else f"(None if {x} is None else {decoded})", encoded
+        # A field's own value (depth 0) is decoded and keyed only when it is not None.
+        guard = "" if depth == 0 else f"None if {x} is None else "
+        return f"({guard}{decoded})", encoded, f"({guard}{keyed})"
+    scalar_key = f"({x}.__class__, {x})"
     if tp in _SCALAR_NAMES:
         expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
         test = f"isinstance({x}, {tp.__name__})"
         if tp is int:  # bool is a subclass of int, but never an integer here
             test += f" and {x}.__class__ is not bool"
-        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None
+        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None, scalar_key
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = f"members_{tp.__name__}"
         scope[members] = {m.value: m for m in tp}
         decoded = f"{members}[{x}] if isinstance({x}, str) and {x} in {members}"
-        return f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value"
+        return f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value", scalar_key
     item, ipath = f"x{depth + 1}", f"({path}, i{depth})"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        decoded, encoded = _field_codec(args[0], item, ipath, scope, depth + 1)
+        decoded, encoded, keyed = _field_codec(args[0], item, ipath, scope, depth + 1)
         return (
             f"(tuple([{decoded} for i{depth}, {item} in enumerate({x})]) "
             f"if isinstance({x}, (list, tuple)) else wrong_type({path}, 'array', {x}))",
             f"list({expr})" if encoded is None else f"[{encoded} for {item} in {expr}]",
+            f"(tuple([{keyed} for {item} in {x}]) if {x}.__class__ is list else [])",
         )
     if origin is collections.abc.Mapping and args[0] is str:
-        decoded, encoded = _field_codec(args[1], item, ipath, scope, depth + 1)
+        decoded, encoded, keyed = _field_codec(args[1], item, ipath, scope, depth + 1)
         return (
             f"({{i{depth}: {decoded} for i{depth}, {item} in {x}.items()}} "
             f"if {x}.__class__ is dict or isinstance({x}, Mapping) "
@@ -329,6 +344,8 @@ def _field_codec(
             f"dict({expr})"
             if encoded is None
             else f"{{i{depth}: {encoded} for i{depth}, {item} in {expr}.items()}}",
+            f"(tuple([(i{depth}.__class__, i{depth}, {keyed}) for i{depth}, {item} in "
+            f"{x}.items()]) if {x}.__class__ is dict else [])",
         )
     if isinstance(tp, type) and issubclass(tp, Document):
         scope[f"doc_{tp.__name__}"] = tp
@@ -337,6 +354,7 @@ def _field_codec(
         return (
             f"doc_{tp.__name__}.from_dict({x}, {path}, strict)",
             f"codec_{tp.__name__}.encode({expr})",
+            f"codec_{tp.__name__}.key({x})",
         )
     raise TypeError(f"no document codec for type {tp!r}")
 
@@ -359,7 +377,7 @@ def decoder_for(tp: Any) -> Decoder:
         nonlocal compiled
         if compiled is None:
             scope = dict(_CODEC_SCOPE)
-            decoded, _ = _field_codec(tp, "x0", "path", scope)
+            decoded, *_ = _field_codec(tp, "x0", "path", scope)
             owner = tp.__name__ if isinstance(tp, type) else repr(tp)
             source = f"def decode(x0, path, strict):\n    return {decoded}"
             compiled = _compile(owner, "decode", source, scope)
@@ -381,7 +399,7 @@ class _Codec:
     decodes each field in declaration order, null meaning its default. A
     field's decode hook replaces its type's decoder expression. A codec is
     kept on its class as ``_codec``, and each direction is compiled on its
-    first call.
+    first call, as is ``key``, which keys a JSON value by the same walk.
     """
 
     def __init__(self, cls: type) -> None:
@@ -404,9 +422,15 @@ class _Codec:
                 "    missing = sorted(n for n in required if data.get(n) is None)",
                 "    parse_error(path, f'missing required fields: {missing}')",
             ]
+        keys = [
+            "if data.__class__ is not dict and not isinstance(data, Mapping) "
+            "or not known.issuperset(data):",
+            "    return []",
+        ]
         for f in declared:
             value, path = f"self.{f.name}", f"(path, {f.name!r})"
-            decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope)
+            decoded, encoded, keyed = _field_codec(eval(f.type, namespace), value, path, scope)
+            keys += [f"x0 = data.get({f.name!r})", f"k_{f.name} = None if x0 is None else {keyed}"]
             if decode := f.metadata.get("decode"):
                 scope[f"decode_hook_{f.name}"] = decode
                 decoded = f"decode_hook_{f.name}(x0, {path}, strict)"
@@ -416,10 +440,12 @@ class _Codec:
                 scope[f"default_{f.name}"] = f.default_factory if factory else f.default
                 decoded = f"default_{f.name}{'()' if factory else ''} if x0 is None else {decoded}"
             body += [f"x0 = data.get({f.name!r})", f"f_{f.name} = {decoded}"]
+        keys.append(f"return ({''.join(f'k_{f.name}, ' for f in declared)})")
         body.append(f"return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})")
         self._owner, self._scope = cls.__name__, scope
         self._to_dict = f"def to_dict(self):\n    return {{{', '.join(items)}}}"
         self._from_dict = "def from_dict(cls, data, path, strict):\n    " + "\n    ".join(body)
+        self._key = "def key(data):\n    " + "\n    ".join(keys)
         cls._codec = self
 
     @cached_property
@@ -430,6 +456,10 @@ class _Codec:
     def decode(self) -> Callable[[type, Any, DocPath, bool], Any]:
         return _compile(self._owner, "from_dict", self._from_dict, self._scope)
 
+    @cached_property
+    def key(self) -> Callable[[Any], tuple]:
+        return _compile(self._owner, "key", self._key, self._scope)
+
 
 class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the dataclass
@@ -437,15 +467,21 @@ class Document(Value):
     with null meaning the field's default.
 
     A subclass names the root of its error paths, as in
-    ``class Digest(Document, path="digest")``.
+    ``class Digest(Document, path="digest")``. With ``shared=True``, equal
+    documents decode to one value, kept in ``_shared`` (hash-consing), whose
+    key holds each scalar with its class: ``true``, ``1`` and ``1.0`` differ.
+    Only a decode that succeeded is kept. An unknown field, an array that is
+    not a list or a value that cannot be hashed makes a key that cannot be
+    hashed: that document is decoded afresh, with its errors and warnings.
     """
 
     _path: ClassVar[str]
+    _shared: ClassVar[dict[tuple, Any] | None]
     _codec: ClassVar[_Codec | None]
 
-    def __init_subclass__(cls, path: str, **kwargs: Any) -> None:
+    def __init_subclass__(cls, path: str, shared: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls._path = path
+        cls._path, cls._shared = path, {} if shared else None
         cls._codec = None  # built on first use, once the dataclass exists
         # Each class holds its own entries, so a profiler can wrap one class's
         # codec methods without touching the others.
@@ -458,10 +494,22 @@ class Document(Value):
     @classmethod
     def from_dict(cls, data: Any, path: DocPath | None = None, strict: bool = True) -> Any:
         codec, path = cls._codec or _Codec(cls), cls._path if path is None else path
+        shared, key = cls._shared, None
+        if shared is not None:
+            try:
+                if (value := shared.get(key := codec.key(data))) is not None:
+                    return value
+            except TypeError:  # a key that cannot be hashed
+                key = None
         try:
-            return codec.decode(cls, data, path, strict)
+            value = codec.decode(cls, data, path, strict)
         except ValueError as exc:  # a rule across fields, checked by __post_init__
             parse_error(path, str(exc))
+        if key is not None:
+            if len(shared) >= _SHARED_LIMIT:
+                shared.clear()
+            shared[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +675,7 @@ def _decode_grant(value: Any, path: DocPath, strict: bool) -> Grant:
 
 
 @dataclass(init=False, repr=False, eq=False)
-class RightEntry(Document, path="right"):
+class RightEntry(Document, path="right", shared=True):
     """Grant state plus the obligations owed when the right is exercised."""
 
     grant: Grant = codec_field(decode=_decode_grant)
@@ -753,11 +801,11 @@ class VerifiedLicense(Document, path="verified"):
 # Usage scenarios and assessment tables
 # ---------------------------------------------------------------------------
 
-_decode_names = decoder_for(tuple[str, ...])
+decode_names = decoder_for(tuple[str, ...])
 
 
 def _decode_required_rights(value: Any, path: DocPath, strict: bool) -> tuple[str, ...]:
-    rights = _decode_names(value, path, strict)
+    rights = decode_names(value, path, strict)
     if not rights:
         parse_error(path, "must be a nonempty array")
     return rights

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import warnings
 from types import MappingProxyType
 
 import pytest
@@ -27,7 +29,9 @@ from dla import (
     validate_rights_vector,
 )
 from dla.errors import ParseError, UnknownFieldWarning
+from dla.catalog import load_catalog, load_interpretations_dir
 from dla.model import (
+    _SHARED_LIMIT,
     CaptureStatus,
     FIXED_RIGHTS,
     MODEL_RIGHTS,
@@ -43,7 +47,7 @@ from dla.model import (
 )
 from dla.resources import templates_dir
 
-from helpers import record_for
+from helpers import bundle_paths, record_for
 
 
 def cifar_record() -> ProvenanceRecord:
@@ -227,6 +231,180 @@ def test_compiled_codecs_are_named_for_their_class():
     for function, name in ((codec.decode, "from_dict"), (codec.encode, "to_dict")):
         assert function.__code__.co_filename == "<codec RightEntry>"
         assert (function.__name__, function.__qualname__) == (name, f"RightEntry.{name}")
+
+
+def empty_memo() -> dict:
+    """The values ``RightEntry.from_dict`` shares, emptied."""
+    RightEntry._shared.clear()
+    return RightEntry._shared
+
+
+def decode_outcome(doc, strict: bool, path: str = "right") -> tuple:
+    """What decoding one entry gives: its value or error text, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(RightEntry.from_dict(doc, path, strict))
+        except ParseError as exc:
+            result = f"ParseError: {exc}"
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+SHARED_BASE = {
+    "grant": "granted",
+    "obligations": [{"id": "cite", "text": "Cite the paper.", "kind": "cite"}],
+}
+SHARED_PLACES = [("grant",), ("obligations",), ("obligations", 0), ("bonus",)] + [
+    ("obligations", 0, name) for name in ("id", "text", "kind", "bonus")
+]
+DELETE = object()
+# Scalar type swaps, nulls, arrays and objects in scalar places, and deletion.
+SHARED_VALUES = [
+    True, 1, 1.0, "granted", False, 0, 0.0, "denied", None, "maybe", "cite", "other", "",
+    [], ["granted"], [{"id": "a", "text": "b", "kind": "cite"}], {}, {"grant": "granted"},
+    DELETE,
+]
+
+
+def edit(doc: dict, place: tuple, value: object) -> None:
+    """Replace, delete or add the value at a place of an entry, if the
+    place is still there."""
+    for key in place[:-1]:
+        if isinstance(doc, list) and isinstance(key, int) and key < len(doc):
+            doc = doc[key]
+        elif isinstance(doc, dict) and key in doc:
+            doc = doc[key]
+        else:
+            return
+    key = place[-1]
+    if isinstance(doc, dict) or (isinstance(doc, list) and isinstance(key, int) and key < len(doc)):
+        if value is not DELETE:
+            doc[key] = copy.deepcopy(value)
+        elif isinstance(doc, list) or key in doc:
+            del doc[key]
+
+
+def proxied(doc: object, entry: bool, obligation: bool) -> object:
+    """The entry, its first obligation or both given as a MappingProxyType."""
+    obligations = doc.get("obligations")
+    if obligation and isinstance(obligations, list) and obligations:
+        if isinstance(obligations[0], dict):
+            obligations[0] = MappingProxyType(obligations[0])
+    return MappingProxyType(doc) if entry else doc
+
+
+@st.composite
+def mutated_entries(draw) -> object:
+    doc = copy.deepcopy(SHARED_BASE)
+    edits = st.tuples(st.sampled_from(SHARED_PLACES), st.sampled_from(SHARED_VALUES))
+    for place, value in draw(st.lists(edits, max_size=3)):
+        edit(doc, place, value)
+    return proxied(doc, draw(st.booleans()), draw(st.booleans()))
+
+
+def assert_sharing_changes_nothing(docs: list, strict: bool) -> None:
+    """Each entry decodes after a warm memo as it does with an empty one."""
+    expected = []
+    for i, doc in enumerate(docs):
+        empty_memo()
+        expected.append(decode_outcome(doc, strict, f"rights[{i}]"))
+    empty_memo()
+    for doc in docs:  # every entry that decodes is shared, in either mode
+        decode_outcome(doc, strict=True)
+        decode_outcome(doc, strict=False)
+    warm = [decode_outcome(doc, strict, f"rights[{i}]") for i, doc in enumerate(docs)]
+    assert warm == expected
+
+
+class TestSharedEntries:
+    """Equal right entries decode to one shared value, and sharing changes
+    no outcome: every value, error and warning is the one an empty memo gives."""
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize("proxies", [(False, False), (True, True)], ids=["dicts", "proxies"])
+    def test_every_single_edit_decodes_as_with_an_empty_memo(self, strict, proxies):
+        docs = []
+        for place in SHARED_PLACES:
+            for value in SHARED_VALUES:
+                doc = copy.deepcopy(SHARED_BASE)
+                edit(doc, place, value)
+                docs.append(proxied(doc, *proxies))
+        assert_sharing_changes_nothing(docs, strict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(mutated_entries(), min_size=1, max_size=6), st.booleans())
+    def test_mutated_entries_decode_as_with_an_empty_memo(self, docs, strict):
+        assert_sharing_changes_nothing(docs, strict)
+
+    def test_true_one_and_granted_never_share(self):
+        memo = empty_memo()
+        assert RightEntry.from_dict({"grant": True}) == RightEntry.from_dict({"grant": "granted"})
+        for value, name in ((1, "int"), (1.0, "float")):
+            with pytest.raises(ParseError, match=rf"^right\.grant: expected string, got {name}$"):
+                RightEntry.from_dict({"grant": value})
+        assert len(memo) == 2
+
+    @pytest.mark.parametrize("value", [{"granted": True}, ["granted"]], ids=["object", "array"])
+    def test_an_unhashable_grant_gets_its_parse_error(self, value):
+        empty_memo()
+        RightEntry.from_dict({"grant": "granted"})
+        name = type(value).__name__
+        with pytest.raises(ParseError, match=rf"^right\.grant: expected string, got {name}$"):
+            RightEntry.from_dict({"grant": value})
+
+    def test_a_lenient_unknown_field_warns_at_each_occurrence(self):
+        empty_memo()
+        doc = {"grant": "granted", "bonus": 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = RightEntry.from_dict(doc, "rights[0]", strict=False)
+            second = RightEntry.from_dict(dict(doc), "rights[1]", strict=False)
+        assert [str(w.message) for w in caught] == [
+            f"rights[{i}]: ignoring unknown fields ['bonus']" for i in (0, 1)
+        ]
+        assert first == second == RightEntry(Grant.GRANTED)
+
+    def test_equal_entries_are_one_object(self):
+        empty_memo()
+        first = RightEntry.from_dict(copy.deepcopy(SHARED_BASE))
+        assert RightEntry.from_dict(MappingProxyType(copy.deepcopy(SHARED_BASE))) is first
+        assert RightEntry.from_dict(json.loads(json.dumps(SHARED_BASE))) is first
+
+    def test_the_memo_stays_within_its_bound(self):
+        memo = empty_memo()
+
+        def entry(i: int) -> dict:
+            return {"grant": "denied", "obligations": [{"id": f"o{i}", "text": "t", "kind": "other"}]}
+
+        for i in range(_SHARED_LIMIT + 10):
+            assert RightEntry.from_dict(entry(i)).obligations[0].id == f"o{i}"
+            assert 0 < len(memo) <= _SHARED_LIMIT
+        assert RightEntry.from_dict(entry(0)) is RightEntry.from_dict(entry(0))
+
+
+def test_loading_cifar10_builds_each_distinct_entry_once(monkeypatch):
+    catalog = load_catalog()
+    RightEntry(Grant.GRANTED)  # compiles __init__, which would replace a wrapper around it
+    built, real_init = [], RightEntry.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RightEntry, "__init__", init)
+    empty_memo()
+    built.clear()
+    loaded = load_interpretations_dir(bundle_paths("cifar-10")[1], catalog)
+    entries = [
+        entry
+        for vector in loaded.vectors.values()
+        if vector is not None
+        for group in (vector.standalone_rights, vector.model_rights, vector.custom_rights)
+        for entry in group.values()
+    ]
+    assert (len(entries), len(set(entries))) == (77, 3)
+    assert len(built) == 3
+    assert len({id(entry) for entry in entries}) == 3
 
 
 class TestObligationUnion:
