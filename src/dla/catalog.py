@@ -12,7 +12,6 @@ code change.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Collection, Mapping, Sequence
@@ -31,6 +30,7 @@ from .model import (
     codec_field,
     decoder_for,
     merge_obligations,
+    path_prefix,
     read_inputs,
     read_json,
     validate_rights_vector,
@@ -282,9 +282,7 @@ def load_interpretations_dir(
     """
     vectors: dict[str, RightsVector | None] = {}
     digests: dict[str, str] = {}
-    # Each file's path as ``str(directory / name)`` gives it: Path joins a
-    # name to "." as the bare name.
-    prefix = "" if directory == Path(".") else os.path.join(directory, "")
+    prefix = path_prefix(directory)
     for name, raw in (read_inputs(directory) if files is None else files).items():
         path = prefix + name
         parsed = parse_interpretation(read_json(path, raw), catalog, strict=strict, path=path)

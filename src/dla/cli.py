@@ -26,6 +26,7 @@ from .model import (
     RightsVector,
     VerifiedLicense,
     canonical_json,
+    path_prefix,
     read_inputs,
     read_json,
     validate_provenance,
@@ -206,12 +207,12 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
     if settings.output_format == "json":
         click.echo(canonical_json(graph.to_dict()), nl=False)
     else:
-        click.echo(f"root: {graph.root_id}")
+        lines = [f"root: {graph.root_id}"]
         for node_id, record in graph.nodes.items():
             year = record.origin_year if record.origin_year is not None else "-"
-            click.echo(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
-        for parent, child in graph.edges:
-            click.echo(f"{parent} -> {child}")
+            lines.append(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
+        lines += [f"{parent} -> {child}" for parent, child in graph.edges]
+        click.echo("\n".join(lines))
 
 
 @cli.command("range")
@@ -229,23 +230,25 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
     from .lineage import CaptureInput, compute_license_range, parse_capture_list, select_capture
 
     graph = _load_graph(lineage_path, settings.strict)
-    # Every capture list a node names is decoded before the first line, so a
-    # bad one ends the run with nothing on stdout.
+    # Every capture list a node names is decoded, and every line built, before
+    # the report is written, so a bad capture list leaves stdout empty.
     captures: dict[str, list[CaptureInput]] | None = None
     if captures_dir is not None:
         capture_files, captures = read_inputs(captures_dir), {}
+        prefix = path_prefix(captures_dir)
         for node_id in graph.nodes:
             name = f"{node_id}.json"
             if name in capture_files:
-                path = captures_dir / name
+                path = prefix + name
                 captures[node_id] = parse_capture_list(
-                    read_json(path, capture_files[name]), str(path), settings.strict
+                    read_json(path, capture_files[name]), path, settings.strict
                 )
+    lines = []
     for node_id in graph.nodes:
         try:
             node_range = compute_license_range(node_id, graph)
         except LineageError as exc:
-            click.echo(f"{node_id}: error: {exc}")
+            lines.append(f"{node_id}: error: {exc}")
             continue
         line = f"{node_id}: {node_range.start_year}-{node_range.end_year}"
         if captures is not None:
@@ -254,7 +257,8 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
                 line += f" capture: {capture.capture_year} ({capture.status.value})"
             else:
                 line += f" capture: ({capture.status.value})"
-        click.echo(line)
+        lines.append(line)
+    click.echo("\n".join(lines))
 
 
 def _run_pipeline(

@@ -250,10 +250,15 @@ def compute_license_range(node_id: str, graph: LineageGraph) -> LicenseRange:
     datasets = sorted(graph._nearest_datasets.get(node_id, ()))
     if not datasets:
         raise NoDatasetAncestor(node_id)
-    distinct = {compute_license_range(d, graph) for d in datasets}
-    if len(distinct) > 1:
+    years = set()
+    for dataset_id in datasets:
+        year = graph.nodes[dataset_id].origin_year
+        if year is None:
+            raise MissingOriginYear(dataset_id)
+        years.add(year)
+    if len(years) > 1:
         raise AmbiguousRange(node_id, tuple(datasets))
-    return next(iter(distinct))
+    return LicenseRange.ending_at(years.pop())
 
 
 @dataclass(init=False, repr=False, eq=False)

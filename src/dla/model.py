@@ -128,9 +128,10 @@ def read_inputs(directory: Path) -> dict[str, bytes]:
             try:
                 fd = os.open(name, os.O_RDONLY, dir_fd=directory_fd)
                 try:
-                    files[name] = b""
+                    chunks = []
                     while chunk := os.read(fd, 1 << 16):
-                        files[name] += chunk
+                        chunks.append(chunk)
+                    files[name] = b"".join(chunks)
                 finally:
                     os.close(fd)
             except OSError as exc:
@@ -138,6 +139,12 @@ def read_inputs(directory: Path) -> dict[str, bytes]:
     finally:
         os.close(directory_fd)
     return files
+
+
+def path_prefix(directory: Path) -> str:
+    """What ``str(directory / name)`` puts before ``name``: Path joins a name
+    to "." as the bare name."""
+    return "" if directory == Path(".") else os.path.join(directory, "")
 
 
 def read_json(path: Path | str, raw: bytes | None = None) -> Any:

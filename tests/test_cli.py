@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,15 @@ from click.testing import CliRunner
 
 from dla import analysis_key
 from dla.cli import cli
-from dla.model import canonical_json
+from dla.errors import LineageError
+from dla.lineage import (
+    CaptureInput,
+    LineageGraph,
+    build_lineage,
+    compute_license_range,
+    select_capture,
+)
+from dla.model import CaptureStatus, SubjectKind, canonical_json
 
 from helpers import (
     BUNDLE_NAMES,
@@ -187,6 +197,13 @@ class TestInputErrors:
         assert result.stderr == f"error: {path}: {message}\n"
 
 
+# A capture list's faults: its text, the exit code and the error it ends in.
+BAD_CAPTURE_LISTS = {
+    "truncated": ("[", 64, "invalid JSON"),
+    "not-an-array": ("{}", 1, "expected array of captures, got dict"),
+}
+
+
 class TestRange:
     def test_cifar_ranges(self, runner):
         lineage, _ = bundle_paths("cifar-10")
@@ -260,15 +277,28 @@ class TestRange:
         assert result.stderr.startswith(f"error: {captures / 'stray.json'}: cannot read file")
 
     @pytest.mark.parametrize(
-        "text, code, error",
-        [("[", 64, "invalid JSON"), ("{}", 1, "expected array of captures")],
-        ids=["truncated", "not-an-array"],
+        "where, fault",
+        [pytest.param(where, fault, id=fault if where == "absolute" else f"{where}-{fault}")
+         for where in ("absolute", "relative", "dotted", "cwd")
+         for fault in BAD_CAPTURE_LISTS],
     )
-    def test_bad_capture_list_exits_before_any_line(self, runner, tmp_path, text, code, error):
+    def test_bad_capture_list_exits_before_any_line(
+        self, runner, tmp_path, monkeypatch, where, fault
+    ):
+        """The file is named as ``str(captures / name)`` names it, for an
+        absolute, a relative and a dotted captures directory, and for ``.``
+        run inside it."""
+        text, code, error = BAD_CAPTURE_LISTS[fault]
         lineage, _ = bundle_paths("cifar-10")
-        captures = tmp_path / "captures"
-        shutil.copytree(lineage.parent / "captures", captures)
-        (captures / "google.json").write_text(text)
+        shutil.copytree(lineage.parent / "captures", tmp_path / "captures")
+        (tmp_path / "captures" / "google.json").write_text(text)
+        captures = {
+            "absolute": tmp_path / "captures",
+            "relative": Path("captures"),
+            "dotted": Path("./captures/"),
+            "cwd": Path("."),
+        }[where]
+        monkeypatch.chdir(tmp_path / "captures" if where == "cwd" else tmp_path)
         result = invoke(runner, "range", lineage, "--captures", captures)
         assert result.exit_code == code
         assert result.stdout == ""
@@ -289,6 +319,86 @@ class TestRange:
         result = invoke(runner, "range", lineage)
         assert result.exit_code == 0
         assert "solo: error:" in result.output
+
+    def test_captures_report_matches_the_library_line_by_line(self, runner, tmp_path):
+        graph, captures = mixed_lineage(random.Random(41), 300)
+        lineage = write_lineage(tmp_path / "lineage.json", graph)
+        captures_dir = tmp_path / "captures"
+        captures_dir.mkdir()
+        for node_id, items in captures.items():
+            (captures_dir / f"{node_id}.json").write_text(json.dumps(items))
+        lines, outcomes, statuses = [], set(), set()
+        for node_id in graph.nodes:
+            try:
+                node_range = compute_license_range(node_id, graph)
+            except LineageError as exc:
+                outcomes.add(type(exc).__name__)
+                lines.append(f"{node_id}: error: {exc}")
+                continue
+            outcomes.add("range")
+            offered = [CaptureInput.from_dict(item) for item in captures.get(node_id, [])]
+            capture = select_capture(node_id, offered, node_range)
+            statuses.add(capture.status)
+            year = "" if capture.capture_year is None else f"{capture.capture_year} "
+            lines.append(f"{node_id}: {node_range.start_year}-{node_range.end_year}"
+                         f" capture: {year}({capture.status.value})")
+        assert outcomes == {"range", "MissingOriginYear", "AmbiguousRange", "NoDatasetAncestor"}
+        assert statuses == set(CaptureStatus)
+        assert len(captures) < len(graph.nodes)  # some nodes have no capture file
+        result = invoke(runner, "range", lineage, "--captures", captures_dir)
+        assert result.exit_code == 0
+        assert result.stdout == "\n".join(lines) + "\n"
+
+
+def write_lineage(path: Path, graph: LineageGraph) -> Path:
+    path.write_text(canonical_json(graph.to_dict()))
+    return path
+
+
+def mixed_lineage(rng: random.Random, count: int) -> tuple[LineageGraph, dict[str, list]]:
+    """A lineage of ``count`` nodes whose ranges cover every outcome, and
+    capture lists for most of its nodes.
+
+    The root is a website, so nodes it reaches through no dataset have no
+    dataset ancestor; dataset years come from a small pool that includes
+    none, so equally near datasets may disagree or lack a year. A capture
+    list may be empty, or hold captures in and out of a node's range.
+    """
+    ids = [f"n{i:03d}" for i in range(count)]
+    kinds = [SubjectKind.WEBSITE] + [
+        rng.choice([SubjectKind.DATASET, SubjectKind.WEBSITE, SubjectKind.SEARCH_ENGINE])
+        for _ in ids[1:]
+    ]
+    records = [
+        replace(record_for(node_id, kind),
+                origin_year=rng.choice([None, 2004, 2005, 2005, 2009])
+                if kind is SubjectKind.DATASET else None)
+        for node_id, kind in zip(ids, kinds)
+    ]
+    edges = {(ids[rng.randint(max(0, i - 20), i - 1)], ids[i]) for i in range(1, count)}
+    edges |= {(ids[rng.randint(max(0, i - 20), i - 1)], ids[i])
+              for i in range(1, count) if rng.random() < 0.3}
+    graph = build_lineage(records, edges, ids[0])
+    captures = {
+        node_id: [
+            {"year": rng.randint(2002, 2011), "url": f"https://archive.example/{node_id}/{j}",
+             "content": f"terms {j}"}
+            for j in range(rng.randint(0, 3))
+        ]
+        for node_id in ids if rng.random() < 0.8
+    }
+    return graph, captures
+
+
+def lineage_markdown(graph: LineageGraph) -> str:
+    """The markdown ``lineage`` report of a graph: the root, then each node
+    and each edge in the graph's order."""
+    lines = [f"root: {graph.root_id}"]
+    for node_id, record in graph.nodes.items():
+        year = "-" if record.origin_year is None else record.origin_year
+        lines.append(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
+    lines += [f"{parent} -> {child}" for parent, child in graph.edges]
+    return "\n".join(lines) + "\n"
 
 
 class TestLineageCmd:
@@ -333,6 +443,19 @@ class TestLineageCmd:
         result = invoke(runner, "lineage", lineage)
         assert result.exit_code == 0
         assert f"{ids[-2]} -> {ids[-1]}" in result.output
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    def test_markdown_lists_every_fixture_node_and_edge(self, runner, name):
+        lineage, _ = bundle_paths(name)
+        result = invoke(runner, "lineage", lineage)
+        assert result.exit_code == 0
+        assert result.stdout == lineage_markdown(load_bundle(name)[0])
+
+    def test_markdown_lists_a_generated_graph(self, runner, tmp_path):
+        graph, _ = mixed_lineage(random.Random(42), 300)
+        result = invoke(runner, "lineage", write_lineage(tmp_path / "lineage.json", graph))
+        assert result.exit_code == 0
+        assert result.stdout == lineage_markdown(graph)
 
 
 class TestAssess:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import warnings
 from types import MappingProxyType
 
@@ -44,6 +45,7 @@ from dla.model import (
     _BlockingRight,
     canonical_json,
     merge_obligations,
+    read_inputs,
 )
 from dla.resources import templates_dir
 
@@ -638,3 +640,30 @@ def test_usage_scenario_requires_rights():
 
 def test_record_helper_produces_clean_records():
     assert validate_provenance(record_for("demo")) == []
+
+
+# The size ``read_inputs`` asks ``os.read`` for.
+CHUNK = 1 << 16
+
+
+def test_read_inputs_joins_every_chunk_of_every_file(tmp_path, monkeypatch):
+    sizes = {"empty.json": 0, "short.json": 100, "two.json": 2 * CHUNK,
+             "tail.json": 5 * CHUNK + 123}
+    expected = {name: bytes(i % 251 for i in range(size)) for name, size in sizes.items()}
+    for name, data in expected.items():
+        (tmp_path / name).write_bytes(data)
+    raw_read, reads = os.read, []
+
+    def counted(fd, size):
+        chunk = raw_read(fd, size)
+        reads.append(len(chunk))
+        return chunk
+
+    monkeypatch.setattr(os, "read", counted)
+    files = read_inputs(tmp_path)
+    assert list(files) == sorted(expected)
+    assert files == expected
+    # One read per whole or partial chunk, and one that meets the end.
+    nonempty = sum(1 for n in reads if n)
+    assert nonempty == sum(-(-size // CHUNK) for size in sizes.values())
+    assert reads.count(0) == len(sizes)

@@ -1,7 +1,8 @@
 """Every name the package exports, and every attribute the traced benchmark
 (``bench/tracing.py``) patches, must exist, and the patched functions must be
-the ones an ``assess`` run calls: deleting one, or calling a layer some other
-way, fails here and not only in the benchmark's own self-test."""
+the ones an ``assess`` or ``range`` run calls: deleting one, or calling a
+layer some other way, fails here and not only in the benchmark's own
+self-test."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ import importlib
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import dla
+import dla.lineage
 from dla.cli import cli
 from dla.lineage import LineageGraph
 from dla.model import ProvenanceRecord
@@ -87,3 +90,46 @@ def test_traced_assess_records_every_layer(tmp_path, monkeypatch):
     for name in ASSESS_LAYERS:
         spans = [span for span in tracer.spans if span.name == name]
         assert spans and [span.error for span in spans if span.error] == [], name
+
+
+def recording(function, seen: list):
+    """``function``, appending its first argument to ``seen`` on each call."""
+    def recorded(first, *args, **kwargs):
+        seen.append(first)
+        return function(first, *args, **kwargs)
+    return recorded
+
+
+def test_range_reaches_each_traced_name_once_per_node(monkeypatch):
+    """The bench's ``lineage.range`` and ``lineage.capture`` spans wrap these
+    names in ``dla.lineage``; ``range --captures`` calls them through the
+    module, ``compute_license_range`` and ``select_capture`` once per node and
+    ``parse_capture_list`` once per capture file."""
+    lineage, _ = bundle_paths("cifar-10")
+    captures = lineage.parent / "captures"
+    calls: dict[str, list] = {
+        name: [] for name in ("compute_license_range", "select_capture", "parse_capture_list")
+    }
+    for name, seen in calls.items():
+        monkeypatch.setattr(dla.lineage, name, recording(getattr(dla.lineage, name), seen))
+    result = CliRunner().invoke(cli, ["range", str(lineage), "--captures", str(captures)])
+    assert result.exit_code == 0, result.output
+    nodes = LineageGraph.from_dict(json.loads(lineage.read_text(encoding="utf-8"))).nodes
+    assert calls["compute_license_range"] == list(nodes)
+    assert calls["select_capture"] == list(nodes)
+    assert len(calls["parse_capture_list"]) == len(list(captures.glob("*.json")))
+
+
+@pytest.mark.parametrize("args", [["range", "{lineage}"],
+                                  ["range", "{lineage}", "--captures", "{captures}"],
+                                  ["lineage", "{lineage}"],
+                                  ["--format", "json", "lineage", "{lineage}"]],
+                         ids=["range", "range-captures", "lineage", "lineage-json"])
+def test_report_is_one_stdout_write(monkeypatch, args):
+    lineage, _ = bundle_paths("cifar-10")
+    paths = {"lineage": lineage, "captures": lineage.parent / "captures"}
+    writes: list = []  # every click.echo call, to stdout or stderr
+    monkeypatch.setattr(click, "echo", recording(click.echo, writes))
+    result = CliRunner().invoke(cli, [arg.format(**paths) for arg in args])
+    assert result.exit_code == 0, result.output
+    assert len(writes) == 1 and result.stdout.startswith(writes[0])
