@@ -35,51 +35,7 @@ _HOMES = {
     for name in names
 }
 
-__all__ = [
-    "__version__",
-    "AnalysisStore",
-    "AssessmentRow",
-    "AssessmentTable",
-    "Bundle",
-    "CaptureStatus",
-    "Digest",
-    "EnginePolicy",
-    "FIXED_RIGHTS",
-    "Grant",
-    "LicenseCapture",
-    "LicenseCatalog",
-    "LicenseMetadata",
-    "LicenseRange",
-    "LineageGraph",
-    "MODEL_RIGHTS",
-    "Obligation",
-    "ObligationKind",
-    "ProvenanceRecord",
-    "RightEntry",
-    "RightsVector",
-    "STANDALONE_RIGHTS",
-    "SubjectKind",
-    "TriState",
-    "UsageScenario",
-    "VerifiedLicense",
-    "Violation",
-    "analysis_key",
-    "assess",
-    "assess_all",
-    "build_lineage",
-    "compute_license_range",
-    "default_scenarios",
-    "extend_schema",
-    "fingerprint_inputs",
-    "load_catalog",
-    "load_interpretations_dir",
-    "lookup_or_verify",
-    "render_markdown",
-    "select_capture",
-    "validate_provenance",
-    "validate_rights_vector",
-    "verify",
-]
+__all__ = ["__version__", *sorted(_HOMES)]
 
 
 def _export(name: str) -> Any:

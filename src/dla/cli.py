@@ -8,6 +8,9 @@ interpretation, template, scenario, capture list or validated document), JSON
 nested deeper than the parser allows, an interpretations or captures
 directory that is not a directory, and an unusable store or damaged store
 entry. Every input file is read through :func:`dla.model.read_json`.
+
+Each command returns its report and exit code; the report is written in one
+write after it is complete, so any error exit leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 import click
 
@@ -59,15 +62,17 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 class _Commands(click.Group):
-    """The command group; ends every command's error with its exit code."""
+    """The command group: the only writer of a report to stdout, and the only exit."""
 
-    def invoke(self, ctx: click.Context) -> Any:
+    def invoke(self, ctx: click.Context) -> NoReturn:
         try:
-            return super().invoke(ctx)
+            report, code = super().invoke(ctx)
         except tuple(kind for kind, _ in _EXIT_CODES) as exc:
             code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
             click.echo(f"error: {exc}", err=True)
-            sys.exit(code)
+        else:
+            click.echo(report, nl=False)
+        sys.exit(code)
 
 
 class Settings:
@@ -179,40 +184,35 @@ def _validate_one(path: Path, data: Any, strict: bool, shapes: tuple) -> list[st
 @cli.command("validate")
 @click.argument("paths", nargs=-1, required=True, type=click.Path(path_type=Path))
 @click.pass_obj
-def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> None:
+def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> tuple[str, int]:
     """Validate provenance, interpretation, lineage, or capture documents."""
-    # Every file is read before the first line, so one that cannot be read
-    # ends the run with nothing on stdout.
-    documents = [(path, read_json(path)) for path in paths]
     shapes = _document_shapes()
-    any_problem = False
-    for path, data in documents:
-        problems = _validate_one(path, data, settings.strict, shapes)
+    lines, code = [], EXIT_OK
+    for path in paths:
+        problems = _validate_one(path, read_json(path), settings.strict, shapes)
         if problems:
-            any_problem = True
-            click.echo(f"{path}: {len(problems)} problem(s)")
-            for problem in problems:
-                click.echo(f"  - {problem}")
+            code = EXIT_VALIDATION
+            lines.append(f"{path}: {len(problems)} problem(s)")
+            lines += [f"  - {problem}" for problem in problems]
         else:
-            click.echo(f"{path}: ok")
-    sys.exit(EXIT_VALIDATION if any_problem else EXIT_OK)
+            lines.append(f"{path}: ok")
+    return "\n".join(lines) + "\n", code
 
 
 @cli.command("lineage")
 @click.argument("lineage_path", type=click.Path(path_type=Path))
 @click.pass_obj
-def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
+def cmd_lineage(settings: Settings, lineage_path: Path) -> tuple[str, int]:
     """Show the validated lineage graph of a dataset."""
     graph = _load_graph(lineage_path, settings.strict)
     if settings.output_format == "json":
-        click.echo(canonical_json(graph.to_dict()), nl=False)
-    else:
-        lines = [f"root: {graph.root_id}"]
-        for node_id, record in graph.nodes.items():
-            year = record.origin_year if record.origin_year is not None else "-"
-            lines.append(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
-        lines += [f"{parent} -> {child}" for parent, child in graph.edges]
-        click.echo("\n".join(lines))
+        return canonical_json(graph.to_dict()), EXIT_OK
+    lines = [f"root: {graph.root_id}"]
+    for node_id, record in graph.nodes.items():
+        year = record.origin_year if record.origin_year is not None else "-"
+        lines.append(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
+    lines += [f"{parent} -> {child}" for parent, child in graph.edges]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 @cli.command("range")
@@ -225,13 +225,11 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> None:
     help="Directory of per-source capture lists; shows the selected capture per node.",
 )
 @click.pass_obj
-def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> None:
+def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> tuple[str, int]:
     """License range per lineage node (and the applicable capture, if given)."""
     from .lineage import CaptureInput, compute_license_range, parse_capture_list, select_capture
 
     graph = _load_graph(lineage_path, settings.strict)
-    # Every capture list a node names is decoded, and every line built, before
-    # the report is written, so a bad capture list leaves stdout empty.
     captures: dict[str, list[CaptureInput]] | None = None
     if captures_dir is not None:
         capture_files, captures = read_inputs(captures_dir), {}
@@ -258,7 +256,7 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
             else:
                 line += f" capture: ({capture.status.value})"
         lines.append(line)
-    click.echo("\n".join(lines))
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _run_pipeline(
@@ -295,15 +293,14 @@ def cmd_verify(
     lineage_path: Path,
     interpretations_dir: Path,
     audit_timestamps: bool,
-) -> None:
+) -> tuple[str, int]:
     """Compute the verified license of a dataset against its data sources."""
     from .assessment import render_rights_markdown
 
     root, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
     if settings.output_format == "json":
-        click.echo(canonical_json(verified.to_dict()), nl=False)
-    else:
-        click.echo(render_rights_markdown(verified, root.dataset_name), nl=False)
+        return canonical_json(verified.to_dict()), EXIT_OK
+    return render_rights_markdown(verified, root.dataset_name), EXIT_OK
 
 
 @cli.command("assess")
@@ -328,7 +325,7 @@ def cmd_assess(
     scenarios_path: Path | None,
     no_gate: bool,
     audit_timestamps: bool,
-) -> None:
+) -> tuple[str, int]:
     """Assess commercial usage scenarios for a dataset bundle.
 
     Exits 3 when any requested scenario is denied so CI pipelines can gate
@@ -344,11 +341,11 @@ def cmd_assess(
     table = assess_all(verified, scenarios, dataset_name=root.dataset_name)
     if settings.output_format == "json":
         doc = {"assessment": table.to_dict(), "verified_license": verified.to_dict()}
-        click.echo(canonical_json(doc), nl=False)
+        report = canonical_json(doc)
     else:
-        click.echo(render_markdown(table, verified), nl=False)
+        report = render_markdown(table, verified)
     denied = any(not row.permitted for row in table.rows)
-    sys.exit(EXIT_DENIED if denied and not no_gate else EXIT_OK)
+    return report, EXIT_DENIED if denied and not no_gate else EXIT_OK
 
 
 @cli.group("store")
@@ -366,19 +363,19 @@ def _open_store(settings: Settings) -> AnalysisStore:
 
 @cmd_store.command("ls")
 @click.pass_obj
-def cmd_store_ls(settings: Settings) -> None:
+def cmd_store_ls(settings: Settings) -> tuple[str, int]:
     """List stored analyses."""
-    for entry in _open_store(settings).entries():
-        click.echo(f"{entry.key}  {entry.dataset_name}")
+    entries = _open_store(settings).entries()
+    return "".join(f"{entry.key}  {entry.dataset_name}\n" for entry in entries), EXIT_OK
 
 
 @cmd_store.command("rm")
 @click.argument("key")
 @click.pass_obj
-def cmd_store_rm(settings: Settings, key: str) -> None:
+def cmd_store_rm(settings: Settings, key: str) -> tuple[str, int]:
     """Remove one stored analysis by key."""
     removed = _open_store(settings).remove(key)
-    click.echo(f"removed {key}" if removed else f"no entry for {key}")
+    return (f"removed {key}\n" if removed else f"no entry for {key}\n"), EXIT_OK
 
 
 def main() -> None:

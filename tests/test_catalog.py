@@ -11,6 +11,8 @@ from dla.catalog import load_interpretations_dir, parse_interpretation
 from dla.errors import DuplicateRight, InputError, ParseError, SchemaViolation, UnknownLicense
 from dla.model import FIXED_RIGHTS, ObligationKind
 
+from dla.resources import templates_dir
+
 from helpers import bundle_paths
 
 CATALOG = load_catalog()
@@ -71,6 +73,26 @@ class TestTemplates:
         with pytest.raises(InputError, match="bad.json: invalid JSON"):
             load_catalog(tmp_path)
 
+    def test_template_leaving_a_fixed_right_unspecified_is_a_schema_violation(self, tmp_path):
+        doc = json.loads((templates_dir() / "cc-by-4.0.json").read_text(encoding="utf-8"))
+        doc["vector"]["model_rights"]["Benchmark"] = {"grant": "unspecified"}
+        path = tmp_path / "cc-by-4.0.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaViolation) as exc:
+            load_catalog(tmp_path)
+        assert str(exc.value) == (
+            f"template {path} is invalid: "
+            "Benchmark: templates must state an explicit grant for every fixed right"
+        )
+
+    def test_duplicate_template_id_is_a_parse_error(self, tmp_path):
+        raw = (templates_dir() / "cc-by-4.0.json").read_bytes()
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_bytes(raw)
+        with pytest.raises(ParseError) as exc:
+            load_catalog(tmp_path)
+        assert str(exc.value) == f"{tmp_path / 'b.json'}: duplicate template id 'CC-BY-4.0'"
+
     def test_lookup_is_referentially_transparent(self):
         first, second = CATALOG.template_info("CC-BY-4.0"), CATALOG.template_info("CC-BY-4.0")
         assert first.vector == second.vector
@@ -128,6 +150,16 @@ class TestLoadInterpretation:
         with pytest.raises(SchemaViolation, match="ModelReverseEngineer"):
             interpret(doc)
 
+    def test_duplicate_obligation_ids_in_an_inline_vector_are_a_schema_violation(self):
+        doc = minimal_vector_doc()
+        cite = {"id": "cite", "text": "Cite the paper", "kind": "cite"}
+        doc["model_rights"]["Publish"] = {"grant": "granted", "obligations": [cite, cite]}
+        with pytest.raises(SchemaViolation) as exc:
+            interpret(doc)
+        assert str(exc.value) == (
+            "interpretation: model_rights.Publish: duplicate obligation ids: ['cite']"
+        )
+
     def test_unspecified_is_an_accepted_explicit_value(self):
         doc = minimal_vector_doc()
         doc["standalone_rights"]["Tagging"] = {"grant": "unspecified"}
@@ -157,6 +189,12 @@ class TestLoadInterpretation:
         with pytest.raises(ParseError) as exc:
             parse_interpretation(doc, CATALOG, path="demo.json")
         assert exc.value.path == f"demo.json.metadata.{name}"
+
+    def test_template_override_of_an_unknown_metadata_field(self):
+        doc = {"subject_id": "demo", "template": "CC-BY-4.0", "metadata": {"owner": "x", "z": "y"}}
+        with pytest.raises(ParseError) as exc:
+            parse_interpretation(doc, CATALOG, path="demo.json")
+        assert str(exc.value) == "demo.json.metadata: unknown metadata fields: ['owner', 'z']"
 
     def test_template_override_may_null_an_optional_metadata_field(self):
         doc = {"subject_id": "demo", "template": "CC-BY-4.0", "metadata": {"credit_notice": None}}
@@ -234,6 +272,14 @@ class TestInterpretationsDir:
         assert loaded.template_digests["CC-BY-NC-SA-4.0"] == (
             CATALOG.template_info("CC-BY-NC-SA-4.0").digest
         )
+
+    def test_two_interpretations_of_one_subject_are_a_parse_error(self, tmp_path):
+        doc = json.dumps({"subject_id": "x", "unavailable": True})
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(doc, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_interpretations_dir(tmp_path, CATALOG)
+        assert str(exc.value) == f"{tmp_path / 'b.json'}: duplicate interpretation for 'x'"
 
     def test_missing_directory_is_an_input_error(self, tmp_path):
         with pytest.raises(InputError, match="not a directory"):

@@ -94,6 +94,13 @@ class TestValidate:
         assert result.exit_code == 1
         assert "ModelReverseEngineer" in result.output
 
+    def test_unrecognized_document_shape_is_a_problem(self, runner, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"name": "x"}))
+        result = invoke(runner, "validate", path)
+        assert result.exit_code == 1
+        assert result.stdout == f"{path}: 1 problem(s)\n  - unrecognized document shape\n"
+
     def test_provenance_violation_reported(self, runner, tmp_path):
         record = record_for("x").to_dict()
         record["origin_year"] = None  # dataset without an origin year

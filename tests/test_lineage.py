@@ -70,6 +70,11 @@ class TestBuildLineage:
             build_lineage([record_for("a")], [("a", "ghost")], "a")
         assert exc.value.missing_id == "ghost"
 
+    def test_root_naming_no_record_is_a_dangling_reference(self):
+        with pytest.raises(DanglingReference) as exc:
+            build_lineage([record_for("a"), record_for("b")], [("a", "b")], "ghost")
+        assert exc.value.missing_id == "ghost"
+
     def test_unreachable_node_named(self):
         records = [record_for("a"), record_for("b"), record_for("c")]
         with pytest.raises(UnreachableNode) as exc:

@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from types import MappingProxyType
 
 import pytest
@@ -129,6 +130,24 @@ class TestValidateProvenance:
             license_content="surprise",
         )
         assert [v.field for v in validate_provenance(record)] == ["license_content"]
+
+    @pytest.mark.parametrize(
+        "changes,violation",
+        [
+            ({"subject_id": " "}, "subject_id: must be nonempty"),
+            ({"origin_year": 0}, "origin_year: must be a positive year"),
+            ({"license_found_via": LicenseFoundVia.NONE_FOUND},
+             "license_content: must be absent when license_found_via is 'none_found'"),
+            ({"digest": Digest("crc32", "0" * 8)}, "digest: unknown digest algorithm 'crc32'"),
+            ({"digest": Digest("md5", "g" * 32)}, "digest: hex string contains non-hex characters"),
+            ({"size_bytes": -1}, "size_bytes: must be nonnegative"),
+        ],
+        ids=["blank-subject-id", "year-zero", "none-found-with-content", "unknown-algorithm",
+             "non-hex-digest", "negative-size"],
+    )
+    def test_each_rule_names_its_field_and_rule(self, changes, violation):
+        record = replace(cifar_record(), **changes)
+        assert [str(v) for v in validate_provenance(record)] == [violation]
 
     def test_validation_is_pure(self):
         record = cifar_record()
@@ -371,6 +390,18 @@ class TestSharedEntries:
         first = RightEntry.from_dict(copy.deepcopy(SHARED_BASE))
         assert RightEntry.from_dict(MappingProxyType(copy.deepcopy(SHARED_BASE))) is first
         assert RightEntry.from_dict(json.loads(json.dumps(SHARED_BASE))) is first
+
+    def test_a_shared_entry_cannot_be_changed(self):
+        empty_memo()
+        doc = full_vector(Grant.DENIED).to_dict()
+        first, second = RightsVector.from_dict(doc), RightsVector.from_dict(copy.deepcopy(doc))
+        shared = first.entry("Tagging")
+        assert second.entry("Publish") is shared
+        with pytest.raises(FrozenInstanceError, match=r"^cannot assign to field 'grant'$"):
+            shared.grant = Grant.GRANTED
+        with pytest.raises(FrozenInstanceError, match=r"^cannot delete field 'obligations'$"):
+            del shared.obligations
+        assert shared == RightEntry(Grant.DENIED) == second.entry("Publish")
 
     def test_the_memo_stays_within_its_bound(self):
         memo = empty_memo()
@@ -619,6 +650,15 @@ def test_round_trip_through_disk_form_is_byte_identical():
     first = canonical_json(record.to_dict())
     second = canonical_json(ProvenanceRecord.from_dict(json.loads(first)).to_dict())
     assert first == second
+
+
+def test_a_value_cannot_be_changed():
+    record = cifar_record()
+    with pytest.raises(FrozenInstanceError, match=r"^cannot assign to field 'origin_year'$"):
+        record.origin_year = 2010
+    with pytest.raises(FrozenInstanceError, match=r"^cannot delete field 'digest'$"):
+        del record.digest
+    assert record == cifar_record()
 
 
 def test_license_range_rejects_wrong_width():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import shutil
 from pathlib import Path
 
 import click
@@ -120,16 +121,81 @@ def test_range_reaches_each_traced_name_once_per_node(monkeypatch):
     assert len(calls["parse_capture_list"]) == len(list(captures.glob("*.json")))
 
 
-@pytest.mark.parametrize("args", [["range", "{lineage}"],
-                                  ["range", "{lineage}", "--captures", "{captures}"],
-                                  ["lineage", "{lineage}"],
-                                  ["--format", "json", "lineage", "{lineage}"]],
-                         ids=["range", "range-captures", "lineage", "lineage-json"])
-def test_report_is_one_stdout_write(monkeypatch, args):
-    lineage, _ = bundle_paths("cifar-10")
-    paths = {"lineage": lineage, "captures": lineage.parent / "captures"}
-    writes: list = []  # every click.echo call, to stdout or stderr
-    monkeypatch.setattr(click, "echo", recording(click.echo, writes))
-    result = CliRunner().invoke(cli, [arg.format(**paths) for arg in args])
-    assert result.exit_code == 0, result.output
-    assert len(writes) == 1 and result.stdout.startswith(writes[0])
+# Every command form, with the exit code it ends with on the cifar-10 bundle.
+# ``{store}`` names a store that holds the cifar-10 and ffhq analyses, and
+# ``{key}`` the first of them.
+REPORTS = {
+    "range": (["range", "{lineage}"], 0),
+    "range-captures": (["range", "{lineage}", "--captures", "{captures}"], 0),
+    "lineage": (["lineage", "{lineage}"], 0),
+    "lineage-json": (["--format", "json", "lineage", "{lineage}"], 0),
+    "validate": (["validate", "{lineage}", "{interp}/cifar-10.json", "{captures}/flickr.json"], 0),
+    "validate-problem": (["validate", "{lineage}", "{bad_record}"], 1),
+    "verify": (["verify", "{lineage}", "{interp}"], 0),
+    "verify-json": (["--format", "json", "verify", "{lineage}", "{interp}"], 0),
+    "assess": (["assess", "{lineage}", "{interp}"], 3),
+    "assess-json": (["--format", "json", "assess", "{lineage}", "{interp}"], 3),
+    "store-ls": (["--store", "{store}", "store", "ls"], 0),
+    "store-rm": (["--store", "{store}", "store", "rm", "{key}"], 0),
+    "store-rm-absent": (["--store", "{store}", "store", "rm", "0" * 64], 0),
+}
+# Error exits, each after the command has done some of its work.
+FAILURES = {
+    "validate-missing-second": (["validate", "{lineage}", "{missing}"], 64),
+    "range-bad-capture-list": (["range", "{lineage}", "--captures", "{bad_captures}"], 1),
+    "assess-uninterpreted-node": (["assess", "{lineage}", "{partial_interp}"], 1),
+    "store-ls-corrupt-blob": (["--store", "{corrupt_store}", "store", "ls"], 64),
+}
+
+
+def command_paths(tmp_path: Path) -> dict[str, Path | str]:
+    """The paths and store key that ``REPORTS`` and ``FAILURES`` name."""
+    lineage, interp = bundle_paths("cifar-10")
+    paths: dict[str, Path | str] = {
+        "lineage": lineage, "interp": interp, "captures": lineage.parent / "captures",
+        "missing": tmp_path / "missing.json", "bad_record": tmp_path / "record.json",
+        "bad_captures": tmp_path / "captures", "partial_interp": tmp_path / "interpretations",
+        "store": tmp_path / "store", "corrupt_store": tmp_path / "corrupt",
+    }
+    (tmp_path / "record.json").write_text(json.dumps({"subject_kind": "dataset"}))
+    shutil.copytree(paths["captures"], paths["bad_captures"])
+    (tmp_path / "captures" / "cifar-10.json").write_text('{"captures": []}')
+    shutil.copytree(interp, paths["partial_interp"])
+    (tmp_path / "interpretations" / "flickr.json").unlink()
+    for name in ("cifar-10", "ffhq"):
+        args = ["--store", str(paths["store"]), "assess", *map(str, bundle_paths(name))]
+        assert CliRunner().invoke(cli, args).exit_code == 3
+    paths["key"] = sorted(paths["store"].glob("*.json"))[0].stem
+    shutil.copytree(paths["store"], paths["corrupt_store"])
+    sorted(paths["corrupt_store"].glob("*.json"))[1].write_text("{not json")
+    return paths
+
+
+def run_recording_writes(monkeypatch, tmp_path: Path, args: list[str]):
+    """Run ``dla`` with ``args`` and every ``click.echo`` call recorded as its
+    message and whether it went to stderr."""
+    paths = command_paths(tmp_path)
+    writes: list = []
+    echo = click.echo
+
+    def recorded(message=None, *rest, err=False, **kwargs):
+        writes.append((message, err))
+        return echo(message, *rest, err=err, **kwargs)
+
+    monkeypatch.setattr(click, "echo", recorded)
+    return CliRunner().invoke(cli, [arg.format(**paths) for arg in args]), writes
+
+
+@pytest.mark.parametrize("args,code", REPORTS.values(), ids=REPORTS)
+def test_report_is_one_stdout_write(monkeypatch, tmp_path, args, code):
+    result, writes = run_recording_writes(monkeypatch, tmp_path, args)
+    assert result.exit_code == code, result.output
+    assert result.stdout and writes == [(result.stdout, False)]
+
+
+@pytest.mark.parametrize("args,code", FAILURES.values(), ids=FAILURES)
+def test_error_exit_makes_no_stdout_write(monkeypatch, tmp_path, args, code):
+    result, writes = run_recording_writes(monkeypatch, tmp_path, args)
+    assert result.exit_code == code, result.output
+    assert result.stdout == "" and writes == [(result.stderr.removesuffix("\n"), True)]
+    assert result.stderr.startswith("error: ")
