@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Collection, Mapping, Sequence
+from typing import Any, Collection, Mapping
 
 from .errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
 from .model import (
@@ -51,7 +51,15 @@ class LicenseTemplate(Value):
 @dataclass(init=False, repr=False, eq=False)
 class LicenseCatalog(Value):
     """Read-only bundle of shipped templates plus the names of registered
-    custom rights."""
+    custom rights.
+
+    Its constructors, :func:`load_catalog` and :func:`extend_schema`, keep one
+    invariant: every template vector passed :func:`validate_rights_vector`
+    when the catalog loaded, and no custom right names a fixed right. A vector
+    derived from a template needs no second validation: extra obligations are
+    merged by id, so they add no duplicate id, and filling in the custom
+    rights adds only names that collide with none.
+    """
 
     templates: Mapping[str, LicenseTemplate]
     custom_rights: tuple[str, ...] = ()
@@ -158,54 +166,6 @@ def _fill_custom_rights(vector: RightsVector, catalog: LicenseCatalog) -> Rights
     return replace(vector, custom_rights=custom)
 
 
-def _apply_template(
-    catalog: LicenseCatalog,
-    template_id: str,
-    template_version: str | None,
-    metadata_overrides: Mapping[str, Any] | None,
-    extra_obligations: Mapping[str, Sequence[Obligation]] | None,
-    path: str,
-) -> RightsVector:
-    base = catalog.template_info(template_id, template_version).vector
-    metadata = base.metadata
-    if metadata_overrides:
-        known = set(LicenseMetadata.__dataclass_fields__)
-        unknown = sorted(k for k in metadata_overrides if k not in known)
-        if unknown:
-            raise ParseError(f"{path}.metadata", f"unknown metadata fields: {unknown}")
-        for name, value in metadata_overrides.items():
-            if value is None and LicenseMetadata.__dataclass_fields__[name].default is MISSING:
-                raise ParseError(f"{path}.metadata.{name}", "a required field cannot be null")
-        metadata = replace(metadata, **dict(metadata_overrides))
-
-    def extended(group: Mapping[str, RightEntry]) -> dict[str, RightEntry]:
-        out: dict[str, RightEntry] = {}
-        for name, entry in group.items():
-            extras = (extra_obligations or {}).get(name)
-            if extras:
-                out[name] = replace(
-                    entry, obligations=merge_obligations([entry.obligations, extras])
-                )
-            else:
-                out[name] = entry
-        return out
-
-    if extra_obligations:
-        unknown_rights = sorted(
-            name for name in extra_obligations if base.entry(name) is None
-        )
-        if unknown_rights:
-            raise ParseError(
-                f"{path}.extra_obligations", f"rights not in template: {unknown_rights}"
-            )
-    return RightsVector(
-        metadata=metadata,
-        standalone_rights=extended(base.standalone_rights),
-        model_rights=extended(base.model_rights),
-        custom_rights=extended(base.custom_rights),
-    )
-
-
 @dataclass(init=False, repr=False, eq=False)
 class _InterpretationDocument(Document, path="interpretation"):
     """The JSON form of an interpretation document. Exactly one of
@@ -221,6 +181,43 @@ class _InterpretationDocument(Document, path="interpretation"):
     metadata: Mapping[str, str | None] | None = None
     extra_obligations: Mapping[str, tuple[Obligation, ...]] | None = None
     notes: str | None = None
+
+
+def _apply_template(
+    catalog: LicenseCatalog, doc: _InterpretationDocument, path: str
+) -> RightsVector:
+    """The template's vector with the document's overrides: the template's own
+    object when it overrides nothing, else a copy sharing every unchanged group."""
+    base = catalog.template_info(doc.template, doc.template_version).vector
+    changes: dict[str, Any] = {}
+    if doc.metadata:
+        known = set(LicenseMetadata.__dataclass_fields__)
+        unknown = sorted(k for k in doc.metadata if k not in known)
+        if unknown:
+            raise ParseError(f"{path}.metadata", f"unknown metadata fields: {unknown}")
+        for name, value in doc.metadata.items():
+            if value is None and LicenseMetadata.__dataclass_fields__[name].default is MISSING:
+                raise ParseError(f"{path}.metadata.{name}", "a required field cannot be null")
+        changes["metadata"] = replace(base.metadata, **dict(doc.metadata))
+    extras = doc.extra_obligations
+    if extras:
+        unknown_rights = sorted(name for name in extras if base.entry(name) is None)
+        if unknown_rights:
+            raise ParseError(
+                f"{path}.extra_obligations", f"rights not in template: {unknown_rights}"
+            )
+        for group_name in ("standalone_rights", "model_rights", "custom_rights"):
+            group = getattr(base, group_name)
+            if not extras.keys().isdisjoint(group):
+                changes[group_name] = {
+                    name: replace(
+                        entry, obligations=merge_obligations([entry.obligations, extras[name]])
+                    )
+                    if name in extras
+                    else entry
+                    for name, entry in group.items()
+                }
+    return replace(base, **changes) if changes else base
 
 
 def parse_interpretation(
@@ -240,21 +237,13 @@ def parse_interpretation(
     if doc.unavailable:
         return Interpretation(subject_id=doc.subject_id, vector=None)
 
-    vector = doc.vector
-    if vector is None:
-        vector = _apply_template(
-            catalog,
-            doc.template,
-            doc.template_version,
-            doc.metadata,
-            doc.extra_obligations,
-            path,
-        )
-
-    vector = _fill_custom_rights(vector, catalog)
-    violations = validate_rights_vector(vector)
-    if violations:
-        raise SchemaViolation(f"{path}: " + "; ".join(str(v) for v in violations))
+    if doc.vector is None:  # its template was validated when the catalog loaded
+        vector = _fill_custom_rights(_apply_template(catalog, doc, path), catalog)
+    else:
+        vector = _fill_custom_rights(doc.vector, catalog)
+        violations = validate_rights_vector(vector)
+        if violations:
+            raise SchemaViolation(f"{path}: " + "; ".join(str(v) for v in violations))
     return Interpretation(subject_id=doc.subject_id, vector=vector, template_id=doc.template)
 
 

@@ -10,12 +10,14 @@ directory that is not a directory, and an unusable store or damaged store
 entry. Every input file is read through :func:`dla.model.read_json`.
 
 Each command returns its report and exit code; the report is written in one
-write after it is complete, so any error exit leaves stdout empty.
+write after it is complete, so any error exit leaves stdout empty. A package
+warning reaches stderr as one ``warning: <message>`` line.
 """
 
 from __future__ import annotations
 
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 import click
 
-from .errors import DlaError, InputError, LineageError, StoreError
+from .errors import DlaError, DlaWarning, InputError, LineageError, StoreError
 from .model import (
     ProvenanceRecord,
     RightsVector,
@@ -65,6 +67,16 @@ class _Commands(click.Group):
     """The command group: the only writer of a report to stdout, and the only exit."""
 
     def invoke(self, ctx: click.Context) -> NoReturn:
+        python_format = warnings.formatwarning
+
+        def format_warning(message: Any, category: type[Warning], *where: Any) -> str:
+            # Python's format names the file and line that warned, which for
+            # a compiled decoder is no file an operator can open.
+            if issubclass(category, DlaWarning):
+                return f"warning: {message}\n"
+            return python_format(message, category, *where)
+
+        warnings.formatwarning = format_warning
         try:
             report, code = super().invoke(ctx)
         except tuple(kind for kind, _ in _EXIT_CODES) as exc:
@@ -72,6 +84,8 @@ class _Commands(click.Group):
             click.echo(f"error: {exc}", err=True)
         else:
             click.echo(report, nl=False)
+        finally:
+            warnings.formatwarning = python_format
         sys.exit(code)
 
 

@@ -43,9 +43,17 @@ class CycleDetected(LineageError):
 
 
 class DanglingReference(LineageError):
+    referrer = "edge"
+
     def __init__(self, missing_id: str) -> None:
         self.missing_id = missing_id
-        super().__init__(f"edge references unknown subject: {missing_id!r}")
+        super().__init__(f"{self.referrer} references unknown subject: {missing_id!r}")
+
+
+class UnknownRoot(DanglingReference):
+    """The lineage's root_id names no record."""
+
+    referrer = "root_id"
 
 
 class UnreachableNode(LineageError):

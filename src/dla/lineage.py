@@ -21,6 +21,7 @@ from .errors import (
     NoDatasetAncestor,
     ParseError,
     UnknownFieldWarning,
+    UnknownRoot,
     UnreachableNode,
 )
 from .model import (
@@ -183,7 +184,8 @@ def build_lineage(
     node the root cannot reach is unreachable, even one on a cycle.
 
     Raises:
-        DanglingReference: an edge endpoint or the root names no record.
+        DanglingReference: an edge endpoint names no record.
+        UnknownRoot: the root names no record (a DanglingReference).
         CycleDetected: the root reaches a directed cycle (it is named).
         UnreachableNode: a non-root node cannot be reached from the root;
             the first in id order is named.
@@ -211,7 +213,7 @@ def build_lineage(
         if child not in nodes:
             raise DanglingReference(child)
     if root not in nodes:
-        raise DanglingReference(root)
+        raise UnknownRoot(root)
 
     graph = LineageGraph(
         nodes={node_id: nodes[node_id] for node_id in sorted(nodes)},

@@ -3,17 +3,30 @@
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dla.catalog as catalog_module
 from dla import Grant, extend_schema, load_catalog
 from dla.catalog import load_interpretations_dir, parse_interpretation
 from dla.errors import DuplicateRight, InputError, ParseError, SchemaViolation, UnknownLicense
-from dla.model import FIXED_RIGHTS, ObligationKind
+from dla.model import (
+    FIXED_RIGHTS,
+    LicenseMetadata,
+    Obligation,
+    ObligationKind,
+    RightEntry,
+    RightsVector,
+    merge_obligations,
+    validate_rights_vector,
+)
 
 from dla.resources import templates_dir
 
-from helpers import bundle_paths
+from helpers import BUNDLE_NAMES, bundle_paths, write_synthetic_bundle
 
 CATALOG = load_catalog()
 
@@ -284,3 +297,106 @@ class TestInterpretationsDir:
     def test_missing_directory_is_an_input_error(self, tmp_path):
         with pytest.raises(InputError, match="not a directory"):
             load_interpretations_dir(tmp_path / "nope", CATALOG)
+
+
+# Every metadata field, and whether a template override may null it.
+METADATA_FIELDS = {f.name: f.default is not MISSING for f in fields(LicenseMetadata)}
+TEMPLATE_VECTORS = {license_id: t.vector.to_dict() for license_id, t in CATALOG.templates.items()}
+
+
+def rebuilt(catalog, template_id, metadata, extras):
+    """A template interpretation's vector built from scratch: every group
+    rebuilt, then each registered custom right the vector lacks added as
+    Unspecified."""
+    base = catalog.template_info(template_id).vector
+
+    def extended(group):
+        return {
+            name: replace(entry, obligations=merge_obligations([entry.obligations, extras[name]]))
+            if extras.get(name) else entry
+            for name, entry in group.items()
+        }
+
+    custom = extended(base.custom_rights)
+    for name in catalog.custom_rights:
+        custom.setdefault(name, RightEntry(Grant.UNSPECIFIED))
+    return RightsVector(
+        metadata=replace(base.metadata, **metadata),
+        standalone_rights=extended(base.standalone_rights),
+        model_rights=extended(base.model_rights),
+        custom_rights=custom,
+    )
+
+
+obligations = st.builds(
+    Obligation,
+    id=st.sampled_from(["A", "B", "C", "D", "E", "Z"]),  # A, B, C and E occur in templates
+    text=st.sampled_from(["one wording", "another wording"]),
+    kind=st.sampled_from(ObligationKind),
+)
+metadata_overrides = st.dictionaries(
+    st.sampled_from(sorted(METADATA_FIELDS)), st.text(max_size=8) | st.none(), max_size=4
+).map(lambda d: {k: v for k, v in d.items() if v is not None or METADATA_FIELDS[k]})
+
+
+class TestTemplateInterpretations:
+    """A template interpretation changes only what its document changes, and
+    is not validated again: the catalog validated its template when it loaded."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(CATALOG.templates)),
+        metadata_overrides,
+        st.dictionaries(st.sampled_from(FIXED_RIGHTS), st.lists(obligations, max_size=4),
+                        max_size=4),
+        st.booleans(),
+    )
+    def test_parsed_vector_is_the_rebuilt_one(self, template_id, metadata, extras, custom):
+        catalog = extend_schema(CATALOG, "AdversarialModelTraining") if custom else CATALOG
+        doc = {
+            "subject_id": "demo",
+            "template": template_id,
+            "metadata": metadata,
+            "extra_obligations": {
+                name: [o.to_dict() for o in group] for name, group in extras.items()
+            },
+        }
+        vector = parse_interpretation(doc, catalog).vector
+        expected = rebuilt(catalog, template_id, metadata, extras)
+        assert vector == expected
+        assert vector.to_dict() == expected.to_dict()
+        assert validate_rights_vector(vector) == []
+        assert {k: t.vector.to_dict() for k, t in CATALOG.templates.items()} == TEMPLATE_VECTORS
+        assert TEMPLATE_VECTORS == {
+            k: t.vector.to_dict() for k, t in load_catalog().templates.items()
+        }
+
+    @pytest.mark.parametrize("template_id", sorted(CATALOG.templates))
+    def test_an_unedited_reference_shares_the_template_vector(self, template_id):
+        doc = {"subject_id": "demo", "template": template_id}
+        vector = parse_interpretation(doc, CATALOG).vector
+        assert vector is CATALOG.template_info(template_id).vector
+
+    @pytest.mark.parametrize("bundle", [*BUNDLE_NAMES, "synthetic"])
+    def test_a_load_validates_each_inline_vector_and_each_template_once(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        if bundle == "synthetic":
+            _, interpretations_dir = write_synthetic_bundle(tmp_path)
+        else:
+            _, interpretations_dir = bundle_paths(bundle)
+        inline = sum(
+            "vector" in json.loads(path.read_text(encoding="utf-8"))
+            for path in interpretations_dir.glob("*.json")
+        )
+        validated = []
+        real = catalog_module.validate_rights_vector
+
+        def counted(vector):
+            validated.append(vector)
+            return real(vector)
+
+        monkeypatch.setattr(catalog_module, "validate_rights_vector", counted)
+        catalog = load_catalog()
+        load_interpretations_dir(interpretations_dir, catalog)
+        assert len(validated) == inline + len(catalog.templates)

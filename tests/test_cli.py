@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +34,9 @@ from helpers import (
     website_chain,
     write_synthetic_bundle,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -420,6 +426,38 @@ class TestLineageCmd:
         assert result.exit_code == 1, repr(result.exception)
         got = type(endpoint).__name__
         assert result.stderr == f"error: {path}.edges[0][0]: expected string, got {got}\n"
+
+    def test_root_naming_no_record_exits_2_naming_the_root(self, runner, tmp_path):
+        lineage, _ = bundle_paths("cifar-10")
+        doc = json.loads(lineage.read_text(encoding="utf-8"))
+        doc["root_id"] = "ghost"
+        path = tmp_path / "lineage.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["lineage", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: root_id references unknown subject: 'ghost'\n"
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["top-level", "record"])
+    def test_lenient_unknown_field_warns_in_one_line(self, tmp_path, nested):
+        """Run as a process: a warning raised in a test is recorded, not shown."""
+        lineage, _ = bundle_paths("cifar-10")
+        doc = json.loads(lineage.read_text(encoding="utf-8"))
+        (doc["records"][0] if nested else doc)["zz_unknown"] = 1
+        path = tmp_path / "lineage.json"
+        path.write_text(json.dumps(doc))
+
+        def run(target: Path) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-W", "default", "-m", "dla", "--lenient", "lineage",
+                 str(target)],
+                capture_output=True, text=True, timeout=120, check=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+
+        where = f"{path}.records[0]" if nested else str(path)
+        result = run(path)
+        assert result.stderr == f"warning: {where}: ignoring unknown fields ['zz_unknown']\n"
+        assert result.stdout == run(lineage).stdout
 
     def test_markdown_listing(self, runner):
         lineage, _ = bundle_paths("cifar-10")

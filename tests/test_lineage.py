@@ -20,6 +20,7 @@ from dla.errors import (
     MissingOriginYear,
     NoDatasetAncestor,
     ParseError,
+    UnknownRoot,
     UnreachableNode,
 )
 from dla.lineage import CaptureInput, LineageGraph
@@ -74,6 +75,12 @@ class TestBuildLineage:
         with pytest.raises(DanglingReference) as exc:
             build_lineage([record_for("a"), record_for("b")], [("a", "b")], "ghost")
         assert exc.value.missing_id == "ghost"
+
+    def test_a_root_naming_no_record_is_reported_as_the_root(self):
+        with pytest.raises(UnknownRoot) as exc:
+            build_lineage([record_for("a")], [], "ghost")
+        assert exc.value.missing_id == "ghost"
+        assert str(exc.value) == "root_id references unknown subject: 'ghost'"
 
     def test_unreachable_node_named(self):
         records = [record_for("a"), record_for("b"), record_for("c")]
