@@ -25,10 +25,10 @@ _HOMES = {
         "lineage": ("LineageGraph", "build_lineage", "compute_license_range", "select_capture"),
         "model": (
             "FIXED_RIGHTS", "MODEL_RIGHTS", "STANDALONE_RIGHTS", "AssessmentRow",
-            "AssessmentTable", "CaptureStatus", "Digest", "Grant", "LicenseCapture",
-            "LicenseMetadata", "LicenseRange", "Obligation", "ObligationKind", "ProvenanceRecord",
-            "RightEntry", "RightsVector", "SubjectKind", "TriState", "UsageScenario",
-            "VerifiedLicense", "Violation", "validate_provenance", "validate_rights_vector",
+            "AssessmentTable", "CaptureStatus", "Digest", "Grant", "LicenseMetadata",
+            "LicenseRange", "Obligation", "ObligationKind", "ProvenanceRecord", "RightEntry",
+            "RightsVector", "SubjectKind", "TriState", "UsageScenario", "VerifiedLicense",
+            "Violation", "validate_provenance", "validate_rights_vector",
         ),
         "store": ("AnalysisStore", "Bundle", "analysis_key", "lookup_or_verify"),
     }.items()

@@ -148,12 +148,13 @@ class Interpretation(Value):
     """A parsed interpretation document for one lineage subject.
 
     ``vector`` is None exactly when the subject's license content was
-    unavailable and no reading could be authored.
+    unavailable and no reading could be authored; ``template`` is the shipped
+    template it was derived from, if any.
     """
 
     subject_id: str
     vector: RightsVector | None
-    template_id: str | None = None
+    template: LicenseTemplate | None = None
 
 
 def _fill_custom_rights(vector: RightsVector, catalog: LicenseCatalog) -> RightsVector:
@@ -183,12 +184,9 @@ class _InterpretationDocument(Document, path="interpretation"):
     notes: str | None = None
 
 
-def _apply_template(
-    catalog: LicenseCatalog, doc: _InterpretationDocument, path: str
-) -> RightsVector:
-    """The template's vector with the document's overrides: the template's own
-    object when it overrides nothing, else a copy sharing every unchanged group."""
-    base = catalog.template_info(doc.template, doc.template_version).vector
+def _apply_template(base: RightsVector, doc: _InterpretationDocument, path: str) -> RightsVector:
+    """A template's vector with the document's overrides: ``base`` itself when
+    it overrides nothing, else a copy sharing every unchanged group."""
     changes: dict[str, Any] = {}
     if doc.metadata:
         known = set(LicenseMetadata.__dataclass_fields__)
@@ -238,13 +236,14 @@ def parse_interpretation(
         return Interpretation(subject_id=doc.subject_id, vector=None)
 
     if doc.vector is None:  # its template was validated when the catalog loaded
-        vector = _fill_custom_rights(_apply_template(catalog, doc, path), catalog)
+        template = catalog.template_info(doc.template, doc.template_version)
+        vector = _fill_custom_rights(_apply_template(template.vector, doc, path), catalog)
     else:
-        vector = _fill_custom_rights(doc.vector, catalog)
+        template, vector = None, _fill_custom_rights(doc.vector, catalog)
         violations = validate_rights_vector(vector)
         if violations:
             raise SchemaViolation(f"{path}: " + "; ".join(str(v) for v in violations))
-    return Interpretation(subject_id=doc.subject_id, vector=vector, template_id=doc.template)
+    return Interpretation(subject_id=doc.subject_id, vector=vector, template=template)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -280,7 +279,6 @@ def load_interpretations_dir(
         if subjects is not None and parsed.subject_id not in subjects:
             raise ParseError(path, f"subject_id {parsed.subject_id!r} names no lineage node")
         vectors[parsed.subject_id] = parsed.vector
-        if parsed.template_id is not None:
-            info = catalog.template_info(parsed.template_id)
-            digests[info.license_id] = info.digest
+        if parsed.template is not None:
+            digests[parsed.template.license_id] = parsed.template.digest
     return InterpretationSet(vectors=vectors, template_digests=digests)

@@ -6,8 +6,10 @@ edge endpoint included), 2 lineage problem, 3 at least one scenario denied,
 64 an input file that is missing, unreadable or not UTF-8 JSON (lineage,
 interpretation, template, scenario, capture list or validated document), JSON
 nested deeper than the parser allows, an interpretations or captures
-directory that is not a directory, and an unusable store or damaged store
-entry. Every input file is read through :func:`dla.model.read_json`.
+directory that is not a directory, an unusable store or damaged store entry,
+and a command line that cannot be parsed (a usage error: ``EX_USAGE`` of
+sysexits(3), where click's own code, 2, would read as a lineage problem).
+Every input file is read through :func:`dla.model.read_json`.
 
 Each command returns its report and exit code; the report is written in one
 write after it is complete, so any error exit leaves stdout empty. A package
@@ -50,6 +52,7 @@ EXIT_VALIDATION = 1
 EXIT_LINEAGE = 2
 EXIT_DENIED = 3
 EXIT_IO = 64
+EXIT_USAGE = 64
 
 
 # Exit code of every error a command may end with; the first matching class
@@ -64,7 +67,15 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 class _Commands(click.Group):
-    """The command group: the only writer of a report to stdout, and the only exit."""
+    """The command group: the only writer of a report to stdout, and the only
+    exit. A usage error leaves with click's message and ``EXIT_USAGE``."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_USAGE
+            raise
 
     def invoke(self, ctx: click.Context) -> NoReturn:
         python_format = warnings.formatwarning
@@ -79,6 +90,9 @@ class _Commands(click.Group):
         warnings.formatwarning = format_warning
         try:
             report, code = super().invoke(ctx)
+        except click.UsageError as exc:  # a command's own command line
+            exc.exit_code = EXIT_USAGE
+            raise
         except tuple(kind for kind, _ in _EXIT_CODES) as exc:
             code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
             click.echo(f"error: {exc}", err=True)
@@ -264,11 +278,9 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
             continue
         line = f"{node_id}: {node_range.start_year}-{node_range.end_year}"
         if captures is not None:
-            capture = select_capture(node_id, captures.get(node_id, []), node_range)
-            if capture.capture_year is not None:
-                line += f" capture: {capture.capture_year} ({capture.status.value})"
-            else:
-                line += f" capture: ({capture.status.value})"
+            chosen, status = select_capture(captures.get(node_id, []), node_range)
+            year = "" if chosen is None else f"{chosen.year} "
+            line += f" capture: {year}({status.value})"
         lines.append(line)
     return "\n".join(lines) + "\n", EXIT_OK
 

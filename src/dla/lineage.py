@@ -3,6 +3,10 @@
 The graph points from a collector to what it collected from: an edge
 ``(parent, child)`` records that ``parent`` gathered content from ``child``.
 The root is the dataset under analysis and must reach every other node.
+
+:func:`select_capture` returns the chosen :class:`CaptureInput` itself and
+its :class:`CaptureStatus`, or None with ``UNAVAILABLE`` when a source has
+no capture.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .model import (
     CaptureStatus,
     DocPath,
     Document,
-    LicenseCapture,
     LicenseRange,
     ProvenanceRecord,
     SubjectKind,
@@ -118,7 +121,7 @@ class LineageGraph(Value):
     @classmethod
     def from_dict(cls, data: Any, path: str = "lineage", strict: bool = True) -> "LineageGraph":
         doc = _LineageDocument.from_dict(data, path, strict)
-        return build_lineage(doc.records, doc.edges, doc.root_id)
+        return build_lineage(doc.records, doc.edges, doc.root_id, records_path=(path, "records"))
 
 
 def decode_root(data: Any, path: str = "lineage", strict: bool = True) -> ProvenanceRecord | None:
@@ -173,6 +176,8 @@ def build_lineage(
     records: Iterable[ProvenanceRecord],
     edges: Iterable[tuple[str, str] | Sequence[str]],
     root: str,
+    *,
+    records_path: DocPath = "records",
 ) -> LineageGraph:
     """Assemble and validate a lineage graph.
 
@@ -189,13 +194,14 @@ def build_lineage(
         CycleDetected: the root reaches a directed cycle (it is named).
         UnreachableNode: a non-root node cannot be reached from the root;
             the first in id order is named.
-        ParseError: duplicate subject ids in ``records``, an edge that is not
-            a pair, or an edge endpoint that is not a string.
+        ParseError: a subject id repeated in ``records``, named at the later
+            record as ``records_path[i]``; an edge that is not a pair, or an
+            edge endpoint that is not a string.
     """
     nodes: dict[str, ProvenanceRecord] = {}
-    for record in records:
+    for i, record in enumerate(records):
         if record.subject_id in nodes:
-            raise ParseError("records", f"duplicate subject_id {record.subject_id!r}")
+            parse_error((records_path, i), f"duplicate subject_id {record.subject_id!r}")
         nodes[record.subject_id] = record
 
     edge_list = []
@@ -279,32 +285,17 @@ def parse_capture_list(data: Any, path: str = "captures", strict: bool = True) -
 
 
 def select_capture(
-    source_id: str,
-    captures: Sequence[CaptureInput],
-    license_range: LicenseRange,
-) -> LicenseCapture:
-    """Pick the applicable license capture for a source.
+    captures: Sequence[CaptureInput], license_range: LicenseRange
+) -> tuple[CaptureInput | None, CaptureStatus]:
+    """The capture whose license applies to a source, and how it was chosen.
 
     Preference order: the earliest capture dated inside the license range;
-    failing that, the earliest capture at all (flagged as a fallback); failing
-    that, an unavailable marker. Same-year ties go to the smallest URL.
+    failing that, the earliest capture at all (a fallback); failing that,
+    None, as unavailable. Same-year ties go to the smallest URL.
     """
-    def pick(pool: Sequence[CaptureInput]) -> CaptureInput:
-        return min(pool, key=lambda c: (c.year, c.url))
-
     in_range = [c for c in captures if c.year in license_range]
-    if in_range:
-        chosen = pick(in_range)
-        status = CaptureStatus.IN_RANGE
-    elif captures:
-        chosen = pick(captures)
-        status = CaptureStatus.OUT_OF_RANGE_FALLBACK
-    else:
-        return LicenseCapture(source_id=source_id, status=CaptureStatus.UNAVAILABLE)
-    return LicenseCapture(
-        source_id=source_id,
-        status=status,
-        capture_year=chosen.year,
-        capture_url=chosen.url,
-        content=chosen.content,
-    )
+    pool = in_range or captures
+    if not pool:
+        return None, CaptureStatus.UNAVAILABLE
+    chosen = min(pool, key=lambda c: (c.year, c.url))
+    return chosen, CaptureStatus.IN_RANGE if in_range else CaptureStatus.OUT_OF_RANGE_FALLBACK

@@ -599,7 +599,7 @@ def validate_provenance(record: ProvenanceRecord) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# License range and captures
+# License range
 # ---------------------------------------------------------------------------
 
 
@@ -624,22 +624,6 @@ class LicenseRange(Document, path="range"):
 
     def __contains__(self, year: int) -> bool:
         return self.start_year <= year <= self.end_year
-
-
-@dataclass(init=False, repr=False, eq=False, kw_only=True)
-class LicenseCapture(Document, path="capture"):
-    """A dated snapshot of a data source's license text, with its selection
-    status relative to the license range."""
-
-    source_id: str
-    capture_year: int | None = None
-    capture_url: str | None = None
-    content: str | None = None
-    status: CaptureStatus
-
-    def __post_init__(self) -> None:
-        if (self.status is CaptureStatus.UNAVAILABLE) != (self.content is None):
-            raise ValueError("capture content must be absent exactly when status is 'unavailable'")
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from dla import (
 from dla.cli import cli
 from dla.model import (
     FIXED_RIGHTS,
-    CaptureStatus,
     Grant,
-    LicenseCapture,
     Obligation,
     ProvenanceRecord,
     RightEntry,
@@ -211,16 +209,6 @@ def test_criterion_5_property_suite(tmp_path):
         (RightEntry, verified.rights["Access"]),
         (Obligation, verified.rights["Access"].obligations[0]),
         (LicenseRange, compute_license_range("cifar-10", graph)),
-        (
-            LicenseCapture,
-            LicenseCapture(
-                source_id="s",
-                status=CaptureStatus.IN_RANGE,
-                capture_year=2005,
-                capture_url="u",
-                content="c",
-            ),
-        ),
         (UsageScenario, UsageScenario(id="DD", required_rights=("Distribute",))),
     ]
     round_trip = all(

@@ -228,7 +228,7 @@ class TestLoadInterpretation:
         parsed = parse_interpretation({"subject_id": "x", "unavailable": True}, CATALOG)
         assert parsed.subject_id == "x"
         assert parsed.vector is None
-        assert parsed.template_id is None
+        assert parsed.template is None
 
     def test_exactly_one_body_form_required(self):
         with pytest.raises(ParseError, match="exactly one"):
@@ -285,6 +285,24 @@ class TestInterpretationsDir:
         assert loaded.template_digests["CC-BY-NC-SA-4.0"] == (
             CATALOG.template_info("CC-BY-NC-SA-4.0").digest
         )
+
+    def test_a_load_looks_up_each_template_once_per_reference(self, tmp_path, monkeypatch):
+        ids = sorted(CATALOG.templates)
+        for i, template_id in enumerate(ids * 2):
+            doc = {"subject_id": f"s{i}", "template": template_id}
+            (tmp_path / f"s{i}.json").write_text(json.dumps(doc), encoding="utf-8")
+        doc = {"subject_id": "gone", "unavailable": True}
+        (tmp_path / "gone.json").write_text(json.dumps(doc), encoding="utf-8")
+        lookup, calls = catalog_module.LicenseCatalog.template_info, []
+
+        def counted(self, license_id, version=None):
+            calls.append(license_id)
+            return lookup(self, license_id, version)
+
+        monkeypatch.setattr(catalog_module.LicenseCatalog, "template_info", counted)
+        loaded = load_interpretations_dir(tmp_path, CATALOG)
+        assert sorted(calls) == sorted(ids * 2)
+        assert loaded.template_digests == {t.license_id: t.digest for t in CATALOG.templates.values()}
 
     def test_two_interpretations_of_one_subject_are_a_parse_error(self, tmp_path):
         doc = json.dumps({"subject_id": "x", "unavailable": True})
@@ -374,8 +392,9 @@ class TestTemplateInterpretations:
     @pytest.mark.parametrize("template_id", sorted(CATALOG.templates))
     def test_an_unedited_reference_shares_the_template_vector(self, template_id):
         doc = {"subject_id": "demo", "template": template_id}
-        vector = parse_interpretation(doc, CATALOG).vector
-        assert vector is CATALOG.template_info(template_id).vector
+        parsed = parse_interpretation(doc, CATALOG)
+        assert parsed.template is CATALOG.template_info(template_id)
+        assert parsed.vector is parsed.template.vector
 
     @pytest.mark.parametrize("bundle", [*BUNDLE_NAMES, "synthetic"])
     def test_a_load_validates_each_inline_vector_and_each_template_once(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
@@ -28,6 +29,7 @@ from dla.model import CaptureStatus, SubjectKind, canonical_json
 
 from helpers import (
     BUNDLE_NAMES,
+    FIXTURES_DIR,
     bundle_paths,
     load_bundle,
     record_for,
@@ -37,6 +39,7 @@ from helpers import (
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture()
@@ -196,7 +199,7 @@ class TestInputErrors:
         "text",
         [
             "[" * 200_000 + "]" * 200_000,
-            '{"records": ' + "[" * 3000 + "]" * 3000 + ', "edges": [], "root_id": "x"}',
+            '{"records": ' + "[" * 200_000 + "]" * 200_000 + ', "edges": [], "root_id": "x"}',
         ],
         ids=["brackets", "records"],
     )
@@ -350,17 +353,38 @@ class TestRange:
                 continue
             outcomes.add("range")
             offered = [CaptureInput.from_dict(item) for item in captures.get(node_id, [])]
-            capture = select_capture(node_id, offered, node_range)
-            statuses.add(capture.status)
-            year = "" if capture.capture_year is None else f"{capture.capture_year} "
+            chosen, status = select_capture(offered, node_range)
+            statuses.add(status)
+            year = "" if chosen is None else f"{chosen.year} "
             lines.append(f"{node_id}: {node_range.start_year}-{node_range.end_year}"
-                         f" capture: {year}({capture.status.value})")
+                         f" capture: {year}({status.value})")
         assert outcomes == {"range", "MissingOriginYear", "AmbiguousRange", "NoDatasetAncestor"}
         assert statuses == set(CaptureStatus)
         assert len(captures) < len(graph.nodes)  # some nodes have no capture file
         result = invoke(runner, "range", lineage, "--captures", captures_dir)
         assert result.exit_code == 0
         assert result.stdout == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name", [*BUNDLE_NAMES, "wide"])
+    def test_captures_report_matches_the_bench_oracle(self, runner, tmp_path, monkeypatch, name):
+        """``bench/oracle.py`` derives the report from the bundle files alone,
+        without ``dla``; an ``<id>: error:`` line of it is a prefix."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        oracle, workloads = (importlib.import_module(m) for m in ("oracle", "workloads"))
+        if name == "wide":
+            (bundle,) = workloads.make_bundles("wide", 7, tmp_path, FIXTURES_DIR, nodes=300)
+        else:
+            bundle = workloads.Bundle(name, FIXTURES_DIR / name)
+        result = invoke(runner, "range", bundle.lineage, "--captures", bundle.captures)
+        expected = list(oracle.expected_range(bundle))
+        lines = result.stdout.splitlines()
+        assert (result.exit_code, len(lines)) == (0, len(expected))
+        assert [
+            want if want.endswith(": error:") and got.startswith(want + " ") else got
+            for got, want in zip(lines, expected)
+        ] == expected
+        if name == "wide":
+            assert all(f"({status.value})" in result.stdout for status in CaptureStatus)
 
 
 def write_lineage(path: Path, graph: LineageGraph) -> Path:
@@ -426,6 +450,17 @@ class TestLineageCmd:
         assert result.exit_code == 1, repr(result.exception)
         got = type(endpoint).__name__
         assert result.stderr == f"error: {path}.edges[0][0]: expected string, got {got}\n"
+
+    def test_repeated_record_exits_1_naming_the_file_and_the_later_record(self, runner, tmp_path):
+        lineage, _ = bundle_paths("cifar-10")
+        doc = json.loads(lineage.read_text(encoding="utf-8"))
+        doc["records"].insert(2, doc["records"][0])
+        path = tmp_path / "lineage.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["lineage", str(path)])
+        assert (result.exit_code, result.stdout) == (1, "")
+        subject = doc["records"][0]["subject_id"]
+        assert result.stderr == f"error: {path}.records[2]: duplicate subject_id {subject!r}\n"
 
     def test_root_naming_no_record_exits_2_naming_the_root(self, runner, tmp_path):
         lineage, _ = bundle_paths("cifar-10")
@@ -634,6 +669,32 @@ class TestVerifyCmd:
         result = invoke(runner, "verify", lineage, interp)
         assert result.exit_code == 0
         assert "| Tagging | denied (changed) |" in result.output
+
+
+class TestUsage:
+    """A command line that cannot be parsed exits 64 (``EX_USAGE``), not
+    click's 2, which is the lineage code: click's message goes to stderr and
+    nothing to stdout."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--bogus"], "Error: No such option '--bogus'."),
+         (["assess"], "Error: Missing argument 'LINEAGE_PATH'."),
+         ([], "Usage: dla [OPTIONS] COMMAND [ARGS]..."),
+         (["store"], "Usage: dla store [OPTIONS] COMMAND [ARGS]...")],
+        ids=["unknown-option", "missing-argument", "no-command", "no-store-command"],
+    )
+    def test_usage_error_exits_64(self, runner, args, message):
+        result = runner.invoke(cli, args, prog_name="dla")
+        assert (result.exit_code, result.stdout) == (64, "")
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["store", "--help"]],
+                             ids=["help", "version", "store-help"])
+    def test_help_and_version_exit_0(self, runner, args):
+        result = runner.invoke(cli, args, prog_name="dla")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith("Usage: dla" if "--help" in args else "dla, version ")
 
 
 class TestStoreCli:

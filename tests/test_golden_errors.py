@@ -35,7 +35,6 @@ from dla import (
     LicenseRange,
     assess_all,
     default_scenarios,
-    select_capture,
     verify,
 )
 from dla.catalog import _InterpretationDocument, _TemplateDocument
@@ -46,7 +45,6 @@ from dla.model import (
     AuditInfo,
     Digest,
     Document,
-    LicenseCapture,
     LicenseMetadata,
     Obligation,
     ProvenanceRecord,
@@ -110,16 +108,12 @@ def base_documents() -> dict[type, Any]:
     cifar_lineage, _ = bundle_paths("cifar-10")
     record = next(r for r in read(cifar_lineage)["records"] if r.get("digest"))
     captures = read(lineage_path.parent / "captures" / "flickr.json")
-    capture = select_capture(
-        "flickr", [CaptureInput.from_dict(c) for c in captures], LicenseRange.ending_at(2009)
-    )
     _, ffhq_interp = bundle_paths("ffhq")
     return {
         _LineageDocument: read(lineage_path),
         ProvenanceRecord: record,
         Digest: record["digest"],
         CaptureInput: captures[0],
-        LicenseCapture: capture.to_dict(),
         LicenseRange: LicenseRange.ending_at(2009).to_dict(),
         _TemplateDocument: template,
         RightsVector: vector,

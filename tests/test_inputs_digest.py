@@ -210,7 +210,7 @@ def edit_lineage(doc: dict, edit: str) -> None:
 @pytest.mark.parametrize(
     "edit, code, error",
     [("cycle", 2, "cycle detected: ffhq -> flickr -> ffhq"),
-     ("duplicate-root", 1, "records: duplicate subject_id 'ffhq'"),
+     ("duplicate-root", 1, "{lineage}.records[{last}]: duplicate subject_id 'ffhq'"),
      ("deleted-root", 2, "edge references unknown subject: 'ffhq'")],
     ids=["cycle", "duplicate-root", "deleted-root"],
 )
@@ -228,6 +228,7 @@ def test_stored_lineage_edited_into_an_invalid_one_is_a_miss(bundle, edit, code,
     assert len(stale) == (edit == "cycle")  # only a cycle leaves the root decodable
     assert not cached(result)
     assert (result.exit_code, result.stdout) == (code, "")
+    error = error.format(lineage=lineage, last=len(doc["records"]) - 1)
     assert result.stderr == f"error: {error}\n"  # no traceback
 
 

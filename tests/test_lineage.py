@@ -123,7 +123,7 @@ class TestBuildLineage:
     def test_duplicate_subject_ids_rejected(self):
         from dla.errors import ParseError
 
-        with pytest.raises(ParseError, match="duplicate subject_id"):
+        with pytest.raises(ParseError, match=r"^records\[1\]: duplicate subject_id 'a'$"):
             build_lineage([record_for("a"), record_for("a")], [], "a")
 
     def test_order_insensitive(self):
@@ -311,39 +311,31 @@ class TestSelectCapture:
         for size in range(len(list(years)) + 1):
             for subset in itertools.combinations(years, size):
                 captures = [make_capture(y) for y in subset]
-                chosen = select_capture("s", captures, window)
-                expected, status = brute_force_pick(captures, 2005, 2006)
-                assert chosen.status == status
-                if expected is None:
-                    assert chosen.content is None
-                    assert chosen.capture_year is None
-                else:
-                    assert chosen.capture_year == expected.year
-                    assert chosen.capture_url == expected.url
-                    assert chosen.content == expected.content
+                assert select_capture(captures, window) == brute_force_pick(captures, 2005, 2006)
 
     def test_specific_example_2004_2005_2008(self):
         captures = [make_capture(y) for y in (2004, 2005, 2008)]
-        chosen = select_capture("s", captures, LicenseRange(2005, 2006))
-        assert chosen.capture_year == 2005
-        assert chosen.status is CaptureStatus.IN_RANGE
+        chosen = select_capture(captures, LicenseRange(2005, 2006))
+        assert chosen == brute_force_pick(captures, 2005, 2006)
+        assert chosen == (captures[1], CaptureStatus.IN_RANGE)
 
     def test_fallback_outside_range(self):
-        # Nothing inside the window: earliest available capture is stored.
+        # Nothing inside the window: the earliest available capture is chosen.
         captures = [make_capture(2008), make_capture(2007)]
-        chosen = select_capture("ask", captures, LicenseRange(2005, 2006))
-        assert chosen.status is CaptureStatus.OUT_OF_RANGE_FALLBACK
-        assert chosen.capture_year == 2007
+        chosen = select_capture(captures, LicenseRange(2005, 2006))
+        assert chosen == brute_force_pick(captures, 2005, 2006)
+        assert chosen == (captures[1], CaptureStatus.OUT_OF_RANGE_FALLBACK)
 
     def test_empty_capture_list_is_unavailable(self):
-        chosen = select_capture("cydral", [], LicenseRange(2005, 2006))
-        assert chosen.status is CaptureStatus.UNAVAILABLE
-        assert chosen.content is None
+        chosen = select_capture([], LicenseRange(2005, 2006))
+        assert chosen == brute_force_pick([], 2005, 2006)
+        assert chosen == (None, CaptureStatus.UNAVAILABLE)
 
     def test_same_year_tie_breaks_on_url(self):
         captures = [make_capture(2005, "https://b.example"), make_capture(2005, "https://a.example")]
-        chosen = select_capture("s", captures, LicenseRange(2005, 2006))
-        assert chosen.capture_url == "https://a.example"
+        chosen = select_capture(captures, LicenseRange(2005, 2006))
+        assert chosen == brute_force_pick(captures, 2005, 2006)
+        assert chosen == (captures[1], CaptureStatus.IN_RANGE)
 
     @given(
         st.lists(
@@ -358,10 +350,12 @@ class TestSelectCapture:
     )
     def test_never_later_than_another_in_range_capture(self, captures, end_year):
         window = LicenseRange.ending_at(end_year)
-        chosen = select_capture("s", captures, window)
+        chosen, status = select_capture(captures, window)
+        assert (chosen, status) == brute_force_pick(captures, end_year - 1, end_year)
         in_range_years = [c.year for c in captures if c.year in window]
-        if in_range_years and chosen.capture_year is not None:
-            assert chosen.capture_year <= min(in_range_years)
+        if in_range_years:
+            assert chosen.year <= min(in_range_years)
+            assert status is CaptureStatus.IN_RANGE
 
 
 def test_graph_document_round_trip():

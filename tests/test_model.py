@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from dla import (
     Digest,
     Grant,
-    LicenseCapture,
     LicenseMetadata,
     LicenseRange,
     Obligation,
@@ -34,7 +33,6 @@ from dla.errors import ParseError, UnknownFieldWarning
 from dla.catalog import load_catalog, load_interpretations_dir
 from dla.model import (
     _SHARED_LIMIT,
-    CaptureStatus,
     FIXED_RIGHTS,
     MODEL_RIGHTS,
     STANDALONE_RIGHTS,
@@ -549,22 +547,6 @@ record_st = st.builds(
 
 range_st = st.integers(min_value=1990, max_value=2030).map(LicenseRange.ending_at)
 
-capture_st = st.one_of(
-    st.builds(
-        LicenseCapture,
-        source_id=st.text(alphabet="abc-", min_size=1, max_size=8),
-        status=st.sampled_from([CaptureStatus.IN_RANGE, CaptureStatus.OUT_OF_RANGE_FALLBACK]),
-        capture_year=st.integers(min_value=1995, max_value=2030),
-        capture_url=st.text(max_size=20),
-        content=st.text(max_size=20),
-    ),
-    st.builds(
-        LicenseCapture,
-        source_id=st.text(alphabet="abc-", min_size=1, max_size=8),
-        status=st.just(CaptureStatus.UNAVAILABLE),
-    ),
-)
-
 scenario_st = st.builds(
     UsageScenario,
     id=st.text(alphabet="ABC", min_size=1, max_size=6),
@@ -624,7 +606,6 @@ table_st = st.builds(
     [
         (record_st, ProvenanceRecord),
         (range_st, LicenseRange),
-        (capture_st, LicenseCapture),
         (vector_st, RightsVector),
         (entry_st, RightEntry),
         (obligation_st, Obligation),
@@ -664,13 +645,6 @@ def test_a_value_cannot_be_changed():
 def test_license_range_rejects_wrong_width():
     with pytest.raises(ValueError):
         LicenseRange(2005, 2007)
-
-
-def test_capture_status_content_coupling():
-    with pytest.raises(ValueError):
-        LicenseCapture(source_id="s", status=CaptureStatus.UNAVAILABLE, content="text")
-    with pytest.raises(ValueError):
-        LicenseCapture(source_id="s", status=CaptureStatus.IN_RANGE, capture_year=2000)
 
 
 def test_usage_scenario_requires_rights():

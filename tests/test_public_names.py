@@ -19,7 +19,7 @@ from click.testing import CliRunner
 import dla
 import dla.lineage
 from dla.cli import cli
-from dla.lineage import LineageGraph
+from dla.lineage import LineageGraph, parse_capture_list
 from dla.model import ProvenanceRecord
 
 from helpers import bundle_paths
@@ -105,7 +105,8 @@ def test_range_reaches_each_traced_name_once_per_node(monkeypatch):
     """The bench's ``lineage.range`` and ``lineage.capture`` spans wrap these
     names in ``dla.lineage``; ``range --captures`` calls them through the
     module, ``compute_license_range`` and ``select_capture`` once per node and
-    ``parse_capture_list`` once per capture file."""
+    ``parse_capture_list`` once per capture file. ``select_capture`` gets the
+    node's parsed capture list, or ``[]`` for a node without a file."""
     lineage, _ = bundle_paths("cifar-10")
     captures = lineage.parent / "captures"
     calls: dict[str, list] = {
@@ -117,7 +118,13 @@ def test_range_reaches_each_traced_name_once_per_node(monkeypatch):
     assert result.exit_code == 0, result.output
     nodes = LineageGraph.from_dict(json.loads(lineage.read_text(encoding="utf-8"))).nodes
     assert calls["compute_license_range"] == list(nodes)
-    assert calls["select_capture"] == list(nodes)
+    offered = [
+        parse_capture_list(json.loads(path.read_text(encoding="utf-8")))
+        if (path := captures / f"{node_id}.json").exists() else []
+        for node_id in nodes
+    ]
+    assert calls["select_capture"] == offered
+    assert [] in offered and len(offered) > offered.count([])
     assert len(calls["parse_capture_list"]) == len(list(captures.glob("*.json")))
 
 
