@@ -213,7 +213,8 @@ def _validate_one(path: Path, data: Any, strict: bool, shapes: tuple) -> list[st
 @click.argument("paths", nargs=-1, required=True, type=click.Path(path_type=Path))
 @click.pass_obj
 def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> tuple[str, int]:
-    """Validate provenance, interpretation, lineage, or capture documents."""
+    """Validate provenance, interpretation, lineage, capture-list or rights-vector
+    documents."""
     shapes = _document_shapes()
     lines, code = [], EXIT_OK
     for path in paths:

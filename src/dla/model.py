@@ -2,8 +2,10 @@
 usage scenarios, and their canonical JSON documents.
 
 All types are immutable values (:class:`Value`). Every document type derives
-``to_dict`` and ``from_dict`` from its dataclass fields through one codec,
-built once per class (:class:`Document`). Canonical serialization writes every
+``to_dict`` and ``from_dict`` from its dataclass fields (:class:`Document`).
+A value's ``__init__``, ``__eq__`` and ``__hash__`` and a document's codec are
+compiled per class on first use, by one descriptor (:class:`_Compiled`), so
+importing compiles nothing. Canonical serialization writes every
 field in declaration order, so equal values always produce byte-identical
 documents, and ``from_dict(to_dict(x)) == x`` holds by construction.
 Validation functions do not raise on bad domain data; they return a list of
@@ -22,7 +24,6 @@ import types
 import warnings
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
 from typing import get_args, get_origin
@@ -119,10 +120,12 @@ def read_inputs(directory: Path) -> dict[str, bytes]:
     ``directory / name``, when either cannot be read."""
     if not directory.is_dir():
         raise InputError(directory, "not a directory")
-    with os.scandir(directory) as entries:
-        names = sorted(e.name for e in entries if e.name.endswith(".json"))
+    try:
+        names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
+        directory_fd = os.open(directory, os.O_RDONLY)  # no path walk, no file object per file
+    except OSError as exc:
+        raise InputError(directory, f"cannot list directory: {exc.strerror or exc}") from exc
     files = {}
-    directory_fd = os.open(directory, os.O_RDONLY)  # no path walk, no file object per file
     try:
         for name in names:
             try:
@@ -162,30 +165,29 @@ def read_json(path: Path | str, raw: bytes | None = None) -> Any:
         raise InputError(path, "invalid JSON: nested deeper than the parser allows") from exc
 
 
+class _Compiled:
+    """A method compiled from the fields of the class it is first looked up
+    through: the lookup compiles it (:func:`_define`) and puts the function on
+    that class in the descriptor's place, so later calls find the function."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: type) -> Any:
+        return _define(owner, self.name).__get__(instance, owner)
+
+
 class Value:
     """Base of the package's immutable dataclasses, each declared with
     ``@dataclass(init=False, repr=False, eq=False)``. Its ``__init__``,
-    ``__eq__`` and ``__hash__`` are those of a frozen dataclass, but each is
-    compiled from the fields on its first call, not when the module is
-    imported; ``repr`` and the refusal to assign or delete a field are
-    shared. ``__post_init__`` sets a field through ``object.__setattr__``.
+    ``__eq__`` and ``__hash__`` are those of a frozen dataclass, each a
+    :class:`_Compiled` descriptor that compiles it for a class on its first
+    call through that class. ``repr`` and the refusal to assign or delete a
+    field are shared. ``__post_init__`` sets a field through
+    ``object.__setattr__``.
     """
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        # Each class compiles its own methods, from its own fields.
-        cls.__init__ = Value.__init__  # type: ignore[method-assign]
-        cls.__eq__ = Value.__eq__  # type: ignore[method-assign]
-        cls.__hash__ = Value.__hash__  # type: ignore[method-assign]
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        _define(type(self), "__init__")(self, *args, **kwargs)
-
-    def __eq__(self, other: object) -> bool:
-        return _define(type(self), "__eq__")(self, other)
-
-    def __hash__(self) -> int:
-        return _define(type(self), "__hash__")(self)
+    __init__, __eq__, __hash__ = _Compiled(), _Compiled(), _Compiled()
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
@@ -196,45 +198,6 @@ class Value:
 
     def __delattr__(self, name: str) -> NoReturn:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _define(cls: type, name: str) -> Callable[..., Any]:
-    """Compile a value class's ``__init__``, ``__eq__`` or ``__hash__`` from
-    its fields as dataclasses does, and put it on the class. Names in the
-    scope start with ``__``, which no field name can."""
-    declared = fields(cls)
-    mine = "".join(f"self.{f.name}, " for f in declared)
-    scope: dict[str, Any] = {"__setattr": object.__setattr__, "__MISSING": MISSING}
-    if name == "__eq__":
-        theirs = "".join(f"other.{f.name}, " for f in declared)
-        body = [
-            "if other.__class__ is not self.__class__:",
-            "    return NotImplemented",
-            f"return ({mine}) == ({theirs})",
-        ]
-        params = ["self", "other"]
-    elif name == "__hash__":
-        body, params = [f"return hash(({mine}))"], ["self"]
-    else:
-        positional, keyword, body = [], [], []
-        for f in declared:
-            param = f.name
-            if f.default is not MISSING:
-                scope[f"__default_{f.name}"] = f.default
-                param += f"=__default_{f.name}"
-            elif f.default_factory is not MISSING:
-                scope[f"__factory_{f.name}"] = f.default_factory
-                param += "=__MISSING"
-                body += [f"if {f.name} is __MISSING:", f"    {f.name} = __factory_{f.name}()"]
-            (keyword if f.kw_only else positional).append(param)
-            body.append(f"__setattr(self, {f.name!r}, {f.name})")
-        if hasattr(cls, "__post_init__"):
-            body.append("self.__post_init__()")
-        params = ["self", *positional, *(["*", *keyword] if keyword else [])]
-    source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
-    function = _compile(cls.__name__, name, source, scope)
-    setattr(cls, name, function)
-    return function
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -356,12 +319,11 @@ def _field_codec(
         )
     if isinstance(tp, type) and issubclass(tp, Document):
         scope[f"doc_{tp.__name__}"] = tp
-        scope[f"codec_{tp.__name__}"] = tp._codec or _Codec(tp)
-        # Through the class attribute, so a wrapped from_dict sees every call.
+        # Decoded through from_dict, so a wrapped from_dict sees every call.
         return (
             f"doc_{tp.__name__}.from_dict({x}, {path}, strict)",
-            f"codec_{tp.__name__}.encode({expr})",
-            f"codec_{tp.__name__}.key({x})",
+            f"doc_{tp.__name__}._encode({expr})",
+            f"doc_{tp.__name__}._key({x})",
         )
     raise TypeError(f"no document codec for type {tp!r}")
 
@@ -399,32 +361,60 @@ def codec_field(*, decode: Decoder, **kwargs: Any) -> Any:
     return field(metadata={"decode": decode}, **kwargs)
 
 
-class _Codec:
-    """A class's encoder and decoder, compiled from its dataclass fields and
-    their type hints as dataclasses compiles ``__init__``: a dict display, and
-    a function that checks the object and its unknown and missing fields, then
-    decodes each field in declaration order, null meaning its default. A
-    field's decode hook replaces its type's decoder expression. A codec is
-    kept on its class as ``_codec``, and each direction is compiled on its
-    first call, as is ``key``, which keys a JSON value by the same walk.
+def _define(cls: type, name: str) -> Callable[..., Any]:
+    """Compile a value class's ``name`` method from its fields and put it on
+    the class. ``__init__``, ``__eq__`` and ``__hash__`` are as dataclasses
+    compiles them; their scope's names start with ``__``, which no field name
+    can. A document's ``_encode`` is a dict display; ``_decode`` checks the
+    object and its unknown and missing fields, then decodes each field in
+    declaration order, null meaning its default, by its type's decoder or its
+    decode hook; ``_key`` keys a JSON value by the same walk (see :class:`Document`).
     """
-
-    def __init__(self, cls: type) -> None:
+    declared = fields(cls)
+    mine = "".join(f"self.{f.name}, " for f in declared)
+    scope: dict[str, Any] = {"__setattr": object.__setattr__, "__MISSING": MISSING}
+    if name == "__eq__":
+        theirs = "".join(f"other.{f.name}, " for f in declared)
+        body = [
+            "if other.__class__ is not self.__class__:",
+            "    return NotImplemented",
+            f"return ({mine}) == ({theirs})",
+        ]
+        params = ["self", "other"]
+    elif name == "__hash__":
+        body, params = [f"return hash(({mine}))"], ["self"]
+    elif name == "__init__":
+        positional, keyword, body = [], [], []
+        for f in declared:
+            param = f.name
+            if f.default is not MISSING:
+                scope[f"__default_{f.name}"] = f.default
+                param += f"=__default_{f.name}"
+            elif f.default_factory is not MISSING:
+                scope[f"__factory_{f.name}"] = f.default_factory
+                param += "=__MISSING"
+                body += [f"if {f.name} is __MISSING:", f"    {f.name} = __factory_{f.name}()"]
+            (keyword if f.kw_only else positional).append(param)
+            body.append(f"__setattr(self, {f.name!r}, {f.name})")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        params = ["self", *positional, *(["*", *keyword] if keyword else [])]
+    else:
         # Annotations are strings; eval costs a third of what get_type_hints does.
         namespace = vars(sys.modules[cls.__module__])
-        declared = fields(cls)
         required = tuple(
             f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
         )
-        scope = dict(_CODEC_SCOPE, known=frozenset(f.name for f in declared), required=required)
-        items, body = [], [
+        scope = dict(_CODEC_SCOPE, cls=cls, known=frozenset(f.name for f in declared),
+                     required=required)
+        items, decoder = [], [
             "if data.__class__ is not dict and not isinstance(data, Mapping):",
             "    wrong_type(path, 'object', data)",
             "if not known.issuperset(data):",
             "    _unknown_fields(path, data, known, strict)",
         ]
         if required:
-            body += [
+            decoder += [
                 "if " + " or ".join(f"data.get({name!r}) is None" for name in required) + ":",
                 "    missing = sorted(n for n in required if data.get(n) is None)",
                 "    parse_error(path, f'missing required fields: {missing}')",
@@ -446,32 +436,26 @@ class _Codec:
                 factory = f.default_factory is not MISSING
                 scope[f"default_{f.name}"] = f.default_factory if factory else f.default
                 decoded = f"default_{f.name}{'()' if factory else ''} if x0 is None else {decoded}"
-            body += [f"x0 = data.get({f.name!r})", f"f_{f.name} = {decoded}"]
+            decoder += [f"x0 = data.get({f.name!r})", f"f_{f.name} = {decoded}"]
         keys.append(f"return ({''.join(f'k_{f.name}, ' for f in declared)})")
-        body.append(f"return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})")
-        self._owner, self._scope = cls.__name__, scope
-        self._to_dict = f"def to_dict(self):\n    return {{{', '.join(items)}}}"
-        self._from_dict = "def from_dict(cls, data, path, strict):\n    " + "\n    ".join(body)
-        self._key = "def key(data):\n    " + "\n    ".join(keys)
-        cls._codec = self
-
-    @cached_property
-    def encode(self) -> Callable[[Any], dict[str, Any]]:
-        return _compile(self._owner, "to_dict", self._to_dict, self._scope)
-
-    @cached_property
-    def decode(self) -> Callable[[type, Any, DocPath, bool], Any]:
-        return _compile(self._owner, "from_dict", self._from_dict, self._scope)
-
-    @cached_property
-    def key(self) -> Callable[[Any], tuple]:
-        return _compile(self._owner, "key", self._key, self._scope)
+        decoder.append(f"return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})")
+        body, params = {
+            "_encode": ([f"return {{{', '.join(items)}}}"], ["self"]),
+            "_decode": (decoder, ["data", "path", "strict"]),
+            "_key": (keys, ["data"]),
+        }[name]
+    source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+    function = _compile(cls.__name__, name, source, scope)
+    setattr(cls, name, function)
+    return function
 
 
 class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the dataclass
     fields in declaration order; ``from_dict`` reads them back, type-checked,
-    with null meaning the field's default.
+    with null meaning the field's default. Each class compiles its own
+    ``_encode``, ``_decode`` and ``_key`` (:class:`_Compiled`) on first use;
+    ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
 
     A subclass names the root of its error paths, as in
     ``class Digest(Document, path="digest")``. With ``shared=True``, equal
@@ -484,32 +468,30 @@ class Document(Value):
 
     _path: ClassVar[str]
     _shared: ClassVar[dict[tuple, Any] | None]
-    _codec: ClassVar[_Codec | None]
+    _encode, _decode, _key = _Compiled(), _Compiled(), _Compiled()
 
     def __init_subclass__(cls, path: str, shared: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._path, cls._shared = path, {} if shared else None
-        cls._codec = None  # built on first use, once the dataclass exists
         # Each class holds its own entries, so a profiler can wrap one class's
         # codec methods without touching the others.
         cls.to_dict = Document.to_dict  # type: ignore[method-assign]
         cls.from_dict = Document.__dict__["from_dict"]  # type: ignore[method-assign]
 
     def to_dict(self) -> dict[str, Any]:
-        return (self._codec or _Codec(type(self))).encode(self)
+        return self._encode()
 
     @classmethod
     def from_dict(cls, data: Any, path: DocPath | None = None, strict: bool = True) -> Any:
-        codec, path = cls._codec or _Codec(cls), cls._path if path is None else path
-        shared, key = cls._shared, None
+        path, shared, key = cls._path if path is None else path, cls._shared, None
         if shared is not None:
             try:
-                if (value := shared.get(key := codec.key(data))) is not None:
+                if (value := shared.get(key := cls._key(data))) is not None:
                     return value
             except TypeError:  # a key that cannot be hashed
                 key = None
         try:
-            value = codec.decode(cls, data, path, strict)
+            value = cls._decode(data, path, strict)
         except ValueError as exc:  # a rule across fields, checked by __post_init__
             parse_error(path, str(exc))
         if key is not None:

@@ -137,15 +137,18 @@ class AnalysisStore:
         except OSError as exc:
             raise StoreError(f"cannot create store {self.root}: {exc.strerror or exc}") from exc
         entry = StoreEntry(key, dataset_name, _payload_sha256(verified), verified)
-        fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.root)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as out:
-                out.write(canonical_json(entry.to_dict()))
-            os.chmod(tmp, 0o644)  # mkstemp makes it private; a store is shared
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.root)
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as out:
+                    out.write(canonical_json(entry.to_dict()))
+                os.chmod(tmp, 0o644)  # mkstemp makes it private; a store is shared
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise StoreError(f"cannot write to store {self.root}: {exc.strerror or exc}") from exc
 
     def remove(self, key: str) -> bool:
         path = self._blob_path(key)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import importlib
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from dla.lineage import (
     select_capture,
 )
 from dla.model import CaptureStatus, SubjectKind, canonical_json
+from dla.resources import templates_dir
 
 from helpers import (
     BUNDLE_NAMES,
@@ -211,6 +214,43 @@ class TestInputErrors:
         assert result.exit_code == 64, repr(result.exception)
         message = "invalid JSON: nested deeper than the parser allows"
         assert result.stderr == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("call", ["listdir", "open"])
+    @pytest.mark.parametrize("kind", ["interpretations", "captures", "templates"])
+    def test_unlistable_input_directory_exits_64_naming_it(
+        self, runner, tmp_path, monkeypatch, kind, call
+    ):
+        lineage, _ = bundle_paths("cifar-10")
+        shutil.copytree(lineage.parent, tmp_path / "bundle")
+        monkeypatch.chdir(tmp_path / "bundle")
+        target = str(templates_dir()) if kind == "templates" else kind
+        real = getattr(os, call)
+
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path) == target and "dir_fd" not in kwargs:
+                raise PermissionError(13, "Permission denied", path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, call, refuse)
+        command = (["range", "lineage.json", "--captures", "captures"] if kind == "captures"
+                   else ["assess", "lineage.json", "interpretations"])
+        result = runner.invoke(cli, command)
+        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        assert result.stderr == f"error: {target}: cannot list directory: Permission denied\n"
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a directory whatever its mode")
+    def test_input_directory_without_permissions_exits_64(self, runner, tmp_path, monkeypatch):
+        lineage, _ = bundle_paths("cifar-10")
+        shutil.copytree(lineage.parent, tmp_path / "bundle")
+        monkeypatch.chdir(tmp_path / "bundle")
+        Path("interpretations").chmod(0)
+        try:
+            result = runner.invoke(cli, ["assess", "lineage.json", "interpretations"])
+        finally:
+            Path("interpretations").chmod(0o755)
+        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        message = "error: interpretations: cannot list directory: Permission denied\n"
+        assert result.stderr == message
 
 
 # A capture list's faults: its text, the exit code and the error it ends in.
@@ -739,6 +779,34 @@ class TestStoreCli:
         result = runner.invoke(cli, ["--store", str(store), "assess", str(lineage), str(interp)])
         assert (result.exit_code, result.stdout) == (64, "")
         assert result.stderr == f"error: cannot create store {store}: Not a directory\n"
+
+    @pytest.mark.parametrize("call", ["chmod", "replace"])
+    def test_store_entry_that_cannot_be_written_exits_64_leaving_nothing(
+        self, runner, tmp_path, monkeypatch, call
+    ):
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, call, fail)
+        store = tmp_path / "store"
+        lineage, interp = bundle_paths("cityscapes")
+        result = runner.invoke(cli, ["--store", str(store), "assess", str(lineage), str(interp)])
+        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        assert result.stderr == f"error: cannot write to store {store}: No space left on device\n"
+        assert list(store.iterdir()) == []
+
+    def test_store_entry_past_the_file_size_limit_exits_64(self, tmp_path):
+        store = tmp_path / "store"
+        lineage, interp = bundle_paths("cifar-10")
+        run = subprocess.run(
+            [sys.executable, "-m", "dla", "--store", str(store), "assess", str(lineage), str(interp)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048)),
+        )
+        assert (run.returncode, run.stdout) == (64, "")
+        assert run.stderr == f"error: cannot write to store {store}: File too large\n"
+        assert list(store.iterdir()) == []
 
     def test_store_that_is_a_regular_file_exits_64(self, runner, tmp_path):
         store = tmp_path / "store"

@@ -246,8 +246,8 @@ class TestMappingInput:
 def test_compiled_codecs_are_named_for_their_class():
     """A profile or traceback names the class a compiled codec belongs to."""
     RightEntry.from_dict(RightEntry(Grant.GRANTED).to_dict())
-    codec = RightEntry._codec
-    for function, name in ((codec.decode, "from_dict"), (codec.encode, "to_dict")):
+    for name in ("_decode", "_encode", "_key"):
+        function = RightEntry.__dict__[name]
         assert function.__code__.co_filename == "<codec RightEntry>"
         assert (function.__name__, function.__qualname__) == (name, f"RightEntry.{name}")
 

@@ -101,3 +101,48 @@ def test_store_hit_does_not_load_the_catalog(tmp_path):
     assert "dla.catalog" in miss
     assert code == 3 and "(cached analysis)" in stderr
     assert "dla.store" in hit and "dla.catalog" not in hit
+
+
+# Every compiled method of every value class in dla.model, by class and name.
+COMPILED = """
+import json
+from dla.model import Value
+def walk(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from walk(sub)
+def compiled():
+    return sorted(f"{cls.__name__}.{name}" for cls in walk(Value)
+                  for name in ("__init__", "__eq__", "__hash__", "_encode", "_decode", "_key")
+                  if getattr(cls.__dict__.get(name), "__code__", None) is not None
+                  and cls.__dict__[name].__code__.co_filename.startswith("<codec "))
+"""
+
+
+def test_import_compiles_no_method_of_a_value_class():
+    code = COMPILED + """
+before = compiled()
+from dla.model import Digest
+Digest.from_dict({"algorithm": "sha256", "hex": "00"})
+print(json.dumps([before, compiled()]))
+"""
+    (before, after), _ = fresh(code)
+    assert before == []
+    assert after == ["Digest.__init__", "Digest._decode"]
+
+
+def test_first_lenient_decode_warns_at_its_caller():
+    """The first decode of a class compiles its decoder, and its unknown-field
+    warning still names the line that called ``from_dict``."""
+    code = """
+import json, warnings
+from dla.model import Digest
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    Digest.from_dict({"algorithm": "sha256", "hex": "00", "bonus": 1}, strict=False)
+    Digest.from_dict({"algorithm": "sha256", "hex": "00", "bonus": 1}, strict=False)
+print(json.dumps([[w.filename, w.lineno, str(w.message)] for w in caught]))
+"""
+    caught, _ = fresh(code)
+    message = "digest: ignoring unknown fields ['bonus']"
+    assert caught == [["<string>", 6, message], ["<string>", 7, message]]
