@@ -12,7 +12,7 @@ code change.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, field, replace
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
@@ -38,7 +38,6 @@ from .model import (
 from .resources import templates_dir
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LicenseTemplate(Value):
     """A shipped rights vector for a standard license, with file digest."""
 
@@ -48,7 +47,6 @@ class LicenseTemplate(Value):
     digest: str
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LicenseCatalog(Value):
     """Read-only bundle of shipped templates plus the names of registered
     custom rights.
@@ -91,7 +89,6 @@ def extend_schema(catalog: LicenseCatalog, right_name: str) -> LicenseCatalog:
     )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class _TemplateDocument(Document, path="template"):
     """The JSON form of a shipped template file."""
 
@@ -143,7 +140,6 @@ def load_catalog(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Interpretation(Value):
     """A parsed interpretation document for one lineage subject.
 
@@ -167,7 +163,6 @@ def _fill_custom_rights(vector: RightsVector, catalog: LicenseCatalog) -> Rights
     return replace(vector, custom_rights=custom)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class _InterpretationDocument(Document, path="interpretation"):
     """The JSON form of an interpretation document. Exactly one of
     ``unavailable``, ``vector`` and ``template`` gives its body; ``notes`` is
@@ -246,7 +241,6 @@ def parse_interpretation(
     return Interpretation(subject_id=doc.subject_id, vector=vector, template=template)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class InterpretationSet(Value):
     """All interpretations for one analysis, keyed by subject id."""
 

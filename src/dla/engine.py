@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import MissingRootInterpretation, UninterpretedNode
@@ -40,7 +39,6 @@ ENGINE_VERSION = "0.2.0"
 _GRANTED, _DENIED, _UNSPECIFIED = Grant.GRANTED, Grant.DENIED, Grant.UNSPECIFIED
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EnginePolicy(Document, path="policy"):
     """Resolution policy knobs. Part of every cache key and audit trailer."""
 
@@ -90,7 +88,7 @@ def _right_space(root_vector: RightsVector, vectors: list[RightsVector]) -> tupl
 def verify(
     graph: LineageGraph,
     interpretations: Mapping[str, RightsVector | None],
-    policy: EnginePolicy = EnginePolicy(),
+    policy: EnginePolicy | None = None,
     *,
     template_digests: Mapping[str, str] | None = None,
     inputs_digest: str,
@@ -108,6 +106,7 @@ def verify(
     """
     if graph.root_id not in interpretations or interpretations[graph.root_id] is None:
         raise MissingRootInterpretation(graph.root_id)
+    policy = policy or EnginePolicy()
     for node_id in sorted(graph.nodes):
         if node_id not in interpretations:
             raise UninterpretedNode(node_id)

@@ -12,7 +12,6 @@ no capture.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -54,7 +53,6 @@ def _decode_edges(value: Any, path: DocPath, strict: bool) -> tuple[tuple[str, .
     return tuple(edges)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class _LineageDocument(Document, path="lineage"):
     """The JSON form of a lineage graph: records as a list, edges as pairs."""
 
@@ -63,7 +61,6 @@ class _LineageDocument(Document, path="lineage"):
     root_id: str
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LineageGraph(Value):
     """Validated, canonically ordered lineage DAG.
 
@@ -269,7 +266,6 @@ def compute_license_range(node_id: str, graph: LineageGraph) -> LicenseRange:
     return LicenseRange.ending_at(years.pop())
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CaptureInput(Document, path="capture"):
     """One dated license snapshot offered for selection."""
 

@@ -3,8 +3,8 @@ usage scenarios, and their canonical JSON documents.
 
 All types are immutable values (:class:`Value`). Every document type derives
 ``to_dict`` and ``from_dict`` from its dataclass fields (:class:`Document`).
-A value's ``__init__``, ``__eq__`` and ``__hash__`` and a document's codec are
-compiled per class on first use, by one descriptor (:class:`_Compiled`), so
+Only a value's ``__init__`` and a document's ``_encode`` and ``_decode`` are
+compiled, per class on first use, by one descriptor (:class:`_Compiled`), so
 importing compiles nothing. Canonical serialization writes every
 field in declaration order, so equal values always produce byte-identical
 documents, and ``from_dict(to_dict(x)) == x`` holds by construction.
@@ -17,7 +17,9 @@ value to report on.
 from __future__ import annotations
 
 import collections.abc
+import itertools
 import json
+import marshal
 import os
 import sys
 import types
@@ -178,16 +180,32 @@ class _Compiled:
 
 
 class Value:
-    """Base of the package's immutable dataclasses, each declared with
-    ``@dataclass(init=False, repr=False, eq=False)``. Its ``__init__``,
-    ``__eq__`` and ``__hash__`` are those of a frozen dataclass, each a
+    """Base of the package's immutable dataclasses: a subclass's class
+    statement makes it a dataclass, with keyword-only fields when it passes
+    ``kw_only=True``. Its ``__init__`` is a frozen dataclass's, a
     :class:`_Compiled` descriptor that compiles it for a class on its first
-    call through that class. ``repr`` and the refusal to assign or delete a
+    call through that class. Equality and hashing, over the field values of
+    two values of one class, ``repr`` and the refusal to assign or delete a
     field are shared. ``__post_init__`` sets a field through
     ``object.__setattr__``.
     """
 
-    __init__, __eq__, __hash__ = _Compiled(), _Compiled(), _Compiled()
+    __init__ = _Compiled()
+
+    def __init_subclass__(cls, kw_only: bool = False, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False, kw_only=kw_only)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
@@ -200,7 +218,6 @@ class Value:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Violation(Value):
     """One broken invariant, named by field and rule. Violations are data."""
 
@@ -225,6 +242,9 @@ Decoder = Callable[[Any, DocPath, bool], Any]
 _SCALAR_NAMES = {str: "string", int: "integer", bool: "boolean"}
 # How many values a shared document class keeps before it forgets them all.
 _SHARED_LIMIT = 4096
+# Counts unknown-field warnings, with the marks Document.from_dict takes
+# around a decode: next() is atomic, so a warning in any thread shows.
+_warned = itertools.count()
 
 
 def render_path(path: DocPath) -> str:
@@ -253,6 +273,7 @@ def _unknown_fields(path: DocPath, data: Mapping, known: frozenset, strict: bool
     unknown = sorted(data.keys() - known)
     if strict:
         parse_error(path, f"unknown fields: {unknown}")
+    next(_warned)
     # Attributed to the caller of Document.from_dict, above the compiled decoder.
     warnings.warn(
         f"{render_path(path)}: ignoring unknown fields {unknown}", UnknownFieldWarning, stacklevel=4
@@ -267,46 +288,43 @@ _CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
 
 def _field_codec(
     tp: Any, expr: str, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False
-) -> tuple[str, str | None, str]:
+) -> tuple[str, str | None]:
     """One walk of a field type: the source of an expression that decodes
     ``x<depth>``, a JSON value that is not None, whose document path is the
-    expression ``path``; of one that writes ``expr``, of that type, as JSON
-    (None when the value is JSON already); and of one that keys ``x<depth>``
-    (see :class:`Document`). Names the expressions use are put in ``scope``.
-    ``optional`` marks the inside of an ``X | None``, whose type errors say
-    "or null"."""
+    expression ``path``, and of one that writes ``expr``, of that type, as
+    JSON (None when the value is JSON already). Names the expressions use are
+    put in ``scope``. ``optional`` marks the inside of an ``X | None``, whose
+    type errors say "or null"."""
     origin, args = get_origin(tp), get_args(tp)
     x = f"x{depth}"
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decoded, encoded, keyed = _field_codec(inner, expr, path, scope, depth, optional=True)
+        decoded, encoded = _field_codec(inner, expr, path, scope, depth, optional=True)
         encoded = encoded and f"(None if {expr} is None else {encoded})"
-        # A field's own value (depth 0) is decoded and keyed only when it is not None.
+        # A field's own value (depth 0) is decoded only when it is not None.
         guard = "" if depth == 0 else f"None if {x} is None else "
-        return f"({guard}{decoded})", encoded, f"({guard}{keyed})"
-    scalar_key = f"({x}.__class__, {x})"
+        return f"({guard}{decoded})", encoded
     if tp in _SCALAR_NAMES:
         expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
         test = f"isinstance({x}, {tp.__name__})"
         if tp is int:  # bool is a subclass of int, but never an integer here
             test += f" and {x}.__class__ is not bool"
-        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None, scalar_key
+        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = f"members_{tp.__name__}"
         scope[members] = {m.value: m for m in tp}
         decoded = f"{members}[{x}] if isinstance({x}, str) and {x} in {members}"
-        return f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value", scalar_key
+        return f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value"
     item, ipath = f"x{depth + 1}", f"({path}, i{depth})"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        decoded, encoded, keyed = _field_codec(args[0], item, ipath, scope, depth + 1)
+        decoded, encoded = _field_codec(args[0], item, ipath, scope, depth + 1)
         return (
             f"(tuple([{decoded} for i{depth}, {item} in enumerate({x})]) "
             f"if isinstance({x}, (list, tuple)) else wrong_type({path}, 'array', {x}))",
             f"list({expr})" if encoded is None else f"[{encoded} for {item} in {expr}]",
-            f"(tuple([{keyed} for {item} in {x}]) if {x}.__class__ is list else [])",
         )
     if origin is collections.abc.Mapping and args[0] is str:
-        decoded, encoded, keyed = _field_codec(args[1], item, ipath, scope, depth + 1)
+        decoded, encoded = _field_codec(args[1], item, ipath, scope, depth + 1)
         return (
             f"({{i{depth}: {decoded} for i{depth}, {item} in {x}.items()}} "
             f"if {x}.__class__ is dict or isinstance({x}, Mapping) "
@@ -314,17 +332,11 @@ def _field_codec(
             f"dict({expr})"
             if encoded is None
             else f"{{i{depth}: {encoded} for i{depth}, {item} in {expr}.items()}}",
-            f"(tuple([(i{depth}.__class__, i{depth}, {keyed}) for i{depth}, {item} in "
-            f"{x}.items()]) if {x}.__class__ is dict else [])",
         )
     if isinstance(tp, type) and issubclass(tp, Document):
         scope[f"doc_{tp.__name__}"] = tp
         # Decoded through from_dict, so a wrapped from_dict sees every call.
-        return (
-            f"doc_{tp.__name__}.from_dict({x}, {path}, strict)",
-            f"doc_{tp.__name__}._encode({expr})",
-            f"doc_{tp.__name__}._key({x})",
-        )
+        return f"doc_{tp.__name__}.from_dict({x}, {path}, strict)", f"doc_{tp.__name__}._encode({expr})"
     raise TypeError(f"no document codec for type {tp!r}")
 
 
@@ -346,7 +358,7 @@ def decoder_for(tp: Any) -> Decoder:
         nonlocal compiled
         if compiled is None:
             scope = dict(_CODEC_SCOPE)
-            decoded, *_ = _field_codec(tp, "x0", "path", scope)
+            decoded, _ = _field_codec(tp, "x0", "path", scope)
             owner = tp.__name__ if isinstance(tp, type) else repr(tp)
             source = f"def decode(x0, path, strict):\n    return {decoded}"
             compiled = _compile(owner, "decode", source, scope)
@@ -363,27 +375,15 @@ def codec_field(*, decode: Decoder, **kwargs: Any) -> Any:
 
 def _define(cls: type, name: str) -> Callable[..., Any]:
     """Compile a value class's ``name`` method from its fields and put it on
-    the class. ``__init__``, ``__eq__`` and ``__hash__`` are as dataclasses
-    compiles them; their scope's names start with ``__``, which no field name
-    can. A document's ``_encode`` is a dict display; ``_decode`` checks the
-    object and its unknown and missing fields, then decodes each field in
-    declaration order, null meaning its default, by its type's decoder or its
-    decode hook; ``_key`` keys a JSON value by the same walk (see :class:`Document`).
+    the class. ``__init__`` is as dataclasses compiles it; its scope's names
+    start with ``__``, which no field name can. A document's ``_encode`` is a
+    dict display; ``_decode`` checks the object and its unknown and missing
+    fields, then decodes each field in declaration order, null meaning its
+    default, by its type's decoder or its decode hook.
     """
     declared = fields(cls)
-    mine = "".join(f"self.{f.name}, " for f in declared)
-    scope: dict[str, Any] = {"__setattr": object.__setattr__, "__MISSING": MISSING}
-    if name == "__eq__":
-        theirs = "".join(f"other.{f.name}, " for f in declared)
-        body = [
-            "if other.__class__ is not self.__class__:",
-            "    return NotImplemented",
-            f"return ({mine}) == ({theirs})",
-        ]
-        params = ["self", "other"]
-    elif name == "__hash__":
-        body, params = [f"return hash(({mine}))"], ["self"]
-    elif name == "__init__":
+    if name == "__init__":
+        scope: dict[str, Any] = {"__setattr": object.__setattr__, "__MISSING": MISSING}
         positional, keyword, body = [], [], []
         for f in declared:
             param = f.name
@@ -419,15 +419,9 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
                 "    missing = sorted(n for n in required if data.get(n) is None)",
                 "    parse_error(path, f'missing required fields: {missing}')",
             ]
-        keys = [
-            "if data.__class__ is not dict and not isinstance(data, Mapping) "
-            "or not known.issuperset(data):",
-            "    return []",
-        ]
         for f in declared:
             value, path = f"self.{f.name}", f"(path, {f.name!r})"
-            decoded, encoded, keyed = _field_codec(eval(f.type, namespace), value, path, scope)
-            keys += [f"x0 = data.get({f.name!r})", f"k_{f.name} = None if x0 is None else {keyed}"]
+            decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope)
             if decode := f.metadata.get("decode"):
                 scope[f"decode_hook_{f.name}"] = decode
                 decoded = f"decode_hook_{f.name}(x0, {path}, strict)"
@@ -437,12 +431,10 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
                 scope[f"default_{f.name}"] = f.default_factory if factory else f.default
                 decoded = f"default_{f.name}{'()' if factory else ''} if x0 is None else {decoded}"
             decoder += [f"x0 = data.get({f.name!r})", f"f_{f.name} = {decoded}"]
-        keys.append(f"return ({''.join(f'k_{f.name}, ' for f in declared)})")
         decoder.append(f"return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})")
         body, params = {
             "_encode": ([f"return {{{', '.join(items)}}}"], ["self"]),
             "_decode": (decoder, ["data", "path", "strict"]),
-            "_key": (keys, ["data"]),
         }[name]
     source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
     function = _compile(cls.__name__, name, source, scope)
@@ -454,21 +446,24 @@ class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the dataclass
     fields in declaration order; ``from_dict`` reads them back, type-checked,
     with null meaning the field's default. Each class compiles its own
-    ``_encode``, ``_decode`` and ``_key`` (:class:`_Compiled`) on first use;
+    ``_encode`` and ``_decode`` (:class:`_Compiled`) on first use;
     ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
 
     A subclass names the root of its error paths, as in
     ``class Digest(Document, path="digest")``. With ``shared=True``, equal
-    documents decode to one value, kept in ``_shared`` (hash-consing), whose
-    key holds each scalar with its class: ``true``, ``1`` and ``1.0`` differ.
-    Only a decode that succeeded is kept. An unknown field, an array that is
-    not a list or a value that cannot be hashed makes a key that cannot be
-    hashed: that document is decoded afresh, with its errors and warnings.
+    documents decode to one value, kept in ``_shared`` (hash-consing) under
+    the document's ``marshal`` bytes (version 2, which marks neither shared
+    nor interned objects, so equal JSON gives equal bytes). Marshal refuses
+    every object that is not an exact built-in type (a mapping proxy, a dict
+    or str subclass, an enum member), and such a document is decoded afresh;
+    on exact built-in types it is injective: ``true``, ``1`` and ``1.0``
+    differ, and so do a list and a tuple. Only a decode that succeeded without an unknown-field warning, in
+    any thread, is kept, so every error and warning recurs.
     """
 
     _path: ClassVar[str]
-    _shared: ClassVar[dict[tuple, Any] | None]
-    _encode, _decode, _key = _Compiled(), _Compiled(), _Compiled()
+    _shared: ClassVar[dict[bytes, Any] | None]
+    _encode, _decode = _Compiled(), _Compiled()
 
     def __init_subclass__(cls, path: str, shared: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -486,15 +481,18 @@ class Document(Value):
         path, shared, key = cls._path if path is None else path, cls._shared, None
         if shared is not None:
             try:
-                if (value := shared.get(key := cls._key(data))) is not None:
+                key = marshal.dumps(data, 2)
+            except ValueError:  # not made of exact built-in types
+                pass
+            else:
+                if (value := shared.get(key)) is not None:
                     return value
-            except TypeError:  # a key that cannot be hashed
-                key = None
+                mark = next(_warned)
         try:
             value = cls._decode(data, path, strict)
         except ValueError as exc:  # a rule across fields, checked by __post_init__
             parse_error(path, str(exc))
-        if key is not None:
+        if key is not None and next(_warned) == mark + 1:
             if len(shared) >= _SHARED_LIMIT:
                 shared.clear()
             shared[key] = value
@@ -506,7 +504,6 @@ class Document(Value):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Digest(Document, path="digest"):
     """A content digest: algorithm name plus lowercase hex string."""
 
@@ -514,8 +511,7 @@ class Digest(Document, path="digest"):
     hex: str
 
 
-@dataclass(init=False, repr=False, eq=False, kw_only=True)
-class ProvenanceRecord(Document, path="provenance"):
+class ProvenanceRecord(Document, path="provenance", kw_only=True):
     """Origin metadata, license-location evidence, and content digests for one
     dataset or data source."""
 
@@ -585,7 +581,6 @@ def validate_provenance(record: ProvenanceRecord) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LicenseRange(Document, path="range"):
     """Two consecutive years bracketing when a dataset's contents were likely
     collected. ``start_year`` is always ``end_year - 1``."""
@@ -613,7 +608,6 @@ class LicenseRange(Document, path="range"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Obligation(Document, path="obligation"):
     """A requirement attached to a right. Identity for set union is the id
     token; wording may vary across licenses that impose the same duty."""
@@ -647,7 +641,6 @@ def _decode_grant(value: Any, path: DocPath, strict: bool) -> Grant:
     return _decode_grant_name(value, path, strict)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RightEntry(Document, path="right", shared=True):
     """Grant state plus the obligations owed when the right is exercised."""
 
@@ -655,7 +648,6 @@ class RightEntry(Document, path="right", shared=True):
     obligations: tuple[Obligation, ...] = ()
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LicenseMetadata(Document, path="metadata"):
     """Descriptive header of a license interpretation."""
 
@@ -676,7 +668,6 @@ def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -
     return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RightsVector(Document, path="vector"):
     """One license decomposed into metadata, standalone-data rights, rights in
     conjunction with models, and optional custom rights."""
@@ -734,7 +725,6 @@ def validate_rights_vector(vector: RightsVector) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AuditInfo(Document, path="audit"):
     """Reproducibility trailer attached to emitted verified licenses."""
 
@@ -745,7 +735,6 @@ class AuditInfo(Document, path="audit"):
     generated_at: str | None = None
 
 
-@dataclass(init=False, repr=False, eq=False)
 class VerifiedLicense(Document, path="verified"):
     """The effective rights of a root dataset after restrictive-wins
     reconciliation against every interpreted lineage node.
@@ -784,7 +773,6 @@ def _decode_required_rights(value: Any, path: DocPath, strict: bool) -> tuple[st
     return rights
 
 
-@dataclass(init=False, repr=False, eq=False)
 class UsageScenario(Document, path="scenario"):
     """A commercial action to check, expressed as the rights it needs."""
 
@@ -798,7 +786,6 @@ class UsageScenario(Document, path="scenario"):
         object.__setattr__(self, "required_rights", deduped)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class _BlockingRight(Document, path="blocking_right"):
     """A right that blocks a denied scenario, with the sources that denied it."""
 
@@ -806,7 +793,6 @@ class _BlockingRight(Document, path="blocking_right"):
     restrictors: tuple[str, ...] = ()
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AssessmentRow(Document, path="row"):
     """One scenario's decision: permitted flag, obligation ids owed, and the
     rights (with their restrictors) that block a denied scenario."""
@@ -817,7 +803,6 @@ class AssessmentRow(Document, path="row"):
     blocking_rights: tuple[_BlockingRight, ...]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AssessmentTable(Document, path="assessment"):
     """Per-scenario decisions for one dataset, plus the obligation legend and
     an advisory list of obligation ids attached to granted rights no shipped

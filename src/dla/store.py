@@ -22,7 +22,6 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -49,7 +48,7 @@ _KEY_SCHEME = "dla-analysis-key-v1"
 _KEY = re.compile(r"[0-9a-f]{64}")
 
 
-def analysis_key(record: ProvenanceRecord, policy: EnginePolicy = EnginePolicy()) -> str:
+def analysis_key(record: ProvenanceRecord, policy: EnginePolicy | None = None) -> str:
     """Deterministic store key for one dataset under one engine policy.
 
     Algorithm: SHA-256 over the NUL-joined fields
@@ -57,7 +56,7 @@ def analysis_key(record: ProvenanceRecord, policy: EnginePolicy = EnginePolicy()
     "algorithm:hex" of the content digest or "", policy token)``, hex-encoded.
     Stable across runs and platforms.
     """
-    digest_part = ""
+    policy, digest_part = policy or EnginePolicy(), ""
     if record.digest is not None:
         digest_part = f"{record.digest.algorithm}:{record.digest.hex}"
     material = "\x00".join(
@@ -76,7 +75,6 @@ def _payload_sha256(verified: VerifiedLicense) -> str:
     return hashlib.sha256(canonical_json(verified.to_dict()).encode("utf-8")).hexdigest()
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StoreEntry(Document, path="store_entry"):
     """One stored analysis, exactly as its blob holds it."""
 
@@ -158,6 +156,8 @@ class AnalysisStore:
             path.unlink()
         except (FileNotFoundError, NotADirectoryError):
             return False
+        except OSError as exc:
+            raise StoreError(f"cannot remove store entry {key}: {exc.strerror or exc}") from exc
         return True
 
 
@@ -172,7 +172,6 @@ def _stale_reason(stored: VerifiedLicense, current_digest: str) -> str | None:
     return None
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Bundle(Value):
     """A dataset's bundle as read from disk: the lineage file's bytes and
     JSON document, the interpretation files by name, the license template
@@ -221,7 +220,7 @@ class Bundle(Value):
 
 
 def lookup_or_verify(
-    store: AnalysisStore | None, bundle: Bundle, policy: EnginePolicy = EnginePolicy()
+    store: AnalysisStore | None, bundle: Bundle, policy: EnginePolicy | None = None
 ) -> tuple[VerifiedLicense, bool]:
     """Return the bundle's verified license and whether the store held it.
 
@@ -234,6 +233,7 @@ def lookup_or_verify(
     Otherwise the lineage and interpretations are parsed and validated, the
     engine runs, and the result is stored (unless the store is None).
     """
+    policy = policy or EnginePolicy()
     inputs_digest = bundle.digest(policy)
     if store is not None and bundle.root is not None:
         key = analysis_key(bundle.root, policy)

@@ -860,6 +860,27 @@ class TestStoreCli:
         assert result.output == "no entry for ../victim\n"
         assert victim.read_text(encoding="utf-8") == "{}"
 
+    def test_rm_of_an_entry_that_is_a_directory_exits_64(self, runner, tmp_path):
+        key = "a" * 64
+        (tmp_path / "store" / f"{key}.json").mkdir(parents=True)
+        result = runner.invoke(cli, ["--store", str(tmp_path / "store"), "store", "rm", key])
+        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        assert result.stderr == f"error: cannot remove store entry {key}: Is a directory\n"
+
+    def test_rm_that_is_not_permitted_exits_64(self, runner, tmp_path, monkeypatch):
+        def fail(self, missing_ok=False):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        store = tmp_path / "store"
+        lineage, interp = bundle_paths("cityscapes")
+        invoke(runner, "--store", store, "assess", lineage, interp)
+        (blob,) = store.glob("*.json")
+        monkeypatch.setattr(Path, "unlink", fail)
+        result = runner.invoke(cli, ["--store", str(store), "store", "rm", blob.stem])
+        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        assert result.stderr == f"error: cannot remove store entry {blob.stem}: Permission denied\n"
+        assert blob.exists()
+
     def test_audit_timestamps_stamp_a_cached_analysis(self, runner, tmp_path):
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")

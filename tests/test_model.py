@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import copy
 import json
+import marshal
 import os
+import sys
+import threading
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from types import MappingProxyType
@@ -246,10 +249,18 @@ class TestMappingInput:
 def test_compiled_codecs_are_named_for_their_class():
     """A profile or traceback names the class a compiled codec belongs to."""
     RightEntry.from_dict(RightEntry(Grant.GRANTED).to_dict())
-    for name in ("_decode", "_encode", "_key"):
+    for name in ("_decode", "_encode"):
         function = RightEntry.__dict__[name]
         assert function.__code__.co_filename == "<codec RightEntry>"
         assert (function.__name__, function.__qualname__) == (name, f"RightEntry.{name}")
+
+
+class Subdict(dict):
+    pass
+
+
+class Substr(str):
+    pass
 
 
 def empty_memo() -> dict:
@@ -386,8 +397,57 @@ class TestSharedEntries:
     def test_equal_entries_are_one_object(self):
         empty_memo()
         first = RightEntry.from_dict(copy.deepcopy(SHARED_BASE))
-        assert RightEntry.from_dict(MappingProxyType(copy.deepcopy(SHARED_BASE))) is first
+        assert RightEntry.from_dict(MappingProxyType(copy.deepcopy(SHARED_BASE))) == first
         assert RightEntry.from_dict(json.loads(json.dumps(SHARED_BASE))) is first
+
+    @pytest.mark.parametrize(
+        "doc",
+        [MappingProxyType(copy.deepcopy(SHARED_BASE)), Subdict(copy.deepcopy(SHARED_BASE)),
+         dict(SHARED_BASE, grant=Substr("granted")), dict(SHARED_BASE, grant=Grant.GRANTED)],
+        ids=["mapping-proxy", "dict-subclass", "str-subclass", "enum-member"],
+    )
+    def test_an_entry_not_made_of_exact_built_in_types_is_not_shared(self, doc):
+        memo = empty_memo()
+        assert RightEntry.from_dict(doc) == RightEntry.from_dict(copy.deepcopy(SHARED_BASE))
+        assert len(memo) == 1  # the plain-dict form only
+
+    @pytest.mark.parametrize("place", [("bonus",), ("obligations", 0, "bonus")], ids=len)
+    def test_a_lenient_decode_that_warned_is_never_stored(self, place):
+        memo = empty_memo()
+        doc = copy.deepcopy(SHARED_BASE)
+        edit(doc, place, 1)
+        for _ in range(2):
+            with pytest.warns(UnknownFieldWarning, match=r"^right\S*: ignoring unknown fields"):
+                assert RightEntry.from_dict(doc, strict=False) == RightEntry.from_dict(SHARED_BASE)
+            assert len(memo) == 1  # the entry without the unknown field only
+
+    @pytest.mark.filterwarnings("ignore::dla.errors.UnknownFieldWarning")
+    def test_threads_never_store_a_decode_that_warned(self):
+        """A warning in one thread during another thread's decode keeps that
+        decode out of the memo too; a lost count would let one in."""
+        memo = empty_memo()
+
+        def work(n: int) -> None:
+            for i in range(300):
+                doc = copy.deepcopy(SHARED_BASE)
+                edit(doc, ("obligations", 0, "id"), f"o{n}-{i}")
+                if i % 2:
+                    edit(doc, ("obligations", 0, "bonus") if i % 4 == 1 else ("bonus",), 1)
+                RightEntry.from_dict(doc, strict=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stored = [marshal.loads(key) for key in memo]
+        assert stored and not any("bonus" in doc or "bonus" in doc["obligations"][0] for doc in stored)
 
     def test_a_shared_entry_cannot_be_changed(self):
         empty_memo()
