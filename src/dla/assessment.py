@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DuplicateScenario, ParseError, UnknownRight
+from .jsonio import read_json
 from .model import (
     AssessmentRow,
     AssessmentTable,
@@ -22,7 +23,6 @@ from .model import (
     VerifiedLicense,
     _BlockingRight,
     merge_obligations,
-    read_json,
 )
 from .resources import scenarios_path
 

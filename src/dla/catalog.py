@@ -12,11 +12,12 @@ code change.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, field, replace
+from dataclasses import MISSING, field
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
 from .errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
+from .jsonio import path_prefix, read_inputs, read_json
 from .model import (
     FIXED_RIGHTS,
     Document,
@@ -30,9 +31,7 @@ from .model import (
     codec_field,
     decoder_for,
     merge_obligations,
-    path_prefix,
-    read_inputs,
-    read_json,
+    replace,
     validate_rights_vector,
 )
 from .resources import templates_dir

@@ -5,9 +5,12 @@ All types are immutable values (:class:`Value`). Every document type derives
 ``to_dict`` and ``from_dict`` from its dataclass fields (:class:`Document`).
 Only a value's ``__init__`` and a document's ``_encode`` and ``_decode`` are
 compiled, per class on first use, by one descriptor (:class:`_Compiled`), so
-importing compiles nothing. Canonical serialization writes every
-field in declaration order, so equal values always produce byte-identical
-documents, and ``from_dict(to_dict(x)) == x`` holds by construction.
+importing compiles nothing. Both give a value all its fields in one store of
+its ``__dict__`` and then run ``__post_init__``; a decoder builds its value
+so without calling ``__init__``, and :func:`replace` copies one so.
+Canonical serialization writes every field in declaration order, so equal
+values always produce byte-identical documents, and
+``from_dict(to_dict(x)) == x`` holds by construction.
 Validation functions do not raise on bad domain data; they return a list of
 violations so callers can report all problems at once. Parsing, by contrast,
 raises :class:`ParseError` because a document that cannot be decoded has no
@@ -18,19 +21,17 @@ from __future__ import annotations
 
 import collections.abc
 import itertools
-import json
 import marshal
-import os
 import sys
 import types
 import warnings
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
-from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
 from typing import get_args, get_origin
 
-from .errors import InputError, ParseError, UnknownFieldWarning
+from . import jsonio
+from .errors import ParseError, UnknownFieldWarning
 
 
 class SubjectKind(str, Enum):
@@ -99,72 +100,14 @@ DIGEST_HEX_LENGTHS: dict[str, int] = {
 }
 
 
-def canonical_json(doc: Any) -> str:
-    """Render a document dict exactly as it is written to disk."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def read_input(path: Path) -> bytes:
-    """The bytes of an input file; raises InputError when it cannot be read."""
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-
-
-def _unreadable(path: Path, exc: OSError) -> InputError:
-    return InputError(path, f"cannot read file: {exc.strerror or exc}")
-
-
-def read_inputs(directory: Path) -> dict[str, bytes]:
-    """The bytes of every ``*.json`` file in a directory, dot files included,
-    by file name in name order; raises InputError, naming the directory or
-    ``directory / name``, when either cannot be read."""
-    if not directory.is_dir():
-        raise InputError(directory, "not a directory")
-    try:
-        names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
-        directory_fd = os.open(directory, os.O_RDONLY)  # no path walk, no file object per file
-    except OSError as exc:
-        raise InputError(directory, f"cannot list directory: {exc.strerror or exc}") from exc
-    files = {}
-    try:
-        for name in names:
-            try:
-                fd = os.open(name, os.O_RDONLY, dir_fd=directory_fd)
-                try:
-                    chunks = []
-                    while chunk := os.read(fd, 1 << 16):
-                        chunks.append(chunk)
-                    files[name] = b"".join(chunks)
-                finally:
-                    os.close(fd)
-            except OSError as exc:
-                raise _unreadable(directory / name, exc) from exc
-    finally:
-        os.close(directory_fd)
-    return files
-
-
-def path_prefix(directory: Path) -> str:
-    """What ``str(directory / name)`` puts before ``name``: Path joins a name
-    to "." as the bare name."""
-    return "" if directory == Path(".") else os.path.join(directory, "")
-
-
-def read_json(path: Path | str, raw: bytes | None = None) -> Any:
-    """The JSON document held by an input file; ``raw`` is the file's bytes
-    when the caller has read them already, and then ``path`` may be the
-    path's string. Raises InputError when the file cannot be read or is not
-    UTF-8 JSON."""
-    if raw is None:
-        raw = read_input(path)
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(path, f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InputError(path, "invalid JSON: nested deeper than the parser allows") from exc
+# The input readers and the canonical writer live where the command line
+# loads them without this module; library callers, and the bench's tracer,
+# which patches canonical_json where dla.cli holds the same object, find
+# them here.
+canonical_json, path_prefix, read_input, read_inputs, read_json = (
+    jsonio.canonical_json, jsonio.path_prefix, jsonio.read_input, jsonio.read_inputs,
+    jsonio.read_json,
+)
 
 
 class _Compiled:
@@ -184,10 +127,11 @@ class Value:
     statement makes it a dataclass, with keyword-only fields when it passes
     ``kw_only=True``. Its ``__init__`` is a frozen dataclass's, a
     :class:`_Compiled` descriptor that compiles it for a class on its first
-    call through that class. Equality and hashing, over the field values of
-    two values of one class, ``repr`` and the refusal to assign or delete a
-    field are shared. ``__post_init__`` sets a field through
-    ``object.__setattr__``.
+    call through that class; it stores the fields in one dict and then runs
+    ``__post_init__``, which decoders and :func:`replace` also run without
+    ``__init__``. Equality and hashing, over the field values of two values
+    of one class, ``repr`` and the refusal to assign or delete a field are
+    shared. ``__post_init__`` sets a field through ``object.__setattr__``.
     """
 
     __init__ = _Compiled()
@@ -287,19 +231,20 @@ _CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
 
 
 def _field_codec(
-    tp: Any, expr: str, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False
+    tp: Any, expr: str, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False,
+    x: str | None = None,
 ) -> tuple[str, str | None]:
-    """One walk of a field type: the source of an expression that decodes
-    ``x<depth>``, a JSON value that is not None, whose document path is the
-    expression ``path``, and of one that writes ``expr``, of that type, as
-    JSON (None when the value is JSON already). Names the expressions use are
-    put in ``scope``. ``optional`` marks the inside of an ``X | None``, whose
-    type errors say "or null"."""
+    """One walk of a field type: the source of an expression that decodes the
+    variable ``x`` (``x<depth>`` by default), a JSON value that is not None,
+    whose document path is the expression ``path``, and of one that writes
+    ``expr``, of that type, as JSON (None when the value is JSON already).
+    Names the expressions use are put in ``scope``. ``optional`` marks the
+    inside of an ``X | None``, whose type errors say "or null"."""
     origin, args = get_origin(tp), get_args(tp)
-    x = f"x{depth}"
+    x = x or f"x{depth}"
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decoded, encoded = _field_codec(inner, expr, path, scope, depth, optional=True)
+        decoded, encoded = _field_codec(inner, expr, path, scope, depth, optional=True, x=x)
         encoded = encoded and f"(None if {expr} is None else {encoded})"
         # A field's own value (depth 0) is decoded only when it is not None.
         guard = "" if depth == 0 else f"None if {x} is None else "
@@ -375,15 +320,26 @@ def codec_field(*, decode: Decoder, **kwargs: Any) -> Any:
 
 def _define(cls: type, name: str) -> Callable[..., Any]:
     """Compile a value class's ``name`` method from its fields and put it on
-    the class. ``__init__`` is as dataclasses compiles it; its scope's names
-    start with ``__``, which no field name can. A document's ``_encode`` is a
-    dict display; ``_decode`` checks the object and its unknown and missing
-    fields, then decodes each field in declaration order, null meaning its
-    default, by its type's decoder or its decode hook.
+    the class. ``__init__`` takes a frozen dataclass's parameters; its scope's
+    names start with ``__``, which no field name can. A document's
+    ``_encode`` is a dict display; ``_decode`` checks the object and its
+    unknown fields, reads each field once, checks the missing ones, then
+    decodes each field in declaration order, null meaning its default, by its
+    type's decoder or its decode hook, and builds the value without calling
+    ``__init__``. Both end in the lines of one helper, ``store``.
     """
     declared = fields(cls)
+    scope: dict[str, Any] = {"__setattr": object.__setattr__, "__new": object.__new__}
+
+    def store(values: list[str]) -> list[str]:
+        """Give ``self`` its fields, the values of the expressions ``values``,
+        in one dict, then run ``__post_init__`` when the class has one."""
+        pairs = ", ".join(f"{f.name!r}: {value}" for f, value in zip(declared, values))
+        post_init = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        return [f"__setattr(self, '__dict__', {{{pairs}}})", *post_init]
+
     if name == "__init__":
-        scope: dict[str, Any] = {"__setattr": object.__setattr__, "__MISSING": MISSING}
+        scope["__MISSING"] = MISSING
         positional, keyword, body = [], [], []
         for f in declared:
             param = f.name
@@ -395,9 +351,7 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
                 param += "=__MISSING"
                 body += [f"if {f.name} is __MISSING:", f"    {f.name} = __factory_{f.name}()"]
             (keyword if f.kw_only else positional).append(param)
-            body.append(f"__setattr(self, {f.name!r}, {f.name})")
-        if hasattr(cls, "__post_init__"):
-            body.append("self.__post_init__()")
+        body += store([f.name for f in declared])
         params = ["self", *positional, *(["*", *keyword] if keyword else [])]
     else:
         # Annotations are strings; eval costs a third of what get_type_hints does.
@@ -405,41 +359,63 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
         required = tuple(
             f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
         )
-        scope = dict(_CODEC_SCOPE, cls=cls, known=frozenset(f.name for f in declared),
+        scope.update(_CODEC_SCOPE, cls=cls, known=frozenset(f.name for f in declared),
                      required=required)
-        items, decoder = [], [
+        items, decoded_fields, decoder = [], [], [
             "if data.__class__ is not dict and not isinstance(data, Mapping):",
             "    wrong_type(path, 'object', data)",
             "if not known.issuperset(data):",
             "    _unknown_fields(path, data, known, strict)",
+            *(f"v_{f.name} = data.get({f.name!r})" for f in declared),
         ]
         if required:
+            values = ", ".join(f"v_{name}" for name in required)
             decoder += [
-                "if " + " or ".join(f"data.get({name!r}) is None" for name in required) + ":",
-                "    missing = sorted(n for n in required if data.get(n) is None)",
+                "if " + " or ".join(f"v_{name} is None" for name in required) + ":",
+                f"    missing = sorted(n for n, v in zip(required, ({values},)) if v is None)",
                 "    parse_error(path, f'missing required fields: {missing}')",
             ]
         for f in declared:
-            value, path = f"self.{f.name}", f"(path, {f.name!r})"
-            decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope)
+            value, path, raw = f"self.{f.name}", f"(path, {f.name!r})", f"v_{f.name}"
+            decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope, x=raw)
             if decode := f.metadata.get("decode"):
                 scope[f"decode_hook_{f.name}"] = decode
-                decoded = f"decode_hook_{f.name}(x0, {path}, strict)"
+                decoded = f"decode_hook_{f.name}({raw}, {path}, strict)"
             items.append(f"{f.name!r}: {encoded or value}")
             if f.name not in required:
                 factory = f.default_factory is not MISSING
                 scope[f"default_{f.name}"] = f.default_factory if factory else f.default
-                decoded = f"default_{f.name}{'()' if factory else ''} if x0 is None else {decoded}"
-            decoder += [f"x0 = data.get({f.name!r})", f"f_{f.name} = {decoded}"]
-        decoder.append(f"return cls({', '.join(f'{f.name}=f_{f.name}' for f in declared)})")
+                default = f"default_{f.name}{'()' if factory else ''}"
+                decoded = f"{default} if {raw} is None else {decoded}"
+            decoded_fields.append(decoded)
+        decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
         body, params = {
             "_encode": ([f"return {{{', '.join(items)}}}"], ["self"]),
             "_decode": (decoder, ["data", "path", "strict"]),
         }[name]
-    source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+    source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body)
     function = _compile(cls.__name__, name, source, scope)
     setattr(cls, name, function)
     return function
+
+
+def replace(value: Any, /, **changes: Any) -> Any:
+    """A copy of a value with the given fields changed, equal to what
+    :func:`dataclasses.replace` makes, without a call to ``__init__``: the
+    changes are merged into the value's fields and ``__post_init__`` runs
+    again. A name that is no field of the value raises TypeError."""
+    # Fields only: a cached_property's value, kept beside them, is not copied.
+    current = value.__dict__
+    state = {f.name: current[f.name] for f in fields(value)}
+    if not changes.keys() <= state.keys():
+        unknown = sorted(changes.keys() - state.keys())
+        raise TypeError(f"{type(value).__qualname__} has no field {unknown[0]!r}")
+    state.update(changes)
+    copy = object.__new__(value.__class__)
+    object.__setattr__(copy, "__dict__", state)
+    if hasattr(copy, "__post_init__"):
+        copy.__post_init__()
+    return copy
 
 
 class Document(Value):
@@ -448,6 +424,9 @@ class Document(Value):
     with null meaning the field's default. Each class compiles its own
     ``_encode`` and ``_decode`` (:class:`_Compiled`) on first use;
     ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
+    ``_decode`` reads each field once and builds the value itself: one
+    ``__dict__`` store and ``__post_init__``, with no ``__init__`` call. A
+    nested document is decoded through its class's ``from_dict``.
 
     A subclass names the root of its error paths, as in
     ``class Digest(Document, path="digest")``. With ``shared=True``, equal
@@ -457,8 +436,9 @@ class Document(Value):
     every object that is not an exact built-in type (a mapping proxy, a dict
     or str subclass, an enum member), and such a document is decoded afresh;
     on exact built-in types it is injective: ``true``, ``1`` and ``1.0``
-    differ, and so do a list and a tuple. Only a decode that succeeded without an unknown-field warning, in
-    any thread, is kept, so every error and warning recurs.
+    differ, and so do a list and a tuple. Only a decode that succeeded
+    without an unknown-field warning, in any thread, is kept, so every error
+    and warning recurs.
     """
 
     _path: ClassVar[str]
@@ -663,7 +643,10 @@ class LicenseMetadata(Document, path="metadata"):
 
 
 def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
-    """Reorder a rights map so fixed names come first in canonical order."""
+    """Reorder a rights map so fixed names come first in canonical order; a
+    plain dict of exactly the fixed names, in that order, is returned as it is."""
+    if entries.__class__ is dict and tuple(entries) == fixed:
+        return entries
     # Merging keeps each key where it was first inserted.
     return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 

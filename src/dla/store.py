@@ -28,17 +28,9 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
 from .errors import InputError, ParseError, StaleEntryWarning, StoreCorrupt, StoreError
+from .jsonio import canonical_json, read_input, read_inputs, read_json
 from .lineage import LineageGraph, decode_root
-from .model import (
-    Document,
-    ProvenanceRecord,
-    Value,
-    VerifiedLicense,
-    canonical_json,
-    read_input,
-    read_inputs,
-    read_json,
-)
+from .model import Document, ProvenanceRecord, Value, VerifiedLicense
 from .resources import templates_dir
 
 if TYPE_CHECKING:

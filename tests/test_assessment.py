@@ -10,7 +10,7 @@ import pytest
 from dla import UsageScenario, assess, assess_all, default_scenarios, verify
 from dla.assessment import load_scenarios, render_cell, render_markdown
 from dla.errors import DuplicateScenario, UnknownRight
-from dla.model import Grant, RightEntry
+from dla.model import Grant, Obligation, ObligationKind, RightEntry, VerifiedLicense
 
 from helpers import DIGEST, load_bundle, random_case
 
@@ -130,6 +130,21 @@ class TestAssessAll:
         # The citation duty rides on granted rights no default scenario needs.
         assert "cite-cifar10" in table.advisory_obligations
         assert "cite-cifar10" in table.obligation_legend
+
+    def test_legend_keeps_the_earliest_wording_of_a_repeated_id(self):
+        early = Obligation(id="cite", text="Cite the paper.", kind=ObligationKind.CITE)
+        late = Obligation(id="cite", text="Cite the website.", kind=ObligationKind.CITE)
+        verified = VerifiedLicense(
+            root_id="d",
+            rights={"Access": RightEntry(Grant.GRANTED, (early,)),
+                    "Tagging": RightEntry(Grant.GRANTED, (late,))},
+            restrictors={"Access": (), "Tagging": ()},
+            changed=(),
+            residual_risk_flags=(),
+        )
+        table = assess_all(verified, [UsageScenario(id="S", required_rights=("Tagging",))])
+        assert table.rows[0].obligations == ("cite",)
+        assert table.obligation_legend == {"cite": early}
 
 
 class TestDefaultScenarios:

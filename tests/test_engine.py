@@ -227,6 +227,18 @@ class TestUnknownDeniesPolicy:
         assert default.residual_risk_flags == ("s",)
         assert strict.residual_risk_flags == ("s",)
 
+    def test_restrictors_list_unavailable_and_denying_sources_in_id_order(self):
+        # "b" denies; "a" and "c" are unavailable, so they deny only when flagged.
+        graph = build_lineage([record_for(n) for n in "rabc"], [("r", n) for n in "abc"], "r")
+        interpretations = {"r": total_vector(), "a": None, "b": total_vector(Grant.DENIED),
+                           "c": None}
+        strict = verify(graph, interpretations, EnginePolicy(unknown_denies=True),
+                        inputs_digest=DIGEST)
+        default = verify(graph, interpretations, inputs_digest=DIGEST)
+        for right in FIXED_RIGHTS:
+            assert strict.restrictors[right] == ("a", "b", "c")
+            assert default.restrictors[right] == ("b",)
+
 
 class TestDiffRights:
     """``VerifiedLicense.changed`` names exactly the rights whose grant differs
@@ -276,6 +288,22 @@ class TestCustomRights:
         assert verified.grant("AdversarialModelTraining") is Grant.UNSPECIFIED
         assert "AdversarialModelTraining" in verified.rights
         assert "AdversarialModelTraining" not in verified.changed
+
+    def test_source_without_an_entry_for_a_granted_custom_right_denies_it(self):
+        # The catalog registered no custom right, so nothing filled in the
+        # source's missing entry: a right it never mentions is not granted.
+        granted = RightEntry(grant=Grant.GRANTED)
+        root = RightsVector(
+            metadata=LicenseMetadata(licensor="L", license_name="N", dataset_name="r"),
+            standalone_rights=total_vector().standalone_rights,
+            model_rights=total_vector().model_rights,
+            custom_rights={"AdversarialModelTraining": granted},
+        )
+        graph = build_lineage([record_for("r"), record_for("s")], [("r", "s")], "r")
+        verified = verify(graph, {"r": root, "s": total_vector(name="s")}, inputs_digest=DIGEST)
+        assert verified.grant("AdversarialModelTraining") is Grant.DENIED
+        assert verified.restrictors["AdversarialModelTraining"] == ("s",)
+        assert verified.changed == ("AdversarialModelTraining",)
 
     def test_audit_trailer_contents(self):
         graph, interp = load_bundle("ffhq")

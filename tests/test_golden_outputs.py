@@ -12,8 +12,12 @@ second moved their stdout only in ``engine_version`` and ``inputs_digest``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,7 @@ from dla.cli import cli
 from helpers import BUNDLE_NAMES, bundle_paths
 
 GOLDEN_OUTPUTS_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Command name -> argument list, given the bundle's lineage and interpretation
 # and capture paths.
@@ -61,3 +66,29 @@ def test_golden_covers_every_bundle_and_command():
     assert sorted(k for k in golden if k != "note") == sorted(BUNDLE_NAMES)
     for bundle in BUNDLE_NAMES:
         assert sorted(golden[bundle]) == sorted(COMMANDS)
+
+
+def test_entry_point_output_matches_golden():
+    """The goldens above run in process through ``cli``; ``python -m dla``
+    runs ``main``, which turns the cyclic garbage collector off in its own
+    process, and must print the same bytes and exit with the same codes."""
+    golden = json.loads(GOLDEN_OUTPUTS_PATH.read_text(encoding="utf-8"))["cifar-10"]
+    lineage, interp = bundle_paths("cifar-10")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for command, args in COMMANDS.items():
+        argv = [str(a) for a in args(lineage, interp, lineage.parent / "captures")]
+        run = subprocess.run([sys.executable, "-m", "dla", *argv], capture_output=True,
+                             env=env, timeout=120)
+        outcome = {"sha256": hashlib.sha256(run.stdout).hexdigest(), "exit_code": run.returncode}
+        assert outcome == golden[command], command
+    assert gc.isenabled()  # the tests' own process keeps its collector
+
+
+def test_entry_point_turns_the_collector_off():
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print(gc.isenabled(), file=sys.stderr))\n"
+             "from dla.cli import main\n"
+             "main()\n")
+    run = subprocess.run([sys.executable, "-c", probe, "--version"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert run.returncode == 0 and run.stderr == "False\n"

@@ -9,8 +9,9 @@ import os
 import sys
 import threading
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import MappingProxyType
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +30,21 @@ from dla import (
     SubjectKind,
     TriState,
     UsageScenario,
+    assess_all,
+    default_scenarios,
+    lookup_or_verify,
     validate_provenance,
     validate_rights_vector,
 )
+import dla.model
 from dla.errors import ParseError, UnknownFieldWarning
-from dla.catalog import load_catalog, load_interpretations_dir
+from dla.catalog import (
+    _InterpretationDocument,
+    _TemplateDocument,
+    load_catalog,
+    load_interpretations_dir,
+)
+from dla.lineage import parse_capture_list
 from dla.model import (
     _SHARED_LIMIT,
     FIXED_RIGHTS,
@@ -42,7 +53,9 @@ from dla.model import (
     AssessmentRow,
     AssessmentTable,
     AuditInfo,
+    Document,
     LicenseFoundVia,
+    Value,
     VerifiedLicense,
     _BlockingRight,
     canonical_json,
@@ -51,7 +64,7 @@ from dla.model import (
 )
 from dla.resources import templates_dir
 
-from helpers import bundle_paths, record_for
+from helpers import BUNDLE_NAMES, bundle_paths, read_bundle, record_for
 
 
 def cifar_record() -> ProvenanceRecord:
@@ -475,14 +488,14 @@ class TestSharedEntries:
 
 def test_loading_cifar10_builds_each_distinct_entry_once(monkeypatch):
     catalog = load_catalog()
-    RightEntry(Grant.GRANTED)  # compiles __init__, which would replace a wrapper around it
-    built, real_init = [], RightEntry.__init__
+    # The lookup compiles _decode, which would replace a wrapper around it.
+    built, real_decode = [], RightEntry._decode
 
-    def init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
+    def decode(data, path, strict):
+        built.append(data)
+        return real_decode(data, path, strict)
 
-    monkeypatch.setattr(RightEntry, "__init__", init)
+    monkeypatch.setattr(RightEntry, "_decode", decode)
     empty_memo()
     built.clear()
     loaded = load_interpretations_dir(bundle_paths("cifar-10")[1], catalog)
@@ -700,6 +713,133 @@ def test_a_value_cannot_be_changed():
     with pytest.raises(FrozenInstanceError, match=r"^cannot delete field 'digest'$"):
         del record.digest
     assert record == cifar_record()
+
+
+# ---------------------------------------------------------------------------
+# Construction without __init__: decoders and model.replace
+# ---------------------------------------------------------------------------
+
+
+def fixture_values() -> dict[type, list]:
+    """Each distinct value, by class, that the seven fixture bundles decode
+    to, with the values in their fields: lineages, interpretation and
+    template documents and what they parse to, capture lists, the default
+    scenarios, and each bundle's verified license and assessment table
+    decoded from their JSON."""
+    found: dict[type, list] = {}
+    seen: set[int] = set()
+
+    def walk(obj: object) -> None:
+        if isinstance(obj, Value):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            found.setdefault(type(obj), []).append(obj)
+            items = [getattr(obj, f.name) for f in fields(obj)]
+        elif isinstance(obj, Mapping):
+            items = list(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            items = obj
+        else:
+            return
+        for item in items:
+            walk(item)
+
+    catalog = load_catalog()
+    walk([catalog, default_scenarios()])
+    for path in sorted(templates_dir().glob("*.json")):
+        walk(_TemplateDocument.from_dict(json.loads(path.read_bytes())))
+    for name in BUNDLE_NAMES:
+        bundle = read_bundle(name)
+        verified, _ = lookup_or_verify(None, bundle)
+        table = assess_all(verified, default_scenarios())
+        walk([bundle, bundle.graph, bundle.interpretations, verified.audit,
+              VerifiedLicense.from_dict(verified.to_dict()),
+              AssessmentTable.from_dict(table.to_dict())])
+        lineage, interpretations = bundle_paths(name)
+        for path in sorted(interpretations.glob("*.json")):
+            walk(_InterpretationDocument.from_dict(json.loads(path.read_bytes())))
+        for path in sorted((lineage.parent / "captures").glob("*.json")):
+            walk(parse_capture_list(json.loads(path.read_bytes())))
+    return found
+
+
+FIXTURE_VALUES = fixture_values()
+
+
+def test_fixture_values_cover_every_decoded_class():
+    names = {cls.__name__ for cls in FIXTURE_VALUES}
+    assert names >= {
+        "AssessmentRow", "AssessmentTable", "AuditInfo", "CaptureInput", "Digest",
+        "LicenseMetadata", "Obligation", "ProvenanceRecord", "RightEntry", "RightsVector",
+        "UsageScenario", "VerifiedLicense", "_BlockingRight", "_InterpretationDocument",
+        "_TemplateDocument", "LineageGraph", "LicenseTemplate", "InterpretationSet",
+    }
+
+
+def same(a: object, b: object) -> bool:
+    """Equal values, and for documents equal JSON, key order included."""
+    if isinstance(a, Document):
+        return canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+    return a == b
+
+
+@pytest.mark.parametrize("cls", sorted(FIXTURE_VALUES, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_model_replace_equals_dataclasses_replace(cls):
+    values = FIXTURE_VALUES[cls][:20]
+    for i, value in enumerate(values):
+        other = values[(i + 1) % len(values)]
+        for f in fields(cls):
+            change = {f.name: getattr(other, f.name)}
+            ours, theirs = dla.model.replace(value, **change), replace(value, **change)
+            assert type(ours) is cls and same(ours, theirs)
+            assert list(vars(ours)) == [f.name for f in fields(cls)]
+        assert same(dla.model.replace(value), value)
+        for replace_with in (dla.model.replace, replace):
+            with pytest.raises(TypeError):
+                replace_with(value, no_such_field=1)
+
+
+def test_model_replace_runs_post_init_again():
+    vector = FIXTURE_VALUES[RightsVector][0]
+    reordered = {
+        "standalone_rights": dict(reversed(vector.standalone_rights.items())),
+        "model_rights": dict(reversed(vector.model_rights.items())),
+    }
+    for copy_of in (dla.model.replace(vector, **reordered), replace(vector, **reordered)):
+        assert tuple(copy_of.standalone_rights) == STANDALONE_RIGHTS
+        assert tuple(copy_of.model_rights) == MODEL_RIGHTS
+    scenario = FIXTURE_VALUES[UsageScenario][0]
+    twice = scenario.required_rights * 2
+    assert (dla.model.replace(scenario, required_rights=twice).required_rights
+            == replace(scenario, required_rights=twice).required_rights
+            == scenario.required_rights)
+    messages = []
+    for replace_with in (dla.model.replace, replace):
+        with pytest.raises(ValueError) as exc:
+            replace_with(LicenseRange(2009, 2010), start_year=2000)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize(
+    "cls", sorted((c for c in FIXTURE_VALUES if issubclass(c, Document)), key=lambda c: c.__name__),
+    ids=lambda c: c.__name__,
+)
+def test_a_decoded_value_equals_the_value_built_by_keyword(cls):
+    names = [f.name for f in fields(cls)]
+    for doc in {canonical_json(value.to_dict()): value.to_dict()
+                for value in FIXTURE_VALUES[cls]}.values():
+        decoded = cls.from_dict(doc, strict=True)
+        built = cls(**{name: getattr(decoded, name) for name in names})
+        assert decoded == built and same(decoded, built)
+        assert list(vars(decoded)) == names
+        with pytest.raises(FrozenInstanceError):
+            setattr(decoded, names[0], None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(decoded, names[0])
+        assert list(vars(decoded)) == names
 
 
 def test_license_range_rejects_wrong_width():
