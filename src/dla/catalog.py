@@ -12,7 +12,7 @@ code change.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, field
+from dataclasses import MISSING, field, replace
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
@@ -31,7 +31,6 @@ from .model import (
     codec_field,
     decoder_for,
     merge_obligations,
-    replace,
     validate_rights_vector,
 )
 from .resources import templates_dir
@@ -53,9 +52,10 @@ class LicenseCatalog(Value):
     Its constructors, :func:`load_catalog` and :func:`extend_schema`, keep one
     invariant: every template vector passed :func:`validate_rights_vector`
     when the catalog loaded, and no custom right names a fixed right. A vector
-    derived from a template needs no second validation: extra obligations are
-    merged by id, so they add no duplicate id, and filling in the custom
-    rights adds only names that collide with none.
+    derived from a template is a copy built by its ``__init__``
+    (:func:`dataclasses.replace`) and needs no second validation: extra
+    obligations are merged by id, so they add no duplicate id, and filling in
+    the custom rights adds only names that collide with none.
     """
 
     templates: Mapping[str, LicenseTemplate]
@@ -180,7 +180,7 @@ class _InterpretationDocument(Document, path="interpretation"):
 
 def _apply_template(base: RightsVector, doc: _InterpretationDocument, path: str) -> RightsVector:
     """A template's vector with the document's overrides: ``base`` itself when
-    it overrides nothing, else a copy sharing every unchanged group."""
+    it overrides nothing, else a copy."""
     changes: dict[str, Any] = {}
     if doc.metadata:
         known = set(LicenseMetadata.__dataclass_fields__)

@@ -2,7 +2,7 @@
 the one rendering of a document as it is written to disk.
 
 This module imports nothing of the domain model, so the command line loads
-it without compiling :mod:`dla.model`; that module re-exports its names.
+it without compiling :mod:`dla.model`.
 """
 
 from __future__ import annotations
@@ -71,13 +71,22 @@ def path_prefix(directory: Path) -> str:
 def read_json(path: Path | str, raw: bytes | None = None) -> Any:
     """The JSON document held by an input file; ``raw`` is the file's bytes
     when the caller has read them already, and then ``path`` may be the
-    path's string. Raises InputError when the file cannot be read or is not
-    UTF-8 JSON."""
+    path's string. Raises InputError when the file cannot be read, is not
+    UTF-8 JSON, or holds what dla cannot hold or write: an integer longer
+    than Python converts, or a string with an unpaired surrogate."""
     if raw is None:
         raw = read_input(path)
     try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        text = raw.decode("utf-8")
+        doc = json.loads(text)
+        # Only a \u escape can put an unpaired surrogate in a string, and
+        # UTF-8 output cannot encode one.
+        if "\\u" in text:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
+    except UnicodeEncodeError as exc:
+        raise InputError(path, "invalid JSON: a \\u escape gives an unpaired surrogate") from exc
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
         raise InputError(path, f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(path, "invalid JSON: nested deeper than the parser allows") from exc

@@ -5,9 +5,11 @@ All types are immutable values (:class:`Value`). Every document type derives
 ``to_dict`` and ``from_dict`` from its dataclass fields (:class:`Document`).
 Only a value's ``__init__`` and a document's ``_encode`` and ``_decode`` are
 compiled, per class on first use, by one descriptor (:class:`_Compiled`), so
-importing compiles nothing. Both give a value all its fields in one store of
-its ``__dict__`` and then run ``__post_init__``; a decoder builds its value
-so without calling ``__init__``, and :func:`replace` copies one so.
+importing compiles nothing. A value gets its fields by one of two paths: its
+``__init__``, which a copy made by :func:`dataclasses.replace` also calls,
+or, for a document read from JSON, its ``_decode``, which builds the value
+without calling ``__init__``. Both give it all its fields in one store of
+its ``__dict__`` and then run ``__post_init__``.
 Canonical serialization writes every field in declaration order, so equal
 values always produce byte-identical documents, and
 ``from_dict(to_dict(x)) == x`` holds by construction.
@@ -100,14 +102,8 @@ DIGEST_HEX_LENGTHS: dict[str, int] = {
 }
 
 
-# The input readers and the canonical writer live where the command line
-# loads them without this module; library callers, and the bench's tracer,
-# which patches canonical_json where dla.cli holds the same object, find
-# them here.
-canonical_json, path_prefix, read_input, read_inputs, read_json = (
-    jsonio.canonical_json, jsonio.path_prefix, jsonio.read_input, jsonio.read_inputs,
-    jsonio.read_json,
-)
+# Not used here: the bench's tracer finds it in this module (span model.serialize).
+canonical_json = jsonio.canonical_json
 
 
 class _Compiled:
@@ -128,10 +124,11 @@ class Value:
     ``kw_only=True``. Its ``__init__`` is a frozen dataclass's, a
     :class:`_Compiled` descriptor that compiles it for a class on its first
     call through that class; it stores the fields in one dict and then runs
-    ``__post_init__``, which decoders and :func:`replace` also run without
-    ``__init__``. Equality and hashing, over the field values of two values
-    of one class, ``repr`` and the refusal to assign or delete a field are
-    shared. ``__post_init__`` sets a field through ``object.__setattr__``.
+    ``__post_init__``. It and a document's decoder are the only two ways a
+    value is built; a copy (:func:`dataclasses.replace`) calls ``__init__``.
+    Equality and hashing, over the field values of two values of one class,
+    ``repr`` and the refusal to assign or delete a field are shared.
+    ``__post_init__`` sets a field through ``object.__setattr__``.
     """
 
     __init__ = _Compiled()
@@ -399,34 +396,16 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
     return function
 
 
-def replace(value: Any, /, **changes: Any) -> Any:
-    """A copy of a value with the given fields changed, equal to what
-    :func:`dataclasses.replace` makes, without a call to ``__init__``: the
-    changes are merged into the value's fields and ``__post_init__`` runs
-    again. A name that is no field of the value raises TypeError."""
-    # Fields only: a cached_property's value, kept beside them, is not copied.
-    current = value.__dict__
-    state = {f.name: current[f.name] for f in fields(value)}
-    if not changes.keys() <= state.keys():
-        unknown = sorted(changes.keys() - state.keys())
-        raise TypeError(f"{type(value).__qualname__} has no field {unknown[0]!r}")
-    state.update(changes)
-    copy = object.__new__(value.__class__)
-    object.__setattr__(copy, "__dict__", state)
-    if hasattr(copy, "__post_init__"):
-        copy.__post_init__()
-    return copy
-
-
 class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the dataclass
     fields in declaration order; ``from_dict`` reads them back, type-checked,
     with null meaning the field's default. Each class compiles its own
     ``_encode`` and ``_decode`` (:class:`_Compiled`) on first use;
     ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
-    ``_decode`` reads each field once and builds the value itself: one
-    ``__dict__`` store and ``__post_init__``, with no ``__init__`` call. A
-    nested document is decoded through its class's ``from_dict``.
+    ``_decode`` reads each field once and builds the value itself, the one
+    way besides ``__init__`` to build a value: one ``__dict__`` store and
+    ``__post_init__``, with no ``__init__`` call. A nested document is
+    decoded through its class's ``from_dict``.
 
     A subclass names the root of its error paths, as in
     ``class Digest(Document, path="digest")``. With ``shared=True``, equal
@@ -643,17 +622,16 @@ class LicenseMetadata(Document, path="metadata"):
 
 
 def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
-    """Reorder a rights map so fixed names come first in canonical order; a
-    plain dict of exactly the fixed names, in that order, is returned as it is."""
-    if entries.__class__ is dict and tuple(entries) == fixed:
-        return entries
+    """A new dict of a rights map, with the fixed names first in canonical order."""
     # Merging keeps each key where it was first inserted.
     return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 
 
 class RightsVector(Document, path="vector"):
     """One license decomposed into metadata, standalone-data rights, rights in
-    conjunction with models, and optional custom rights."""
+    conjunction with models, and optional custom rights. The vector holds its
+    own copy of each rights map, so a caller that edits a map it passed in
+    does not change the vector."""
 
     metadata: LicenseMetadata
     standalone_rights: Mapping[str, RightEntry]
@@ -661,10 +639,11 @@ class RightsVector(Document, path="vector"):
     custom_rights: Mapping[str, RightEntry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "standalone_rights", _ordered_rights(self.standalone_rights, STANDALONE_RIGHTS)
-        )
-        object.__setattr__(self, "model_rights", _ordered_rights(self.model_rights, MODEL_RIGHTS))
+        for name, fixed in (
+            ("standalone_rights", STANDALONE_RIGHTS), ("model_rights", MODEL_RIGHTS),
+            ("custom_rights", ()),
+        ):
+            object.__setattr__(self, name, _ordered_rights(getattr(self, name), fixed))
 
     def entry(self, right_name: str) -> RightEntry | None:
         for group in (self.standalone_rights, self.model_rights, self.custom_rights):

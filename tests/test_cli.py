@@ -25,6 +25,7 @@ from dla.lineage import (
     LineageGraph,
     build_lineage,
     compute_license_range,
+    decode_root,
     select_capture,
 )
 from dla.model import CaptureStatus, SubjectKind, canonical_json
@@ -214,6 +215,33 @@ class TestInputErrors:
         assert result.exit_code == 64, repr(result.exception)
         message = "invalid JSON: nested deeper than the parser allows"
         assert result.stderr == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("token", ["9" * 5000, '"\\ud800"'],
+                             ids=["long-integer", "lone-surrogate"])
+    @pytest.mark.parametrize(
+        "target, string",
+        [("lineage.json", '"CIFAR-10"'), ("interpretations/cifar-10.json", '"Cite paper"')],
+        ids=["lineage", "interpretation"],
+    )
+    def test_json_that_dla_cannot_hold_or_write_exits_64_naming_it(
+        self, runner, tmp_path, monkeypatch, target, string, token
+    ):
+        """An integer past Python's digit limit for int(), or a string with an
+        unpaired surrogate, which no UTF-8 output can hold, in the place of a
+        string that the report or the store entry prints."""
+        lineage, _ = bundle_paths("cifar-10")
+        shutil.copytree(lineage.parent, tmp_path / "bundle")
+        monkeypatch.chdir(tmp_path / "bundle")
+        path = Path(target)
+        text = path.read_text(encoding="utf-8")
+        assert string in text
+        path.write_text(text.replace(string, token), encoding="utf-8")
+        result = runner.invoke(cli, ["--store", "store", "--format", "json", "verify",
+                                     "lineage.json", "interpretations"])
+        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        assert result.stderr.startswith(f"error: {target}: invalid JSON: ")
+        assert "Traceback" not in result.stderr
+        assert not Path("store").exists()
 
     @pytest.mark.parametrize("call", ["listdir", "open"])
     @pytest.mark.parametrize("kind", ["interpretations", "captures", "templates"])
@@ -640,6 +668,16 @@ class TestAssess:
         assert result.exit_code == 0
         assert "| CIFAR-10 | Yes(cite-cifar10) |" in result.output
 
+    def test_scenarios_file_holding_an_object_exits_1(self, runner, tmp_path):
+        lineage, interp = bundle_paths("cifar-10")
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text('{"id": "TRAIN", "required_rights": ["Research"]}')
+        result = runner.invoke(
+            cli, ["assess", str(lineage), str(interp), "--scenarios", str(scenarios)]
+        )
+        assert (result.exit_code, result.stdout) == (1, ""), repr(result.exception)
+        assert result.stderr == f"error: {scenarios}: expected an array of scenarios\n"
+
     def test_lenient_mode_warns_about_unknown_scenario_fields(self, runner, tmp_path):
         lineage, interp = bundle_paths("cifar-10")
         scenarios = tmp_path / "scenarios.json"
@@ -816,6 +854,35 @@ class TestStoreCli:
             result = runner.invoke(cli, ["--store", str(store)] + [str(a) for a in args])
             assert result.exit_code == 64, (args, repr(result.exception))
             assert result.stderr == f"error: store {store} is not a directory\n"
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda doc: doc["records"],
+            lambda doc: {**doc, "root_id": [doc["root_id"]]},
+            lambda doc: {**doc, "records": {"0": doc["records"][0]}},
+            lambda doc: {**doc, "records": [
+                {**r, "subject_kind": "planet"} if r["subject_id"] == doc["root_id"] else r
+                for r in doc["records"]
+            ]},
+        ],
+        ids=["not-an-object", "root-id-not-a-string", "records-not-an-array", "bad-root-record"],
+    )
+    def test_lineage_whose_root_cannot_be_decoded_alone_ends_as_without_a_store(
+        self, runner, tmp_path, fault
+    ):
+        lineage, interp = bundle_paths("cifar-10")
+        doc = fault(json.loads(lineage.read_text(encoding="utf-8")))
+        assert decode_root(doc) is None
+        broken = tmp_path / "lineage.json"
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        store = tmp_path / "store"
+        runs = [runner.invoke(cli, [*options, "assess", str(broken), str(interp)])
+                for options in ([], ["--store", str(store)])]
+        without, with_store = [(r.exit_code, r.stdout, r.stderr) for r in runs]
+        assert with_store == without
+        assert without[:2] in {(1, ""), (2, "")}
+        assert list(store.glob("*.json")) == []
 
     def test_cached_second_run_prints_notice(self, runner, tmp_path):
         store = tmp_path / "store"

@@ -36,8 +36,8 @@ from dla import (
     validate_provenance,
     validate_rights_vector,
 )
-import dla.model
 from dla.errors import ParseError, UnknownFieldWarning
+from dla.jsonio import read_inputs
 from dla.catalog import (
     _InterpretationDocument,
     _TemplateDocument,
@@ -60,7 +60,6 @@ from dla.model import (
     _BlockingRight,
     canonical_json,
     merge_obligations,
-    read_inputs,
 )
 from dla.resources import templates_dir
 
@@ -194,6 +193,22 @@ class TestValidateRightsVector:
         )
         report = validate_rights_vector(vector)
         assert any("collides" in v.message for v in report)
+
+    def test_edits_to_the_maps_it_was_built_from_leave_the_vector_as_it_was(self):
+        granted, denied = RightEntry(grant=Grant.GRANTED), RightEntry(grant=Grant.DENIED)
+        standalone = {r: granted for r in STANDALONE_RIGHTS}
+        model = {r: granted for r in MODEL_RIGHTS}
+        custom = {"X": denied}
+        vector = RightsVector(LicenseMetadata(licensor="L", license_name="N", dataset_name="D"),
+                              standalone, model, custom)
+        before = vector.to_dict()
+        standalone["Access"] = model["Research"] = denied
+        custom["X"] = granted
+        custom["Y"] = granted
+        assert [vector.grant(r) for r in ("Access", "Research", "X", "Y")] == [
+            Grant.GRANTED, Grant.GRANTED, Grant.DENIED, Grant.UNSPECIFIED,
+        ]
+        assert vector.to_dict() == before
 
 
 class TestRightEntryParsing:
@@ -716,7 +731,7 @@ def test_a_value_cannot_be_changed():
 
 
 # ---------------------------------------------------------------------------
-# Construction without __init__: decoders and model.replace
+# Construction: decoders, and copies through __init__ (dataclasses.replace)
 # ---------------------------------------------------------------------------
 
 
@@ -787,18 +802,25 @@ def same(a: object, b: object) -> bool:
 @pytest.mark.parametrize("cls", sorted(FIXTURE_VALUES, key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_model_replace_equals_dataclasses_replace(cls):
+    """A copy with one field changed holds that field of the other value and
+    every other field of the first, as the two documents merged would, and
+    only its fields, in declaration order."""
     values = FIXTURE_VALUES[cls][:20]
     for i, value in enumerate(values):
         other = values[(i + 1) % len(values)]
         for f in fields(cls):
             change = {f.name: getattr(other, f.name)}
-            ours, theirs = dla.model.replace(value, **change), replace(value, **change)
-            assert type(ours) is cls and same(ours, theirs)
-            assert list(vars(ours)) == [f.name for f in fields(cls)]
-        assert same(dla.model.replace(value), value)
-        for replace_with in (dla.model.replace, replace):
-            with pytest.raises(TypeError):
-                replace_with(value, no_such_field=1)
+            copy_of = replace(value, **change)
+            assert type(copy_of) is cls
+            expected = {g.name: getattr(value, g.name) for g in fields(cls)} | change
+            assert {g.name: getattr(copy_of, g.name) for g in fields(cls)} == expected
+            if isinstance(value, Document):
+                merged = {**value.to_dict(), f.name: other.to_dict()[f.name]}
+                assert canonical_json(copy_of.to_dict()) == canonical_json(merged)
+            assert list(vars(copy_of)) == [f.name for f in fields(cls)]
+        assert same(replace(value), value)
+        with pytest.raises(TypeError):
+            replace(value, no_such_field=1)
 
 
 def test_model_replace_runs_post_init_again():
@@ -807,20 +829,14 @@ def test_model_replace_runs_post_init_again():
         "standalone_rights": dict(reversed(vector.standalone_rights.items())),
         "model_rights": dict(reversed(vector.model_rights.items())),
     }
-    for copy_of in (dla.model.replace(vector, **reordered), replace(vector, **reordered)):
-        assert tuple(copy_of.standalone_rights) == STANDALONE_RIGHTS
-        assert tuple(copy_of.model_rights) == MODEL_RIGHTS
+    copy_of = replace(vector, **reordered)
+    assert tuple(copy_of.standalone_rights) == STANDALONE_RIGHTS
+    assert tuple(copy_of.model_rights) == MODEL_RIGHTS
     scenario = FIXTURE_VALUES[UsageScenario][0]
     twice = scenario.required_rights * 2
-    assert (dla.model.replace(scenario, required_rights=twice).required_rights
-            == replace(scenario, required_rights=twice).required_rights
-            == scenario.required_rights)
-    messages = []
-    for replace_with in (dla.model.replace, replace):
-        with pytest.raises(ValueError) as exc:
-            replace_with(LicenseRange(2009, 2010), start_year=2000)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    assert replace(scenario, required_rights=twice).required_rights == scenario.required_rights
+    with pytest.raises(ValueError, match=r"consecutive years, got \[2000, 2010\]"):
+        replace(LicenseRange(2009, 2010), start_year=2000)
 
 
 @pytest.mark.parametrize(
