@@ -118,6 +118,12 @@ def verify(
     unavailable = tuple(s for s in source_ids if interpretations[s] is None)
 
     right_space = _right_space(root_vector, [v for _, v in interpreted])
+    # Each source's rights by name, built once: a later group overrides an
+    # earlier one, so a name in two groups reads as `RightsVector.entry` finds
+    # it, standalone before model before custom.
+    source_rights = [
+        (s, {**v.custom_rights, **v.model_rights, **v.standalone_rights}) for s, v in interpreted
+    ]
 
     rights: dict[str, RightEntry] = {}
     restrictors: dict[str, tuple[str, ...]] = {}
@@ -131,7 +137,7 @@ def verify(
             rights[right] = root_entry or RightEntry(grant=_UNSPECIFIED)
             restrictors[right] = ()
             continue
-        entries = [(s, v.entry(right)) for s, v in interpreted]
+        entries = [(s, by_name.get(right)) for s, by_name in source_rights]
         denying = [s for s, e in entries if e is None or e.grant is not _GRANTED]
         if policy.unknown_denies:
             denying.extend(unavailable)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -86,7 +87,10 @@ def read_json(path: Path | str, raw: bytes | None = None) -> Any:
         return doc
     except UnicodeEncodeError as exc:
         raise InputError(path, "invalid JSON: a \\u escape gives an unpaired surrogate") from exc
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(path, f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # json.loads met an integer past int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(path, f"invalid JSON: an integer longer than {limit} digits") from exc
     except RecursionError as exc:
         raise InputError(path, "invalid JSON: nested deeper than the parser allows") from exc

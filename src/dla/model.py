@@ -623,6 +623,8 @@ class LicenseMetadata(Document, path="metadata"):
 
 def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
     """A new dict of a rights map, with the fixed names first in canonical order."""
+    if tuple(entries)[:len(fixed)] == fixed:  # a complete group, or any custom map
+        return dict(entries)
     # Merging keeps each key where it was first inserted.
     return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 

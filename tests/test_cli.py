@@ -241,6 +241,10 @@ class TestInputErrors:
         assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
         assert result.stderr.startswith(f"error: {target}: invalid JSON: ")
         assert "Traceback" not in result.stderr
+        assert "set_int_max_str_digits" not in result.stderr  # a call a CLI user cannot make
+        if token.isdigit():
+            limit = sys.get_int_max_str_digits()
+            assert result.stderr.endswith(f"invalid JSON: an integer longer than {limit} digits\n")
         assert not Path("store").exists()
 
     @pytest.mark.parametrize("call", ["listdir", "open"])

@@ -305,6 +305,26 @@ class TestCustomRights:
         assert verified.restrictors["AdversarialModelTraining"] == ("s",)
         assert verified.changed == ("AdversarialModelTraining",)
 
+    @pytest.mark.parametrize("first, later", [(Grant.GRANTED, Grant.DENIED),
+                                              (Grant.DENIED, Grant.GRANTED)])
+    def test_a_name_in_two_groups_reads_from_the_first_group(self, first, later):
+        """`RightsVector.entry` reads standalone, then model, then custom
+        rights; verify reads a source's right the same way."""
+        root = total_vector(name="r")
+        granted = RightEntry(grant=Grant.GRANTED)
+        source = RightsVector(
+            metadata=LicenseMetadata(licensor="L", license_name="N", dataset_name="s"),
+            standalone_rights={"Access": RightEntry(grant=first), "Tagging": granted},
+            model_rights={"Access": RightEntry(grant=later), "Tagging": granted,
+                          **total_vector().model_rights},
+            custom_rights={"Access": RightEntry(grant=later)},
+        )
+        assert source.grant("Access") is first
+        graph = build_lineage([record_for("r"), record_for("s")], [("r", "s")], "r")
+        verified = verify(graph, {"r": root, "s": source}, inputs_digest=DIGEST)
+        assert verified.grant("Access") is first
+        assert verified.restrictors["Access"] == (() if first is Grant.GRANTED else ("s",))
+
     def test_audit_trailer_contents(self):
         graph, interp = load_bundle("ffhq")
         verified = verify(

@@ -84,11 +84,28 @@ def test_entry_point_output_matches_golden():
     assert gc.isenabled()  # the tests' own process keeps its collector
 
 
-def test_entry_point_turns_the_collector_off():
+@pytest.mark.parametrize("command, exit_code", [
+    (lambda lin, interp: ["--version"], 0),
+    (lambda lin, interp: ["assess", lin, interp], 3),
+    (lambda lin, interp: ["--format", "yaml", "lineage", lin], 64),
+], ids=["version", "assess-denied", "usage-error"])
+def test_entry_point_turns_the_collector_off(command, exit_code):
+    """``main`` runs with the collector off and, on every exit, freezes the
+    objects left, so Python's collection at shutdown has none to scan."""
     probe = ("import atexit, gc, sys\n"
-             "atexit.register(lambda: print(gc.isenabled(), file=sys.stderr))\n"
+             "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0,"
+             " file=sys.stderr))\n"
              "from dla.cli import main\n"
              "main()\n")
-    run = subprocess.run([sys.executable, "-c", probe, "--version"], capture_output=True,
+    argv = [str(a) for a in command(*bundle_paths("cifar-10"))]
+    run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
-    assert run.returncode == 0 and run.stderr == "False\n"
+    assert run.returncode == exit_code
+    assert run.stderr.splitlines()[-1] == "False True"
+
+
+def test_cli_called_in_process_leaves_the_collector_as_it_was():
+    lineage, interp = bundle_paths("cifar-10")
+    for args in (["--version"], ["assess", str(lineage), str(interp)]):
+        CliRunner().invoke(cli, args, catch_exceptions=False)
+        assert gc.isenabled() and gc.get_freeze_count() == 0, args

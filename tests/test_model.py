@@ -210,6 +210,24 @@ class TestValidateRightsVector:
         ]
         assert vector.to_dict() == before
 
+    def test_a_map_already_in_canonical_order_is_still_copied(self):
+        """Fixed names first, in order, then a foreign one: the order is kept
+        as given, and so is the vector when the caller edits the map."""
+        granted, denied = RightEntry(grant=Grant.GRANTED), RightEntry(grant=Grant.DENIED)
+        standalone = {r: granted for r in STANDALONE_RIGHTS + ("Foreign",)}
+        model = {r: granted for r in MODEL_RIGHTS + ("Foreign",)}
+        vector = RightsVector(LicenseMetadata(licensor="L", license_name="N", dataset_name="D"),
+                              standalone, model)
+        assert (tuple(vector.standalone_rights), tuple(vector.model_rights)) == (
+            tuple(standalone), tuple(model),
+        )
+        before = vector.to_dict()
+        for rights in (standalone, model):
+            rights.update(dict.fromkeys(rights, denied), Later=denied)
+        assert vector.to_dict() == before
+        assert vector.grant("Access") is vector.grant("Research") is Grant.GRANTED
+        assert vector.grant("Later") is Grant.UNSPECIFIED
+
 
 class TestRightEntryParsing:
     def test_bool_shorthand_and_absent_obligations(self):
