@@ -118,19 +118,15 @@ def verify(
     unavailable = tuple(s for s in source_ids if interpretations[s] is None)
 
     right_space = _right_space(root_vector, [v for _, v in interpreted])
-    # Each source's rights by name, built once: a later group overrides an
-    # earlier one, so a name in two groups reads as `RightsVector.entry` finds
-    # it, standalone before model before custom.
-    source_rights = [
-        (s, {**v.custom_rights, **v.model_rights, **v.standalone_rights}) for s, v in interpreted
-    ]
+    root_rights = root_vector.rights_by_name()
+    source_rights = [(s, v.rights_by_name()) for s, v in interpreted]
 
     rights: dict[str, RightEntry] = {}
     restrictors: dict[str, tuple[str, ...]] = {}
     changed: list[str] = []
 
     for right in right_space:
-        root_entry = root_vector.entry(right)
+        root_entry = root_rights.get(right)
         if root_entry is None or root_entry.grant is not _GRANTED:
             # The root itself withholds the right; sources cannot restrict
             # further and the root's literal grant is preserved.

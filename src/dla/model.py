@@ -648,10 +648,18 @@ class RightsVector(Document, path="vector"):
             object.__setattr__(self, name, _ordered_rights(getattr(self, name), fixed))
 
     def entry(self, right_name: str) -> RightEntry | None:
+        """The right's entry from the first group that names it: standalone,
+        then model, then custom."""
         for group in (self.standalone_rights, self.model_rights, self.custom_rights):
             if right_name in group:
                 return group[right_name]
         return None
+
+    def rights_by_name(self) -> dict[str, RightEntry]:
+        """Every right's entry as `entry` finds it, in one new dict for a
+        caller that looks up many names."""
+        # A later group's entry is overwritten by an earlier one's.
+        return {**self.custom_rights, **self.model_rights, **self.standalone_rights}
 
     def grant(self, right_name: str) -> Grant:
         """The recorded grant, with Unspecified for rights never mentioned."""

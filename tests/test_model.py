@@ -876,6 +876,21 @@ def test_a_decoded_value_equals_the_value_built_by_keyword(cls):
         assert list(vars(decoded)) == names
 
 
+def test_rights_by_name_reads_each_right_as_entry_does():
+    """A name in more than one group reads from the first of standalone,
+    model and custom rights, in both lookups."""
+    granted, denied = RightEntry(grant=Grant.GRANTED), RightEntry(grant=Grant.DENIED)
+    unspecified = RightEntry(grant=Grant.UNSPECIFIED)
+    vector = RightsVector(LicenseMetadata(licensor="L", license_name="N", dataset_name="D"),
+                          {"Access": granted, "Tagging": granted},
+                          {"Access": denied, "Research": denied},
+                          {"Access": unspecified, "Research": granted, "Own": granted})
+    by_name = vector.rights_by_name()
+    assert by_name == {n: vector.entry(n) for n in ("Access", "Tagging", "Research", "Own")}
+    assert (by_name["Access"], by_name["Research"], by_name["Own"]) == (granted, denied, granted)
+    assert vector.rights_by_name() is not by_name  # a new dict for each caller
+
+
 def test_license_range_rejects_wrong_width():
     with pytest.raises(ValueError):
         LicenseRange(2005, 2007)
