@@ -20,6 +20,7 @@ from .errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
 from .jsonio import path_prefix, read_inputs, read_json
 from .model import (
     FIXED_RIGHTS,
+    DocPath,
     Document,
     Grant,
     LicenseMetadata,
@@ -29,9 +30,9 @@ from .model import (
     Value,
     Violation,
     codec_field,
-    decoder_for,
     merge_obligations,
     validate_rights_vector,
+    wrong_type,
 )
 from .resources import templates_dir
 
@@ -162,6 +163,10 @@ def _fill_custom_rights(vector: RightsVector, catalog: LicenseCatalog) -> Rights
     return replace(vector, custom_rights=custom)
 
 
+def _decode_template_id(value: Any, path: DocPath) -> str:
+    return value if isinstance(value, str) else wrong_type(path, "string", value)
+
+
 class _InterpretationDocument(Document, path="interpretation"):
     """The JSON form of an interpretation document. Exactly one of
     ``unavailable``, ``vector`` and ``template`` gives its body; ``notes`` is
@@ -171,7 +176,7 @@ class _InterpretationDocument(Document, path="interpretation"):
     unavailable: bool = False
     vector: RightsVector | None = None
     # Null means no template, but a present template must be a string.
-    template: str | None = codec_field(decode=decoder_for(str), default=None)
+    template: str | None = codec_field(decode=_decode_template_id, default=None)
     template_version: str | None = None
     metadata: Mapping[str, str | None] | None = None
     extra_obligations: Mapping[str, tuple[Obligation, ...]] | None = None
@@ -193,7 +198,8 @@ def _apply_template(base: RightsVector, doc: _InterpretationDocument, path: str)
         changes["metadata"] = replace(base.metadata, **dict(doc.metadata))
     extras = doc.extra_obligations
     if extras:
-        unknown_rights = sorted(name for name in extras if base.entry(name) is None)
+        rights = base.rights_by_name()
+        unknown_rights = sorted(name for name in extras if name not in rights)
         if unknown_rights:
             raise ParseError(
                 f"{path}.extra_obligations", f"rights not in template: {unknown_rights}"

@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 import click
@@ -93,18 +94,6 @@ class _Commands(click.Group):
         sys.exit(code)
 
 
-class Settings:
-    """The group's options, as every command reads them."""
-
-    def __init__(
-        self, store_path: Path | None, output_format: str, strict: bool, unknown_denies: bool
-    ) -> None:
-        self.store_path = store_path
-        self.output_format = output_format
-        self.strict = strict
-        self.unknown_denies = unknown_denies
-
-
 @click.group(cls=_Commands)
 @click.version_option(__version__, prog_name="dla")
 @click.option(
@@ -137,17 +126,12 @@ class Settings:
     help="Treat sources with unavailable licenses as denying every right.",
 )
 @click.pass_context
-def cli(
-    ctx: click.Context,
-    store_path: Path | None,
-    output_format: str,
-    strict: bool,
-    unknown_denies: bool,
-) -> None:
+def cli(ctx: click.Context, **params: Any) -> None:
     """Check whether a publicly available dataset can be used in a commercial
     scenario without breaking its license or the licenses of its data sources.
     """
-    ctx.obj = Settings(store_path, output_format, strict, unknown_denies)
+    # The group's options above, as every command reads them.
+    ctx.obj = SimpleNamespace(**params)
 
 
 def _load_graph(path: Path, strict: bool) -> LineageGraph:
@@ -205,7 +189,7 @@ def _validate_one(path: Path, data: Any, strict: bool, shapes: tuple) -> list[st
 @cli.command("validate")
 @click.argument("paths", nargs=-1, required=True, type=click.Path(path_type=Path))
 @click.pass_obj
-def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> tuple[str, int]:
+def cmd_validate(settings: SimpleNamespace, paths: tuple[Path, ...]) -> tuple[str, int]:
     """Validate provenance, interpretation, lineage, capture-list or rights-vector
     documents."""
     shapes = _document_shapes()
@@ -224,7 +208,7 @@ def cmd_validate(settings: Settings, paths: tuple[Path, ...]) -> tuple[str, int]
 @cli.command("lineage")
 @click.argument("lineage_path", type=click.Path(path_type=Path))
 @click.pass_obj
-def cmd_lineage(settings: Settings, lineage_path: Path) -> tuple[str, int]:
+def cmd_lineage(settings: SimpleNamespace, lineage_path: Path) -> tuple[str, int]:
     """Show the validated lineage graph of a dataset."""
     graph = _load_graph(lineage_path, settings.strict)
     if settings.output_format == "json":
@@ -247,7 +231,7 @@ def cmd_lineage(settings: Settings, lineage_path: Path) -> tuple[str, int]:
     help="Directory of per-source capture lists; shows the selected capture per node.",
 )
 @click.pass_obj
-def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None) -> tuple[str, int]:
+def cmd_range(settings: SimpleNamespace, lineage_path: Path, captures_dir: Path | None) -> tuple[str, int]:
     """License range per lineage node (and the applicable capture, if given)."""
     from .lineage import CaptureInput, compute_license_range, parse_capture_list, select_capture
 
@@ -280,7 +264,7 @@ def cmd_range(settings: Settings, lineage_path: Path, captures_dir: Path | None)
 
 
 def _run_pipeline(
-    settings: Settings,
+    settings: SimpleNamespace,
     lineage_path: Path,
     interpretations_dir: Path,
     audit_timestamps: bool,
@@ -315,7 +299,7 @@ def _run_pipeline(
               help="Record a generation timestamp in the audit trailer.")
 @click.pass_obj
 def cmd_verify(
-    settings: Settings,
+    settings: SimpleNamespace,
     lineage_path: Path,
     interpretations_dir: Path,
     audit_timestamps: bool,
@@ -345,7 +329,7 @@ def cmd_verify(
               help="Record a generation timestamp in the audit trailer.")
 @click.pass_obj
 def cmd_assess(
-    settings: Settings,
+    settings: SimpleNamespace,
     lineage_path: Path,
     interpretations_dir: Path,
     scenarios_path: Path | None,
@@ -379,7 +363,7 @@ def cmd_store() -> None:
     """Inspect or prune the analysis store."""
 
 
-def _open_store(settings: Settings) -> AnalysisStore:
+def _open_store(settings: SimpleNamespace) -> AnalysisStore:
     from .store import AnalysisStore
 
     if settings.store_path is None:
@@ -389,7 +373,7 @@ def _open_store(settings: Settings) -> AnalysisStore:
 
 @cmd_store.command("ls")
 @click.pass_obj
-def cmd_store_ls(settings: Settings) -> tuple[str, int]:
+def cmd_store_ls(settings: SimpleNamespace) -> tuple[str, int]:
     """List stored analyses."""
     entries = _open_store(settings).entries()
     return "".join(f"{entry.key}  {entry.dataset_name}\n" for entry in entries), EXIT_OK
@@ -398,7 +382,7 @@ def cmd_store_ls(settings: Settings) -> tuple[str, int]:
 @cmd_store.command("rm")
 @click.argument("key")
 @click.pass_obj
-def cmd_store_rm(settings: Settings, key: str) -> tuple[str, int]:
+def cmd_store_rm(settings: SimpleNamespace, key: str) -> tuple[str, int]:
     """Remove one stored analysis by key."""
     removed = _open_store(settings).remove(key)
     return (f"removed {key}\n" if removed else f"no entry for {key}\n"), EXIT_OK

@@ -42,14 +42,14 @@ from .model import (
 )
 
 
-def _decode_edges(value: Any, path: DocPath, strict: bool) -> tuple[tuple[str, ...], ...]:
+def _decode_edges(value: Any, path: DocPath) -> tuple[tuple[str, ...], ...]:
     if not isinstance(value, (list, tuple)):
         wrong_type(path, "array", value)
     edges = []
     for i, edge in enumerate(value):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             parse_error((path, i), "expected [parent_id, child_id] pair")
-        edges.append(decode_names(edge, (path, i), strict))
+        edges.append(decode_names(edge, (path, i)))
     return tuple(edges)
 
 
@@ -201,15 +201,7 @@ def build_lineage(
             parse_error((records_path, i), f"duplicate subject_id {record.subject_id!r}")
         nodes[record.subject_id] = record
 
-    edge_list = []
-    for i, edge in enumerate(edges):
-        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
-            parse_error(("edges", i), "expected [parent_id, child_id] pair")
-        for j, end in enumerate(edge):
-            if not isinstance(end, str):
-                wrong_type((("edges", i), j), "string", end)
-        edge_list.append(tuple(edge))
-    edge_list.sort()
+    edge_list = sorted(_decode_edges(tuple(edges), "edges"))
     for parent, child in edge_list:
         if parent not in nodes:
             raise DanglingReference(parent)

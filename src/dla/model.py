@@ -177,8 +177,8 @@ class Violation(Value):
 # an int key for an array index. Chains are rendered into text such as
 # ``lineage.records[3].subject_kind`` only when an error or warning names them.
 DocPath = Union[str, tuple]
-# decode(value, path, strict) -> domain value; value is never None.
-Decoder = Callable[[Any, DocPath, bool], Any]
+# A field hook: decode(value, path) -> domain value; value is never None.
+Decoder = Callable[[Any, DocPath], Any]
 
 _SCALAR_NAMES = {str: "string", int: "integer", bool: "boolean"}
 # How many values a shared document class keeps before it forgets them all.
@@ -282,36 +282,10 @@ def _field_codec(
     raise TypeError(f"no document codec for type {tp!r}")
 
 
-def _compile(owner: str, name: str, source: str, scope: dict[str, Any]) -> Any:
-    """Define the function ``name`` that ``source`` holds, in ``scope``, in a
-    file named ``<codec owner>``, so a profile or traceback names its owner."""
-    exec(compile(source, f"<codec {owner}>", "exec"), scope)
-    function = scope[name]
-    function.__qualname__ = f"{owner}.{name}"
-    return function
-
-
-def decoder_for(tp: Any) -> Decoder:
-    """The decoder of one field type, for a field hook to call; it is
-    compiled on its first call."""
-    compiled: Decoder | None = None
-
-    def decode(value: Any, path: DocPath, strict: bool) -> Any:
-        nonlocal compiled
-        if compiled is None:
-            scope = dict(_CODEC_SCOPE)
-            decoded, _ = _field_codec(tp, "x0", "path", scope)
-            owner = tp.__name__ if isinstance(tp, type) else repr(tp)
-            source = f"def decode(x0, path, strict):\n    return {decoded}"
-            compiled = _compile(owner, "decode", source, scope)
-        return compiled(value, path, strict)
-
-    return decode
-
-
 def codec_field(*, decode: Decoder, **kwargs: Any) -> Any:
-    """A dataclass field read by the given decode hook instead of its type's
-    decoder; it is written from its type as usual."""
+    """A dataclass field read by the given decode hook, a plain function of
+    ``(value, path)``, instead of its type's decoder; it is written from its
+    type as usual."""
     return field(metadata={"decode": decode}, **kwargs)
 
 
@@ -377,7 +351,7 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
             decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope, x=raw)
             if decode := f.metadata.get("decode"):
                 scope[f"decode_hook_{f.name}"] = decode
-                decoded = f"decode_hook_{f.name}({raw}, {path}, strict)"
+                decoded = f"decode_hook_{f.name}({raw}, {path})"
             items.append(f"{f.name!r}: {encoded or value}")
             if f.name not in required:
                 factory = f.default_factory is not MISSING
@@ -391,7 +365,10 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
             "_decode": (decoder, ["data", "path", "strict"]),
         }[name]
     source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body)
-    function = _compile(cls.__name__, name, source, scope)
+    # The file name <codec Owner> makes a profile or traceback name the class.
+    exec(compile(source, f"<codec {cls.__name__}>", "exec"), scope)
+    function = scope[name]
+    function.__qualname__ = f"{cls.__name__}.{name}"
     setattr(cls, name, function)
     return function
 
@@ -590,14 +567,16 @@ def merge_obligations(groups: Iterable[Sequence[Obligation]]) -> tuple[Obligatio
     return tuple(seen.values())
 
 
-_decode_grant_name = decoder_for(Grant)
+_GRANTS = {g.value: g for g in Grant}
 
 
-def _decode_grant(value: Any, path: DocPath, strict: bool) -> Grant:
+def _decode_grant(value: Any, path: DocPath) -> Grant:
     # Boolean shorthand: true marks the right granted, false denied.
     if isinstance(value, bool):
         return Grant.GRANTED if value else Grant.DENIED
-    return _decode_grant_name(value, path, strict)
+    if isinstance(value, str) and value in _GRANTS:
+        return _GRANTS[value]
+    _bad_member(path, value, _GRANTS)
 
 
 class RightEntry(Document, path="right", shared=True):
@@ -647,19 +626,16 @@ class RightsVector(Document, path="vector"):
         ):
             object.__setattr__(self, name, _ordered_rights(getattr(self, name), fixed))
 
-    def entry(self, right_name: str) -> RightEntry | None:
-        """The right's entry from the first group that names it: standalone,
-        then model, then custom."""
-        for group in (self.standalone_rights, self.model_rights, self.custom_rights):
-            if right_name in group:
-                return group[right_name]
-        return None
-
     def rights_by_name(self) -> dict[str, RightEntry]:
-        """Every right's entry as `entry` finds it, in one new dict for a
-        caller that looks up many names."""
+        """Every right's entry from the first group that names it: standalone,
+        then model, then custom; one new dict, for a caller that looks up
+        many names."""
         # A later group's entry is overwritten by an earlier one's.
         return {**self.custom_rights, **self.model_rights, **self.standalone_rights}
+
+    def entry(self, right_name: str) -> RightEntry | None:
+        """The right's entry as :meth:`rights_by_name` finds it, or None."""
+        return self.rights_by_name().get(right_name)
 
     def grant(self, right_name: str) -> Grant:
         """The recorded grant, with Unspecified for rights never mentioned."""
@@ -735,11 +711,18 @@ class VerifiedLicense(Document, path="verified"):
 # Usage scenarios and assessment tables
 # ---------------------------------------------------------------------------
 
-decode_names = decoder_for(tuple[str, ...])
+
+def decode_names(value: Any, path: DocPath) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)):
+        wrong_type(path, "array", value)
+    for i, name in enumerate(value):
+        if not isinstance(name, str):
+            wrong_type((path, i), "string", name)
+    return tuple(value)
 
 
-def _decode_required_rights(value: Any, path: DocPath, strict: bool) -> tuple[str, ...]:
-    rights = decode_names(value, path, strict)
+def _decode_required_rights(value: Any, path: DocPath) -> tuple[str, ...]:
+    rights = decode_names(value, path)
     if not rights:
         parse_error(path, "must be a nonempty array")
     return rights

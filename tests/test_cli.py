@@ -11,6 +11,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +19,9 @@ import pytest
 from click.testing import CliRunner
 
 from dla import analysis_key
+import dla.cli as dla_cli
 from dla.cli import cli
-from dla.errors import LineageError
+from dla.errors import LineageError, UnknownFieldWarning
 from dla.lineage import (
     CaptureInput,
     LineageGraph,
@@ -608,6 +610,32 @@ class TestLineageCmd:
         result = invoke(runner, "lineage", write_lineage(tmp_path / "lineage.json", graph))
         assert result.exit_code == 0
         assert result.stdout == lineage_markdown(graph)
+
+
+class TestWarningFormat:
+    """A package warning is one `warning:` line, during a command only."""
+
+    def test_other_warnings_format_as_python_formats_them(self, runner, monkeypatch):
+        python_format = warnings.formatwarning
+        where = ("f.py", 3, "    x = 1")
+        formatted = []
+        load_graph = dla_cli._load_graph
+
+        def warn_then_load(path: Path, strict: bool) -> LineageGraph:
+            formatted.append(warnings.formatwarning("m", UserWarning, *where))
+            formatted.append(warnings.formatwarning("m", UnknownFieldWarning, *where))
+            return load_graph(path, strict)
+
+        monkeypatch.setattr(dla_cli, "_load_graph", warn_then_load)
+        assert invoke(runner, "lineage", bundle_paths("cifar-10")[0]).exit_code == 0
+        assert formatted == [python_format("m", UserWarning, *where), "warning: m\n"]
+
+    @pytest.mark.parametrize("exit_code", [0, 64], ids=["ok", "error"])
+    def test_python_format_is_restored_after_the_command(self, runner, tmp_path, exit_code):
+        python_format = warnings.formatwarning
+        lineage = bundle_paths("cifar-10")[0] if exit_code == 0 else tmp_path / "missing.json"
+        assert runner.invoke(cli, ["lineage", str(lineage)]).exit_code == exit_code
+        assert warnings.formatwarning is python_format
 
 
 class TestAssess:

@@ -29,6 +29,11 @@ from dla.model import CaptureStatus, LicenseRange, SubjectKind, canonical_json
 from helpers import load_bundle, oracle_range, random_case, record_for, website_chain
 
 
+def lineage_document(records, edges, root_id: str) -> dict:
+    """The JSON form of a lineage, with the edges exactly as given."""
+    return {"records": [r.to_dict() for r in records], "edges": edges, "root_id": root_id}
+
+
 class TestBuildLineage:
     def test_cifar_fixture_has_nine_nodes_and_eight_edges(self):
         graph, _ = load_bundle("cifar-10")
@@ -106,6 +111,8 @@ class TestBuildLineage:
         records = [record_for("a"), record_for("b"), record_for("1")]
         with pytest.raises(ParseError, match=message):
             build_lineage(records, edges, "a")
+        with pytest.raises(ParseError, match=r"^lineage\." + message[1:]):
+            LineageGraph.from_dict(lineage_document(records, edges, "a"))
 
     @pytest.mark.parametrize("edge", ["ab", ("a", "b", "a")], ids=["string", "triple"])
     def test_edge_that_is_not_a_pair_rejected(self, edge):
@@ -113,6 +120,8 @@ class TestBuildLineage:
         message = r"^edges\[0\]: expected \[parent_id, child_id\] pair$"
         with pytest.raises(ParseError, match=message):
             build_lineage(records, [edge], "a")
+        with pytest.raises(ParseError, match=r"^lineage\." + message[1:]):
+            LineageGraph.from_dict(lineage_document(records, [edge], "a"))
 
     def test_cycle_the_root_cannot_reach_is_an_unreachable_node(self):
         records = [record_for(n) for n in ("r", "x", "y")]

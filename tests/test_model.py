@@ -57,6 +57,7 @@ from dla.model import (
     LicenseFoundVia,
     Value,
     VerifiedLicense,
+    Violation,
     _BlockingRight,
     canonical_json,
     merge_obligations,
@@ -746,6 +747,12 @@ def test_a_value_cannot_be_changed():
     with pytest.raises(FrozenInstanceError, match=r"^cannot delete field 'digest'$"):
         del record.digest
     assert record == cifar_record()
+
+
+def test_values_of_two_classes_with_equal_fields_are_unequal():
+    digest, violation = Digest("sha256", "00"), Violation("sha256", "00")
+    assert digest != violation and violation != digest
+    assert not digest == violation
 
 
 # ---------------------------------------------------------------------------
