@@ -8,23 +8,24 @@ interpretation, template, scenario, capture list or validated document), JSON
 nested deeper than the parser allows, an interpretations or captures
 directory that is not a directory, an unusable store or damaged store entry,
 and a command line that cannot be parsed (a usage error: ``EX_USAGE`` of
-sysexits(3), where click's own code, 2, would read as a lineage problem).
+sysexits(3), where argparse's own code, 2, would read as a lineage problem).
 Every input file is read through :func:`dla.jsonio.read_json`.
 
 Each command returns its report and exit code; the report is written in one
 write after it is complete, so any error exit leaves stdout empty. A package
-warning reaches stderr as one ``warning: <message>`` line.
+warning reaches stderr as one ``warning: <message>`` line. The command line is
+parsed by argparse: ``dla`` needs only the standard library.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, NoReturn
-
-import click
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from .errors import DlaError, DlaWarning, InputError, LineageError, StoreError
 from .jsonio import canonical_json, path_prefix, read_inputs, read_json
@@ -46,92 +47,24 @@ EXIT_IO = 64
 EXIT_USAGE = 64
 
 
-# Exit code of every error a command may end with; the first matching class
+class _Shown(Exception):
+    """Raised by ``--help`` and ``--version``: the text they print, as a report."""
+
+
+class _UsageError(Exception):
+    """A command line that cannot be parsed: the message, then the usage line."""
+
+
+# Exit code of every error a run may end with; the first matching class
 # wins. Any other package error (parse, schema, catalog, engine, assessment)
 # is a validation problem.
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (_UsageError, EXIT_USAGE),
     (InputError, EXIT_IO),
     (StoreError, EXIT_IO),
     (LineageError, EXIT_LINEAGE),
     (DlaError, EXIT_VALIDATION),
 )
-
-
-class _Commands(click.Group):
-    """The command group: the only writer of a report to stdout, and the only
-    exit. A usage error leaves with click's message and ``EXIT_USAGE``."""
-
-    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_USAGE
-            raise
-
-    def invoke(self, ctx: click.Context) -> NoReturn:
-        python_format = warnings.formatwarning
-
-        def format_warning(message: Any, category: type[Warning], *where: Any) -> str:
-            # Python's format names the file and line that warned, which for
-            # a compiled decoder is no file an operator can open.
-            if issubclass(category, DlaWarning):
-                return f"warning: {message}\n"
-            return python_format(message, category, *where)
-
-        warnings.formatwarning = format_warning
-        try:
-            report, code = super().invoke(ctx)
-        except click.UsageError as exc:  # a command's own command line
-            exc.exit_code = EXIT_USAGE
-            raise
-        except tuple(kind for kind, _ in _EXIT_CODES) as exc:
-            code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-            click.echo(f"error: {exc}", err=True)
-        else:
-            click.echo(report, nl=False)
-        finally:
-            warnings.formatwarning = python_format
-        sys.exit(code)
-
-
-@click.group(cls=_Commands)
-@click.version_option(__version__, prog_name="dla")
-@click.option(
-    "--store",
-    "store_path",
-    envvar="DLA_STORE",
-    type=click.Path(path_type=Path),
-    default=None,
-    help="Analysis store directory (env: DLA_STORE).",
-)
-@click.option(
-    "--format",
-    "output_format",
-    type=click.Choice(["json", "markdown"]),
-    default="markdown",
-    show_default=True,
-    help="Report format.",
-)
-@click.option(
-    "--strict/--lenient",
-    "strict",
-    default=True,
-    show_default=True,
-    help="Reject unknown document fields, or warn and continue.",
-)
-@click.option(
-    "--unknown-denies",
-    is_flag=True,
-    default=False,
-    help="Treat sources with unavailable licenses as denying every right.",
-)
-@click.pass_context
-def cli(ctx: click.Context, **params: Any) -> None:
-    """Check whether a publicly available dataset can be used in a commercial
-    scenario without breaking its license or the licenses of its data sources.
-    """
-    # The group's options above, as every command reads them.
-    ctx.obj = SimpleNamespace(**params)
 
 
 def _load_graph(path: Path, strict: bool) -> LineageGraph:
@@ -186,10 +119,7 @@ def _validate_one(path: Path, data: Any, strict: bool, shapes: tuple) -> list[st
     return ["unrecognized document shape"]
 
 
-@cli.command("validate")
-@click.argument("paths", nargs=-1, required=True, type=click.Path(path_type=Path))
-@click.pass_obj
-def cmd_validate(settings: SimpleNamespace, paths: tuple[Path, ...]) -> tuple[str, int]:
+def cmd_validate(settings: SimpleNamespace, paths: list[Path]) -> tuple[str, int]:
     """Validate provenance, interpretation, lineage, capture-list or rights-vector
     documents."""
     shapes = _document_shapes()
@@ -205,9 +135,6 @@ def cmd_validate(settings: SimpleNamespace, paths: tuple[Path, ...]) -> tuple[st
     return "\n".join(lines) + "\n", code
 
 
-@cli.command("lineage")
-@click.argument("lineage_path", type=click.Path(path_type=Path))
-@click.pass_obj
 def cmd_lineage(settings: SimpleNamespace, lineage_path: Path) -> tuple[str, int]:
     """Show the validated lineage graph of a dataset."""
     graph = _load_graph(lineage_path, settings.strict)
@@ -221,16 +148,6 @@ def cmd_lineage(settings: SimpleNamespace, lineage_path: Path) -> tuple[str, int
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-@cli.command("range")
-@click.argument("lineage_path", type=click.Path(path_type=Path))
-@click.option(
-    "--captures",
-    "captures_dir",
-    type=click.Path(path_type=Path),
-    default=None,
-    help="Directory of per-source capture lists; shows the selected capture per node.",
-)
-@click.pass_obj
 def cmd_range(settings: SimpleNamespace, lineage_path: Path, captures_dir: Path | None) -> tuple[str, int]:
     """License range per lineage node (and the applicable capture, if given)."""
     from .lineage import CaptureInput, compute_license_range, parse_capture_list, select_capture
@@ -279,7 +196,7 @@ def _run_pipeline(
     verified, cache_hit = lookup_or_verify(
         store, bundle, EnginePolicy(unknown_denies=settings.unknown_denies))
     if cache_hit:
-        click.echo("(cached analysis)", err=True)
+        sys.stderr.write("(cached analysis)\n")
     # Stamped at output time, so a stored analysis never carries a stamp and
     # a hit is stamped like a miss.
     stamp = None
@@ -292,18 +209,8 @@ def _run_pipeline(
     return bundle.root, verified  # decodable: the lineage is valid, or it was a hit
 
 
-@cli.command("verify")
-@click.argument("lineage_path", type=click.Path(path_type=Path))
-@click.argument("interpretations_dir", type=click.Path(path_type=Path))
-@click.option("--audit-timestamps", is_flag=True, default=False,
-              help="Record a generation timestamp in the audit trailer.")
-@click.pass_obj
-def cmd_verify(
-    settings: SimpleNamespace,
-    lineage_path: Path,
-    interpretations_dir: Path,
-    audit_timestamps: bool,
-) -> tuple[str, int]:
+def cmd_verify(settings: SimpleNamespace, lineage_path: Path, interpretations_dir: Path,
+               audit_timestamps: bool) -> tuple[str, int]:
     """Compute the verified license of a dataset against its data sources."""
     from .assessment import render_rights_markdown
 
@@ -313,29 +220,8 @@ def cmd_verify(
     return render_rights_markdown(verified, root.dataset_name), EXIT_OK
 
 
-@cli.command("assess")
-@click.argument("lineage_path", type=click.Path(path_type=Path))
-@click.argument("interpretations_dir", type=click.Path(path_type=Path))
-@click.option(
-    "--scenarios",
-    "scenarios_path",
-    type=click.Path(path_type=Path),
-    default=None,
-    help="Scenario definitions (JSON array); defaults to the shipped DD/RPEAI/CAI.",
-)
-@click.option("--no-gate", is_flag=True, default=False,
-              help="Exit 0 even when scenarios are denied.")
-@click.option("--audit-timestamps", is_flag=True, default=False,
-              help="Record a generation timestamp in the audit trailer.")
-@click.pass_obj
-def cmd_assess(
-    settings: SimpleNamespace,
-    lineage_path: Path,
-    interpretations_dir: Path,
-    scenarios_path: Path | None,
-    no_gate: bool,
-    audit_timestamps: bool,
-) -> tuple[str, int]:
+def cmd_assess(settings: SimpleNamespace, lineage_path: Path, interpretations_dir: Path,
+               scenarios_path: Path | None, no_gate: bool, audit_timestamps: bool) -> tuple[str, int]:
     """Assess commercial usage scenarios for a dataset bundle.
 
     Exits 3 when any requested scenario is denied so CI pipelines can gate
@@ -358,11 +244,6 @@ def cmd_assess(
     return report, EXIT_DENIED if denied and not no_gate else EXIT_OK
 
 
-@cli.group("store")
-def cmd_store() -> None:
-    """Inspect or prune the analysis store."""
-
-
 def _open_store(settings: SimpleNamespace) -> AnalysisStore:
     from .store import AnalysisStore
 
@@ -371,21 +252,140 @@ def _open_store(settings: SimpleNamespace) -> AnalysisStore:
     return AnalysisStore(settings.store_path)
 
 
-@cmd_store.command("ls")
-@click.pass_obj
 def cmd_store_ls(settings: SimpleNamespace) -> tuple[str, int]:
     """List stored analyses."""
     entries = _open_store(settings).entries()
     return "".join(f"{entry.key}  {entry.dataset_name}\n" for entry in entries), EXIT_OK
 
 
-@cmd_store.command("rm")
-@click.argument("key")
-@click.pass_obj
 def cmd_store_rm(settings: SimpleNamespace, key: str) -> tuple[str, int]:
     """Remove one stored analysis by key."""
     removed = _open_store(settings).remove(key)
     return (f"removed {key}\n" if removed else f"no entry for {key}\n"), EXIT_OK
+
+
+class _Show(argparse.Action):
+    """``--help`` or ``--version``: whatever follows it, show ``const(parser)``."""
+
+    def __call__(self, parser: argparse.ArgumentParser, *_: Any) -> NoReturn:
+        raise _Shown(self.const(parser))
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage: Any, actions: Any, groups: Any, prefix: Any = None) -> None:
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser of the command line or of one command: no abbreviated option,
+    ``--help`` and no ``-h``, and a usage error raised, not an exit."""
+
+    def __init__(self, **kwargs: Any):
+        super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action=_Show, nargs=0, default=argparse.SUPPRESS,
+                          const=argparse.ArgumentParser.format_help, help="Show this message and exit.")
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+# The group's options, read by every command; each other value is an argument.
+_SETTINGS = ("store_path", "output_format", "strict", "unknown_denies")
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The command line: the group's options, then one parser per command,
+    whose ``run`` default is the command's function."""
+    parser = _Parser(prog=prog, description=(
+        "Check whether a publicly available dataset can be used in a commercial "
+        "scenario without breaking its license or the licenses of its data sources."))
+    parser.add_argument("--version", action=_Show, nargs=0, default=argparse.SUPPRESS,
+                        const=lambda _: f"dla, version {__version__}\n", help="Show the version and exit.")
+    parser.add_argument("--store", dest="store_path", type=Path, metavar="PATH",
+                        default=os.environ.get("DLA_STORE") or None,
+                        help="Analysis store directory (env: DLA_STORE).")
+    parser.add_argument("--format", dest="output_format", choices=("json", "markdown"),
+                        default="markdown", help="Report format (default: markdown).")
+    parser.add_argument("--strict", action="store_true", default=True,
+                        help="Reject unknown document fields (the default).")
+    parser.add_argument("--lenient", dest="strict", action="store_false",
+                        help="Warn about unknown document fields and continue.")
+    parser.add_argument("--unknown-denies", action="store_true",
+                        help="Treat sources with unavailable licenses as denying every right.")
+
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name: str, run: Callable, *path_names: str,
+                within: Any = commands) -> argparse.ArgumentParser:
+        sub = within.add_parser(name, help=(run.__doc__ or "").split("\n\n")[0], description=run.__doc__)
+        sub.set_defaults(run=run)
+        for path_name in path_names:
+            sub.add_argument(path_name, type=Path, metavar=path_name.upper())
+        return sub
+
+    audit = {"action": "store_true", "help": "Record a generation timestamp in the audit trailer."}
+    command("validate", cmd_validate).add_argument("paths", nargs="+", type=Path, metavar="PATH")
+    command("lineage", cmd_lineage, "lineage_path")
+    command("range", cmd_range, "lineage_path").add_argument(
+        "--captures", dest="captures_dir", type=Path, metavar="DIR",
+        help="Directory of per-source capture lists; shows the selected capture per node.")
+    command("verify", cmd_verify, "lineage_path", "interpretations_dir").add_argument(
+        "--audit-timestamps", **audit)
+    assess = command("assess", cmd_assess, "lineage_path", "interpretations_dir")
+    assess.add_argument("--scenarios", dest="scenarios_path", type=Path, metavar="PATH",
+                        help="Scenario definitions (JSON array); defaults to the shipped DD/RPEAI/CAI.")
+    assess.add_argument("--no-gate", action="store_true",
+                        help="Exit 0 even when scenarios are denied.")
+    assess.add_argument("--audit-timestamps", **audit)
+    store = "Inspect or prune the analysis store."
+    within = commands.add_parser("store", help=store, description=store).add_subparsers(
+        title="commands", metavar="COMMAND", required=True)
+    command("ls", cmd_store_ls, within=within)
+    command("rm", cmd_store_rm, within=within).add_argument("key", metavar="KEY")
+    return parser
+
+
+def _run(args: Sequence[str] | None = None, prog_name: str | None = None,
+         standalone_mode: bool = True) -> NoReturn:
+    """Run one command line in this process: the only stdout write and exit.
+    Every outcome ends in ``SystemExit``, so ``standalone_mode`` changes nothing."""
+    python_format = warnings.formatwarning
+
+    def format_warning(message: Any, category: type[Warning], *where: Any) -> str:
+        # Python's format names the file and line that warned, which for
+        # a compiled decoder is no file an operator can open.
+        if issubclass(category, DlaWarning):
+            return f"warning: {message}\n"
+        return python_format(message, category, *where)
+
+    warnings.formatwarning = format_warning
+    try:
+        parsed = vars(_parser(prog_name or "dla").parse_args(
+            sys.argv[1:] if args is None else list(args)))
+        command = parsed.pop("run")
+        settings = SimpleNamespace(**{name: parsed.pop(name) for name in _SETTINGS})
+        report, code = command(settings, **parsed)
+    except _Shown as exc:
+        report, code = str(exc), EXIT_OK
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        report, code = "", next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        sys.stderr.write(f"error: {exc}\n")
+    finally:
+        warnings.formatwarning = python_format
+    try:
+        if report:
+            sys.stdout.write(report)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`dla ... | head -c 1`): exit 1, with stdout on
+        # /dev/null so that Python's flush at exit has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
+# Runs the command line in process, as click's test runner and the bench call it.
+cli = SimpleNamespace(name="dla", main=_run)
 
 
 def main() -> None:
@@ -395,7 +395,7 @@ def main() -> None:
     Every value dla builds is an acyclic tree that reference counting frees:
     during one assess of a 5 000-node lineage the collector ran over 100
     times and collected 0 objects. At shutdown the interpreter still runs
-    one full collection over every object of click, typing and dla, after
+    one full collection over every object of argparse, typing and dla, after
     the report is written; it does not scan frozen objects. Freezing is safe
     because nothing dla builds needs a finalizer at exit: store blobs are
     closed by ``with`` before ``os.replace``, and Python flushes stdio and
@@ -408,7 +408,7 @@ def main() -> None:
 
     gc.disable()
     try:
-        cli()
+        _run()
     finally:  # every exit: a report, an error, --version, a usage error
         gc.freeze()
 

@@ -18,7 +18,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from dla import analysis_key
+from dla import (
+    Bundle, EnginePolicy, analysis_key, assess_all, default_scenarios, lookup_or_verify,
+)
+from dla.assessment import render_markdown
 import dla.cli as dla_cli
 from dla.cli import cli
 from dla.errors import LineageError, UnknownFieldWarning
@@ -783,28 +786,105 @@ class TestVerifyCmd:
 
 class TestUsage:
     """A command line that cannot be parsed exits 64 (``EX_USAGE``), not
-    click's 2, which is the lineage code: click's message goes to stderr and
-    nothing to stdout."""
+    argparse's 2, which is the lineage code: an ``error:`` line naming what
+    is wrong and the usage line go to stderr, and nothing to stdout. Only the
+    fragment naming the bad token is asserted, since argparse's wording
+    differs between Python versions."""
 
     @pytest.mark.parametrize(
-        "args, message",
-        [(["--bogus"], "Error: No such option '--bogus'."),
-         (["assess"], "Error: Missing argument 'LINEAGE_PATH'."),
-         ([], "Usage: dla [OPTIONS] COMMAND [ARGS]..."),
-         (["store"], "Usage: dla store [OPTIONS] COMMAND [ARGS]...")],
-        ids=["unknown-option", "missing-argument", "no-command", "no-store-command"],
+        "args, fragment, usage",
+        [(["--bogus", "store", "ls"], "--bogus", "Usage: dla ["),
+         (["bogus"], "bogus", "Usage: dla ["),
+         (["--form", "json", "lineage", "{lineage}"], "json", "Usage: dla ["),
+         (["--form=json", "lineage", "{lineage}"], "--form=json", "Usage: dla ["),
+         (["lineage", "{lineage}", "-h"], "-h", "Usage: dla ["),
+         (["--format", "xml", "lineage", "{lineage}"], "xml", "Usage: dla ["),
+         (["assess", "{lineage}", "{interpretations}", "--format", "json"], "--format",
+          "Usage: dla ["),
+         (["assess"], "LINEAGE_PATH", "Usage: dla assess ["),
+         (["validate"], "PATH", "Usage: dla validate ["),
+         (["store", "rm"], "KEY", "Usage: dla store rm ["),
+         (["--bogus"], "COMMAND", "Usage: dla ["),
+         ([], "COMMAND", "Usage: dla ["),
+         (["store"], "COMMAND", "Usage: dla store [")],
+        ids=["unknown-option", "unknown-command", "abbreviated-option",
+             "abbreviated-option-joined", "short-help", "unknown-format",
+             "group-option-after-command", "missing-argument",
+             "validate-without-path", "store-rm-without-key", "bare-unknown-option", "no-command",
+             "no-store-command"],
     )
-    def test_usage_error_exits_64(self, runner, args, message):
+    def test_usage_error_exits_64(self, runner, args, fragment, usage):
+        lineage, interpretations = bundle_paths("cifar-10")
+        args = [arg.format(lineage=lineage, interpretations=interpretations) for arg in args]
         result = runner.invoke(cli, args, prog_name="dla")
         assert (result.exit_code, result.stdout) == (64, "")
-        assert message in result.stderr
+        first, *rest = result.stderr.splitlines()
+        assert first.startswith("error: ") and fragment in first
+        assert rest[0].startswith(usage)
 
-    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["store", "--help"]],
-                             ids=["help", "version", "store-help"])
-    def test_help_and_version_exit_0(self, runner, args):
+    @pytest.mark.parametrize(
+        "args",
+        [["--help"], ["validate", "--help"], ["lineage", "--help"], ["range", "--help"],
+         ["verify", "--help"], ["assess", "--help"], ["store", "--help"],
+         ["store", "ls", "--help"], ["store", "rm", "--help"]],
+        ids=["help", "validate", "lineage", "range", "verify", "assess", "store",
+             "store-ls", "store-rm"],
+    )
+    def test_help_exits_0(self, runner, args):
         result = runner.invoke(cli, args, prog_name="dla")
         assert (result.exit_code, result.stderr) == (0, "")
-        assert result.stdout.startswith("Usage: dla" if "--help" in args else "dla, version ")
+        assert result.stdout.startswith(" ".join(["Usage: dla", *args[:-1]]) + " [--help]")
+
+    def test_help_stops_the_parse_where_it_stands(self, runner):
+        result = runner.invoke(cli, ["assess", "--help", "--bogus"], prog_name="dla")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith("Usage: dla assess ")
+
+    @pytest.mark.parametrize("args", [["--version"], ["--version", "assess"]],
+                             ids=["version", "version-before-command"])
+    def test_version_prints_one_line(self, runner, args):
+        result = runner.invoke(cli, args, prog_name="dla")
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            0, f"dla, version {dla_cli.__version__}\n", "")
+
+
+class TestReportBytes:
+    """A report is written byte for byte as rendered: a name holding an ANSI
+    escape reaches stdout unchanged, through a pipe and in process alike."""
+
+    def test_ansi_escape_in_a_dataset_name_is_kept(self, runner, tmp_path):
+        shutil.copytree(bundle_paths("cifar-10")[0].parent, tmp_path / "cifar-10")
+        lineage = tmp_path / "cifar-10" / "lineage.json"
+        lineage.write_text(lineage.read_text(encoding="utf-8").replace(
+            '"CIFAR-10"', '"CIFAR\\u001b[31m-10"', 1), encoding="utf-8")
+        interpretations = lineage.parent / "interpretations"
+        bundle = Bundle.read(lineage, interpretations)
+        verified, _ = lookup_or_verify(None, bundle, EnginePolicy(unknown_denies=False))
+        table = assess_all(verified, default_scenarios(), dataset_name=bundle.root.dataset_name)
+        rendered = render_markdown(table, verified).encode("utf-8")
+        assert b"CIFAR\x1b[31m-10" in rendered
+
+        args = ["assess", str(lineage), str(interpretations)]
+        env = {name: value for name, value in os.environ.items() if name != "DLA_STORE"}
+        piped = subprocess.run([sys.executable, "-m", "dla", *args], capture_output=True,
+                               env={**env, "PYTHONPATH": str(SRC)}, timeout=120)
+        in_process = invoke(runner, *args, env={"DLA_STORE": None})
+        assert (piped.returncode, piped.stdout, piped.stderr) == (3, rendered, b"")
+        assert (in_process.exit_code, in_process.stdout_bytes, in_process.stderr) == (3, rendered, "")
+
+
+    def test_reader_that_has_gone_exits_1_without_a_traceback(self):
+        """``dla ... | head -c 1`` may close the pipe before the report is
+        written: the run exits 1, as it always has, with nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "dla", "lineage", bundle_paths("cifar-10")[0]],
+                                 stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                                 env={**os.environ, "PYTHONPATH": str(SRC)})
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (1, b"")
 
 
 class TestStoreCli:

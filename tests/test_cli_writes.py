@@ -1,9 +1,9 @@
-"""Only ``_Commands.invoke`` writes a report to stdout or ends the process.
+"""Only ``cli._run`` writes a report to stdout or ends the process.
 
-Every command returns its report and exit code, and the group writes the
+Every command returns its report and exit code, and ``_run`` writes the
 report once and exits, so an error exit leaves stdout empty. A command that
-calls ``click.echo`` for stdout, ``sys.exit``, ``print`` or ``sys.stdout``
-itself would bring back writes made before the run is known to succeed.
+writes ``sys.stdout``, calls ``sys.exit``, ``print`` or ``os.write`` itself
+would bring back writes made before the run is known to succeed.
 """
 
 from __future__ import annotations
@@ -23,26 +23,19 @@ def calls_named(tree: ast.AST, owner: str, *names: str) -> list[ast.Call]:
     ]
 
 
-def to_stderr(call: ast.Call) -> bool:
-    return any(
-        keyword.arg == "err" and isinstance(keyword.value, ast.Constant)
-        and keyword.value.value is True
-        for keyword in call.keywords
-    )
-
-
-def test_only_the_group_writes_stdout_and_exits():
+def test_only_the_run_function_writes_stdout_and_exits():
     tree = ast.parse(CLI.read_text(encoding="utf-8"), filename=str(CLI))
-    (group,) = [node for node in tree.body
-                if isinstance(node, ast.ClassDef) and node.name == "_Commands"]
-    (invoke,) = [node for node in group.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "invoke"]
-    inside = {id(node) for node in ast.walk(invoke)}
-    stdout_writes = [call for call in calls_named(tree, "click", "echo", "secho") if not to_stderr(call)]
+    (run,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_run"]
+    inside = {id(node) for node in ast.walk(run)}
+    # stdout is named only in the run function, which writes to it once.
+    stdout = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in {"stdout", "__stdout__"}]
+    writes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.stdout.write"]
     exits = calls_named(tree, "sys", "exit")
-    assert [call.lineno for call in stdout_writes if id(call) not in inside] == []
-    assert [call.lineno for call in exits if id(call) not in inside] == []
-    assert (len(stdout_writes), len(exits)) == (1, 1)
+    assert [node.lineno for node in stdout + exits if id(node) not in inside] == []
+    assert (len(writes), len(exits)) == (1, 1)
 
 
 def test_no_other_way_to_stdout_or_exit():
@@ -51,9 +44,10 @@ def test_no_other_way_to_stdout_or_exit():
         f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in {"print", "exit", "quit"})
-        or (isinstance(node, ast.Attribute) and node.attr in {"stdout", "get_text_stream",
-                                                               "get_binary_stream"})
-        or (isinstance(node, ast.ImportFrom) and node.module in {"click", "sys"}
-            and any(alias.name in {"echo", "secho", "exit"} for alias in node.names))
+        or (isinstance(node, ast.Call) and ast.unparse(node.func) in {"os.write", "os._exit"})
+        or (isinstance(node, ast.Name) and node.id == "SystemExit")
+        or (isinstance(node, ast.ImportFrom) and node.module in {"os", "sys"}
+            and any(alias.name in {"stdout", "__stdout__", "exit", "write", "_exit"}
+                    for alias in node.names))
     ]
     assert other == []

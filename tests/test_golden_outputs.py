@@ -101,8 +101,8 @@ def test_entry_point_turns_the_collector_off(command, exit_code):
     run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     # Before the probe's line, stderr holds nothing, or on a usage error
-    # exactly click's usage message, as `cli` prints it in process.
-    usage = CliRunner().invoke(cli, argv, prog_name="-c").stderr if exit_code == 64 else ""
+    # exactly the error and usage lines, as `cli` prints them in process.
+    usage = CliRunner().invoke(cli, argv).stderr if exit_code == 64 else ""
     assert (run.returncode, run.stderr) == (exit_code, usage + "False True\n")
 
 

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
 import json
 import shutil
+import sys
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -178,31 +179,42 @@ def command_paths(tmp_path: Path) -> dict[str, Path | str]:
     return paths
 
 
+class RecordedStream(io.StringIO):
+    """A standard stream that records each write, and whether it was stderr."""
+
+    def __init__(self, writes: list, err: bool):
+        super().__init__()
+        self.writes, self.err = writes, err
+
+    def write(self, text: str) -> int:
+        self.writes.append((text, self.err))
+        return super().write(text)
+
+
 def run_recording_writes(monkeypatch, tmp_path: Path, args: list[str]):
-    """Run ``dla`` with ``args`` and every ``click.echo`` call recorded as its
-    message and whether it went to stderr."""
+    """Run ``dla`` with ``args`` in process and every write to ``sys.stdout``
+    or ``sys.stderr`` recorded as its text and whether it went to stderr: its
+    exit code, stdout, stderr and the writes."""
     paths = command_paths(tmp_path)
     writes: list = []
-    echo = click.echo
-
-    def recorded(message=None, *rest, err=False, **kwargs):
-        writes.append((message, err))
-        return echo(message, *rest, err=err, **kwargs)
-
-    monkeypatch.setattr(click, "echo", recorded)
-    return CliRunner().invoke(cli, [arg.format(**paths) for arg in args]), writes
+    out, err = RecordedStream(writes, False), RecordedStream(writes, True)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([arg.format(**paths) for arg in args])
+    return exit_.value.code, out.getvalue(), err.getvalue(), writes
 
 
 @pytest.mark.parametrize("args,code", REPORTS.values(), ids=REPORTS)
 def test_report_is_one_stdout_write(monkeypatch, tmp_path, args, code):
-    result, writes = run_recording_writes(monkeypatch, tmp_path, args)
-    assert result.exit_code == code, result.output
-    assert result.stdout and writes == [(result.stdout, False)]
+    exit_code, stdout, stderr, writes = run_recording_writes(monkeypatch, tmp_path, args)
+    assert exit_code == code, stderr
+    assert stdout and writes == [(stdout, False)]
 
 
 @pytest.mark.parametrize("args,code", FAILURES.values(), ids=FAILURES)
 def test_error_exit_makes_no_stdout_write(monkeypatch, tmp_path, args, code):
-    result, writes = run_recording_writes(monkeypatch, tmp_path, args)
-    assert result.exit_code == code, result.output
-    assert result.stdout == "" and writes == [(result.stderr.removesuffix("\n"), True)]
-    assert result.stderr.startswith("error: ")
+    exit_code, stdout, stderr, writes = run_recording_writes(monkeypatch, tmp_path, args)
+    assert exit_code == code, stderr
+    assert stdout == "" and writes == [(stderr, True)]
+    assert stderr.startswith("error: ")

@@ -103,6 +103,25 @@ def test_store_hit_does_not_load_the_catalog(tmp_path):
     assert "dla.store" in hit and "dla.catalog" not in hit
 
 
+@pytest.mark.parametrize("command, exit_code", [
+    (lambda lin, interp: ["--version"], 0),
+    (lambda lin, interp: ["assess", lin, interp], 3),
+], ids=["version", "assess"])
+def test_process_entry_imports_no_click(command, exit_code):
+    """The ``dla`` process parses its command line with the standard library:
+    at exit, no ``click`` module has been imported."""
+    probe = ("import atexit, json, sys\n"
+             "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'click')), file=sys.stderr))\n"
+             "from dla.cli import main\n"
+             "main()\n")
+    argv = [str(a) for a in command(*bundle_paths("cifar-10"))]
+    env = {name: value for name, value in os.environ.items() if name != "DLA_STORE"}
+    run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         env={**env, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert (run.returncode, run.stderr) == (exit_code, "[]\n")
+
+
 # Every compiled method of every value class in dla.model, by class and name.
 COMPILED = """
 import json

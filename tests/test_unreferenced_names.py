@@ -4,8 +4,8 @@ every name a module imports is used.
 A name that no code in ``src/dla`` or ``bench/`` refers to, and that ``dla``
 does not export, is API that nothing calls, or that only tests call; delete
 it, or move it into the tests that use it. Decorated definitions are left
-out, because their decorator registers them (``click`` commands,
-dataclasses).
+out, because a decorator may register what it decorates (a
+``functools.singledispatch`` case); ``src/dla`` has none at module level.
 """
 
 from __future__ import annotations
