@@ -293,17 +293,19 @@ class _Parser(argparse.ArgumentParser):
 _SETTINGS = ("store_path", "output_format", "strict", "unknown_denies")
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     """The command line: the group's options, then one parser per command,
     whose ``run`` default is the command's function."""
-    parser = _Parser(prog=prog, description=(
+    parser = _Parser(prog="dla", description=(
         "Check whether a publicly available dataset can be used in a commercial "
         "scenario without breaking its license or the licenses of its data sources."))
     parser.add_argument("--version", action=_Show, nargs=0, default=argparse.SUPPRESS,
                         const=lambda _: f"dla, version {__version__}\n", help="Show the version and exit.")
-    parser.add_argument("--store", dest="store_path", type=Path, metavar="PATH",
-                        default=os.environ.get("DLA_STORE") or None,
-                        help="Analysis store directory (env: DLA_STORE).")
+    # An empty value, given or from DLA_STORE (``type`` parses a str default too), means none.
+    parser.add_argument("--store", dest="store_path", metavar="PATH",
+                        type=lambda value: Path(value) if value else None,
+                        default=os.environ.get("DLA_STORE"),
+                        help="Analysis store directory (env: DLA_STORE); empty means none.")
     parser.add_argument("--format", dest="output_format", choices=("json", "markdown"),
                         default="markdown", help="Report format (default: markdown).")
     parser.add_argument("--strict", action="store_true", default=True,
@@ -345,10 +347,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: Sequence[str] | None = None, prog_name: str | None = None,
-         standalone_mode: bool = True) -> NoReturn:
-    """Run one command line in this process: the only stdout write and exit.
-    Every outcome ends in ``SystemExit``, so ``standalone_mode`` changes nothing."""
+def _run(args: Sequence[str] | None = None) -> NoReturn:
+    """Run one command line in this process: the only stdout write and exit."""
     python_format = warnings.formatwarning
 
     def format_warning(message: Any, category: type[Warning], *where: Any) -> str:
@@ -360,8 +360,7 @@ def _run(args: Sequence[str] | None = None, prog_name: str | None = None,
 
     warnings.formatwarning = format_warning
     try:
-        parsed = vars(_parser(prog_name or "dla").parse_args(
-            sys.argv[1:] if args is None else list(args)))
+        parsed = vars(_parser().parse_args(sys.argv[1:] if args is None else list(args)))
         command = parsed.pop("run")
         settings = SimpleNamespace(**{name: parsed.pop(name) for name in _SETTINGS})
         report, code = command(settings, **parsed)
@@ -384,8 +383,9 @@ def _run(args: Sequence[str] | None = None, prog_name: str | None = None,
     sys.exit(code)
 
 
-# Runs the command line in process, as click's test runner and the bench call it.
-cli = SimpleNamespace(name="dla", main=_run)
+# Only for ``bench/tracing.run_in_process``, which calls ``cli.main(args=...,
+# prog_name="dla", standalone_mode=False)``; goes with the next change to bench/.
+cli = SimpleNamespace(main=lambda args=None, prog_name=None, standalone_mode=True: _run(args))
 
 
 def main() -> None:
@@ -401,7 +401,7 @@ def main() -> None:
     closed by ``with`` before ``os.replace``, and Python flushes stdio and
     runs atexit hooks during finalization anyway (``os._exit`` would skip
     those, and profiler output with them). Only the process entry does
-    either; a library caller, or a test that calls `cli`, keeps its own
+    either; a library caller, or a run of `_run` in process, keeps its own
     collector, unfrozen.
     """
     import gc

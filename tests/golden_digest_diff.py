@@ -22,20 +22,17 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from click.testing import CliRunner
-
 import dla.engine
-from dla.cli import cli
 from test_golden_outputs import COMMANDS, GOLDEN_OUTPUTS_PATH
 
-from helpers import BUNDLE_NAMES, bundle_paths
+from helpers import BUNDLE_NAMES, bundle_paths, run_cli
 
 DIGEST_ROWS = ("json assess", "json verify")
 
 
 def run(args: list[str]) -> tuple[bytes, int, dict]:
     """stdout, exit code and audit trailer of one command."""
-    result = CliRunner().invoke(cli, args, catch_exceptions=False)
+    result = run_cli(*args)
     doc = json.loads(result.stdout)
     return result.stdout_bytes, result.exit_code, doc.get("verified_license", doc)["audit"]
 

@@ -1,12 +1,18 @@
-"""Shared test helpers: bundle loading and randomized case generation."""
+"""Shared test helpers: bundle loading, the in-process command-line runner
+and randomized case generation."""
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import random
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import dla
+import dla.cli
 from dla import (
     Bundle,
     EnginePolicy,
@@ -64,6 +70,77 @@ def bundle_paths(name: str) -> tuple[Path, Path]:
 
 def read_bundle(name: str) -> Bundle:
     return Bundle.read(*bundle_paths(name))
+
+
+# ---------------------------------------------------------------------------
+# Running the command line in process
+# ---------------------------------------------------------------------------
+
+
+class _RecordedStream(io.StringIO):
+    """A standard stream that records each write, and whether it was stderr."""
+
+    def __init__(self, writes: list[tuple[str, bool]], err: bool):
+        super().__init__()
+        self.writes, self.err = writes, err
+
+    def write(self, text: str) -> int:
+        self.writes.append((text, self.err))
+        return super().write(text)
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """One in-process ``dla`` run: its exit code and each write it made, in
+    order, as the text and whether it went to stderr."""
+
+    exit_code: int
+    writes: list[tuple[str, bool]]
+
+    @property
+    def stdout(self) -> str:
+        return "".join(text for text, err in self.writes if not err)
+
+    @property
+    def stderr(self) -> str:
+        return "".join(text for text, err in self.writes if err)
+
+    @property
+    def output(self) -> str:
+        """stdout and stderr interleaved in the order they were written."""
+        return "".join(text for text, _ in self.writes)
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode("utf-8")
+
+
+def _set_environ(values: dict[str, str | None]) -> None:
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+
+def run_cli(*args: object, env: dict[str, str | None] | None = None) -> CliResult:
+    """Run ``dla args...`` in this process, with ``sys.stdout`` and
+    ``sys.stderr`` recorded and ``env`` set in ``os.environ`` (``None`` unsets
+    a name); both are put back on every exit. Only the run's ``SystemExit``
+    is caught: any other exception propagates, so a traceback fails the test
+    instead of passing as exit 1."""
+    env, writes = env or {}, []
+    streams = sys.stdout, sys.stderr
+    saved = {name: os.environ.get(name) for name in env}
+    sys.stdout, sys.stderr = _RecordedStream(writes, False), _RecordedStream(writes, True)
+    try:
+        _set_environ(env)
+        dla.cli._run([str(arg) for arg in args])
+    except SystemExit as exit_:
+        return CliResult(exit_.code, writes)
+    finally:
+        sys.stdout, sys.stderr = streams
+        _set_environ(saved)
 
 
 # ---------------------------------------------------------------------------

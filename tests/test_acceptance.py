@@ -9,8 +9,6 @@ import json
 import random
 import time
 
-from click.testing import CliRunner
-
 from dla import (
     AnalysisStore,
     EnginePolicy,
@@ -20,7 +18,6 @@ from dla import (
     lookup_or_verify,
     verify,
 )
-from dla.cli import cli
 from dla.model import (
     FIXED_RIGHTS,
     Grant,
@@ -42,6 +39,7 @@ from helpers import (
     random_vector,
     read_bundle,
     record_for,
+    run_cli,
     write_synthetic_bundle,
 )
 
@@ -70,16 +68,11 @@ EXPECTED_TABLE = {
 
 
 def test_criterion_1_assessment_table_reproduction():
-    runner = CliRunner()
     started = time.perf_counter()
     actual: dict[str, dict[str, str]] = {}
     for bundle, _ in EXPECTED_TABLE.items():
         lineage, interp = bundle_paths(bundle)
-        result = runner.invoke(
-            cli,
-            ["--format", "json", "assess", str(lineage), str(interp), "--no-gate"],
-            catch_exceptions=False,
-        )
+        result = run_cli("--format", "json", "assess", str(lineage), str(interp), "--no-gate")
         assert result.exit_code == 0, result.output
         rows = json.loads(result.stdout)["assessment"]["rows"]
         actual[bundle] = {row["scenario_id"]: cell(row) for row in rows}
@@ -241,17 +234,13 @@ def test_criterion_5_property_suite(tmp_path):
 
 
 def test_criterion_6_exit_code_contract(tmp_path):
-    runner = CliRunner()
-
     lineage, interp = bundle_paths("cifar-10")
-    denied = runner.invoke(cli, ["assess", str(lineage), str(interp)], catch_exceptions=False)
+    denied = run_cli("assess", str(lineage), str(interp))
 
     synth_dir = tmp_path / "synthetic"
     synth_dir.mkdir()
     s_lineage, s_interp = write_synthetic_bundle(synth_dir)
-    permissive = runner.invoke(
-        cli, ["assess", str(s_lineage), str(s_interp)], catch_exceptions=False
-    )
+    permissive = run_cli("assess", str(s_lineage), str(s_interp))
 
     cyclic = tmp_path / "cyclic.json"
     cyclic.write_text(
@@ -263,7 +252,7 @@ def test_criterion_6_exit_code_contract(tmp_path):
             }
         )
     )
-    cyclic_result = runner.invoke(cli, ["range", str(cyclic)], catch_exceptions=False)
+    cyclic_result = run_cli("range", str(cyclic))
 
     malformed = tmp_path / "vector.json"
     malformed.write_text(
@@ -278,7 +267,7 @@ def test_criterion_6_exit_code_contract(tmp_path):
             }
         )
     )
-    malformed_result = runner.invoke(cli, ["validate", str(malformed)], catch_exceptions=False)
+    malformed_result = run_cli("validate", str(malformed))
 
     codes = (
         denied.exit_code,

@@ -16,14 +16,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from dla import (
     Bundle, EnginePolicy, analysis_key, assess_all, default_scenarios, lookup_or_verify,
 )
 from dla.assessment import render_markdown
 import dla.cli as dla_cli
-from dla.cli import cli
 from dla.errors import LineageError, UnknownFieldWarning
 from dla.lineage import (
     CaptureInput,
@@ -42,6 +40,7 @@ from helpers import (
     bundle_paths,
     load_bundle,
     record_for,
+    run_cli,
     website_chain,
     write_synthetic_bundle,
 )
@@ -51,50 +50,41 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, **kwargs):
-    return runner.invoke(cli, [str(a) for a in args], catch_exceptions=False, **kwargs)
-
-
 class TestValidate:
-    def test_all_fixture_bundles_validate_cleanly(self, runner):
+    def test_all_fixture_bundles_validate_cleanly(self):
         paths = []
         for name in BUNDLE_NAMES:
             lineage, interp_dir = bundle_paths(name)
             paths.append(lineage)
             paths.extend(sorted(interp_dir.glob("*.json")))
             paths.extend(sorted((lineage.parent / "captures").glob("*.json")))
-        result = invoke(runner, "validate", *paths)
+        result = run_cli("validate", *paths)
         assert result.exit_code == 0, result.output
         assert "problem" not in result.output
 
-    def test_truncated_json_exits_64_naming_the_file(self, runner, tmp_path):
+    def test_truncated_json_exits_64_naming_the_file(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{"records": [')
-        result = invoke(runner, "validate", bad)
+        result = run_cli("validate", bad)
         assert result.exit_code == 64
         assert "broken.json" in result.output
 
-    def test_missing_file_exits_64(self, runner, tmp_path):
-        result = invoke(runner, "validate", tmp_path / "nope.json")
+    def test_missing_file_exits_64(self, tmp_path):
+        result = run_cli("validate", tmp_path / "nope.json")
         assert result.exit_code == 64
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_unreadable_later_file_exits_64_before_any_line(self, runner, tmp_path, kind):
+    def test_unreadable_later_file_exits_64_before_any_line(self, tmp_path, kind):
         lineage, _ = bundle_paths("cifar-10")
         bad = tmp_path / "bad.json"
         if kind == "directory":
             bad.mkdir()
-        result = invoke(runner, "validate", lineage, bad)
+        result = run_cli("validate", lineage, bad)
         assert result.exit_code == 64
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {bad}: cannot read file")
 
-    def test_vector_missing_fixed_right_exits_1(self, runner, tmp_path):
+    def test_vector_missing_fixed_right_exits_1(self, tmp_path):
         doc = {
             "subject_id": "x",
             "vector": {
@@ -108,38 +98,36 @@ class TestValidate:
         }
         path = tmp_path / "interp.json"
         path.write_text(json.dumps(doc))
-        result = invoke(runner, "validate", path)
+        result = run_cli("validate", path)
         assert result.exit_code == 1
         assert "ModelReverseEngineer" in result.output
 
-    def test_unrecognized_document_shape_is_a_problem(self, runner, tmp_path):
+    def test_unrecognized_document_shape_is_a_problem(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"name": "x"}))
-        result = invoke(runner, "validate", path)
+        result = run_cli("validate", path)
         assert result.exit_code == 1
         assert result.stdout == f"{path}: 1 problem(s)\n  - unrecognized document shape\n"
 
-    def test_provenance_violation_reported(self, runner, tmp_path):
+    def test_provenance_violation_reported(self, tmp_path):
         record = record_for("x").to_dict()
         record["origin_year"] = None  # dataset without an origin year
         path = tmp_path / "prov.json"
         path.write_text(json.dumps(record))
-        result = invoke(runner, "validate", path)
+        result = run_cli("validate", path)
         assert result.exit_code == 1
         assert "origin_year" in result.output
 
-    def test_lenient_mode_downgrades_unknown_fields(self, runner, tmp_path):
+    def test_lenient_mode_downgrades_unknown_fields(self, tmp_path):
         record = record_for("x").to_dict()
         record["surprise"] = 1
         path = tmp_path / "prov.json"
         path.write_text(json.dumps(record))
-        strict = runner.invoke(cli, ["validate", str(path)])
+        strict = run_cli("validate", str(path))
         assert strict.exit_code == 1
         assert "unknown fields" in strict.output
         with pytest.warns(UserWarning, match="surprise"):
-            lenient = runner.invoke(
-                cli, ["--lenient", "validate", str(path)], catch_exceptions=False
-            )
+            lenient = run_cli("--lenient", "validate", str(path))
         assert lenient.exit_code == 0
 
 
@@ -192,15 +180,15 @@ class TestInputErrors:
     @pytest.mark.parametrize("fault", ["missing", "directory", "truncated", "not-utf8"])
     @pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
     def test_bad_input_file_exits_64_naming_it(
-        self, runner, tmp_path, monkeypatch, kind, fault
+        self, tmp_path, monkeypatch, kind, fault
     ):
         lineage, _ = bundle_paths("cifar-10")
         shutil.copytree(lineage.parent, tmp_path / "bundle")
         monkeypatch.chdir(tmp_path / "bundle")
         target, args = INPUT_KINDS[kind]
         break_file(Path(target), fault)
-        result = runner.invoke(cli, args)
-        assert result.exit_code == 64, repr(result.exception)
+        result = run_cli(*args)
+        assert result.exit_code == 64, result.stderr
         assert result.stderr.startswith(f"error: {target}: ")
         assert "Traceback" not in result.stderr
 
@@ -213,11 +201,11 @@ class TestInputErrors:
         ids=["brackets", "records"],
     )
     @pytest.mark.parametrize("command", ["lineage", "validate"])
-    def test_json_nested_past_the_parser_exits_64(self, runner, tmp_path, command, text):
+    def test_json_nested_past_the_parser_exits_64(self, tmp_path, command, text):
         path = tmp_path / "deep.json"
         path.write_text(text)
-        result = runner.invoke(cli, [command, str(path)])
-        assert result.exit_code == 64, repr(result.exception)
+        result = run_cli(command, str(path))
+        assert result.exit_code == 64, result.stderr
         message = "invalid JSON: nested deeper than the parser allows"
         assert result.stderr == f"error: {path}: {message}\n"
 
@@ -229,7 +217,7 @@ class TestInputErrors:
         ids=["lineage", "interpretation"],
     )
     def test_json_that_dla_cannot_hold_or_write_exits_64_naming_it(
-        self, runner, tmp_path, monkeypatch, target, string, token
+        self, tmp_path, monkeypatch, target, string, token
     ):
         """An integer past Python's digit limit for int(), or a string with an
         unpaired surrogate, which no UTF-8 output can hold, in the place of a
@@ -241,9 +229,9 @@ class TestInputErrors:
         text = path.read_text(encoding="utf-8")
         assert string in text
         path.write_text(text.replace(string, token), encoding="utf-8")
-        result = runner.invoke(cli, ["--store", "store", "--format", "json", "verify",
-                                     "lineage.json", "interpretations"])
-        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        result = run_cli("--store", "store", "--format", "json", "verify",
+                         "lineage.json", "interpretations")
+        assert (result.exit_code, result.stdout) == (64, ""), result.stderr
         assert result.stderr.startswith(f"error: {target}: invalid JSON: ")
         assert "Traceback" not in result.stderr
         assert "set_int_max_str_digits" not in result.stderr  # a call a CLI user cannot make
@@ -255,7 +243,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("call", ["listdir", "open"])
     @pytest.mark.parametrize("kind", ["interpretations", "captures", "templates"])
     def test_unlistable_input_directory_exits_64_naming_it(
-        self, runner, tmp_path, monkeypatch, kind, call
+        self, tmp_path, monkeypatch, kind, call
     ):
         lineage, _ = bundle_paths("cifar-10")
         shutil.copytree(lineage.parent, tmp_path / "bundle")
@@ -271,21 +259,21 @@ class TestInputErrors:
         monkeypatch.setattr(os, call, refuse)
         command = (["range", "lineage.json", "--captures", "captures"] if kind == "captures"
                    else ["assess", "lineage.json", "interpretations"])
-        result = runner.invoke(cli, command)
-        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        result = run_cli(*command)
+        assert (result.exit_code, result.stdout) == (64, ""), result.stderr
         assert result.stderr == f"error: {target}: cannot list directory: Permission denied\n"
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a directory whatever its mode")
-    def test_input_directory_without_permissions_exits_64(self, runner, tmp_path, monkeypatch):
+    def test_input_directory_without_permissions_exits_64(self, tmp_path, monkeypatch):
         lineage, _ = bundle_paths("cifar-10")
         shutil.copytree(lineage.parent, tmp_path / "bundle")
         monkeypatch.chdir(tmp_path / "bundle")
         Path("interpretations").chmod(0)
         try:
-            result = runner.invoke(cli, ["assess", "lineage.json", "interpretations"])
+            result = run_cli("assess", "lineage.json", "interpretations")
         finally:
             Path("interpretations").chmod(0o755)
-        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        assert (result.exit_code, result.stdout) == (64, ""), result.stderr
         message = "error: interpretations: cannot list directory: Permission denied\n"
         assert result.stderr == message
 
@@ -298,73 +286,73 @@ BAD_CAPTURE_LISTS = {
 
 
 class TestRange:
-    def test_cifar_ranges(self, runner):
+    def test_cifar_ranges(self):
         lineage, _ = bundle_paths("cifar-10")
-        result = invoke(runner, "range", lineage)
+        result = run_cli("range", lineage)
         assert result.exit_code == 0
         assert "cifar-10: 2008-2009" in result.output
         assert "80-million-tiny-images: 2005-2006" in result.output
         for source in ("google", "flickr", "ask", "altavista", "picsearch", "webshots", "cydral"):
             assert f"{source}: 2005-2006" in result.output
 
-    def test_single_node_2015(self, runner, tmp_path):
+    def test_single_node_2015(self, tmp_path):
         record = record_for("solo").to_dict()
         record["origin_year"] = 2015
         lineage = tmp_path / "lineage.json"
         lineage.write_text(
             json.dumps({"records": [record], "edges": [], "root_id": "solo"})
         )
-        result = invoke(runner, "range", lineage)
+        result = run_cli("range", lineage)
         assert result.exit_code == 0
         assert "solo: 2014-2015" in result.output
 
-    def test_cyclic_lineage_exits_2(self, runner, tmp_path):
+    def test_cyclic_lineage_exits_2(self, tmp_path):
         records = [record_for("a").to_dict(), record_for("b").to_dict()]
         lineage = tmp_path / "lineage.json"
         lineage.write_text(
             json.dumps({"records": records, "edges": [["a", "b"], ["b", "a"]], "root_id": "a"})
         )
-        result = invoke(runner, "range", lineage)
+        result = run_cli("range", lineage)
         assert result.exit_code == 2
         assert "cycle" in result.output
 
-    def test_capture_statuses_shown(self, runner):
+    def test_capture_statuses_shown(self):
         lineage, _ = bundle_paths("cifar-10")
         captures = lineage.parent / "captures"
-        result = invoke(runner, "range", lineage, "--captures", captures)
+        result = run_cli("range", lineage, "--captures", captures)
         assert result.exit_code == 0
         assert "google: 2005-2006 capture: 2005 (in_range)" in result.output
         assert "ask: 2005-2006 capture: 2007 (out_of_range_fallback)" in result.output
         assert "cydral: 2005-2006 capture: (unavailable)" in result.output
 
     @pytest.mark.parametrize("kind", ["missing", "file"])
-    def test_captures_that_is_not_a_directory_exits_64(self, runner, tmp_path, kind):
+    def test_captures_that_is_not_a_directory_exits_64(self, tmp_path, kind):
         lineage, _ = bundle_paths("cifar-10")
         captures = tmp_path / "captures"
         if kind == "file":
             captures.write_text("[]")
-        result = invoke(runner, "range", lineage, "--captures", captures)
+        result = run_cli("range", lineage, "--captures", captures)
         assert result.exit_code == 64
         assert result.stdout == ""
         assert result.stderr == f"error: {captures}: not a directory\n"
 
-    def test_node_id_naming_a_path_outside_the_captures_reads_nothing(self, runner, tmp_path):
+    def test_node_id_naming_a_path_outside_the_captures_reads_nothing(self, tmp_path):
         lineage, _ = bundle_paths("cifar-10")
         bundle = tmp_path / "bundle"
         shutil.copytree(lineage.parent, bundle)
         text = (bundle / "lineage.json").read_text()
         (bundle / "lineage.json").write_text(text.replace('"flickr"', '"../outside"'))
         shutil.copy(bundle / "captures" / "flickr.json", bundle / "outside.json")
-        result = invoke(runner, "range", bundle / "lineage.json", "--captures", bundle / "captures")
+        result = run_cli("range", bundle / "lineage.json", "--captures", bundle / "captures")
         assert result.exit_code == 0
         assert "../outside: 2005-2006 capture: (unavailable)" in result.stdout.splitlines()
 
-    def test_unreadable_capture_list_of_no_node_exits_64(self, runner, tmp_path):
+    def test_unreadable_capture_list_of_no_node_exits_64(self, tmp_path):
         lineage, _ = bundle_paths("cifar-10")
         captures = tmp_path / "captures"
         shutil.copytree(lineage.parent / "captures", captures)
         (captures / "stray.json").symlink_to("absent.json")
-        result = invoke(runner, "range", lineage, "--captures", captures)
+        result = run_cli("range", lineage, "--captures", captures)
         assert result.exit_code == 64
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {captures / 'stray.json'}: cannot read file")
@@ -376,7 +364,7 @@ class TestRange:
          for fault in BAD_CAPTURE_LISTS],
     )
     def test_bad_capture_list_exits_before_any_line(
-        self, runner, tmp_path, monkeypatch, where, fault
+        self, tmp_path, monkeypatch, where, fault
     ):
         """The file is named as ``str(captures / name)`` names it, for an
         absolute, a relative and a dotted captures directory, and for ``.``
@@ -392,28 +380,28 @@ class TestRange:
             "cwd": Path("."),
         }[where]
         monkeypatch.chdir(tmp_path / "captures" if where == "cwd" else tmp_path)
-        result = invoke(runner, "range", lineage, "--captures", captures)
+        result = run_cli("range", lineage, "--captures", captures)
         assert result.exit_code == code
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {captures / 'google.json'}: {error}")
 
-    def test_deep_website_chain_inherits_the_root_range(self, runner, tmp_path):
+    def test_deep_website_chain_inherits_the_root_range(self, tmp_path):
         lineage = tmp_path / "lineage.json"
         ids = write_chain_lineage(lineage, "root", 5000)
-        result = invoke(runner, "range", lineage)
+        result = run_cli("range", lineage)
         assert result.exit_code == 0
         assert result.stdout.splitlines() == [f"{node_id}: 2009-2010" for node_id in ids]
 
-    def test_per_node_errors_inline(self, runner, tmp_path):
+    def test_per_node_errors_inline(self, tmp_path):
         record = record_for("solo").to_dict()
         record["origin_year"] = None
         lineage = tmp_path / "lineage.json"
         lineage.write_text(json.dumps({"records": [record], "edges": [], "root_id": "solo"}))
-        result = invoke(runner, "range", lineage)
+        result = run_cli("range", lineage)
         assert result.exit_code == 0
         assert "solo: error:" in result.output
 
-    def test_captures_report_matches_the_library_line_by_line(self, runner, tmp_path):
+    def test_captures_report_matches_the_library_line_by_line(self, tmp_path):
         graph, captures = mixed_lineage(random.Random(41), 300)
         lineage = write_lineage(tmp_path / "lineage.json", graph)
         captures_dir = tmp_path / "captures"
@@ -438,12 +426,12 @@ class TestRange:
         assert outcomes == {"range", "MissingOriginYear", "AmbiguousRange", "NoDatasetAncestor"}
         assert statuses == set(CaptureStatus)
         assert len(captures) < len(graph.nodes)  # some nodes have no capture file
-        result = invoke(runner, "range", lineage, "--captures", captures_dir)
+        result = run_cli("range", lineage, "--captures", captures_dir)
         assert result.exit_code == 0
         assert result.stdout == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("name", [*BUNDLE_NAMES, "wide"])
-    def test_captures_report_matches_the_bench_oracle(self, runner, tmp_path, monkeypatch, name):
+    def test_captures_report_matches_the_bench_oracle(self, tmp_path, monkeypatch, name):
         """``bench/oracle.py`` derives the report from the bundle files alone,
         without ``dla``; an ``<id>: error:`` line of it is a prefix."""
         monkeypatch.syspath_prepend(str(BENCH))
@@ -452,7 +440,7 @@ class TestRange:
             (bundle,) = workloads.make_bundles("wide", 7, tmp_path, FIXTURES_DIR, nodes=300)
         else:
             bundle = workloads.Bundle(name, FIXTURES_DIR / name)
-        result = invoke(runner, "range", bundle.lineage, "--captures", bundle.captures)
+        result = run_cli("range", bundle.lineage, "--captures", bundle.captures)
         expected = list(oracle.expected_range(bundle))
         lines = result.stdout.splitlines()
         assert (result.exit_code, len(lines)) == (0, len(expected))
@@ -517,35 +505,35 @@ def lineage_markdown(graph: LineageGraph) -> str:
 
 class TestLineageCmd:
     @pytest.mark.parametrize("endpoint", [None, {"a": 1}], ids=["null", "object"])
-    def test_non_string_edge_endpoint_exits_1(self, runner, tmp_path, endpoint):
+    def test_non_string_edge_endpoint_exits_1(self, tmp_path, endpoint):
         lineage, _ = bundle_paths("imagenet")
         doc = json.loads(lineage.read_text(encoding="utf-8"))
         doc["edges"][0] = [endpoint, "google-images"]
         path = tmp_path / "lineage.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["lineage", str(path)])
-        assert result.exit_code == 1, repr(result.exception)
+        result = run_cli("lineage", str(path))
+        assert result.exit_code == 1, result.stderr
         got = type(endpoint).__name__
         assert result.stderr == f"error: {path}.edges[0][0]: expected string, got {got}\n"
 
-    def test_repeated_record_exits_1_naming_the_file_and_the_later_record(self, runner, tmp_path):
+    def test_repeated_record_exits_1_naming_the_file_and_the_later_record(self, tmp_path):
         lineage, _ = bundle_paths("cifar-10")
         doc = json.loads(lineage.read_text(encoding="utf-8"))
         doc["records"].insert(2, doc["records"][0])
         path = tmp_path / "lineage.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["lineage", str(path)])
+        result = run_cli("lineage", str(path))
         assert (result.exit_code, result.stdout) == (1, "")
         subject = doc["records"][0]["subject_id"]
         assert result.stderr == f"error: {path}.records[2]: duplicate subject_id {subject!r}\n"
 
-    def test_root_naming_no_record_exits_2_naming_the_root(self, runner, tmp_path):
+    def test_root_naming_no_record_exits_2_naming_the_root(self, tmp_path):
         lineage, _ = bundle_paths("cifar-10")
         doc = json.loads(lineage.read_text(encoding="utf-8"))
         doc["root_id"] = "ghost"
         path = tmp_path / "lineage.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["lineage", str(path)])
+        result = run_cli("lineage", str(path))
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == "error: root_id references unknown subject: 'ghost'\n"
 
@@ -571,21 +559,21 @@ class TestLineageCmd:
         assert result.stderr == f"warning: {where}: ignoring unknown fields ['zz_unknown']\n"
         assert result.stdout == run(lineage).stdout
 
-    def test_markdown_listing(self, runner):
+    def test_markdown_listing(self):
         lineage, _ = bundle_paths("cifar-10")
-        result = invoke(runner, "lineage", lineage)
+        result = run_cli("lineage", lineage)
         assert result.exit_code == 0
         assert "root: cifar-10" in result.output
         assert "cifar-10 -> 80-million-tiny-images" in result.output
 
-    def test_json_round_trips_canonically(self, runner):
+    def test_json_round_trips_canonically(self):
         lineage, _ = bundle_paths("cifar-10")
-        result = invoke(runner, "--format", "json", "lineage", lineage)
+        result = run_cli("--format", "json", "lineage", lineage)
         assert result.exit_code == 0
         assert result.output == canonical_json(json.loads(result.output))
 
 
-    def test_deep_chain_lists_every_node(self, runner, tmp_path):
+    def test_deep_chain_lists_every_node(self, tmp_path):
         ids = [f"n{i:05d}" for i in range(5000)]
         lineage = tmp_path / "lineage.json"
         lineage.write_text(
@@ -597,20 +585,20 @@ class TestLineageCmd:
                 }
             )
         )
-        result = invoke(runner, "lineage", lineage)
+        result = run_cli("lineage", lineage)
         assert result.exit_code == 0
         assert f"{ids[-2]} -> {ids[-1]}" in result.output
 
     @pytest.mark.parametrize("name", BUNDLE_NAMES)
-    def test_markdown_lists_every_fixture_node_and_edge(self, runner, name):
+    def test_markdown_lists_every_fixture_node_and_edge(self, name):
         lineage, _ = bundle_paths(name)
-        result = invoke(runner, "lineage", lineage)
+        result = run_cli("lineage", lineage)
         assert result.exit_code == 0
         assert result.stdout == lineage_markdown(load_bundle(name)[0])
 
-    def test_markdown_lists_a_generated_graph(self, runner, tmp_path):
+    def test_markdown_lists_a_generated_graph(self, tmp_path):
         graph, _ = mixed_lineage(random.Random(42), 300)
-        result = invoke(runner, "lineage", write_lineage(tmp_path / "lineage.json", graph))
+        result = run_cli("lineage", write_lineage(tmp_path / "lineage.json", graph))
         assert result.exit_code == 0
         assert result.stdout == lineage_markdown(graph)
 
@@ -618,7 +606,7 @@ class TestLineageCmd:
 class TestWarningFormat:
     """A package warning is one `warning:` line, during a command only."""
 
-    def test_other_warnings_format_as_python_formats_them(self, runner, monkeypatch):
+    def test_other_warnings_format_as_python_formats_them(self, monkeypatch):
         python_format = warnings.formatwarning
         where = ("f.py", 3, "    x = 1")
         formatted = []
@@ -630,37 +618,37 @@ class TestWarningFormat:
             return load_graph(path, strict)
 
         monkeypatch.setattr(dla_cli, "_load_graph", warn_then_load)
-        assert invoke(runner, "lineage", bundle_paths("cifar-10")[0]).exit_code == 0
+        assert run_cli("lineage", bundle_paths("cifar-10")[0]).exit_code == 0
         assert formatted == [python_format("m", UserWarning, *where), "warning: m\n"]
 
     @pytest.mark.parametrize("exit_code", [0, 64], ids=["ok", "error"])
-    def test_python_format_is_restored_after_the_command(self, runner, tmp_path, exit_code):
+    def test_python_format_is_restored_after_the_command(self, tmp_path, exit_code):
         python_format = warnings.formatwarning
         lineage = bundle_paths("cifar-10")[0] if exit_code == 0 else tmp_path / "missing.json"
-        assert runner.invoke(cli, ["lineage", str(lineage)]).exit_code == exit_code
+        assert run_cli("lineage", str(lineage)).exit_code == exit_code
         assert warnings.formatwarning is python_format
 
 
 class TestAssess:
-    def test_cifar_denied_exit_3(self, runner):
+    def test_cifar_denied_exit_3(self):
         lineage, interp = bundle_paths("cifar-10")
-        result = invoke(runner, "assess", lineage, interp)
+        result = run_cli("assess", lineage, interp)
         assert result.exit_code == 3
         assert "| CIFAR-10 | No | No | No |" in result.output
 
-    def test_ffhq_row(self, runner):
+    def test_ffhq_row(self):
         lineage, interp = bundle_paths("ffhq")
-        result = invoke(runner, "assess", lineage, interp)
+        result = run_cli("assess", lineage, interp)
         assert result.exit_code == 3
         assert "| FFHQ | Yes(C+D) | No | No |" in result.output
 
-    def test_synthetic_permissive_exits_0(self, runner, tmp_path):
+    def test_synthetic_permissive_exits_0(self, tmp_path):
         lineage, interp = write_synthetic_bundle(tmp_path)
-        result = invoke(runner, "assess", lineage, interp)
+        result = run_cli("assess", lineage, interp)
         assert result.exit_code == 0
         assert "| synthetic | Yes | Yes | Yes |" in result.output
 
-    def test_deep_website_chain_denied_by_its_last_source_exits_3(self, runner, tmp_path):
+    def test_deep_website_chain_denied_by_its_last_source_exits_3(self, tmp_path):
         _, interp = write_synthetic_bundle(tmp_path)
         ids = write_chain_lineage(tmp_path / "lineage.json", "synthetic", 5000)
         for node_id in ids[1:]:
@@ -668,89 +656,85 @@ class TestAssess:
             (interp / f"{node_id}.json").write_text(
                 json.dumps({"subject_id": node_id, "template": template})
             )
-        result = invoke(runner, "--format", "json", "assess", tmp_path / "lineage.json", interp)
+        result = run_cli("--format", "json", "assess", tmp_path / "lineage.json", interp)
         assert result.exit_code == 3
         restrictors = json.loads(result.stdout)["verified_license"]["restrictors"]
         assert {tuple(sources) for sources in restrictors.values() if sources} == {(ids[-1],)}
 
-    def test_no_gate_downgrades_exit(self, runner):
+    def test_no_gate_downgrades_exit(self):
         lineage, interp = bundle_paths("cifar-10")
-        result = invoke(runner, "assess", lineage, interp, "--no-gate")
+        result = run_cli("assess", lineage, interp, "--no-gate")
         assert result.exit_code == 0
 
-    def test_json_output_byte_identical_across_runs(self, runner):
+    def test_json_output_byte_identical_across_runs(self):
         lineage, interp = bundle_paths("vggface2")
-        first = invoke(runner, "--format", "json", "assess", lineage, interp)
-        second = invoke(runner, "--format", "json", "assess", lineage, interp)
+        first = run_cli("--format", "json", "assess", lineage, interp)
+        second = run_cli("--format", "json", "assess", lineage, interp)
         assert first.exit_code == second.exit_code == 3
         assert first.stdout == second.stdout
         doc = json.loads(first.stdout)
         assert doc["assessment"]["rows"][0]["obligations"] == ["A", "E", "D"]
         assert doc["verified_license"]["audit"]["generated_at"] is None
 
-    def test_unknown_denies_flag_changes_result(self, runner):
+    def test_unknown_denies_flag_changes_result(self):
         lineage, interp = bundle_paths("ffhq")
-        default = invoke(runner, "assess", lineage, interp)
-        strict = invoke(runner, "--unknown-denies", "assess", lineage, interp)
+        default = run_cli("assess", lineage, interp)
+        strict = run_cli("--unknown-denies", "assess", lineage, interp)
         assert "| FFHQ | Yes(C+D) | No | No |" in default.output
         assert "| FFHQ | No | No | No |" in strict.output
 
-    def test_custom_scenarios_file(self, runner, tmp_path):
+    def test_custom_scenarios_file(self, tmp_path):
         lineage, interp = bundle_paths("cifar-10")
         scenarios = tmp_path / "scenarios.json"
         scenarios.write_text('[{"id": "TRAIN", "required_rights": ["Research"]}]')
-        result = invoke(runner, "assess", lineage, interp, "--scenarios", scenarios)
+        result = run_cli("assess", lineage, interp, "--scenarios", scenarios)
         assert result.exit_code == 0
         assert "| CIFAR-10 | Yes(cite-cifar10) |" in result.output
 
-    def test_scenarios_file_holding_an_object_exits_1(self, runner, tmp_path):
+    def test_scenarios_file_holding_an_object_exits_1(self, tmp_path):
         lineage, interp = bundle_paths("cifar-10")
         scenarios = tmp_path / "scenarios.json"
         scenarios.write_text('{"id": "TRAIN", "required_rights": ["Research"]}')
-        result = runner.invoke(
-            cli, ["assess", str(lineage), str(interp), "--scenarios", str(scenarios)]
-        )
-        assert (result.exit_code, result.stdout) == (1, ""), repr(result.exception)
+        result = run_cli("assess", str(lineage), str(interp), "--scenarios", str(scenarios))
+        assert (result.exit_code, result.stdout) == (1, ""), result.stderr
         assert result.stderr == f"error: {scenarios}: expected an array of scenarios\n"
 
-    def test_lenient_mode_warns_about_unknown_scenario_fields(self, runner, tmp_path):
+    def test_lenient_mode_warns_about_unknown_scenario_fields(self, tmp_path):
         lineage, interp = bundle_paths("cifar-10")
         scenarios = tmp_path / "scenarios.json"
         scenarios.write_text('[{"id": "DD", "required_rights": ["Distribute"], "note": "x"}]')
         with pytest.warns(UserWarning, match="note"):
-            result = invoke(
-                runner, "--lenient", "assess", lineage, interp, "--scenarios", scenarios
-            )
+            result = run_cli("--lenient", "assess", lineage, interp, "--scenarios", scenarios)
         assert result.exit_code == 3
         assert "| CIFAR-10 | No |" in result.stdout
 
-    def test_missing_interpretations_dir_exits_64(self, runner, tmp_path):
+    def test_missing_interpretations_dir_exits_64(self, tmp_path):
         lineage, _ = bundle_paths("cifar-10")
-        result = invoke(runner, "assess", lineage, tmp_path / "nope")
+        result = run_cli("assess", lineage, tmp_path / "nope")
         assert result.exit_code == 64
 
-    def test_uninterpreted_node_exits_1(self, runner, tmp_path):
+    def test_uninterpreted_node_exits_1(self, tmp_path):
         lineage, interp = bundle_paths("cifar-10")
         partial = tmp_path / "interpretations"
         partial.mkdir()
         source = interp / "cifar-10.json"
         (partial / "cifar-10.json").write_text(source.read_text())
-        result = invoke(runner, "assess", lineage, partial)
+        result = run_cli("assess", lineage, partial)
         assert result.exit_code == 1
 
-    def test_interpretation_of_no_lineage_node_exits_1_naming_the_file(self, runner, tmp_path):
+    def test_interpretation_of_no_lineage_node_exits_1_naming_the_file(self, tmp_path):
         lineage, interp = bundle_paths("cityscapes")
         extra = tmp_path / "interpretations"
         shutil.copytree(interp, extra)
         orphan = extra / "renamed-source.json"
         orphan.write_text(json.dumps({"subject_id": "renamed-source", "unavailable": True}))
-        result = runner.invoke(cli, ["assess", str(lineage), str(extra)])
+        result = run_cli("assess", str(lineage), str(extra))
         assert result.exit_code == 1
         assert result.stderr == (
             f"error: {orphan}: subject_id 'renamed-source' names no lineage node\n"
         )
 
-    def test_template_nulling_a_required_metadata_field_exits_1(self, runner, tmp_path):
+    def test_template_nulling_a_required_metadata_field_exits_1(self, tmp_path):
         lineage, interp = bundle_paths("ffhq")
         copy = tmp_path / "interpretations"
         shutil.copytree(interp, copy)
@@ -759,7 +743,7 @@ class TestAssess:
         assert "template" in doc
         doc["metadata"] = {**doc.get("metadata", {}), "licensor": None}
         target.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["assess", str(lineage), str(copy)])
+        result = run_cli("assess", str(lineage), str(copy))
         assert result.exit_code == 1
         assert result.stderr == (
             f"error: {target}.metadata.licensor: a required field cannot be null\n"
@@ -767,9 +751,9 @@ class TestAssess:
 
 
 class TestVerifyCmd:
-    def test_json_document(self, runner):
+    def test_json_document(self):
         lineage, interp = bundle_paths("cifar-10")
-        result = invoke(runner, "--format", "json", "verify", lineage, interp)
+        result = run_cli("--format", "json", "verify", lineage, interp)
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert set(doc["changed"]) == {
@@ -777,9 +761,9 @@ class TestVerifyCmd:
         }
         assert doc["residual_risk_flags"] == ["80-million-tiny-images", "cydral"]
 
-    def test_markdown_table(self, runner):
+    def test_markdown_table(self):
         lineage, interp = bundle_paths("cifar-10")
-        result = invoke(runner, "verify", lineage, interp)
+        result = run_cli("verify", lineage, interp)
         assert result.exit_code == 0
         assert "| Tagging | denied (changed) |" in result.output
 
@@ -813,10 +797,10 @@ class TestUsage:
              "validate-without-path", "store-rm-without-key", "bare-unknown-option", "no-command",
              "no-store-command"],
     )
-    def test_usage_error_exits_64(self, runner, args, fragment, usage):
+    def test_usage_error_exits_64(self, args, fragment, usage):
         lineage, interpretations = bundle_paths("cifar-10")
         args = [arg.format(lineage=lineage, interpretations=interpretations) for arg in args]
-        result = runner.invoke(cli, args, prog_name="dla")
+        result = run_cli(*args)
         assert (result.exit_code, result.stdout) == (64, "")
         first, *rest = result.stderr.splitlines()
         assert first.startswith("error: ") and fragment in first
@@ -830,20 +814,20 @@ class TestUsage:
         ids=["help", "validate", "lineage", "range", "verify", "assess", "store",
              "store-ls", "store-rm"],
     )
-    def test_help_exits_0(self, runner, args):
-        result = runner.invoke(cli, args, prog_name="dla")
+    def test_help_exits_0(self, args):
+        result = run_cli(*args)
         assert (result.exit_code, result.stderr) == (0, "")
         assert result.stdout.startswith(" ".join(["Usage: dla", *args[:-1]]) + " [--help]")
 
-    def test_help_stops_the_parse_where_it_stands(self, runner):
-        result = runner.invoke(cli, ["assess", "--help", "--bogus"], prog_name="dla")
+    def test_help_stops_the_parse_where_it_stands(self):
+        result = run_cli("assess", "--help", "--bogus")
         assert (result.exit_code, result.stderr) == (0, "")
         assert result.stdout.startswith("Usage: dla assess ")
 
     @pytest.mark.parametrize("args", [["--version"], ["--version", "assess"]],
                              ids=["version", "version-before-command"])
-    def test_version_prints_one_line(self, runner, args):
-        result = runner.invoke(cli, args, prog_name="dla")
+    def test_version_prints_one_line(self, args):
+        result = run_cli(*args)
         assert (result.exit_code, result.stdout, result.stderr) == (
             0, f"dla, version {dla_cli.__version__}\n", "")
 
@@ -852,7 +836,7 @@ class TestReportBytes:
     """A report is written byte for byte as rendered: a name holding an ANSI
     escape reaches stdout unchanged, through a pipe and in process alike."""
 
-    def test_ansi_escape_in_a_dataset_name_is_kept(self, runner, tmp_path):
+    def test_ansi_escape_in_a_dataset_name_is_kept(self, tmp_path):
         shutil.copytree(bundle_paths("cifar-10")[0].parent, tmp_path / "cifar-10")
         lineage = tmp_path / "cifar-10" / "lineage.json"
         lineage.write_text(lineage.read_text(encoding="utf-8").replace(
@@ -868,7 +852,7 @@ class TestReportBytes:
         env = {name: value for name, value in os.environ.items() if name != "DLA_STORE"}
         piped = subprocess.run([sys.executable, "-m", "dla", *args], capture_output=True,
                                env={**env, "PYTHONPATH": str(SRC)}, timeout=120)
-        in_process = invoke(runner, *args, env={"DLA_STORE": None})
+        in_process = run_cli(*args, env={"DLA_STORE": None})
         assert (piped.returncode, piped.stdout, piped.stderr) == (3, rendered, b"")
         assert (in_process.exit_code, in_process.stdout_bytes, in_process.stderr) == (3, rendered, "")
 
@@ -888,51 +872,70 @@ class TestReportBytes:
 
 
 class TestStoreCli:
-    def test_assess_with_store_then_ls_and_rm(self, runner, tmp_path):
+    def test_assess_with_store_then_ls_and_rm(self, tmp_path):
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")
-        first = invoke(runner, "--store", store, "assess", lineage, interp)
+        first = run_cli("--store", store, "assess", lineage, interp)
         assert first.exit_code == 3
-        listing = invoke(runner, "--store", store, "store", "ls")
+        listing = run_cli("--store", store, "store", "ls")
         assert listing.exit_code == 0
         assert "Cityscapes" in listing.output
         key = listing.output.split()[0]
-        removed = invoke(runner, "--store", store, "store", "rm", key)
+        removed = run_cli("--store", store, "store", "rm", key)
         assert removed.exit_code == 0
         assert f"removed {key}" in removed.output
-        assert invoke(runner, "--store", store, "store", "ls").output == ""
+        assert run_cli("--store", store, "store", "ls").output == ""
 
-    def test_store_env_var(self, runner, tmp_path, monkeypatch):
+    def test_store_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DLA_STORE", str(tmp_path / "envstore"))
         lineage, interp = bundle_paths("cityscapes")
-        result = invoke(runner, "assess", lineage, interp)
+        result = run_cli("assess", lineage, interp)
         assert result.exit_code == 3
         blobs = list((tmp_path / "envstore").glob("*.json"))
         assert [blob.stem for blob in blobs] == [analysis_key(load_bundle("cityscapes")[0].root)]
 
-    def test_store_commands_require_a_store(self, runner):
-        result = invoke(runner, "store", "ls")
+    def test_store_commands_require_a_store(self):
+        result = run_cli("store", "ls")
         assert result.exit_code == 64
 
+    @pytest.mark.parametrize(
+        "options, environment",
+        [(["--store", ""], None), ([], ""), (["--store", ""], "envstore")],
+        ids=["option", "environment", "option-over-environment"],
+    )
+    def test_empty_store_value_means_no_store(self, tmp_path, monkeypatch, options, environment):
+        """An empty ``--store`` or ``DLA_STORE`` is no store, not the working
+        directory; an empty option also turns off the environment's store."""
+        monkeypatch.chdir(tmp_path)
+        env = {"DLA_STORE": environment}
+        lineage, interp = bundle_paths("imagenet")
+        first, second = (run_cli(*options, "assess", lineage, interp, env=env) for _ in range(2))
+        assert (first.exit_code, second.exit_code) == (3, 3)
+        assert "(cached analysis)" not in second.stderr
+        assert list(tmp_path.iterdir()) == []
+        listing = run_cli(*options, "store", "ls", env=env)
+        assert listing.exit_code == 64
+        assert "no store configured" in listing.stderr
+
     @pytest.mark.parametrize("args", [["store", "ls"], ["store", "rm", "0" * 64]], ids=["ls", "rm"])
-    def test_store_commands_on_a_missing_store_create_nothing(self, runner, tmp_path, args):
+    def test_store_commands_on_a_missing_store_create_nothing(self, tmp_path, args):
         store = tmp_path / "missing" / "store"
-        result = invoke(runner, "--store", store, *args)
+        result = run_cli("--store", store, *args)
         assert result.exit_code == 0
         assert result.stdout == ("" if args[1] == "ls" else f"no entry for {args[2]}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_store_that_cannot_be_created_exits_64_before_any_output(self, runner, tmp_path):
+    def test_store_that_cannot_be_created_exits_64_before_any_output(self, tmp_path):
         (tmp_path / "file").write_text("", encoding="utf-8")
         store = tmp_path / "file" / "store"
         lineage, interp = bundle_paths("cityscapes")
-        result = runner.invoke(cli, ["--store", str(store), "assess", str(lineage), str(interp)])
+        result = run_cli("--store", str(store), "assess", str(lineage), str(interp))
         assert (result.exit_code, result.stdout) == (64, "")
         assert result.stderr == f"error: cannot create store {store}: Not a directory\n"
 
     @pytest.mark.parametrize("call", ["chmod", "replace"])
     def test_store_entry_that_cannot_be_written_exits_64_leaving_nothing(
-        self, runner, tmp_path, monkeypatch, call
+        self, tmp_path, monkeypatch, call
     ):
         def fail(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -940,8 +943,8 @@ class TestStoreCli:
         monkeypatch.setattr(os, call, fail)
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")
-        result = runner.invoke(cli, ["--store", str(store), "assess", str(lineage), str(interp)])
-        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        result = run_cli("--store", str(store), "assess", str(lineage), str(interp))
+        assert (result.exit_code, result.stdout) == (64, ""), result.stderr
         assert result.stderr == f"error: cannot write to store {store}: No space left on device\n"
         assert list(store.iterdir()) == []
 
@@ -958,13 +961,13 @@ class TestStoreCli:
         assert run.stderr == f"error: cannot write to store {store}: File too large\n"
         assert list(store.iterdir()) == []
 
-    def test_store_that_is_a_regular_file_exits_64(self, runner, tmp_path):
+    def test_store_that_is_a_regular_file_exits_64(self, tmp_path):
         store = tmp_path / "store"
         store.write_text("", encoding="utf-8")
         lineage, interp = bundle_paths("cityscapes")
         for args in (["assess", lineage, interp], ["store", "rm", "0" * 64], ["store", "ls"]):
-            result = runner.invoke(cli, ["--store", str(store)] + [str(a) for a in args])
-            assert result.exit_code == 64, (args, repr(result.exception))
+            result = run_cli("--store", store, *args)
+            assert result.exit_code == 64, (args, result.stderr)
             assert result.stderr == f"error: store {store} is not a directory\n"
 
     @pytest.mark.parametrize(
@@ -981,7 +984,7 @@ class TestStoreCli:
         ids=["not-an-object", "root-id-not-a-string", "records-not-an-array", "bad-root-record"],
     )
     def test_lineage_whose_root_cannot_be_decoded_alone_ends_as_without_a_store(
-        self, runner, tmp_path, fault
+        self, tmp_path, fault
     ):
         lineage, interp = bundle_paths("cifar-10")
         doc = fault(json.loads(lineage.read_text(encoding="utf-8")))
@@ -989,78 +992,76 @@ class TestStoreCli:
         broken = tmp_path / "lineage.json"
         broken.write_text(json.dumps(doc), encoding="utf-8")
         store = tmp_path / "store"
-        runs = [runner.invoke(cli, [*options, "assess", str(broken), str(interp)])
+        runs = [run_cli(*options, "assess", str(broken), str(interp))
                 for options in ([], ["--store", str(store)])]
         without, with_store = [(r.exit_code, r.stdout, r.stderr) for r in runs]
         assert with_store == without
         assert without[:2] in {(1, ""), (2, "")}
         assert list(store.glob("*.json")) == []
 
-    def test_cached_second_run_prints_notice(self, runner, tmp_path):
+    def test_cached_second_run_prints_notice(self, tmp_path):
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")
-        invoke(runner, "--store", store, "assess", lineage, interp)
-        second = runner.invoke(
-            cli, ["--store", str(store), "assess", str(lineage), str(interp)]
-        )
+        run_cli("--store", store, "assess", lineage, interp)
+        second = run_cli("--store", str(store), "assess", str(lineage), str(interp))
         assert "(cached analysis)" in second.output
 
-    def test_unreadable_blob_exits_64_and_rm_prunes_it(self, runner, tmp_path):
+    def test_unreadable_blob_exits_64_and_rm_prunes_it(self, tmp_path):
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")
-        invoke(runner, "--store", store, "assess", lineage, interp)
+        run_cli("--store", store, "assess", lineage, interp)
         (blob,) = store.glob("*.json")
         blob.write_text("{not json", encoding="utf-8")
         for args in (["assess", lineage, interp], ["store", "ls"]):
-            result = runner.invoke(cli, ["--store", str(store)] + [str(a) for a in args])
+            result = run_cli("--store", store, *args)
             assert result.exit_code == 64, (args, result.output)
             assert result.stderr.startswith(f"error: store entry '{blob.stem}' is corrupt")
-        removed = invoke(runner, "--store", store, "store", "rm", blob.stem)
+        removed = run_cli("--store", store, "store", "rm", blob.stem)
         assert removed.exit_code == 0
         assert not blob.exists()
 
-    def test_blob_without_verified_license_exits_64(self, runner, tmp_path):
+    def test_blob_without_verified_license_exits_64(self, tmp_path):
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")
-        invoke(runner, "--store", store, "assess", lineage, interp)
+        run_cli("--store", store, "assess", lineage, interp)
         (blob,) = store.glob("*.json")
         doc = json.loads(blob.read_text(encoding="utf-8"))
         del doc["verified_license"]
         blob.write_text(canonical_json(doc), encoding="utf-8")
-        result = runner.invoke(cli, ["--store", str(store), "assess", str(lineage), str(interp)])
+        result = run_cli("--store", str(store), "assess", str(lineage), str(interp))
         assert result.exit_code == 64, result.output
         assert result.stderr.startswith(f"error: store entry '{blob.stem}' is corrupt")
 
-    def test_rm_of_a_path_like_key_touches_nothing(self, runner, tmp_path):
+    def test_rm_of_a_path_like_key_touches_nothing(self, tmp_path):
         victim = tmp_path / "victim.json"
         victim.write_text("{}", encoding="utf-8")
-        result = invoke(runner, "--store", tmp_path / "store", "store", "rm", "../victim")
+        result = run_cli("--store", tmp_path / "store", "store", "rm", "../victim")
         assert result.exit_code == 0
         assert result.output == "no entry for ../victim\n"
         assert victim.read_text(encoding="utf-8") == "{}"
 
-    def test_rm_of_an_entry_that_is_a_directory_exits_64(self, runner, tmp_path):
+    def test_rm_of_an_entry_that_is_a_directory_exits_64(self, tmp_path):
         key = "a" * 64
         (tmp_path / "store" / f"{key}.json").mkdir(parents=True)
-        result = runner.invoke(cli, ["--store", str(tmp_path / "store"), "store", "rm", key])
-        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        result = run_cli("--store", str(tmp_path / "store"), "store", "rm", key)
+        assert (result.exit_code, result.stdout) == (64, ""), result.stderr
         assert result.stderr == f"error: cannot remove store entry {key}: Is a directory\n"
 
-    def test_rm_that_is_not_permitted_exits_64(self, runner, tmp_path, monkeypatch):
+    def test_rm_that_is_not_permitted_exits_64(self, tmp_path, monkeypatch):
         def fail(self, missing_ok=False):
             raise PermissionError(errno.EACCES, "Permission denied")
 
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")
-        invoke(runner, "--store", store, "assess", lineage, interp)
+        run_cli("--store", store, "assess", lineage, interp)
         (blob,) = store.glob("*.json")
         monkeypatch.setattr(Path, "unlink", fail)
-        result = runner.invoke(cli, ["--store", str(store), "store", "rm", blob.stem])
-        assert (result.exit_code, result.stdout) == (64, ""), repr(result.exception)
+        result = run_cli("--store", str(store), "store", "rm", blob.stem)
+        assert (result.exit_code, result.stdout) == (64, ""), result.stderr
         assert result.stderr == f"error: cannot remove store entry {blob.stem}: Permission denied\n"
         assert blob.exists()
 
-    def test_audit_timestamps_stamp_a_cached_analysis(self, runner, tmp_path):
+    def test_audit_timestamps_stamp_a_cached_analysis(self, tmp_path):
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cityscapes")
         args = ["--store", store, "--format", "json", "assess", "--no-gate", lineage, interp]
@@ -1068,14 +1069,58 @@ class TestStoreCli:
         def generated_at(result):
             return json.loads(result.stdout)["verified_license"]["audit"]["generated_at"]
 
-        first = invoke(runner, *args)
+        first = run_cli(*args)
         assert generated_at(first) is None
-        second = invoke(runner, *args, "--audit-timestamps")
+        second = run_cli(*args, "--audit-timestamps")
         assert "(cached analysis)" in second.stderr
         assert generated_at(second) is not None
-        third = invoke(runner, *args)
+        third = run_cli(*args)
         assert "(cached analysis)" in third.stderr
         assert generated_at(third) is None
         for blob in store.glob("*.json"):
             doc = json.loads(blob.read_text(encoding="utf-8"))
             assert doc["verified_license"]["audit"]["generated_at"] is None
+
+
+class TestRunner:
+    """``helpers.run_cli``, which runs ``dla`` in process for these tests: an
+    exception that is not the run's exit propagates, the state it swaps is
+    put back on every exit, and ``output`` keeps the order of the writes."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise RuntimeError("not an exit")
+
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        monkeypatch.setattr(dla_cli, "cmd_lineage", self.fail)
+        with pytest.raises(RuntimeError, match="not an exit"):
+            run_cli("lineage", bundle_paths("cifar-10")[0])
+
+    @pytest.mark.parametrize("outcome", ["report", "error", "exception"])
+    def test_streams_warning_format_and_environment_are_put_back(
+        self, tmp_path, monkeypatch, outcome
+    ):
+        monkeypatch.setenv("DLA_STORE", str(tmp_path / "outer"))
+        lineage, interp = bundle_paths("cityscapes")
+        before = sys.stdout, sys.stderr, warnings.formatwarning, dict(os.environ)
+        if outcome == "report":
+            inner = tmp_path / "inner"
+            result = run_cli("assess", "--no-gate", lineage, interp, env={"DLA_STORE": str(inner)})
+            assert result.exit_code == 0 and len(list(inner.glob("*.json"))) == 1
+        elif outcome == "error":
+            result = run_cli("store", "ls", env={"DLA_STORE": None})
+            assert (result.exit_code, result.stderr) == (
+                64, "error: no store configured; pass --store or set DLA_STORE\n")
+        else:
+            monkeypatch.setattr(dla_cli, "cmd_lineage", self.fail)
+            with pytest.raises(RuntimeError):
+                run_cli("lineage", lineage, env={"DLA_STORE": None})
+        assert (sys.stdout, sys.stderr, warnings.formatwarning, dict(os.environ)) == before
+        assert not (tmp_path / "outer").exists()
+
+    def test_output_holds_the_hit_notice_before_the_report(self, tmp_path):
+        lineage, interp = bundle_paths("cityscapes")
+        args = ("--store", tmp_path / "store", "assess", lineage, interp)
+        miss, hit = run_cli(*args), run_cli(*args)
+        assert hit.output == "(cached analysis)\n" + miss.stdout
+        assert hit.stdout == miss.stdout and "(cached analysis)" not in hit.stdout

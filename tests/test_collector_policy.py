@@ -1,7 +1,7 @@
 """Only ``cli.main``, the ``dla`` process entry, touches the garbage collector.
 
 ``main`` turns the collector off and freezes every object before the process
-exits. A library caller, or code that calls ``dla.cli.cli``, keeps its own
+exits. A library caller, or code that runs ``dla.cli._run``, keeps its own
 collector; a ``gc`` call anywhere else in ``src/dla`` would change it for them.
 """
 

@@ -21,11 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from dla.cli import cli
-
-from helpers import BUNDLE_NAMES, bundle_paths
+from helpers import BUNDLE_NAMES, bundle_paths, run_cli
 
 GOLDEN_OUTPUTS_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,7 +44,7 @@ def run_command(bundle: str, command: str) -> dict[str, object]:
     """The sha256 of stdout and the exit code of one command on one bundle."""
     lineage, interp = bundle_paths(bundle)
     args = COMMANDS[command](lineage, interp, lineage.parent / "captures")
-    result = CliRunner().invoke(cli, [str(a) for a in args], catch_exceptions=False)
+    result = run_cli(*args)
     return {
         "sha256": hashlib.sha256(result.stdout_bytes).hexdigest(),
         "exit_code": result.exit_code,
@@ -69,7 +66,7 @@ def test_golden_covers_every_bundle_and_command():
 
 
 def test_entry_point_output_matches_golden():
-    """The goldens above run in process through ``cli``; ``python -m dla``
+    """The goldens above run in process through ``run_cli``; ``python -m dla``
     runs ``main``, which turns the cyclic garbage collector off in its own
     process, and must print the same bytes and exit with the same codes."""
     golden = json.loads(GOLDEN_OUTPUTS_PATH.read_text(encoding="utf-8"))["cifar-10"]
@@ -101,13 +98,13 @@ def test_entry_point_turns_the_collector_off(command, exit_code):
     run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     # Before the probe's line, stderr holds nothing, or on a usage error
-    # exactly the error and usage lines, as `cli` prints them in process.
-    usage = CliRunner().invoke(cli, argv).stderr if exit_code == 64 else ""
+    # exactly the error and usage lines, as `run_cli` records them in process.
+    usage = run_cli(*argv).stderr if exit_code == 64 else ""
     assert (run.returncode, run.stderr) == (exit_code, usage + "False True\n")
 
 
 def test_cli_called_in_process_leaves_the_collector_as_it_was():
     lineage, interp = bundle_paths("cifar-10")
     for args in (["--version"], ["assess", str(lineage), str(interp)]):
-        CliRunner().invoke(cli, args, catch_exceptions=False)
+        run_cli(*args)
         assert gc.isenabled() and gc.get_freeze_count() == 0, args

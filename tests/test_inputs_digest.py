@@ -18,19 +18,17 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import dla.catalog
 import dla.engine
 import dla.lineage
 import dla.store
 from dla import AnalysisStore, Bundle, EnginePolicy, lookup_or_verify
-from dla.cli import cli
 from dla.errors import StaleEntryWarning, UnknownFieldWarning
 from dla.model import ProvenanceRecord
 from dla.resources import templates_dir
 
-from helpers import BUNDLE_NAMES, bundle_paths
+from helpers import BUNDLE_NAMES, bundle_paths, run_cli
 
 OLDER_BLOB = Path(__file__).parent / "data" / "older_store_blob.json"
 
@@ -48,7 +46,7 @@ def bundle(tmp_path, monkeypatch):
 def assess(bundle: Path, *options: str):
     args = ["--store", str(bundle.parent / "store"), *options, "--format", "json",
             "assess", "--no-gate", str(bundle / "lineage.json"), str(bundle / "interpretations")]
-    return CliRunner().invoke(cli, args, catch_exceptions=False)
+    return run_cli(*args)
 
 
 def cached(result) -> bool:
@@ -132,11 +130,11 @@ def test_blob_written_before_the_merkle_digest_is_stale_and_overwritten(tmp_path
     shutil.copy(OLDER_BLOB, blob)
     args = ["--store", str(store), "assess", str(lineage), str(interp)]
     with pytest.warns(StaleEntryWarning, match="was computed by engine 0.1.0"):
-        first = CliRunner().invoke(cli, args, catch_exceptions=False)
+        first = run_cli(*args)
     assert first.exit_code == 3
     assert first.stderr == ""  # neither corrupt nor a hit
     assert blob.read_bytes() != OLDER_BLOB.read_bytes()
-    second = CliRunner().invoke(cli, args, catch_exceptions=False)
+    second = run_cli(*args)
     assert cached(second) and second.stdout == first.stdout
 
 
@@ -159,7 +157,7 @@ def test_cli_run_fingerprints_once(bundle, monkeypatch, path):
     options = ("--store", str(bundle.parent / "store")) if path != "no-store" else ()
     args = [*options, "assess", str(bundle / "lineage.json"), str(bundle / "interpretations")]
     with pytest.warns(StaleEntryWarning) if path == "stale" else contextlib.nullcontext():
-        result = CliRunner().invoke(cli, args, catch_exceptions=False)
+        result = run_cli(*args)
     assert cached(result) is (path == "hit")
     assert len(calls) == 1
 
@@ -171,7 +169,7 @@ def test_hit_prints_what_the_miss_printed(tmp_path, name, command, output_format
     lineage, interp = bundle_paths(name)
     args = ["--store", str(tmp_path / "store"), "--format", output_format, command,
             str(lineage), str(interp)]
-    miss, hit = (CliRunner().invoke(cli, args, catch_exceptions=False) for _ in range(2))
+    miss, hit = (run_cli(*args) for _ in range(2))
     assert not cached(miss) and cached(hit)
     assert (hit.stdout, hit.exit_code) == (miss.stdout, miss.exit_code)
 
@@ -273,9 +271,8 @@ def test_cli_and_library_share_one_store_entry(bundle):
     assert not hit
     args = ["--format", "json", "assess", "--no-gate",
             str(bundle / "lineage.json"), str(bundle / "interpretations")]
-    runner = CliRunner()
-    shared = runner.invoke(cli, ["--store", str(store), *args], catch_exceptions=False)
-    alone = runner.invoke(cli, args, catch_exceptions=False)
+    shared = run_cli("--store", str(store), *args)
+    alone = run_cli(*args)
     assert cached(shared)
     assert len(list(store.glob("*.json"))) == 1
     assert shared.stdout == alone.stdout

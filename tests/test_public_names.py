@@ -8,22 +8,20 @@ from __future__ import annotations
 
 import ast
 import importlib
-import io
 import json
 import shutil
-import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import dla
+import dla.cli
 import dla.lineage
-from dla.cli import cli
 from dla.lineage import LineageGraph, parse_capture_list
 from dla.model import ProvenanceRecord
 
-from helpers import bundle_paths
+from helpers import bundle_paths, run_cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -86,12 +84,22 @@ def test_traced_assess_records_every_layer(tmp_path, monkeypatch):
     lineage, interp = bundle_paths("cifar-10")
     args = ["--store", str(tmp_path / "store"), "assess", str(lineage), str(interp)]
     with tracing.Patches(tracer).applied():
-        miss, hit = (CliRunner().invoke(cli, args) for _ in range(2))
+        miss, hit = (run_cli(*args) for _ in range(2))
     assert (miss.exit_code, hit.exit_code) == (3, 3)
     assert "(cached analysis)" not in miss.stderr and "(cached analysis)" in hit.stderr
     for name in ASSESS_LAYERS:
         spans = [span for span in tracer.spans if span.name == name]
         assert spans and [span.error for span in spans if span.error] == [], name
+
+
+def test_bench_runs_an_op_through_the_cli_shim(monkeypatch):
+    """``bench/tracing.run_in_process`` runs an op through ``dla.cli.cli.main``
+    with the keywords it passes, and gets what ``dla`` prints."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    args = ["lineage", str(bundle_paths("cifar-10")[0])]
+    code, out, err, _, error = tracing.run_in_process(dla.cli.cli.main, SimpleNamespace(args=args))
+    assert (code, out, err, error) == (0, run_cli(*args).stdout, "", None)
 
 
 def recording(function, seen: list):
@@ -115,7 +123,7 @@ def test_range_reaches_each_traced_name_once_per_node(monkeypatch):
     }
     for name, seen in calls.items():
         monkeypatch.setattr(dla.lineage, name, recording(getattr(dla.lineage, name), seen))
-    result = CliRunner().invoke(cli, ["range", str(lineage), "--captures", str(captures)])
+    result = run_cli("range", str(lineage), "--captures", str(captures))
     assert result.exit_code == 0, result.output
     nodes = LineageGraph.from_dict(json.loads(lineage.read_text(encoding="utf-8"))).nodes
     assert calls["compute_license_range"] == list(nodes)
@@ -172,49 +180,29 @@ def command_paths(tmp_path: Path) -> dict[str, Path | str]:
     (tmp_path / "interpretations" / "flickr.json").unlink()
     for name in ("cifar-10", "ffhq"):
         args = ["--store", str(paths["store"]), "assess", *map(str, bundle_paths(name))]
-        assert CliRunner().invoke(cli, args).exit_code == 3
+        assert run_cli(*args).exit_code == 3
     paths["key"] = sorted(paths["store"].glob("*.json"))[0].stem
     shutil.copytree(paths["store"], paths["corrupt_store"])
     sorted(paths["corrupt_store"].glob("*.json"))[1].write_text("{not json")
     return paths
 
 
-class RecordedStream(io.StringIO):
-    """A standard stream that records each write, and whether it was stderr."""
-
-    def __init__(self, writes: list, err: bool):
-        super().__init__()
-        self.writes, self.err = writes, err
-
-    def write(self, text: str) -> int:
-        self.writes.append((text, self.err))
-        return super().write(text)
-
-
-def run_recording_writes(monkeypatch, tmp_path: Path, args: list[str]):
-    """Run ``dla`` with ``args`` in process and every write to ``sys.stdout``
-    or ``sys.stderr`` recorded as its text and whether it went to stderr: its
-    exit code, stdout, stderr and the writes."""
+def run_command(tmp_path: Path, args: list[str]):
+    """Run ``dla`` with ``args``, their paths filled in, in process."""
     paths = command_paths(tmp_path)
-    writes: list = []
-    out, err = RecordedStream(writes, False), RecordedStream(writes, True)
-    monkeypatch.setattr(sys, "stdout", out)
-    monkeypatch.setattr(sys, "stderr", err)
-    with pytest.raises(SystemExit) as exit_:
-        cli.main([arg.format(**paths) for arg in args])
-    return exit_.value.code, out.getvalue(), err.getvalue(), writes
+    return run_cli(*(arg.format(**paths) for arg in args))
 
 
 @pytest.mark.parametrize("args,code", REPORTS.values(), ids=REPORTS)
-def test_report_is_one_stdout_write(monkeypatch, tmp_path, args, code):
-    exit_code, stdout, stderr, writes = run_recording_writes(monkeypatch, tmp_path, args)
-    assert exit_code == code, stderr
-    assert stdout and writes == [(stdout, False)]
+def test_report_is_one_stdout_write(tmp_path, args, code):
+    result = run_command(tmp_path, args)
+    assert result.exit_code == code, result.stderr
+    assert result.stdout and result.writes == [(result.stdout, False)]
 
 
 @pytest.mark.parametrize("args,code", FAILURES.values(), ids=FAILURES)
-def test_error_exit_makes_no_stdout_write(monkeypatch, tmp_path, args, code):
-    exit_code, stdout, stderr, writes = run_recording_writes(monkeypatch, tmp_path, args)
-    assert exit_code == code, stderr
-    assert stdout == "" and writes == [(stderr, True)]
-    assert stderr.startswith("error: ")
+def test_error_exit_makes_no_stdout_write(tmp_path, args, code):
+    result = run_command(tmp_path, args)
+    assert result.exit_code == code, result.stderr
+    assert result.stdout == "" and result.writes == [(result.stderr, True)]
+    assert result.stderr.startswith("error: ")

@@ -24,10 +24,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the dla modules the process holds.
 PROBE = """
 import json, sys
-from dla.cli import cli
+from dla.cli import _run
 code = 0
 try:
-    cli.main(sys.argv[1:], prog_name="dla")
+    _run(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m == "dla" or m.startswith("dla."))]))
