@@ -12,13 +12,13 @@ code change.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, field, replace
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
 from .errors import DuplicateRight, ParseError, SchemaViolation, UnknownLicense
 from .jsonio import path_prefix, read_inputs, read_json
 from .model import (
+    EMPTY_MAPPING,
     FIXED_RIGHTS,
     DocPath,
     Document,
@@ -31,6 +31,7 @@ from .model import (
     Violation,
     codec_field,
     merge_obligations,
+    replace,
     validate_rights_vector,
     wrong_type,
 )
@@ -54,7 +55,7 @@ class LicenseCatalog(Value):
     invariant: every template vector passed :func:`validate_rights_vector`
     when the catalog loaded, and no custom right names a fixed right. A vector
     derived from a template is a copy built by its ``__init__``
-    (:func:`dataclasses.replace`) and needs no second validation: extra
+    (:func:`dla.model.replace`) and needs no second validation: extra
     obligations are merged by id, so they add no duplicate id, and filling in
     the custom rights adds only names that collide with none.
     """
@@ -188,12 +189,11 @@ def _apply_template(base: RightsVector, doc: _InterpretationDocument, path: str)
     it overrides nothing, else a copy."""
     changes: dict[str, Any] = {}
     if doc.metadata:
-        known = set(LicenseMetadata.__dataclass_fields__)
-        unknown = sorted(k for k in doc.metadata if k not in known)
+        unknown = sorted(k for k in doc.metadata if k not in LicenseMetadata._fields)
         if unknown:
             raise ParseError(f"{path}.metadata", f"unknown metadata fields: {unknown}")
         for name, value in doc.metadata.items():
-            if value is None and LicenseMetadata.__dataclass_fields__[name].default is MISSING:
+            if value is None and name not in vars(LicenseMetadata):  # no default
                 raise ParseError(f"{path}.metadata.{name}", "a required field cannot be null")
         changes["metadata"] = replace(base.metadata, **dict(doc.metadata))
     extras = doc.extra_obligations
@@ -250,7 +250,7 @@ class InterpretationSet(Value):
     """All interpretations for one analysis, keyed by subject id."""
 
     vectors: Mapping[str, RightsVector | None]
-    template_digests: Mapping[str, str] = field(default_factory=dict)
+    template_digests: Mapping[str, str] = EMPTY_MAPPING
 
 
 def load_interpretations_dir(

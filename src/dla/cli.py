@@ -186,9 +186,8 @@ def _run_pipeline(
     interpretations_dir: Path,
     audit_timestamps: bool,
 ) -> tuple[ProvenanceRecord, VerifiedLicense]:
-    from dataclasses import replace
-
     from .engine import EnginePolicy
+    from .model import replace
     from .store import AnalysisStore, Bundle, lookup_or_verify
 
     bundle = Bundle.read(lineage_path, interpretations_dir, settings.strict)

@@ -2,11 +2,11 @@
 usage scenarios, and their canonical JSON documents.
 
 All types are immutable values (:class:`Value`). Every document type derives
-``to_dict`` and ``from_dict`` from its dataclass fields (:class:`Document`).
+``to_dict`` and ``from_dict`` from its fields (:class:`Document`).
 Only a value's ``__init__`` and a document's ``_encode`` and ``_decode`` are
 compiled, per class on first use, by one descriptor (:class:`_Compiled`), so
 importing compiles nothing. A value gets its fields by one of two paths: its
-``__init__``, which a copy made by :func:`dataclasses.replace` also calls,
+``__init__``, which a copy made by :func:`replace` also calls,
 or, for a document read from JSON, its ``_decode``, which builds the value
 without calling ``__init__``. Both give it all its fields in one store of
 its ``__dict__`` and then run ``__post_init__``.
@@ -27,7 +27,6 @@ import marshal
 import sys
 import types
 import warnings
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
 from typing import get_args, get_origin
@@ -105,6 +104,9 @@ DIGEST_HEX_LENGTHS: dict[str, int] = {
 # Not used here: the bench's tracer finds it in this module (span model.serialize).
 canonical_json = jsonio.canonical_json
 
+MISSING = object()  # the default of a field that has none (``codec_field``)
+EMPTY_MAPPING = types.MappingProxyType({})  # a mapping field's default; no value can change it
+
 
 class _Compiled:
     """A method compiled from the fields of the class it is first looked up
@@ -119,26 +121,27 @@ class _Compiled:
 
 
 class Value:
-    """Base of the package's immutable dataclasses: a subclass's class
-    statement makes it a dataclass, with keyword-only fields when it passes
-    ``kw_only=True``. Its ``__init__`` is a frozen dataclass's, a
-    :class:`_Compiled` descriptor that compiles it for a class on its first
-    call through that class; it stores the fields in one dict and then runs
-    ``__post_init__``. It and a document's decoder are the only two ways a
-    value is built; a copy (:func:`dataclasses.replace`) calls ``__init__``.
-    Equality and hashing, over the field values of two values of one class,
-    ``repr`` and the refusal to assign or delete a field are shared.
-    ``__post_init__`` sets a field through ``object.__setattr__``.
-    """
+    """Base of the package's immutable values. A subclass's fields
+    (``_fields``) are the names its own class statement annotates, but
+    ``ClassVar``s; ``kw_only=True`` there makes them keyword-only. A field's
+    default is its class attribute (of a ``codec_field``, its
+    ``default``); a field with none is required. ``__init__``, compiled for a
+    class on its first call through it (:class:`_Compiled`), stores the fields
+    in one dict and runs ``__post_init__``, which sets a field through
+    ``object.__setattr__``. It and a document's decoder are the only ways to
+    build a value; a copy (:func:`replace`) calls it. Equality, hashing,
+    ``repr`` and the refusal to change a field are shared."""
 
     __init__ = _Compiled()
 
     def __init_subclass__(cls, kw_only: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        dataclass(cls, init=False, repr=False, eq=False, kw_only=kw_only)
+        # Strings: every module has ``from __future__ import annotations``.
+        cls._fields = tuple(n for n, tp in cls.__annotations__.items() if not tp.startswith("ClassVar"))
+        cls._kw_only = kw_only
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not self.__class__:
@@ -149,14 +152,23 @@ class Value:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
+    # A frozen dataclass's error, imported only here, so that no normal run loads dataclasses.
     def __setattr__(self, name: str, value: Any) -> NoReturn:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> NoReturn:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def replace(value: Any, **changes: Any) -> Any:
+    """A copy of a value with the named fields changed, built by its class's
+    ``__init__``, which checks them again; a name that is no field raises TypeError."""
+    return value.__class__(**{name: getattr(value, name) for name in value._fields} | changes)
 
 
 class Violation(Value):
@@ -282,82 +294,68 @@ def _field_codec(
     raise TypeError(f"no document codec for type {tp!r}")
 
 
-def codec_field(*, decode: Decoder, **kwargs: Any) -> Any:
-    """A dataclass field read by the given decode hook, a plain function of
-    ``(value, path)``, instead of its type's decoder; it is written from its
-    type as usual."""
-    return field(metadata={"decode": decode}, **kwargs)
+# A field's default, ``default`` or none, that has it read by ``decode``, a plain function of
+# ``(value, path)``, instead of its type's decoder; it is written from its type as usual.
+codec_field = collections.namedtuple("codec_field", "decode default", defaults=(MISSING,))
 
 
 def _define(cls: type, name: str) -> Callable[..., Any]:
     """Compile a value class's ``name`` method from its fields and put it on
-    the class. ``__init__`` takes a frozen dataclass's parameters; its scope's
-    names start with ``__``, which no field name can. A document's
-    ``_encode`` is a dict display; ``_decode`` checks the object and its
-    unknown fields, reads each field once, checks the missing ones, then
-    decodes each field in declaration order, null meaning its default, by its
-    type's decoder or its decode hook, and builds the value without calling
-    ``__init__``. Both end in the lines of one helper, ``store``.
+    the class. ``__init__`` takes the fields, keyword-only in a ``kw_only``
+    class; its scope's names start with ``__``, which no field name can. A
+    document's ``_encode`` is a dict display; ``_decode`` checks the object
+    and its unknown fields, reads each field once, checks the missing ones,
+    then decodes each field in declaration order, null meaning its default,
+    by its type's decoder or its decode hook, and builds the value without
+    calling ``__init__``. Both end in the lines of one helper, ``store``.
     """
-    declared = fields(cls)
+    declared, defaults, hooks = cls._fields, {}, {}
+    for f in declared:
+        if isinstance(default := vars(cls).get(f, MISSING), codec_field):
+            hooks[f], default = default
+        if default is not MISSING:
+            defaults[f] = default
     scope: dict[str, Any] = {"__setattr": object.__setattr__, "__new": object.__new__}
+    scope |= {f"__default_{f}": default for f, default in defaults.items()}
 
-    def store(values: list[str]) -> list[str]:
-        """Give ``self`` its fields, the values of the expressions ``values``,
-        in one dict, then run ``__post_init__`` when the class has one."""
-        pairs = ", ".join(f"{f.name!r}: {value}" for f, value in zip(declared, values))
+    def store(values: Iterable[str]) -> list[str]:
+        """Give ``self`` its fields, the expressions ``values``, in one dict; then ``__post_init__``."""
+        pairs = ", ".join(f"{f!r}: {value}" for f, value in zip(declared, values))
         post_init = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
         return [f"__setattr(self, '__dict__', {{{pairs}}})", *post_init]
 
     if name == "__init__":
-        scope["__MISSING"] = MISSING
-        positional, keyword, body = [], [], []
-        for f in declared:
-            param = f.name
-            if f.default is not MISSING:
-                scope[f"__default_{f.name}"] = f.default
-                param += f"=__default_{f.name}"
-            elif f.default_factory is not MISSING:
-                scope[f"__factory_{f.name}"] = f.default_factory
-                param += "=__MISSING"
-                body += [f"if {f.name} is __MISSING:", f"    {f.name} = __factory_{f.name}()"]
-            (keyword if f.kw_only else positional).append(param)
-        body += store([f.name for f in declared])
-        params = ["self", *positional, *(["*", *keyword] if keyword else [])]
+        params = [f"{f}=__default_{f}" if f in defaults else f for f in declared]
+        params = ["self", *(["*"] if cls._kw_only and declared else []), *params]
+        body = store(declared)
     else:
         # Annotations are strings; eval costs a third of what get_type_hints does.
-        namespace = vars(sys.modules[cls.__module__])
-        required = tuple(
-            f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
-        )
-        scope.update(_CODEC_SCOPE, cls=cls, known=frozenset(f.name for f in declared),
-                     required=required)
+        namespace, types_of = vars(sys.modules[cls.__module__]), cls.__annotations__
+        required = tuple(f for f in declared if f not in defaults)
+        scope.update(_CODEC_SCOPE, cls=cls, known=frozenset(declared), required=required)
         items, decoded_fields, decoder = [], [], [
             "if data.__class__ is not dict and not isinstance(data, Mapping):",
             "    wrong_type(path, 'object', data)",
             "if not known.issuperset(data):",
             "    _unknown_fields(path, data, known, strict)",
-            *(f"v_{f.name} = data.get({f.name!r})" for f in declared),
+            *(f"v_{f} = data.get({f!r})" for f in declared),
         ]
         if required:
-            values = ", ".join(f"v_{name}" for name in required)
+            values = ", ".join(f"v_{f}" for f in required)
             decoder += [
-                "if " + " or ".join(f"v_{name} is None" for name in required) + ":",
+                "if " + " or ".join(f"v_{f} is None" for f in required) + ":",
                 f"    missing = sorted(n for n, v in zip(required, ({values},)) if v is None)",
                 "    parse_error(path, f'missing required fields: {missing}')",
             ]
         for f in declared:
-            value, path, raw = f"self.{f.name}", f"(path, {f.name!r})", f"v_{f.name}"
-            decoded, encoded = _field_codec(eval(f.type, namespace), value, path, scope, x=raw)
-            if decode := f.metadata.get("decode"):
-                scope[f"decode_hook_{f.name}"] = decode
-                decoded = f"decode_hook_{f.name}({raw}, {path})"
-            items.append(f"{f.name!r}: {encoded or value}")
-            if f.name not in required:
-                factory = f.default_factory is not MISSING
-                scope[f"default_{f.name}"] = f.default_factory if factory else f.default
-                default = f"default_{f.name}{'()' if factory else ''}"
-                decoded = f"{default} if {raw} is None else {decoded}"
+            value, path, raw = f"self.{f}", f"(path, {f!r})", f"v_{f}"
+            decoded, encoded = _field_codec(eval(types_of[f], namespace), value, path, scope, x=raw)
+            if f in hooks:
+                scope[f"decode_hook_{f}"] = hooks[f]
+                decoded = f"decode_hook_{f}({raw}, {path})"
+            items.append(f"{f!r}: {encoded or value}")
+            if f in defaults:
+                decoded = f"__default_{f} if {raw} is None else {decoded}"
             decoded_fields.append(decoded)
         decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
         body, params = {
@@ -374,8 +372,8 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
 
 
 class Document(Value):
-    """Base of every JSON document type: ``to_dict`` writes the dataclass
-    fields in declaration order; ``from_dict`` reads them back, type-checked,
+    """Base of every JSON document type: ``to_dict`` writes the fields in
+    declaration order; ``from_dict`` reads them back, type-checked,
     with null meaning the field's default. Each class compiles its own
     ``_encode`` and ``_decode`` (:class:`_Compiled`) on first use;
     ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
@@ -617,7 +615,7 @@ class RightsVector(Document, path="vector"):
     metadata: LicenseMetadata
     standalone_rights: Mapping[str, RightEntry]
     model_rights: Mapping[str, RightEntry]
-    custom_rights: Mapping[str, RightEntry] = field(default_factory=dict)
+    custom_rights: Mapping[str, RightEntry] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
         for name, fixed in (
@@ -679,7 +677,7 @@ class AuditInfo(Document, path="audit"):
     engine_version: str
     inputs_digest: str
     policy: Mapping[str, bool]
-    template_digests: Mapping[str, str] = field(default_factory=dict)
+    template_digests: Mapping[str, str] = EMPTY_MAPPING
     generated_at: str | None = None
 
 

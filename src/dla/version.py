@@ -1,3 +1,3 @@
-"""Single source of the package version, recorded in emitted audit trailers."""
+"""The package version, as ``dla --version`` prints it; audit trailers record ENGINE_VERSION."""
 
 __version__ = "0.1.0"

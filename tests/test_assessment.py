@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from dla import UsageScenario, assess, assess_all, default_scenarios, verify
 from dla.assessment import load_scenarios, render_cell, render_markdown
 from dla.errors import DuplicateScenario, UnknownRight
-from dla.model import Grant, Obligation, ObligationKind, RightEntry, VerifiedLicense
+from dla.model import Grant, Obligation, ObligationKind, RightEntry, VerifiedLicense, replace
 
 from helpers import DIGEST, load_bundle, random_case
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +14,14 @@ from dla.catalog import load_interpretations_dir, parse_interpretation
 from dla.errors import DuplicateRight, InputError, ParseError, SchemaViolation, UnknownLicense
 from dla.model import (
     FIXED_RIGHTS,
+    MISSING,
     LicenseMetadata,
     Obligation,
     ObligationKind,
     RightEntry,
     RightsVector,
     merge_obligations,
+    replace,
     validate_rights_vector,
 )
 
@@ -318,7 +319,8 @@ class TestInterpretationsDir:
 
 
 # Every metadata field, and whether a template override may null it.
-METADATA_FIELDS = {f.name: f.default is not MISSING for f in fields(LicenseMetadata)}
+METADATA_FIELDS = {name: getattr(LicenseMetadata, name, MISSING) is not MISSING
+                   for name in LicenseMetadata._fields}
 TEMPLATE_VECTORS = {license_id: t.vector.to_dict() for license_id, t in CATALOG.templates.items()}
 
 

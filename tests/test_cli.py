@@ -12,7 +12,6 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,7 @@ from dla.lineage import (
     decode_root,
     select_capture,
 )
-from dla.model import CaptureStatus, SubjectKind, canonical_json
+from dla.model import CaptureStatus, SubjectKind, canonical_json, replace
 from dla.resources import templates_dir
 
 from helpers import (
@@ -849,10 +848,9 @@ class TestReportBytes:
         assert b"CIFAR\x1b[31m-10" in rendered
 
         args = ["assess", str(lineage), str(interpretations)]
-        env = {name: value for name, value in os.environ.items() if name != "DLA_STORE"}
         piped = subprocess.run([sys.executable, "-m", "dla", *args], capture_output=True,
-                               env={**env, "PYTHONPATH": str(SRC)}, timeout=120)
-        in_process = run_cli(*args, env={"DLA_STORE": None})
+                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        in_process = run_cli(*args)
         assert (piped.returncode, piped.stdout, piped.stderr) == (3, rendered, b"")
         assert (in_process.exit_code, in_process.stdout_bytes, in_process.stderr) == (3, rendered, "")
 

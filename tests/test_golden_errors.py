@@ -26,7 +26,6 @@ import json
 import random
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -54,6 +53,7 @@ from dla.model import (
     VerifiedLicense,
     _BlockingRight,
     canonical_json,
+    replace,
 )
 from dla.resources import templates_dir
 from dla.store import StoreEntry, analysis_key

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -24,7 +23,7 @@ from dla.errors import (
     UnreachableNode,
 )
 from dla.lineage import CaptureInput, LineageGraph
-from dla.model import CaptureStatus, LicenseRange, SubjectKind, canonical_json
+from dla.model import CaptureStatus, LicenseRange, SubjectKind, canonical_json, replace
 
 from helpers import load_bundle, oracle_range, random_case, record_for, website_chain
 

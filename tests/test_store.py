@@ -7,7 +7,6 @@ import hashlib
 import json
 import multiprocessing
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ import dla.store
 from dla import AnalysisStore, Bundle, EnginePolicy, analysis_key, lookup_or_verify, verify
 from dla.engine import ENGINE_VERSION
 from dla.errors import StaleEntryWarning, StoreCorrupt
-from dla.model import Grant, VerifiedLicense, canonical_json
+from dla.model import Grant, VerifiedLicense, canonical_json, replace
 
 from helpers import DIGEST, GOLDEN_KEYS_PATH, bundle_paths, load_bundle, read_bundle, record_for
 
