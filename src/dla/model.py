@@ -3,9 +3,11 @@ usage scenarios, and their canonical JSON documents.
 
 All types are immutable values (:class:`Value`). Every document type derives
 ``to_dict`` and ``from_dict`` from its fields (:class:`Document`).
-Only a value's ``__init__`` and a document's ``_encode`` and ``_decode`` are
-compiled, per class on first use, by one descriptor (:class:`_Compiled`), so
-importing compiles nothing. A value gets its fields by one of two paths: its
+A value's ``__init__`` is compiled per class on first use (:class:`_Compiled`),
+so importing compiles nothing. A document's ``_decode`` and ``_encode`` are
+interpreted until one has run ``_HOT`` (100) times in the process, when that
+call compiles it, so a class a run uses a few times never pays for ``compile()``.
+A value gets its fields by one of two paths: its
 ``__init__``, which a copy made by :func:`replace` also calls,
 or, for a document read from JSON, its ``_decode``, which builds the value
 without calling ``__init__``. Both give it all its fields in one store of
@@ -109,11 +111,13 @@ EMPTY_MAPPING = types.MappingProxyType({})  # a mapping field's default; no valu
 
 
 class _Compiled:
-    """A method compiled from the fields of the class it is first looked up
-    through: the lookup compiles it (:func:`_define`) and puts the function on
-    that class in the descriptor's place, so later calls find the function."""
+    """A method made from the fields of the class it is first looked up
+    through (:func:`_define`), which puts it in the descriptor's place:
+    ``__init__`` compiled; ``_decode`` and ``_encode`` interpreted, each until
+    its ``_HOT``-th (100th) call compiles it. Each class holds its own
+    descriptors, so one made for a base is no subclass's."""
 
-    def __set_name__(self, owner: type, name: str) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
 
     def __get__(self, instance: Any, owner: type) -> Any:
@@ -132,13 +136,11 @@ class Value:
     build a value; a copy (:func:`replace`) calls it. Equality, hashing,
     ``repr`` and the refusal to change a field are shared."""
 
-    __init__ = _Compiled()
-
     def __init_subclass__(cls, kw_only: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         # Strings: every module has ``from __future__ import annotations``.
         cls._fields = tuple(n for n, tp in cls.__annotations__.items() if not tp.startswith("ClassVar"))
-        cls._kw_only = kw_only
+        cls._kw_only, cls.__init__ = kw_only, _Compiled("__init__")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -195,6 +197,12 @@ Decoder = Callable[[Any, DocPath], Any]
 _SCALAR_NAMES = {str: "string", int: "integer", bool: "boolean"}
 # How many values a shared document class keeps before it forgets them all.
 _SHARED_LIMIT = 4096
+# The call of a class's ``_decode``, or ``_encode``, that compiles it (:func:`_codec`):
+# where the interpreter's extra time reaches one compile. Compile time over extra
+# time per call had a median of 95 over the shipped bundles' codecs, 102 on wide's.
+_HOT = 100
+# Each annotation of a document class, by module and string, evaluated once.
+_evaluated: dict[tuple[str, str], Any] = {}
 # Counts unknown-field warnings, with the marks Document.from_dict takes
 # around a decode: next() is atomic, so a warning in any thread shows.
 _warned = itertools.count()
@@ -227,7 +235,7 @@ def _unknown_fields(path: DocPath, data: Mapping, known: frozenset, strict: bool
     if strict:
         parse_error(path, f"unknown fields: {unknown}")
     next(_warned)
-    # Attributed to the caller of Document.from_dict, above the compiled decoder.
+    # Attributed to the caller of Document.from_dict, above the decoder of either tier.
     warnings.warn(
         f"{render_path(path)}: ignoring unknown fields {unknown}", UnknownFieldWarning, stacklevel=4
     )
@@ -242,43 +250,53 @@ _CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
 def _field_codec(
     tp: Any, expr: str, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False,
     x: str | None = None,
-) -> tuple[str, str | None]:
-    """One walk of a field type: the source of an expression that decodes the
-    variable ``x`` (``x<depth>`` by default), a JSON value that is not None,
-    whose document path is the expression ``path``, and of one that writes
-    ``expr``, of that type, as JSON (None when the value is JSON already).
-    Names the expressions use are put in ``scope``. ``optional`` marks the
-    inside of an ``X | None``, whose type errors say "or null"."""
+) -> tuple[str, str | None, Callable[[Any, DocPath, bool], Any], Callable[[Any], Any] | None]:
+    """One walk of a field type, its codec in both tiers case by case: the source of an
+    expression that decodes the variable ``x`` (``x<depth>`` by default), a JSON value
+    not None, at the document path ``path``, and of one that writes ``expr`` as JSON
+    (None when it is JSON already), using names put in ``scope``; then the functions
+    ``decode(x, path, strict)`` and ``encode(value)`` (or None) that do the same."""
     origin, args = get_origin(tp), get_args(tp)
     x = x or f"x{depth}"
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decoded, encoded = _field_codec(inner, expr, path, scope, depth, optional=True, x=x)
-        encoded = encoded and f"(None if {expr} is None else {encoded})"
+        decoded, encoded, dec, enc = _field_codec(inner, expr, path, scope, depth, optional=True, x=x)
         # A field's own value (depth 0) is decoded only when it is not None.
         guard = "" if depth == 0 else f"None if {x} is None else "
-        return f"({guard}{decoded})", encoded
+        return (
+            f"({guard}{decoded})", encoded and f"(None if {expr} is None else {encoded})",
+            dec if depth == 0 else lambda y, p, s: None if y is None else dec(y, p, s),
+            enc and (lambda v: None if v is None else enc(v)),
+        )
     if tp in _SCALAR_NAMES:
         expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
-        test = f"isinstance({x}, {tp.__name__})"
-        if tp is int:  # bool is a subclass of int, but never an integer here
-            test += f" and {x}.__class__ is not bool"
-        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None
+        refused = bool if tp is int else None  # bool is a subclass of int, but never an integer here
+        test = f"isinstance({x}, {tp.__name__})" + (f" and {x}.__class__ is not bool" if refused else "")
+        dec = lambda y, p, s: (
+            y if isinstance(y, tp) and y.__class__ is not refused else wrong_type(p, expected, y))
+        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None, dec, None
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = f"members_{tp.__name__}"
-        scope[members] = {m.value: m for m in tp}
+        scope[members] = values = {m.value: m for m in tp}
         decoded = f"{members}[{x}] if isinstance({x}, str) and {x} in {members}"
-        return f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value"
+        return (
+            f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value",
+            lambda y, p, s: values[y] if isinstance(y, str) and y in values else _bad_member(p, y, values),
+            lambda v: v.value,
+        )
     item, ipath = f"x{depth + 1}", f"({path}, i{depth})"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        decoded, encoded = _field_codec(args[0], item, ipath, scope, depth + 1)
+        decoded, encoded, dec, enc = _field_codec(args[0], item, ipath, scope, depth + 1)
         return (
             f"(tuple([{decoded} for i{depth}, {item} in enumerate({x})]) "
             f"if isinstance({x}, (list, tuple)) else wrong_type({path}, 'array', {x}))",
             f"list({expr})" if encoded is None else f"[{encoded} for {item} in {expr}]",
+            lambda y, p, s: tuple([dec(z, (p, i), s) for i, z in enumerate(y)])
+            if isinstance(y, (list, tuple)) else wrong_type(p, "array", y),
+            list if enc is None else lambda v: [enc(z) for z in v],
         )
     if origin is collections.abc.Mapping and args[0] is str:
-        decoded, encoded = _field_codec(args[1], item, ipath, scope, depth + 1)
+        decoded, encoded, dec, enc = _field_codec(args[1], item, ipath, scope, depth + 1)
         return (
             f"({{i{depth}: {decoded} for i{depth}, {item} in {x}.items()}} "
             f"if {x}.__class__ is dict or isinstance({x}, Mapping) "
@@ -286,11 +304,19 @@ def _field_codec(
             f"dict({expr})"
             if encoded is None
             else f"{{i{depth}: {encoded} for i{depth}, {item} in {expr}.items()}}",
+            lambda y, p, s: {k: dec(z, (p, k), s) for k, z in y.items()}
+            if y.__class__ is dict or isinstance(y, Mapping) else wrong_type(p, "object", y),
+            dict if enc is None else lambda v: {k: enc(z) for k, z in v.items()},
         )
     if isinstance(tp, type) and issubclass(tp, Document):
         scope[f"doc_{tp.__name__}"] = tp
+        dec = lambda y, p, s: tp.from_dict(y, p, s)
+        # A nested document's warning names the frame that called its from_dict,
+        # in either tier a file named for the codec's own class.
+        dec.__code__ = dec.__code__.replace(co_filename=f"<codec {scope['cls'].__name__}>")
         # Decoded through from_dict, so a wrapped from_dict sees every call.
-        return f"doc_{tp.__name__}.from_dict({x}, {path}, strict)", f"doc_{tp.__name__}._encode({expr})"
+        decoded = f"doc_{tp.__name__}.from_dict({x}, {path}, strict)"
+        return decoded, f"doc_{tp.__name__}._encode({expr})", dec, lambda v: tp._encode(v)
     raise TypeError(f"no document codec for type {tp!r}")
 
 
@@ -299,16 +325,34 @@ def _field_codec(
 codec_field = collections.namedtuple("codec_field", "decode default", defaults=(MISSING,))
 
 
+def _compile(cls: type, name: str, params: Iterable[str], body: Iterable[str], scope: dict) -> Any:
+    """Compile ``def name(params): body`` in ``scope`` and put it on ``cls``."""
+    source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body)
+    # The file name <codec Owner> makes a profile or traceback name the class.
+    exec(compile(source, f"<codec {cls.__name__}>", "exec"), scope)
+    function = scope[name]
+    function.__qualname__ = f"{cls.__name__}.{name}"
+    setattr(cls, name, function)
+    return function
+
+
 def _define(cls: type, name: str) -> Callable[..., Any]:
-    """Compile a value class's ``name`` method from its fields and put it on
-    the class. ``__init__`` takes the fields, keyword-only in a ``kw_only``
-    class; its scope's names start with ``__``, which no field name can. A
-    document's ``_encode`` is a dict display; ``_decode`` checks the object
-    and its unknown fields, reads each field once, checks the missing ones,
-    then decodes each field in declaration order, null meaning its default,
-    by its type's decoder or its decode hook, and builds the value without
-    calling ``__init__``. Both end in the lines of one helper, ``store``.
-    """
+    """Put ``name`` on a value class: the codec interpreted, or ``__init__``
+    compiled, which takes the fields, keyword-only in a ``kw_only`` class;
+    its scope's names start with ``__``, which no field name can."""
+    if name == "__init__":
+        declared, defaults, _, scope, store = _layout(cls)
+        params = [f"{f}=__default_{f}" if f in defaults else f for f in declared]
+        params = ["self", *(["*"] if cls._kw_only and declared else []), *params]
+        return _compile(cls, name, params, store(declared), scope)
+    interpreted, _ = _codec(cls)
+    for method, function in interpreted.items():
+        setattr(cls, method, function)
+    return interpreted[name]
+
+
+def _layout(cls: type) -> tuple:
+    """A class's fields, defaults, decode hooks, compile scope and ``store``."""
     declared, defaults, hooks = cls._fields, {}, {}
     for f in declared:
         if isinstance(default := vars(cls).get(f, MISSING), codec_field):
@@ -324,58 +368,88 @@ def _define(cls: type, name: str) -> Callable[..., Any]:
         post_init = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
         return [f"__setattr(self, '__dict__', {{{pairs}}})", *post_init]
 
-    if name == "__init__":
-        params = [f"{f}=__default_{f}" if f in defaults else f for f in declared]
-        params = ["self", *(["*"] if cls._kw_only and declared else []), *params]
-        body = store(declared)
-    else:
-        # Annotations are strings; eval costs a third of what get_type_hints does.
-        namespace, types_of = vars(sys.modules[cls.__module__]), cls.__annotations__
-        required = tuple(f for f in declared if f not in defaults)
-        scope.update(_CODEC_SCOPE, cls=cls, known=frozenset(declared), required=required)
-        items, decoded_fields, decoder = [], [], [
-            "if data.__class__ is not dict and not isinstance(data, Mapping):",
-            "    wrong_type(path, 'object', data)",
-            "if not known.issuperset(data):",
-            "    _unknown_fields(path, data, known, strict)",
-            *(f"v_{f} = data.get({f!r})" for f in declared),
+    return declared, defaults, hooks, scope, store
+
+
+def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[str], Callable]]:
+    """A document class's ``_decode`` and ``_encode`` in both tiers, from one walk of its
+    fields: interpreted, by name, each running its ``hot``-th call (none, for 0) after
+    ``compiled(name)``, which compiles it from its source and puts it on the class.
+    ``_decode`` checks the object and its unknown fields, reads each field once, checks
+    the missing ones, then decodes each in declaration order, null meaning its default."""
+    declared, defaults, hooks, scope, store = _layout(cls)
+    required = tuple(f for f in declared if f not in defaults)
+    known, post_init = frozenset(declared), hasattr(cls, "__post_init__")
+    scope.update(_CODEC_SCOPE, cls=cls, known=known, required=required)
+    items, decoded_fields, codecs, decoder = [], [], [], [
+        "if data.__class__ is not dict and not isinstance(data, Mapping):",
+        "    wrong_type(path, 'object', data)",
+        "if not known.issuperset(data):",
+        "    _unknown_fields(path, data, known, strict)",
+        *(f"v_{f} = data.get({f!r})" for f in declared),
+    ]
+    if required:
+        values = ", ".join(f"v_{f}" for f in required)
+        decoder += [
+            "if " + " or ".join(f"v_{f} is None" for f in required) + ":",
+            f"    missing = sorted(n for n, v in zip(required, ({values},)) if v is None)",
+            "    parse_error(path, f'missing required fields: {missing}')",
         ]
-        if required:
-            values = ", ".join(f"v_{f}" for f in required)
-            decoder += [
-                "if " + " or ".join(f"v_{f} is None" for f in required) + ":",
-                f"    missing = sorted(n for n, v in zip(required, ({values},)) if v is None)",
-                "    parse_error(path, f'missing required fields: {missing}')",
-            ]
-        for f in declared:
-            value, path, raw = f"self.{f}", f"(path, {f!r})", f"v_{f}"
-            decoded, encoded = _field_codec(eval(types_of[f], namespace), value, path, scope, x=raw)
-            if f in hooks:
-                scope[f"decode_hook_{f}"] = hooks[f]
-                decoded = f"decode_hook_{f}({raw}, {path})"
-            items.append(f"{f!r}: {encoded or value}")
-            if f in defaults:
-                decoded = f"__default_{f} if {raw} is None else {decoded}"
-            decoded_fields.append(decoded)
-        decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
-        body, params = {
-            "_encode": ([f"return {{{', '.join(items)}}}"], ["self"]),
-            "_decode": (decoder, ["data", "path", "strict"]),
-        }[name]
-    source = f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body)
-    # The file name <codec Owner> makes a profile or traceback name the class.
-    exec(compile(source, f"<codec {cls.__name__}>", "exec"), scope)
-    function = scope[name]
-    function.__qualname__ = f"{cls.__name__}.{name}"
-    setattr(cls, name, function)
-    return function
+    namespace = vars(sys.modules[cls.__module__])
+    for f in declared:
+        value, path, raw = f"self.{f}", f"(path, {f!r})", f"v_{f}"
+        # Annotations are strings; eval costs a third of what get_type_hints does.
+        if (key := (cls.__module__, cls.__annotations__[f])) not in _evaluated:
+            _evaluated[key] = eval(key[1], namespace)
+        decoded, encoded, dec, enc = _field_codec(_evaluated[key], value, path, scope, x=raw)
+        if f in hooks:
+            scope[f"decode_hook_{f}"] = hook = hooks[f]
+            decoded, dec = f"decode_hook_{f}({raw}, {path})", lambda y, p, s, hook=hook: hook(y, p)
+        items.append(f"{f!r}: {encoded or value}")
+        if f in defaults:
+            decoded = f"__default_{f} if {raw} is None else {decoded}"
+        decoded_fields.append(decoded)
+        codecs.append((f, defaults.get(f), dec, enc))
+    decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
+    sources = {"_encode": (["self"], [f"return {{{', '.join(items)}}}"]),
+               "_decode": (["data", "path", "strict"], decoder)}
+    decodes, encodes = itertools.count(1), itertools.count(1)
+
+    def compiled(name: str) -> Callable[..., Any]:
+        return _compile(cls, name, *sources[name], scope)
+
+    def _decode(data: Any, path: DocPath, strict: bool) -> Any:
+        if next(decodes) == hot:
+            compiled("_decode")
+        if data.__class__ is not dict and not isinstance(data, Mapping):
+            wrong_type(path, "object", data)
+        if not known.issuperset(data):
+            _unknown_fields(path, data, known, strict)
+        raw = [data.get(f) for f in declared]
+        if missing := sorted(f for f, v in zip(declared, raw) if v is None and f not in defaults):
+            parse_error(path, f"missing required fields: {missing}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "__dict__", {f: default if v is None else dec(v, (path, f), strict)
+                                              for (f, default, dec, _), v in zip(codecs, raw)})
+        if post_init:
+            self.__post_init__()
+        return self
+
+    def _encode(self: Any) -> dict[str, Any]:
+        if next(encodes) == hot:
+            compiled("_encode")
+        return {f: getattr(self, f) if enc is None else enc(getattr(self, f)) for f, _, _, enc in codecs}
+
+    _decode.__qualname__, _encode.__qualname__ = f"{cls.__name__}._decode", f"{cls.__name__}._encode"
+    return {"_decode": _decode, "_encode": _encode}, compiled
 
 
 class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the fields in
     declaration order; ``from_dict`` reads them back, type-checked,
-    with null meaning the field's default. Each class compiles its own
-    ``_encode`` and ``_decode`` (:class:`_Compiled`) on first use;
+    with null meaning the field's default. Each class runs its own
+    ``_encode`` and ``_decode`` interpreted for ``_HOT`` (100) calls, then
+    compiled, with the same values, errors and warnings (:func:`_codec`);
     ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
     ``_decode`` reads each field once and builds the value itself, the one
     way besides ``__init__`` to build a value: one ``__dict__`` store and
@@ -397,11 +471,11 @@ class Document(Value):
 
     _path: ClassVar[str]
     _shared: ClassVar[dict[bytes, Any] | None]
-    _encode, _decode = _Compiled(), _Compiled()
 
     def __init_subclass__(cls, path: str, shared: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._path, cls._shared = path, {} if shared else None
+        cls._encode, cls._decode = _Compiled("_encode"), _Compiled("_decode")
         # Each class holds its own entries, so a profiler can wrap one class's
         # codec methods without touching the others.
         cls.to_dict = Document.to_dict  # type: ignore[method-assign]
@@ -618,11 +692,10 @@ class RightsVector(Document, path="vector"):
     custom_rights: Mapping[str, RightEntry] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
-        for name, fixed in (
-            ("standalone_rights", STANDALONE_RIGHTS), ("model_rights", MODEL_RIGHTS),
-            ("custom_rights", ()),
-        ):
-            object.__setattr__(self, name, _ordered_rights(getattr(self, name), fixed))
+        fields = self.__dict__  # each group is replaced by its copy, before anyone reads it
+        fields["standalone_rights"] = _ordered_rights(fields["standalone_rights"], STANDALONE_RIGHTS)
+        fields["model_rights"] = _ordered_rights(fields["model_rights"], MODEL_RIGHTS)
+        fields["custom_rights"] = dict(fields["custom_rights"])
 
     def rights_by_name(self) -> dict[str, RightEntry]:
         """Every right's entry from the first group that names it: standalone,
@@ -644,21 +717,23 @@ class RightsVector(Document, path="vector"):
 def validate_rights_vector(vector: RightsVector) -> list[Violation]:
     """Check completeness of the fixed right sets and custom-key disjointness."""
     report: list[Violation] = []
+    groups = vector.__dict__
     for attr, fixed, foreign in (
         ("standalone_rights", STANDALONE_RIGHTS, "not a standalone right"),
         ("model_rights", MODEL_RIGHTS, "not a model-conjunction right"),
     ):
-        group = getattr(vector, attr)
+        group = groups[attr]
         if tuple(group) != fixed:  # a complete group is ordered as the fixed names
             report += [Violation(f"{attr}.{n}", "missing right") for n in fixed if n not in group]
             report += [Violation(f"{attr}.{n}", foreign) for n in group if n not in fixed]
-    for name in vector.custom_rights:
+    for name in groups["custom_rights"]:
         if name in FIXED_RIGHTS:
             report.append(Violation(f"custom_rights.{name}", "custom key collides with fixed right"))
     for group_name in ("standalone_rights", "model_rights", "custom_rights"):
-        for right_name, entry in getattr(vector, group_name).items():
-            ids = [o.id for o in entry.obligations] if len(entry.obligations) > 1 else ()
-            if len(set(ids)) != len(ids):
+        for right_name, entry in groups[group_name].items():
+            obligations = entry.obligations
+            if len(obligations) > 1 and len({o.id for o in obligations}) < len(obligations):
+                ids = [o.id for o in obligations]
                 dupes = sorted({i for i in ids if ids.count(i) > 1})
                 report.append(
                     Violation(f"{group_name}.{right_name}", f"duplicate obligation ids: {dupes}")

@@ -174,6 +174,53 @@ class TestLoadInterpretation:
             "interpretation: model_rights.Publish: duplicate obligation ids: ['cite']"
         )
 
+    def test_violation_texts_and_their_order_are_pinned(self):
+        """Every rule of ``validate_rights_vector`` in every group, in the
+        order it reports them, and the message ``parse_interpretation`` builds
+        from them. The entry with repeated ids is one shared value in both
+        vectors, and each reports it."""
+        cite = {"id": "cite", "text": "Cite", "kind": "cite"}
+        link = {"id": "link", "text": "Link", "kind": "link_license"}
+        other = {"id": "other", "text": "Other", "kind": "other"}
+        repeated = {"grant": "granted", "obligations": [link, cite, link, other, cite, link]}
+        twice = {"grant": "denied", "obligations": [other, other]}
+        doc = minimal_vector_doc()
+        doc["standalone_rights"] = {
+            "Foreign": {"grant": "granted"}, "Rerepresent": repeated, "Access": twice,
+            "Distribute": {"grant": "granted"}, "Research": {"grant": "denied"},
+        }
+        del doc["model_rights"]["Benchmark"], doc["model_rights"]["Publish"]
+        doc["model_rights"].update(Tagging={"grant": "granted"}, InternalUse=repeated)
+        doc["custom_rights"] = {
+            "Extra": twice, "Distribute": {"grant": "granted"}, "Mine": repeated,
+            "Benchmark": repeated,
+        }
+        expected = [
+            "standalone_rights.Tagging: missing right",
+            "standalone_rights.Foreign: not a standalone right",
+            "standalone_rights.Research: not a standalone right",
+            "model_rights.Benchmark: missing right",
+            "model_rights.Publish: missing right",
+            "model_rights.Tagging: not a model-conjunction right",
+            "custom_rights.Distribute: custom key collides with fixed right",
+            "custom_rights.Benchmark: custom key collides with fixed right",
+            "standalone_rights.Access: duplicate obligation ids: ['other']",
+            "standalone_rights.Rerepresent: duplicate obligation ids: ['cite', 'link']",
+            "model_rights.InternalUse: duplicate obligation ids: ['cite', 'link']",
+            "custom_rights.Extra: duplicate obligation ids: ['other']",
+            "custom_rights.Mine: duplicate obligation ids: ['cite', 'link']",
+            "custom_rights.Benchmark: duplicate obligation ids: ['cite', 'link']",
+        ]
+        RightEntry._shared.clear()
+        first, second = (RightsVector.from_dict(json.loads(json.dumps(doc))) for _ in range(2))
+        assert first.standalone_rights["Rerepresent"] is second.model_rights["InternalUse"]
+        for vector in (first, second):
+            assert [str(v) for v in validate_rights_vector(vector)] == expected
+        for path in ("interpretation", "x.json"):
+            with pytest.raises(SchemaViolation) as exc:
+                parse_interpretation({"subject_id": "x", "vector": doc}, CATALOG, path=path)
+            assert str(exc.value) == f"{path}: " + "; ".join(expected)
+
     def test_unspecified_is_an_accepted_explicit_value(self):
         doc = minimal_vector_doc()
         doc["standalone_rights"]["Tagging"] = {"grant": "unspecified"}

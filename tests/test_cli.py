@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import importlib
 import json
 import os
@@ -646,6 +647,29 @@ class TestAssess:
         result = run_cli("assess", lineage, interp)
         assert result.exit_code == 0
         assert "| synthetic | Yes | Yes | Yes |" in result.output
+
+    def test_seed_7_wide_assess_matches_the_oracle_and_its_recorded_hash(self, tmp_path, monkeypatch):
+        """The bench's 5 000-node ``wide`` bundle, seed 7, assessed by a fresh
+        ``python -m dla``: exit 3, the answer of ``bench/oracle.py``, and
+        stdout as first recorded once the audit's engine version and inputs
+        digest, which any engine version bump moves, are blanked."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        oracle, workloads = (importlib.import_module(m) for m in ("oracle", "workloads"))
+        (bundle,) = workloads.make_bundles("wide", 7, tmp_path, FIXTURES_DIR, nodes=5000)
+        args = ["--format", "json", "assess", bundle.lineage, bundle.interpretations]
+        run = subprocess.run([sys.executable, "-m", "dla", *map(str, args)], capture_output=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert (run.returncode, run.stderr) == (3, b"")
+        expected = oracle.expected_for(bundle, templates_dir())
+        assert oracle.check_assess(bundle, expected, run.stdout.decode()) is None
+        stdout, audit = run.stdout, json.loads(run.stdout)["verified_license"]["audit"]
+        for field in ("engine_version", "inputs_digest"):
+            value = f'"{field}": "{audit[field]}"'.encode()
+            assert stdout.count(value) == 1
+            stdout = stdout.replace(value, f'"{field}": ""'.encode())
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "cc7752bafd2c8464e7aee78f10e844ccfe1be216dc789c80e91f4f4179b0a402"
+        )
 
     def test_deep_website_chain_denied_by_its_last_source_exits_3(self, tmp_path):
         _, interp = write_synthetic_bundle(tmp_path)

@@ -196,9 +196,9 @@ def outcome(cls: type, doc: Any, strict: bool) -> str:
     return " | ".join([result] + [f"{w.category.__name__}: {w.message}" for w in caught])
 
 
-def cases() -> dict[str, dict[str, str]]:
-    """Every case's outcome in strict and lenient mode, by type and mutation."""
-    recorded: dict[str, dict[str, str]] = {}
+def mutated_documents() -> Iterator[tuple[type, str, Any]]:
+    """Every case: its type, its name (the type and the mutations) and the
+    mutated document."""
     for cls, base in sorted(base_documents().items(), key=lambda item: item[0].__name__):
         rng = random.Random(f"{SEED}:{cls.__name__}")
         for _ in range(MUTATIONS_PER_TYPE):
@@ -206,11 +206,15 @@ def cases() -> dict[str, dict[str, str]]:
             for _ in range(rng.choice([1, 1, 2])):
                 description, doc = mutate(doc, rng)
                 descriptions.append(description)
-            recorded[f"{cls.__name__}: {'; '.join(descriptions)}"] = {
-                "strict": outcome(cls, doc, strict=True),
-                "lenient": outcome(cls, doc, strict=False),
-            }
-    return recorded
+            yield cls, f"{cls.__name__}: {'; '.join(descriptions)}", doc
+
+
+def cases() -> dict[str, dict[str, str]]:
+    """Every case's outcome in strict and lenient mode, by type and mutation."""
+    return {
+        name: {"strict": outcome(cls, doc, strict=True), "lenient": outcome(cls, doc, strict=False)}
+        for cls, name, doc in mutated_documents()
+    }
 
 
 def test_every_document_type_has_a_base_document():

@@ -46,6 +46,7 @@ from dla.catalog import (
 )
 from dla.lineage import parse_capture_list
 from dla.model import (
+    _HOT,
     _SHARED_LIMIT,
     FIXED_RIGHTS,
     MODEL_RIGHTS,
@@ -296,7 +297,8 @@ class TestMappingInput:
 
 def test_compiled_codecs_are_named_for_their_class():
     """A profile or traceback names the class a compiled codec belongs to."""
-    RightEntry.from_dict(RightEntry(Grant.GRANTED).to_dict())
+    for _ in range(_HOT):  # each call past the memo, so that both are compiled
+        RightEntry._decode(RightEntry(Grant.GRANTED)._encode(), "right", True)
     for name in ("_decode", "_encode"):
         function = RightEntry.__dict__[name]
         assert function.__code__.co_filename == "<codec RightEntry>"

@@ -17,7 +17,7 @@ from typing import Any
 import pytest
 
 import dla
-from helpers import bundle_paths
+from helpers import FIXTURES_DIR, bundle_paths
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Runs a command through the CLI's entry point, then prints its exit code and
@@ -140,11 +140,14 @@ def compiled():
 
 
 def test_import_compiles_no_method_of_a_value_class():
+    """Importing compiles nothing; a decoder is compiled once its class has
+    decoded ``_HOT`` documents."""
     code = COMPILED + """
 import dla.engine, dla.store
 before = compiled()
-from dla.model import Digest
-Digest.from_dict({"algorithm": "sha256", "hex": "00"})
+from dla.model import _HOT, Digest
+for _ in range(_HOT):
+    Digest.from_dict({"algorithm": "sha256", "hex": "00"})
 print(json.dumps([before, compiled()]))
 """
     (before, after), _ = fresh(code)
@@ -165,8 +168,7 @@ def init_error(cls):
         cls.__init__
     except SyntaxError as exc:
         return f"{cls.__name__}: {exc.msg}"
-# Not Document, a base without fields: an __init__ compiled for it would be its subclasses'.
-classes = [cls for cls in walk(Value) if cls.__name__ != "Document"]
+classes = list(walk(Value))
 failed = [error for error in map(init_error, classes) if error]
 inits = [f"{cls.__name__}.__init__" for cls in classes]
 class Misordered(Value):
@@ -179,9 +181,54 @@ print(json.dumps([failed, sorted(set(inits) - set(compiled())), init_error(Misor
     assert misordered.startswith("Misordered: ")
 
 
+def test_looking_a_method_up_through_a_base_leaves_its_subclasses_unchanged():
+    """Each value class holds its own methods: one made for a base on a
+    lookup through it has no fields, and no subclass takes it."""
+    code = """
+import json
+from dla.model import Digest, Document, Value
+for base in (Value, Document):
+    for name in ("__init__", "_encode", "_decode"):
+        getattr(base, name, None)
+digest = Digest("sha256", "00")
+print(json.dumps([digest.to_dict(), repr(Digest.from_dict(digest.to_dict()))]))
+"""
+    shown, _ = fresh(code)
+    assert shown == [{"algorithm": "sha256", "hex": "00"}, "Digest(algorithm='sha256', hex='00')"]
+
+
+# Runs one command in process, then prints what COMPILED lists.
+COMPILED_BY_COMMAND = COMPILED + """
+import contextlib, io, sys
+from dla.cli import _run
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        _run(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(compiled()))
+"""
+
+
+def test_a_fixture_assess_runs_every_codec_interpreted():
+    """No class of a shipped bundle decodes or writes ``_HOT`` documents, so
+    a fixture ``assess`` compiles ``__init__`` methods only."""
+    compiled, _ = fresh(COMPILED_BY_COMMAND, "assess", *map(str, bundle_paths("cifar-10")))
+    assert compiled and all(name.endswith(".__init__") for name in compiled)
+
+
+def test_a_wide_assess_compiles_the_decoders_of_its_hot_classes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    (bundle,) = workloads.make_bundles("wide", 7, tmp_path, FIXTURES_DIR, nodes=300)
+    compiled, _ = fresh(COMPILED_BY_COMMAND, "assess", str(bundle.lineage), str(bundle.interpretations))
+    hot = ("ProvenanceRecord", "_InterpretationDocument", "RightsVector", "LicenseMetadata")
+    assert {f"{name}._decode" for name in hot} <= set(compiled)
+
+
 def test_first_lenient_decode_warns_at_its_caller():
-    """The first decode of a class compiles its decoder, and its unknown-field
-    warning still names the line that called ``from_dict``."""
+    """The first decode of a class builds its interpreted decoder, and its
+    unknown-field warning still names the line that called ``from_dict``."""
     code = """
 import json, warnings
 from dla.model import Digest
