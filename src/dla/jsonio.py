@@ -81,8 +81,10 @@ def read_json(path: Path | str, raw: bytes | None = None) -> Any:
         text = raw.decode("utf-8")
         doc = json.loads(text)
         # Only a \u escape can put an unpaired surrogate in a string, and
-        # UTF-8 output cannot encode one.
-        if "\\u" in text:
+        # UTF-8 output cannot encode one. Most inputs hold no backslash at all,
+        # and a one-character search is a memchr, many times faster than the
+        # two-character one, so it runs first.
+        if "\\" in text and "\\u" in text:
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         return doc
     except UnicodeEncodeError as exc:

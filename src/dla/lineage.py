@@ -42,6 +42,11 @@ from .model import (
 )
 
 
+class _CheckedEdges(tuple):
+    """Edges that :func:`_decode_edges` has checked, so that
+    :func:`build_lineage` does not check them again."""
+
+
 def _decode_edges(value: Any, path: DocPath) -> tuple[tuple[str, ...], ...]:
     if not isinstance(value, (list, tuple)):
         wrong_type(path, "array", value)
@@ -50,7 +55,7 @@ def _decode_edges(value: Any, path: DocPath) -> tuple[tuple[str, ...], ...]:
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             parse_error((path, i), "expected [parent_id, child_id] pair")
         edges.append(decode_names(edge, (path, i)))
-    return tuple(edges)
+    return _CheckedEdges(edges)
 
 
 class _LineageDocument(Document, path="lineage"):
@@ -201,7 +206,9 @@ def build_lineage(
             parse_error((records_path, i), f"duplicate subject_id {record.subject_id!r}")
         nodes[record.subject_id] = record
 
-    edge_list = sorted(_decode_edges(tuple(edges), "edges"))
+    if edges.__class__ is not _CheckedEdges:  # from_dict passes the edges its document checked
+        edges = _decode_edges(tuple(edges), "edges")
+    edge_list = sorted(edges)
     for parent, child in edge_list:
         if parent not in nodes:
             raise DanglingReference(parent)

@@ -208,6 +208,15 @@ _evaluated: dict[tuple[str, str], Any] = {}
 _warned = itertools.count()
 
 
+def _memo_key(data: Any) -> bytes | None:
+    """A document's key in its shared class's memo (:class:`Document`), or
+    None, which no memo holds, when marshal refuses it."""
+    try:
+        return marshal.dumps(data, 2)
+    except ValueError:  # not made of exact built-in types
+        return None
+
+
 def render_path(path: DocPath) -> str:
     keys = []
     while isinstance(path, tuple):
@@ -243,7 +252,7 @@ def _unknown_fields(path: DocPath, data: Mapping, known: frozenset, strict: bool
 
 # What compiled codecs call, and __name__, so their warnings filter as this module's.
 _CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
-    f.__name__: f for f in (wrong_type, _bad_member, _unknown_fields, parse_error)
+    f.__name__: f for f in (wrong_type, _bad_member, _unknown_fields, parse_error, _memo_key)
 }
 
 
@@ -309,14 +318,23 @@ def _field_codec(
             dict if enc is None else lambda v: {k: enc(z) for k, z in v.items()},
         )
     if isinstance(tp, type) and issubclass(tp, Document):
-        scope[f"doc_{tp.__name__}"] = tp
-        dec = lambda y, p, s: tp.from_dict(y, p, s)
+        name = tp.__name__
+        scope[f"doc_{name}"] = tp
+        # Decoded through from_dict, so a wrapped from_dict sees every call but a
+        # hit in a shared class's memo, which is served here, without the call or
+        # the document path it would be given; a miss marshals twice.
+        decoded = f"doc_{name}.from_dict({x}, {path}, strict)"
+        if (memo := tp._shared) is None:
+            dec = lambda y, p, s: tp.from_dict(y, p, s)
+        else:
+            scope[f"shared_{name}"] = memo
+            decoded = f"(hit if (hit := shared_{name}.get(_memo_key({x}))) is not None else {decoded})"
+            dec = lambda y, p, s: (
+                hit if (hit := memo.get(_memo_key(y))) is not None else tp.from_dict(y, p, s))
         # A nested document's warning names the frame that called its from_dict,
         # in either tier a file named for the codec's own class.
         dec.__code__ = dec.__code__.replace(co_filename=f"<codec {scope['cls'].__name__}>")
-        # Decoded through from_dict, so a wrapped from_dict sees every call.
-        decoded = f"doc_{tp.__name__}.from_dict({x}, {path}, strict)"
-        return decoded, f"doc_{tp.__name__}._encode({expr})", dec, lambda v: tp._encode(v)
+        return decoded, f"doc_{name}._encode({expr})", dec, lambda v: tp._encode(v)
     raise TypeError(f"no document codec for type {tp!r}")
 
 
@@ -454,7 +472,8 @@ class Document(Value):
     ``_decode`` reads each field once and builds the value itself, the one
     way besides ``__init__`` to build a value: one ``__dict__`` store and
     ``__post_init__``, with no ``__init__`` call. A nested document is
-    decoded through its class's ``from_dict``.
+    decoded through its class's ``from_dict``, but for a hit in a shared
+    class's memo, which the caller serves itself.
 
     A subclass names the root of its error paths, as in
     ``class Digest(Document, path="digest")``. With ``shared=True``, equal
@@ -487,15 +506,10 @@ class Document(Value):
     @classmethod
     def from_dict(cls, data: Any, path: DocPath | None = None, strict: bool = True) -> Any:
         path, shared, key = cls._path if path is None else path, cls._shared, None
-        if shared is not None:
-            try:
-                key = marshal.dumps(data, 2)
-            except ValueError:  # not made of exact built-in types
-                pass
-            else:
-                if (value := shared.get(key)) is not None:
-                    return value
-                mark = next(_warned)
+        if shared is not None and (key := _memo_key(data)) is not None:
+            if (value := shared.get(key)) is not None:
+                return value
+            mark = next(_warned)
         try:
             value = cls._decode(data, path, strict)
         except ValueError as exc:  # a rule across fields, checked by __post_init__

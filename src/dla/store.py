@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import tempfile
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -127,6 +126,8 @@ class AnalysisStore:
         except OSError as exc:
             raise StoreError(f"cannot create store {self.root}: {exc.strerror or exc}") from exc
         entry = StoreEntry(key, dataset_name, _payload_sha256(verified), verified)
+        import tempfile  # only here, so that a run that writes no entry never loads it
+
         try:
             fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.root)
             try:

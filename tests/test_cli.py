@@ -16,13 +16,16 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dla import (
     Bundle, EnginePolicy, analysis_key, assess_all, default_scenarios, lookup_or_verify,
 )
 from dla.assessment import render_markdown
 import dla.cli as dla_cli
-from dla.errors import LineageError, UnknownFieldWarning
+from dla.errors import InputError, LineageError, UnknownFieldWarning
+from dla.jsonio import read_json
 from dla.lineage import (
     CaptureInput,
     LineageGraph,
@@ -48,6 +51,18 @@ from helpers import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def wide_seed_7(tmp_path_factory):
+    """The bench's ``oracle`` module and its 5 000-node ``wide`` bundle, seed 7,
+    built once for the module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        oracle, workloads = (importlib.import_module(m) for m in ("oracle", "workloads"))
+    root = tmp_path_factory.mktemp("wide")
+    (bundle,) = workloads.make_bundles("wide", 7, root, FIXTURES_DIR, nodes=5000)
+    return oracle, bundle
 
 
 class TestValidate:
@@ -148,6 +163,23 @@ INPUT_KINDS = {
 FAULT_BYTES = {"truncated": b'{"records": [', "not-utf8": b"\xff\xfe"}
 
 
+def json_texts() -> st.SearchStrategy[str]:
+    """JSON arrays and objects of strings with random escapes, \\u ones among
+    them, lone surrogates too; some escapes are invalid."""
+    escapes = st.one_of(
+        st.sampled_from(["\\n", '\\"', "\\\\", "\\/", "\\t", "\\u", "\\x"]),
+        st.integers(0, 0xFFFF).map(lambda c: f"\\u{c:04x}"),
+        st.integers(0xD800, 0xDFFF).map(lambda c: f"\\u{c:04X}"),
+    )
+    plain = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\'), max_size=3)
+    strings = st.lists(st.one_of(escapes, plain), max_size=6).map(lambda parts: '"' + "".join(parts) + '"')
+    return st.one_of(
+        st.lists(strings, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(st.tuples(strings, strings), max_size=3).map(
+            lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"),
+    )
+
+
 def write_chain_lineage(path: Path, root_id: str, length: int) -> list[str]:
     """Write a ``website_chain`` lineage file; returns the node ids, root first."""
     records, edges = website_chain(root_id, length)
@@ -209,8 +241,9 @@ class TestInputErrors:
         message = "invalid JSON: nested deeper than the parser allows"
         assert result.stderr == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("token", ["9" * 5000, '"\\ud800"'],
-                             ids=["long-integer", "lone-surrogate"])
+    @pytest.mark.parametrize("token", ["9" * 5000, '"\\ud800"', '"\\n\\ud800"', '"\\\\\\ud800"'],
+                             ids=["long-integer", "lone-surrogate", "lone-surrogate-after-newline",
+                                  "lone-surrogate-after-backslash"])
     @pytest.mark.parametrize(
         "target, string",
         [("lineage.json", '"CIFAR-10"'), ("interpretations/cifar-10.json", '"Cite paper"')],
@@ -239,6 +272,46 @@ class TestInputErrors:
             limit = sys.get_int_max_str_digits()
             assert result.stderr.endswith(f"invalid JSON: an integer longer than {limit} digits\n")
         assert not Path("store").exists()
+
+    @pytest.mark.parametrize("token, text", [
+        ('"\\ud83d\\ude00"', "\U0001F600"),
+        ('"a\\nb \\"c\\" d\\\\e"', 'a\nb "c" d\\e'),
+    ], ids=["paired-surrogates", "no-u-escape"])
+    def test_json_escapes_that_dla_can_write_parse(self, tmp_path, monkeypatch, token, text):
+        """A surrogate pair, or escapes none of which is a \\u, in the place of
+        a string that the report prints: the report prints the string."""
+        _, interpretations = bundle_paths("cifar-10")
+        shutil.copytree(interpretations.parent, tmp_path / "bundle")
+        monkeypatch.chdir(tmp_path / "bundle")
+        path = Path("interpretations/cifar-10.json")
+        path.write_text(path.read_text(encoding="utf-8").replace('"Cite paper"', token), encoding="utf-8")
+        result = run_cli("--format", "json", "verify", "lineage.json", "interpretations")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert "Cite paper" not in result.stdout
+        assert json.dumps(text, ensure_ascii=False) in result.stdout
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_texts())
+    def test_the_surrogate_guard_decides_as_a_search_for_every_u_escape(self, text):
+        """``read_json`` returns the document, or raises for the same cause, as
+        when every text that holds a \\u escape was written out again."""
+
+        def outcome(read):
+            try:
+                return "document", read()
+            except InputError as exc:
+                return "raised", type(exc.__cause__)
+            except ValueError as exc:
+                return "raised", type(exc)
+
+        def read_every_u_escape():
+            doc = json.loads(text)
+            if "\\u" in text:
+                json.dumps(doc, ensure_ascii=False).encode("utf-8")
+            return doc
+
+        raw = text.encode("utf-8")
+        assert outcome(lambda: read_json("doc.json", raw)) == outcome(read_every_u_escape)
 
     @pytest.mark.parametrize("call", ["listdir", "open"])
     @pytest.mark.parametrize("kind", ["interpretations", "captures", "templates"])
@@ -305,6 +378,21 @@ class TestRange:
         result = run_cli("range", lineage)
         assert result.exit_code == 0
         assert "solo: 2014-2015" in result.output
+
+    def test_seed_7_wide_range_matches_the_oracle_and_its_recorded_hash(self, wide_seed_7):
+        """``range --captures`` on the bench's 5 000-node ``wide`` bundle, seed 7,
+        run by a fresh ``python -m dla``: exit 0, the lines of
+        ``bench/oracle.py``, and stdout as first recorded."""
+        oracle, bundle = wide_seed_7
+        args = ["range", bundle.lineage, "--captures", bundle.captures]
+        run = subprocess.run([sys.executable, "-m", "dla", *map(str, args)], capture_output=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert (run.returncode, run.stderr) == (0, b"")
+        expected = oracle.expected_for(bundle, templates_dir())
+        assert oracle.check_range(bundle, expected, run.stdout.decode()) is None
+        assert hashlib.sha256(run.stdout).hexdigest() == (
+            "9c4eb86d0a7db9e8c54b8c356ed8bbf594911b18968327b43048cd4a53ffd9f3"
+        )
 
     def test_cyclic_lineage_exits_2(self, tmp_path):
         records = [record_for("a").to_dict(), record_for("b").to_dict()]
@@ -648,14 +736,12 @@ class TestAssess:
         assert result.exit_code == 0
         assert "| synthetic | Yes | Yes | Yes |" in result.output
 
-    def test_seed_7_wide_assess_matches_the_oracle_and_its_recorded_hash(self, tmp_path, monkeypatch):
+    def test_seed_7_wide_assess_matches_the_oracle_and_its_recorded_hash(self, wide_seed_7):
         """The bench's 5 000-node ``wide`` bundle, seed 7, assessed by a fresh
         ``python -m dla``: exit 3, the answer of ``bench/oracle.py``, and
         stdout as first recorded once the audit's engine version and inputs
         digest, which any engine version bump moves, are blanked."""
-        monkeypatch.syspath_prepend(str(BENCH))
-        oracle, workloads = (importlib.import_module(m) for m in ("oracle", "workloads"))
-        (bundle,) = workloads.make_bundles("wide", 7, tmp_path, FIXTURES_DIR, nodes=5000)
+        oracle, bundle = wide_seed_7
         args = ["--format", "json", "assess", bundle.lineage, bundle.interpretations]
         run = subprocess.run([sys.executable, "-m", "dla", *map(str, args)], capture_output=True,
                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)

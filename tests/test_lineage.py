@@ -122,6 +122,22 @@ class TestBuildLineage:
         with pytest.raises(ParseError, match=r"^lineage\." + message[1:]):
             LineageGraph.from_dict(lineage_document(records, [edge], "a"))
 
+    def test_a_documents_edges_are_checked_once(self, monkeypatch):
+        """``from_dict`` checks the edges as it decodes the document, and its
+        ``build_lineage`` call does not check them again; a library caller's
+        edges are checked there."""
+        import dla.lineage
+
+        checked = []
+        decode_edges = dla.lineage._decode_edges
+        monkeypatch.setattr(dla.lineage, "_decode_edges",
+                            lambda edges, path: checked.append(path) or decode_edges(edges, path))
+        records = [record_for("a"), record_for("b")]
+        graph = LineageGraph.from_dict(lineage_document(records, [["a", "b"]], "a"))
+        assert checked == []
+        assert build_lineage(records, [["a", "b"]], "a") == graph
+        assert checked == ["edges"]
+
     def test_cycle_the_root_cannot_reach_is_an_unreachable_node(self):
         records = [record_for(n) for n in ("r", "x", "y")]
         with pytest.raises(UnreachableNode) as exc:

@@ -60,6 +60,7 @@ from dla.model import (
     VerifiedLicense,
     Violation,
     _BlockingRight,
+    _codec,
     canonical_json,
     merge_obligations,
     replace,
@@ -546,6 +547,31 @@ def test_loading_cifar10_builds_each_distinct_entry_once(monkeypatch):
     assert (len(entries), len(set(entries))) == (77, 3)
     assert len(built) == 3
     assert len({id(entry) for entry in entries}) == 3
+
+
+@pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+def test_a_vector_decoder_serves_entry_memo_hits_itself(tier, monkeypatch):
+    """In either tier, a vector's decoder looks each entry up in the memo and
+    calls ``RightEntry.from_dict`` only on a miss."""
+    monkeypatch.setattr(RightsVector, "_decode", RightsVector.__dict__["_decode"])
+    interpreted, compiled = _codec(RightsVector, hot=0)
+    decode = interpreted["_decode"] if tier == "interpreted" else compiled("_decode")
+    calls, from_dict = [], RightEntry.from_dict.__func__
+
+    def counted(cls, data, path=None, strict=True):
+        calls.append(path)
+        return from_dict(cls, data, path, strict)
+
+    monkeypatch.setattr(RightEntry, "from_dict", classmethod(counted))
+    empty_memo()
+    doc = full_vector(Grant.DENIED).to_dict()
+    first = decode(doc, "vector", True)
+    assert calls == [(("vector", "standalone_rights"), "Access")]  # then each entry is a hit
+    assert decode(copy.deepcopy(doc), "vector", True) == first == full_vector(Grant.DENIED)
+    assert len(calls) == 1
+    doc["model_rights"]["Publish"] = MappingProxyType(doc["model_rights"]["Publish"])
+    assert decode(doc, "vector", True) == first  # marshal refuses it: from_dict decodes it
+    assert calls[1:] == [(("vector", "model_rights"), "Publish")]
 
 
 class TestObligationUnion:

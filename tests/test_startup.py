@@ -108,17 +108,20 @@ def test_store_hit_does_not_load_the_catalog(tmp_path):
     (lambda lin, interp: ["range", lin, "--captures", lin.parent / "captures"], 0),
     (lambda lin, interp: ["assess", lin, interp], 3),
 ], ids=["version", "range", "assess"])
-def test_process_exits_without_click_dataclasses_or_inspect(command, exit_code):
+def test_process_exits_without_click_dataclasses_inspect_or_tempfile(command, exit_code):
     """The ``dla`` process parses its command line with the standard library,
-    and its values keep their own field table: at exit, no ``click``,
-    ``dataclasses`` or ``inspect`` module has been imported."""
+    its values keep their own field table, and only a store write makes a
+    temp file: at exit, no ``click``, ``dataclasses``, ``inspect`` or
+    ``tempfile`` module has been imported. The interpreter runs with ``-S``,
+    since a site hook may import any of them first."""
     probe = ("import atexit, json, sys\n"
              "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('click', 'dataclasses', 'inspect'))), file=sys.stderr))\n"
+             " if m.split('.')[0] in ('click', 'dataclasses', 'inspect', 'tempfile'))),"
+             " file=sys.stderr))\n"
              "from dla.cli import main\n"
              "main()\n")
     argv = [str(a) for a in command(*bundle_paths("cifar-10"))]
-    run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert (run.returncode, run.stderr) == (exit_code, "[]\n")
 
