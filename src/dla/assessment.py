@@ -28,11 +28,14 @@ from .resources import scenarios_path
 
 
 def load_scenarios(path: Path, strict: bool = True) -> list[UsageScenario]:
-    """Read a scenarios JSON document (an array of scenario objects); unknown
-    fields are rejected, or warned about when ``strict`` is false."""
+    """Read a scenarios JSON document (a nonempty array of scenario objects,
+    since a table of no scenario checks nothing); unknown fields are
+    rejected, or warned about when ``strict`` is false."""
     data = read_json(path)
     if not isinstance(data, list):
         raise ParseError(str(path), "expected an array of scenarios")
+    if not data:
+        raise ParseError(str(path), "expected a nonempty array of scenarios")
     return [
         UsageScenario.from_dict(item, f"{path}[{i}]", strict) for i, item in enumerate(data)
     ]

@@ -27,7 +27,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
-from .errors import DlaError, DlaWarning, InputError, LineageError, StoreError
+from .errors import DlaError, DlaWarning, InputError, LineageError, ParseError, StoreError
 from .jsonio import canonical_json, path_prefix, read_inputs, read_json
 from .version import __version__
 
@@ -164,6 +164,9 @@ def cmd_range(settings: SimpleNamespace, lineage_path: Path, captures_dir: Path 
                 captures[node_id] = parse_capture_list(
                     read_json(path, capture_files[name]), path, settings.strict
                 )
+        if len(captures) < len(capture_files):  # a file that names no node
+            stray = next(name for name in capture_files if name[:-5] not in captures)
+            raise ParseError(prefix + stray, f"{stray[:-5]!r} names no lineage node")
     lines = []
     for node_id in graph.nodes:
         try:

@@ -4,9 +4,9 @@ usage scenarios, and their canonical JSON documents.
 All types are immutable values (:class:`Value`). Every document type derives
 ``to_dict`` and ``from_dict`` from its fields (:class:`Document`).
 A value's ``__init__`` is compiled per class on first use (:class:`_Compiled`),
-so importing compiles nothing. A document's ``_decode`` and ``_encode`` are
-interpreted until one has run ``_HOT`` (100) times in the process, when that
-call compiles it, so a class a run uses a few times never pays for ``compile()``.
+so importing compiles nothing. A document's ``_encode`` is interpreted; its
+``_decode`` is too, until its ``_HOT``-th (100th) call in the process compiles
+it, so a class a run decodes a few times never pays for ``compile()``.
 A value gets its fields by one of two paths: its
 ``__init__``, which a copy made by :func:`replace` also calls,
 or, for a document read from JSON, its ``_decode``, which builds the value
@@ -113,8 +113,8 @@ EMPTY_MAPPING = types.MappingProxyType({})  # a mapping field's default; no valu
 class _Compiled:
     """A method made from the fields of the class it is first looked up
     through (:func:`_define`), which puts it in the descriptor's place:
-    ``__init__`` compiled; ``_decode`` and ``_encode`` interpreted, each until
-    its ``_HOT``-th (100th) call compiles it. Each class holds its own
+    ``__init__`` compiled; ``_encode`` interpreted; ``_decode`` interpreted
+    until its ``_HOT``-th (100th) call compiles it. Each class holds its own
     descriptors, so one made for a base is no subclass's."""
 
     def __init__(self, name: str) -> None:
@@ -191,13 +191,11 @@ class Violation(Value):
 # an int key for an array index. Chains are rendered into text such as
 # ``lineage.records[3].subject_kind`` only when an error or warning names them.
 DocPath = Union[str, tuple]
-# A field hook: decode(value, path) -> domain value; value is never None.
-Decoder = Callable[[Any, DocPath], Any]
 
 _SCALAR_NAMES = {str: "string", int: "integer", bool: "boolean"}
 # How many values a shared document class keeps before it forgets them all.
 _SHARED_LIMIT = 4096
-# The call of a class's ``_decode``, or ``_encode``, that compiles it (:func:`_codec`):
+# The call of a class's ``_decode`` that compiles it (:func:`_codec`):
 # where the interpreter's extra time reaches one compile. Compile time over extra
 # time per call had a median of 95 over the shipped bundles' codecs, 102 on wide's.
 _HOT = 100
@@ -257,23 +255,23 @@ _CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
 
 
 def _field_codec(
-    tp: Any, expr: str, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False,
+    tp: Any, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False,
     x: str | None = None,
-) -> tuple[str, str | None, Callable[[Any, DocPath, bool], Any], Callable[[Any], Any] | None]:
-    """One walk of a field type, its codec in both tiers case by case: the source of an
-    expression that decodes the variable ``x`` (``x<depth>`` by default), a JSON value
-    not None, at the document path ``path``, and of one that writes ``expr`` as JSON
-    (None when it is JSON already), using names put in ``scope``; then the functions
-    ``decode(x, path, strict)`` and ``encode(value)`` (or None) that do the same."""
+) -> tuple[str, Callable[[Any, DocPath, bool], Any], Callable[[Any], Any] | None]:
+    """One walk of a field type, case by case: the source of an expression that decodes
+    the variable ``x`` (``x<depth>`` by default), a JSON value not None, at the document
+    path ``path``, using names put in ``scope``; then the functions ``decode(x, path,
+    strict)``, which does the same, and ``encode(value)``, which writes a value as JSON
+    (None when it is JSON already)."""
     origin, args = get_origin(tp), get_args(tp)
     x = x or f"x{depth}"
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decoded, encoded, dec, enc = _field_codec(inner, expr, path, scope, depth, optional=True, x=x)
+        decoded, dec, enc = _field_codec(inner, path, scope, depth, optional=True, x=x)
         # A field's own value (depth 0) is decoded only when it is not None.
         guard = "" if depth == 0 else f"None if {x} is None else "
         return (
-            f"({guard}{decoded})", encoded and f"(None if {expr} is None else {encoded})",
+            f"({guard}{decoded})",
             dec if depth == 0 else lambda y, p, s: None if y is None else dec(y, p, s),
             enc and (lambda v: None if v is None else enc(v)),
         )
@@ -283,36 +281,32 @@ def _field_codec(
         test = f"isinstance({x}, {tp.__name__})" + (f" and {x}.__class__ is not bool" if refused else "")
         dec = lambda y, p, s: (
             y if isinstance(y, tp) and y.__class__ is not refused else wrong_type(p, expected, y))
-        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", None, dec, None
+        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", dec, None
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = f"members_{tp.__name__}"
         scope[members] = values = {m.value: m for m in tp}
         decoded = f"{members}[{x}] if isinstance({x}, str) and {x} in {members}"
         return (
-            f"({decoded} else _bad_member({path}, {x}, {members}))", f"{expr}.value",
+            f"({decoded} else _bad_member({path}, {x}, {members}))",
             lambda y, p, s: values[y] if isinstance(y, str) and y in values else _bad_member(p, y, values),
             lambda v: v.value,
         )
     item, ipath = f"x{depth + 1}", f"({path}, i{depth})"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        decoded, encoded, dec, enc = _field_codec(args[0], item, ipath, scope, depth + 1)
+        decoded, dec, enc = _field_codec(args[0], ipath, scope, depth + 1)
         return (
             f"(tuple([{decoded} for i{depth}, {item} in enumerate({x})]) "
             f"if isinstance({x}, (list, tuple)) else wrong_type({path}, 'array', {x}))",
-            f"list({expr})" if encoded is None else f"[{encoded} for {item} in {expr}]",
             lambda y, p, s: tuple([dec(z, (p, i), s) for i, z in enumerate(y)])
             if isinstance(y, (list, tuple)) else wrong_type(p, "array", y),
             list if enc is None else lambda v: [enc(z) for z in v],
         )
     if origin is collections.abc.Mapping and args[0] is str:
-        decoded, encoded, dec, enc = _field_codec(args[1], item, ipath, scope, depth + 1)
+        decoded, dec, enc = _field_codec(args[1], ipath, scope, depth + 1)
         return (
             f"({{i{depth}: {decoded} for i{depth}, {item} in {x}.items()}} "
             f"if {x}.__class__ is dict or isinstance({x}, Mapping) "
             f"else wrong_type({path}, 'object', {x}))",
-            f"dict({expr})"
-            if encoded is None
-            else f"{{i{depth}: {encoded} for i{depth}, {item} in {expr}.items()}}",
             lambda y, p, s: {k: dec(z, (p, k), s) for k, z in y.items()}
             if y.__class__ is dict or isinstance(y, Mapping) else wrong_type(p, "object", y),
             dict if enc is None else lambda v: {k: enc(z) for k, z in v.items()},
@@ -334,7 +328,7 @@ def _field_codec(
         # A nested document's warning names the frame that called its from_dict,
         # in either tier a file named for the codec's own class.
         dec.__code__ = dec.__code__.replace(co_filename=f"<codec {scope['cls'].__name__}>")
-        return decoded, f"doc_{name}._encode({expr})", dec, lambda v: tp._encode(v)
+        return decoded, dec, lambda v: tp._encode(v)
     raise TypeError(f"no document codec for type {tp!r}")
 
 
@@ -389,17 +383,17 @@ def _layout(cls: type) -> tuple:
     return declared, defaults, hooks, scope, store
 
 
-def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[str], Callable]]:
-    """A document class's ``_decode`` and ``_encode`` in both tiers, from one walk of its
-    fields: interpreted, by name, each running its ``hot``-th call (none, for 0) after
-    ``compiled(name)``, which compiles it from its source and puts it on the class.
+def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[], Callable]]:
+    """A document class's ``_decode`` and ``_encode``, by name, from one walk of its
+    fields, and ``compiled()``, which compiles ``_decode`` and puts it on the class;
+    the interpreted ``_decode`` runs it at its ``hot``-th call (none, for 0).
     ``_decode`` checks the object and its unknown fields, reads each field once, checks
     the missing ones, then decodes each in declaration order, null meaning its default."""
     declared, defaults, hooks, scope, store = _layout(cls)
     required = tuple(f for f in declared if f not in defaults)
     known, post_init = frozenset(declared), hasattr(cls, "__post_init__")
     scope.update(_CODEC_SCOPE, cls=cls, known=known, required=required)
-    items, decoded_fields, codecs, decoder = [], [], [], [
+    decoded_fields, codecs, decoder = [], [], [
         "if data.__class__ is not dict and not isinstance(data, Mapping):",
         "    wrong_type(path, 'object', data)",
         "if not known.issuperset(data):",
@@ -415,30 +409,27 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[s
         ]
     namespace = vars(sys.modules[cls.__module__])
     for f in declared:
-        value, path, raw = f"self.{f}", f"(path, {f!r})", f"v_{f}"
+        path, raw = f"(path, {f!r})", f"v_{f}"
         # Annotations are strings; eval costs a third of what get_type_hints does.
         if (key := (cls.__module__, cls.__annotations__[f])) not in _evaluated:
             _evaluated[key] = eval(key[1], namespace)
-        decoded, encoded, dec, enc = _field_codec(_evaluated[key], value, path, scope, x=raw)
+        decoded, dec, enc = _field_codec(_evaluated[key], path, scope, x=raw)
         if f in hooks:
             scope[f"decode_hook_{f}"] = hook = hooks[f]
             decoded, dec = f"decode_hook_{f}({raw}, {path})", lambda y, p, s, hook=hook: hook(y, p)
-        items.append(f"{f!r}: {encoded or value}")
         if f in defaults:
             decoded = f"__default_{f} if {raw} is None else {decoded}"
         decoded_fields.append(decoded)
         codecs.append((f, defaults.get(f), dec, enc))
     decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
-    sources = {"_encode": (["self"], [f"return {{{', '.join(items)}}}"]),
-               "_decode": (["data", "path", "strict"], decoder)}
-    decodes, encodes = itertools.count(1), itertools.count(1)
+    decodes = itertools.count(1)
 
-    def compiled(name: str) -> Callable[..., Any]:
-        return _compile(cls, name, *sources[name], scope)
+    def compiled() -> Callable[..., Any]:
+        return _compile(cls, "_decode", ["data", "path", "strict"], decoder, scope)
 
     def _decode(data: Any, path: DocPath, strict: bool) -> Any:
         if next(decodes) == hot:
-            compiled("_decode")
+            compiled()
         if data.__class__ is not dict and not isinstance(data, Mapping):
             wrong_type(path, "object", data)
         if not known.issuperset(data):
@@ -454,8 +445,6 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[s
         return self
 
     def _encode(self: Any) -> dict[str, Any]:
-        if next(encodes) == hot:
-            compiled("_encode")
         return {f: getattr(self, f) if enc is None else enc(getattr(self, f)) for f, _, _, enc in codecs}
 
     _decode.__qualname__, _encode.__qualname__ = f"{cls.__name__}._decode", f"{cls.__name__}._encode"
@@ -465,8 +454,8 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[s
 class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the fields in
     declaration order; ``from_dict`` reads them back, type-checked,
-    with null meaning the field's default. Each class runs its own
-    ``_encode`` and ``_decode`` interpreted for ``_HOT`` (100) calls, then
+    with null meaning the field's default. Each class's ``_encode`` is
+    interpreted, and its ``_decode`` too for ``_HOT`` (100) calls, then
     compiled, with the same values, errors and warnings (:func:`_codec`);
     ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
     ``_decode`` reads each field once and builds the value itself, the one

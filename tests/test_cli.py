@@ -430,10 +430,27 @@ class TestRange:
         shutil.copytree(lineage.parent, bundle)
         text = (bundle / "lineage.json").read_text()
         (bundle / "lineage.json").write_text(text.replace('"flickr"', '"../outside"'))
-        shutil.copy(bundle / "captures" / "flickr.json", bundle / "outside.json")
+        shutil.move(bundle / "captures" / "flickr.json", bundle / "outside.json")
         result = run_cli("range", bundle / "lineage.json", "--captures", bundle / "captures")
         assert result.exit_code == 0
         assert "../outside: 2005-2006 capture: (unavailable)" in result.stdout.splitlines()
+
+    @pytest.mark.parametrize("where", ["absolute", "cwd"])
+    def test_capture_list_of_no_node_exits_1_naming_the_first_in_name_order(
+        self, tmp_path, monkeypatch, where
+    ):
+        """As a stray interpretation file does; no line is printed."""
+        lineage, _ = bundle_paths("cifar-10")
+        captures = tmp_path / "captures"
+        shutil.copytree(lineage.parent / "captures", captures)
+        for name in ("zz-nonode.json", "nonode.json"):
+            (captures / name).write_text("[]")
+        if where == "cwd":
+            monkeypatch.chdir(captures)
+        result = run_cli("range", lineage, "--captures", "." if where == "cwd" else captures)
+        assert (result.exit_code, result.stdout) == (1, "")
+        named = "nonode.json" if where == "cwd" else captures / "nonode.json"
+        assert result.stderr == f"error: {named}: 'nonode' names no lineage node\n"
 
     def test_unreadable_capture_list_of_no_node_exits_64(self, tmp_path):
         lineage, _ = bundle_paths("cifar-10")
@@ -660,6 +677,20 @@ class TestLineageCmd:
         assert result.exit_code == 0
         assert result.output == canonical_json(json.loads(result.output))
 
+    def test_seed_7_wide_json_lineage_keeps_its_recorded_hash(self, wide_seed_7):
+        """The bench's 5 000-node ``wide`` bundle, seed 7, listed as JSON by a
+        fresh ``python -m dla``: each record is written well past ``_HOT``
+        encodes, and stdout is as first recorded, when a compiled encoder
+        wrote it."""
+        _, bundle = wide_seed_7
+        args = ["--format", "json", "lineage", str(bundle.lineage)]
+        run = subprocess.run([sys.executable, "-m", "dla", *args], capture_output=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert hashlib.sha256(run.stdout).hexdigest() == (
+            "5bab515101d04b3b865b405619700f28deed2a928605d964647704385c7e53fa"
+        )
+
 
     def test_deep_chain_lists_every_node(self, tmp_path):
         ids = [f"n{i:05d}" for i in range(5000)]
@@ -807,6 +838,16 @@ class TestAssess:
         result = run_cli("assess", str(lineage), str(interp), "--scenarios", str(scenarios))
         assert (result.exit_code, result.stdout) == (1, ""), result.stderr
         assert result.stderr == f"error: {scenarios}: expected an array of scenarios\n"
+
+    @pytest.mark.parametrize("before, after", [([], []), (["--lenient"], []), ([], ["--no-gate"])])
+    def test_empty_scenarios_file_exits_1(self, tmp_path, before, after):
+        """A table of no scenario checks nothing, so a gate built on it would pass."""
+        lineage, interp = bundle_paths("cifar-10")
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text("[]")
+        result = run_cli(*before, "assess", lineage, interp, "--scenarios", scenarios, *after)
+        assert (result.exit_code, result.stdout) == (1, ""), result.stderr
+        assert result.stderr == f"error: {scenarios}: expected a nonempty array of scenarios\n"
 
     def test_lenient_mode_warns_about_unknown_scenario_fields(self, tmp_path):
         lineage, interp = bundle_paths("cifar-10")

@@ -1,7 +1,8 @@
-"""The two tiers of every document class's codec, interpreted and compiled,
-each built directly by ``model._codec`` and put on every document class at
-once, so that nested documents run the same tier. Every document decodes and
-re-encodes to equal values, or fails with the same exception type and
+"""The two tiers of every document class's decoder, interpreted and
+compiled, each built directly by ``model._codec`` and put on every document
+class at once, so that nested documents run the same tier; every class
+encodes with its one ``_encode``. Every document decodes and re-encodes to
+equal values, or fails with the same exception type and
 message, and warns with the same texts from the same file, in both tiers.
 
 The documents: every case of the golden-errors mutator, every shipped
@@ -28,20 +29,20 @@ from helpers import BUNDLE_NAMES, FIXTURES_DIR
 from test_golden_errors import document_types, mutated_documents
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-METHODS = ("_decode", "_encode")
+METHODS = ("_decode",)
 
 
 @pytest.fixture
 def use_tier(monkeypatch):
-    """Puts one tier's ``_decode`` and ``_encode`` on every document class;
-    each class gets its methods back after the test."""
+    """Puts one tier's ``_decode`` on every document class; each class gets
+    its decoder back after the test."""
     tiers: dict[str, dict[type, dict[str, Any]]] = {"interpreted": {}, "compiled": {}}
     for cls in document_types():
         for name in METHODS:
             monkeypatch.setattr(cls, name, cls.__dict__[name])
         interpreted, compiled = _codec(cls, hot=0)  # never compiles itself
         tiers["interpreted"][cls] = interpreted
-        tiers["compiled"][cls] = {name: compiled(name) for name in METHODS}
+        tiers["compiled"][cls] = {name: compiled() for name in METHODS}
 
     def use(tier: str) -> None:
         for cls, methods in tiers[tier].items():

@@ -136,9 +136,9 @@ def walk(cls):
         yield from walk(sub)
 def compiled():
     return sorted(f"{cls.__name__}.{name}" for cls in walk(Value)
-                  for name in ("__init__", "_encode", "_decode")
-                  if getattr(cls.__dict__.get(name), "__code__", None) is not None
-                  and cls.__dict__[name].__code__.co_filename.startswith("<codec "))
+                  for name, method in vars(cls).items()
+                  if getattr(method, "__code__", None) is not None
+                  and method.__code__.co_filename.startswith("<codec "))
 """
 
 
@@ -220,13 +220,28 @@ def test_a_fixture_assess_runs_every_codec_interpreted():
     assert compiled and all(name.endswith(".__init__") for name in compiled)
 
 
-def test_a_wide_assess_compiles_the_decoders_of_its_hot_classes(tmp_path, monkeypatch):
+@pytest.fixture
+def wide_300(tmp_path, monkeypatch):
+    """The bench's 300-node ``wide`` bundle, seed 7."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     workloads = importlib.import_module("workloads")
     (bundle,) = workloads.make_bundles("wide", 7, tmp_path, FIXTURES_DIR, nodes=300)
-    compiled, _ = fresh(COMPILED_BY_COMMAND, "assess", str(bundle.lineage), str(bundle.interpretations))
+    return bundle
+
+
+def test_a_wide_assess_compiles_the_decoders_of_its_hot_classes(wide_300):
+    args = ("assess", str(wide_300.lineage), str(wide_300.interpretations))
+    compiled, _ = fresh(COMPILED_BY_COMMAND, *args)
     hot = ("ProvenanceRecord", "_InterpretationDocument", "RightsVector", "LicenseMetadata")
     assert {f"{name}._decode" for name in hot} <= set(compiled)
+
+
+def test_a_wide_json_lineage_compiles_its_record_decoder_but_no_encoder(wide_300):
+    """Only decoding has a compiled tier: a JSON ``lineage`` reads and writes
+    each of 300 records, more than ``_HOT``, and compiles no ``_encode``."""
+    compiled, _ = fresh(COMPILED_BY_COMMAND, "--format", "json", "lineage", str(wide_300.lineage))
+    assert "ProvenanceRecord._decode" in compiled
+    assert [name for name in compiled if name.endswith("._encode")] == []
 
 
 def test_first_lenient_decode_warns_at_its_caller():

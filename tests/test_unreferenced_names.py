@@ -1,5 +1,5 @@
-"""Every module-level function and class in ``src/dla`` has a caller, and
-every name a module imports is used.
+"""Every module-level function, class and assigned name in ``src/dla`` is
+read somewhere, and every name a module imports is used.
 
 A name that no code in ``src/dla`` or ``bench/`` refers to, and that ``dla``
 does not export, is API that nothing calls, or that only tests call; delete
@@ -24,21 +24,36 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def defined_names(module: ast.Module) -> list[str]:
+    """The names a module's own statements define: each undecorated function
+    and class, and each target of an assignment, but dunders."""
+    names = []
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and not name.id.startswith("__")
+            ]
+    return names
+
+
 def test_every_module_level_definition_is_referenced():
+    """Only a read counts, so an assignment does not refer to its own target."""
     referenced = {
         node.id if isinstance(node, ast.Name) else node.attr
         for path in SOURCES + BENCH
         for node in ast.walk(parse(path))
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     unreferenced = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path in SOURCES
-        for node in parse(path).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.decorator_list
-        and node.name not in referenced
-        and node.name not in dla.__all__
+        for name in defined_names(parse(path))
+        if name not in referenced and name not in dla.__all__
     ]
     assert unreferenced == []
 
