@@ -113,6 +113,15 @@ def assess_all(
     )
 
 
+# A pipe would end a markdown table cell, and a line break the row or heading.
+_MARKDOWN_TEXT = str.maketrans({"|": "\\|", "\n": " ", "\r": " "})
+
+
+def _markdown_text(text: str) -> str:
+    """``text`` for a markdown table cell or heading: ``|`` written ``\\|``, a line break a space."""
+    return text.translate(_MARKDOWN_TEXT)
+
+
 def render_cell(row: AssessmentRow) -> str:
     """A table cell in the report style: ``Yes(C+D)``, ``Yes``, or ``No``."""
     if not row.permitted:
@@ -135,13 +144,13 @@ def render_markdown(table: AssessmentTable, verified: VerifiedLicense) -> str:
     legend, the changed-rights diff with restrictor attribution, and the
     residual-risk flags."""
     lines: list[str] = []
-    lines.append(f"# License compliance assessment: {table.dataset_name}")
+    lines.append(f"# License compliance assessment: {_markdown_text(table.dataset_name)}")
     lines.append("")
     header = ["Dataset"] + [row.scenario_id for row in table.rows]
-    lines.append("| " + " | ".join(header) + " |")
+    lines.append("| " + " | ".join(map(_markdown_text, header)) + " |")
     lines.append("|" + " --- |" * len(header))
     cells = [table.dataset_name] + [render_cell(row) for row in table.rows]
-    lines.append("| " + " | ".join(cells) + " |")
+    lines.append("| " + " | ".join(map(_markdown_text, cells)) + " |")
 
     if table.obligation_legend:
         lines.append("")
@@ -184,7 +193,7 @@ def render_rights_markdown(verified: VerifiedLicense, dataset_name: str | None =
     """Markdown view of a verified license: per-right grant, obligations, and
     the sources that forced a denial."""
     name = dataset_name or verified.root_id
-    lines = [f"# Verified license: {name}", ""]
+    lines = [f"# Verified license: {_markdown_text(name)}", ""]
     lines.append("| Right | Grant | Obligations | Restricted by |")
     lines.append("| --- | --- | --- | --- |")
     for right, entry in verified.rights.items():
@@ -193,7 +202,8 @@ def render_rights_markdown(verified: VerifiedLicense, dataset_name: str | None =
             grant += " (changed)"
         obligations = "+".join(o.id for o in entry.obligations) or "-"
         restrictors = ", ".join(verified.restrictors.get(right, ())) or "-"
-        lines.append(f"| {right} | {grant} | {obligations} | {restrictors} |")
+        cells = (right, grant, obligations, restrictors)
+        lines.append("| " + " | ".join(map(_markdown_text, cells)) + " |")
     lines += _residual_risk(verified)
     lines.append("")
     return "\n".join(lines)

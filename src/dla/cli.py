@@ -354,8 +354,8 @@ def _run(args: Sequence[str] | None = None) -> NoReturn:
     python_format = warnings.formatwarning
 
     def format_warning(message: Any, category: type[Warning], *where: Any) -> str:
-        # Python's format names the file and line that warned, which for
-        # a compiled decoder is no file an operator can open.
+        # Python's format names the file and line that warned: dla's own
+        # source, which says nothing about the input an operator gave.
         if issubclass(category, DlaWarning):
             return f"warning: {message}\n"
         return python_format(message, category, *where)

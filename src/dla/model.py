@@ -7,6 +7,8 @@ A value's ``__init__`` is compiled per class on first use (:class:`_Compiled`),
 so importing compiles nothing. A document's ``_encode`` is interpreted; its
 ``_decode`` is too, until its ``_HOT``-th (100th) call in the process compiles
 it, so a class a run decodes a few times never pays for ``compile()``.
+Only that per-class frame is compiled: each field's decoder is one function,
+which both tiers call.
 A value gets its fields by one of two paths: its
 ``__init__``, which a copy made by :func:`replace` also calls,
 or, for a document read from JSON, its ``_decode``, which builds the value
@@ -114,8 +116,9 @@ class _Compiled:
     """A method made from the fields of the class it is first looked up
     through (:func:`_define`), which puts it in the descriptor's place:
     ``__init__`` compiled; ``_encode`` interpreted; ``_decode`` interpreted
-    until its ``_HOT``-th (100th) call compiles it. Each class holds its own
-    descriptors, so one made for a base is no subclass's."""
+    until its ``_HOT``-th (100th) call compiles its frame, which calls the
+    same field decoders. Each class holds its own descriptors, so one made
+    for a base is no subclass's."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -248,87 +251,64 @@ def _unknown_fields(path: DocPath, data: Mapping, known: frozenset, strict: bool
     )
 
 
-# What compiled codecs call, and __name__, so their warnings filter as this module's.
+# What compiled decoder frames call, and __name__, which makes them this module's functions.
 _CODEC_SCOPE = {"__name__": __name__, "Mapping": collections.abc.Mapping} | {
-    f.__name__: f for f in (wrong_type, _bad_member, _unknown_fields, parse_error, _memo_key)
+    f.__name__: f for f in (wrong_type, _unknown_fields, parse_error)
 }
 
 
 def _field_codec(
-    tp: Any, path: str, scope: dict[str, Any], depth: int = 0, optional: bool = False,
-    x: str | None = None,
-) -> tuple[str, Callable[[Any, DocPath, bool], Any], Callable[[Any], Any] | None]:
-    """One walk of a field type, case by case: the source of an expression that decodes
-    the variable ``x`` (``x<depth>`` by default), a JSON value not None, at the document
-    path ``path``, using names put in ``scope``; then the functions ``decode(x, path,
-    strict)``, which does the same, and ``encode(value)``, which writes a value as JSON
-    (None when it is JSON already)."""
+    tp: Any, nested: bool = False, optional: bool = False
+) -> tuple[Callable[[Any, DocPath, bool], Any], Callable[[Any], Any] | None]:
+    """One walk of a field type, case by case: the functions ``decode(x, path,
+    strict)``, which reads a JSON value, not None unless ``nested``, found at the
+    document path ``path``, and ``encode(value)``, which writes a value as JSON
+    (None when it is JSON already). Both tiers of a class's ``_decode`` call the
+    same ``decode``."""
     origin, args = get_origin(tp), get_args(tp)
-    x = x or f"x{depth}"
     if origin in (Union, types.UnionType) and type(None) in args:
         (inner,) = [a for a in args if a is not type(None)]
-        decoded, dec, enc = _field_codec(inner, path, scope, depth, optional=True, x=x)
-        # A field's own value (depth 0) is decoded only when it is not None.
-        guard = "" if depth == 0 else f"None if {x} is None else "
+        dec, enc = _field_codec(inner, nested, optional=True)
         return (
-            f"({guard}{decoded})",
-            dec if depth == 0 else lambda y, p, s: None if y is None else dec(y, p, s),
+            # A field's own value is decoded only when it is not None.
+            (lambda y, p, s: None if y is None else dec(y, p, s)) if nested else dec,
             enc and (lambda v: None if v is None else enc(v)),
         )
     if tp in _SCALAR_NAMES:
         expected = _SCALAR_NAMES[tp] + (" or null" if optional else "")
         refused = bool if tp is int else None  # bool is a subclass of int, but never an integer here
-        test = f"isinstance({x}, {tp.__name__})" + (f" and {x}.__class__ is not bool" if refused else "")
-        dec = lambda y, p, s: (
-            y if isinstance(y, tp) and y.__class__ is not refused else wrong_type(p, expected, y))
-        return f"({x} if {test} else wrong_type({path}, {expected!r}, {x}))", dec, None
+        return lambda y, p, s: (
+            y if isinstance(y, tp) and y.__class__ is not refused else wrong_type(p, expected, y)), None
     if isinstance(tp, type) and issubclass(tp, Enum):
-        members = f"members_{tp.__name__}"
-        scope[members] = values = {m.value: m for m in tp}
-        decoded = f"{members}[{x}] if isinstance({x}, str) and {x} in {members}"
+        values = {m.value: m for m in tp}
         return (
-            f"({decoded} else _bad_member({path}, {x}, {members}))",
             lambda y, p, s: values[y] if isinstance(y, str) and y in values else _bad_member(p, y, values),
             lambda v: v.value,
         )
-    item, ipath = f"x{depth + 1}", f"({path}, i{depth})"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        decoded, dec, enc = _field_codec(args[0], ipath, scope, depth + 1)
+        dec, enc = _field_codec(args[0], nested=True)
         return (
-            f"(tuple([{decoded} for i{depth}, {item} in enumerate({x})]) "
-            f"if isinstance({x}, (list, tuple)) else wrong_type({path}, 'array', {x}))",
             lambda y, p, s: tuple([dec(z, (p, i), s) for i, z in enumerate(y)])
             if isinstance(y, (list, tuple)) else wrong_type(p, "array", y),
             list if enc is None else lambda v: [enc(z) for z in v],
         )
     if origin is collections.abc.Mapping and args[0] is str:
-        decoded, dec, enc = _field_codec(args[1], ipath, scope, depth + 1)
+        dec, enc = _field_codec(args[1], nested=True)
         return (
-            f"({{i{depth}: {decoded} for i{depth}, {item} in {x}.items()}} "
-            f"if {x}.__class__ is dict or isinstance({x}, Mapping) "
-            f"else wrong_type({path}, 'object', {x}))",
             lambda y, p, s: {k: dec(z, (p, k), s) for k, z in y.items()}
             if y.__class__ is dict or isinstance(y, Mapping) else wrong_type(p, "object", y),
             dict if enc is None else lambda v: {k: enc(z) for k, z in v.items()},
         )
     if isinstance(tp, type) and issubclass(tp, Document):
-        name = tp.__name__
-        scope[f"doc_{name}"] = tp
         # Decoded through from_dict, so a wrapped from_dict sees every call but a
         # hit in a shared class's memo, which is served here, without the call or
         # the document path it would be given; a miss marshals twice.
-        decoded = f"doc_{name}.from_dict({x}, {path}, strict)"
         if (memo := tp._shared) is None:
             dec = lambda y, p, s: tp.from_dict(y, p, s)
         else:
-            scope[f"shared_{name}"] = memo
-            decoded = f"(hit if (hit := shared_{name}.get(_memo_key({x}))) is not None else {decoded})"
             dec = lambda y, p, s: (
                 hit if (hit := memo.get(_memo_key(y))) is not None else tp.from_dict(y, p, s))
-        # A nested document's warning names the frame that called its from_dict,
-        # in either tier a file named for the codec's own class.
-        dec.__code__ = dec.__code__.replace(co_filename=f"<codec {scope['cls'].__name__}>")
-        return decoded, dec, lambda v: tp._encode(v)
+        return dec, lambda v: tp._encode(v)
     raise TypeError(f"no document codec for type {tp!r}")
 
 
@@ -385,10 +365,11 @@ def _layout(cls: type) -> tuple:
 
 def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[], Callable]]:
     """A document class's ``_decode`` and ``_encode``, by name, from one walk of its
-    fields, and ``compiled()``, which compiles ``_decode`` and puts it on the class;
-    the interpreted ``_decode`` runs it at its ``hot``-th call (none, for 0).
-    ``_decode`` checks the object and its unknown fields, reads each field once, checks
-    the missing ones, then decodes each in declaration order, null meaning its default."""
+    fields, and ``compiled()``, which compiles a ``_decode`` frame over the same field
+    decoders and puts it on the class; the interpreted ``_decode`` runs it at its
+    ``hot``-th call (none, for 0). ``_decode`` checks the object and its unknown fields
+    and the missing ones, then reads each field in declaration order: null means its
+    default, and a value of the field's exact scalar type, if any, is kept as it is."""
     declared, defaults, hooks, scope, store = _layout(cls)
     required = tuple(f for f in declared if f not in defaults)
     known, post_init = frozenset(declared), hasattr(cls, "__post_init__")
@@ -409,18 +390,21 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[]
         ]
     namespace = vars(sys.modules[cls.__module__])
     for f in declared:
-        path, raw = f"(path, {f!r})", f"v_{f}"
         # Annotations are strings; eval costs a third of what get_type_hints does.
         if (key := (cls.__module__, cls.__annotations__[f])) not in _evaluated:
             _evaluated[key] = eval(key[1], namespace)
-        decoded, dec, enc = _field_codec(_evaluated[key], path, scope, x=raw)
+        tp, v = _evaluated[key], f"v_{f}"
+        dec, enc = _field_codec(tp)
+        exact = next((t for t in _SCALAR_NAMES if tp in (t, t | None)), None)
         if f in hooks:
-            scope[f"decode_hook_{f}"] = hook = hooks[f]
-            decoded, dec = f"decode_hook_{f}({raw}, {path})", lambda y, p, s, hook=hook: hook(y, p)
+            dec, exact = (lambda y, p, s, hook=hooks[f]: hook(y, p)), None
+        scope[f"__decode_{f}"], decoded = dec, f"__decode_{f}({v}, (path, {f!r}), strict)"
+        if exact is not None:
+            decoded = f"{v} if {v}.__class__ is {exact.__name__} else {decoded}"
         if f in defaults:
-            decoded = f"__default_{f} if {raw} is None else {decoded}"
+            decoded = f"__default_{f} if {v} is None else {decoded}"
         decoded_fields.append(decoded)
-        codecs.append((f, defaults.get(f), dec, enc))
+        codecs.append((f, defaults.get(f), exact, dec, enc))
     decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
     decodes = itertools.count(1)
 
@@ -434,18 +418,19 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[]
             wrong_type(path, "object", data)
         if not known.issuperset(data):
             _unknown_fields(path, data, known, strict)
-        raw = [data.get(f) for f in declared]
-        if missing := sorted(f for f, v in zip(declared, raw) if v is None and f not in defaults):
+        if None in map(data.get, required):
+            missing = sorted(f for f in required if data.get(f) is None)
             parse_error(path, f"missing required fields: {missing}")
         self = object.__new__(cls)
-        object.__setattr__(self, "__dict__", {f: default if v is None else dec(v, (path, f), strict)
-                                              for (f, default, dec, _), v in zip(codecs, raw)})
+        object.__setattr__(self, "__dict__", {
+            f: default if (v := data.get(f)) is None else v if v.__class__ is exact
+            else dec(v, (path, f), strict) for f, default, exact, dec, _ in codecs})
         if post_init:
             self.__post_init__()
         return self
 
     def _encode(self: Any) -> dict[str, Any]:
-        return {f: getattr(self, f) if enc is None else enc(getattr(self, f)) for f, _, _, enc in codecs}
+        return {f: getattr(self, f) if enc is None else enc(getattr(self, f)) for f, _, _, _, enc in codecs}
 
     _decode.__qualname__, _encode.__qualname__ = f"{cls.__name__}._decode", f"{cls.__name__}._encode"
     return {"_decode": _decode, "_encode": _encode}, compiled
@@ -455,14 +440,14 @@ class Document(Value):
     """Base of every JSON document type: ``to_dict`` writes the fields in
     declaration order; ``from_dict`` reads them back, type-checked,
     with null meaning the field's default. Each class's ``_encode`` is
-    interpreted, and its ``_decode`` too for ``_HOT`` (100) calls, then
-    compiled, with the same values, errors and warnings (:func:`_codec`);
-    ``from_dict`` calls ``_decode`` directly, so a warning names its caller.
-    ``_decode`` reads each field once and builds the value itself, the one
-    way besides ``__init__`` to build a value: one ``__dict__`` store and
-    ``__post_init__``, with no ``__init__`` call. A nested document is
-    decoded through its class's ``from_dict``, but for a hit in a shared
-    class's memo, which the caller serves itself.
+    interpreted, and its ``_decode`` too for ``_HOT`` (100) calls, then a
+    compiled frame over the same field decoders, so both tiers give the
+    same values, errors and warnings (:func:`_codec`); ``from_dict`` calls
+    ``_decode`` directly, so a warning names its caller. ``_decode`` builds
+    the value itself, the one way besides ``__init__`` to build a value:
+    one ``__dict__`` store and ``__post_init__``, with no ``__init__`` call.
+    A nested document is decoded through its class's ``from_dict``, but for
+    a hit in a shared class's memo, which its field decoder serves itself.
 
     A subclass names the root of its error paths, as in
     ``class Digest(Document, path="digest")``. With ``shared=True``, equal

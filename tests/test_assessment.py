@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import shutil
 
 import pytest
 
 from dla import UsageScenario, assess, assess_all, default_scenarios, verify
-from dla.assessment import load_scenarios, render_cell, render_markdown
+from dla.assessment import load_scenarios, render_cell, render_markdown, render_rights_markdown
 from dla.errors import DuplicateScenario, UnknownRight
 from dla.model import Grant, Obligation, ObligationKind, RightEntry, VerifiedLicense, replace
 
-from helpers import DIGEST, load_bundle, random_case
+from helpers import DIGEST, FIXTURES_DIR, load_bundle, random_case, run_cli
 
 
 def verified_for(bundle: str):
@@ -185,3 +188,47 @@ class TestMarkdown:
         verified, graph = verified_for("cifar-10")
         table = assess_all(verified, default_scenarios(), dataset_name=graph.root.dataset_name)
         assert render_markdown(table, verified) == render_markdown(table, verified)
+
+
+def table_rows(text: str) -> list[list[str]]:
+    """The cells of each markdown table row, split at the pipes not escaped."""
+    return [re.split(r"(?<!\\)\|", line)[1:-1] for line in text.splitlines() if line.startswith("|")]
+
+
+class TestMarkdownText:
+    """A pipe or a line break in a name stays inside its table cell or heading."""
+
+    def test_a_dataset_name_with_a_pipe_keeps_its_row(self, tmp_path):
+        bundle = shutil.copytree(FIXTURES_DIR / "cifar-10", tmp_path / "cifar-10")
+        lineage = json.loads((bundle / "lineage.json").read_text(encoding="utf-8"))
+        lineage["records"][0]["dataset_name"] = "CIFAR | 10"
+        (bundle / "lineage.json").write_text(json.dumps(lineage), encoding="utf-8")
+        result = run_cli("assess", bundle / "lineage.json", bundle / "interpretations")
+        assert result.exit_code == 3
+        lines = result.stdout.splitlines()
+        assert lines[0] == "# License compliance assessment: CIFAR \\| 10"
+        assert "| CIFAR \\| 10 | No | No | No |" in lines
+        assert [len(row) for row in table_rows(result.stdout)] == [4, 4, 4]
+
+    def test_scenario_and_obligation_ids_stay_in_their_cells(self):
+        verified, _ = verified_for("ffhq")
+        entry = RightEntry(Grant.GRANTED, (Obligation("o|1", "owed", ObligationKind.CITE),))
+        verified = replace(verified, rights={**verified.rights, "Distribute": entry})
+        scenarios = [UsageScenario(id="D|D", required_rights=("Distribute",)),
+                     UsageScenario(id="two\nlines", required_rights=("Research",))]
+        text = render_markdown(assess_all(verified, scenarios, "FF|HQ\r\nv2"), verified)
+        assert text.splitlines()[0] == "# License compliance assessment: FF\\|HQ  v2"
+        assert table_rows(text) == [
+            [" Dataset ", " D\\|D ", " two lines "], [" --- "] * 3,
+            [" FF\\|HQ  v2 ", " Yes(o\\|1) ", " Yes(C) "],
+        ]
+
+    def test_verified_rights_with_pipes_keep_four_columns(self):
+        verified, _ = verified_for("cifar-10")
+        entry = RightEntry(Grant.DENIED, (Obligation("ob|1", "owed", ObligationKind.CITE),))
+        verified = replace(verified, rights={**verified.rights, "Custom|right\n": entry},
+                           restrictors={**verified.restrictors, "Custom|right\n": ("src|a", "b")})
+        text = render_rights_markdown(verified, "name|\nhere")
+        assert text.splitlines()[0] == "# Verified license: name\\| here"
+        assert {len(row) for row in table_rows(text)} == {4}
+        assert "| Custom\\|right  | denied | ob\\|1 | src\\|a, b |" in text.splitlines()

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dla.model
 from dla import (
     Digest,
     Grant,
@@ -68,6 +69,7 @@ from dla.model import (
 from dla.resources import templates_dir
 
 from helpers import BUNDLE_NAMES, bundle_paths, read_bundle, record_for
+from test_codec_tiers import use_tier  # noqa: F401 (a fixture)
 
 
 def cifar_record() -> ProvenanceRecord:
@@ -303,6 +305,21 @@ def test_compiled_codecs_are_named_for_their_class():
     function = RightEntry.__dict__["_decode"]
     assert function.__code__.co_filename == "<codec RightEntry>"
     assert (function.__name__, function.__qualname__) == ("_decode", "RightEntry._decode")
+
+
+@pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+def test_a_nested_warning_names_the_field_decoder_both_tiers_share(tier, use_tier):
+    """A nested document's unknown-field warning names the caller of its
+    ``from_dict``: in either tier, the field decoder in ``dla.model``."""
+    use_tier(tier)
+    doc = template_vector_doc()
+    doc["metadata"]["bonus"] = 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        RightsVector.from_dict(doc, strict=False)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (UnknownFieldWarning, "vector.metadata: ignoring unknown fields ['bonus']", dla.model.__file__)
+    ]
 
 
 class Subdict(dict):

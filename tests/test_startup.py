@@ -75,6 +75,11 @@ def test_dir_lists_every_exported_name_before_any_is_imported():
     assert [name for name in dla.__all__ if name not in names] == []
 
 
+def test_dir_in_process_is_sorted_and_lists_every_exported_name():
+    names = dir(dla)
+    assert names == sorted(names) and [name for name in dla.__all__ if name not in names] == []
+
+
 def test_unknown_name_raises_attribute_error_naming_the_package():
     with pytest.raises(AttributeError, match="module 'dla' has no attribute 'no_such_name'"):
         dla.no_such_name  # noqa: B018
@@ -140,6 +145,39 @@ def compiled():
                   if getattr(method, "__code__", None) is not None
                   and method.__code__.co_filename.startswith("<codec "))
 """
+
+
+def test_a_field_type_with_no_codec_is_refused_on_first_decode():
+    """A fresh interpreter, so the class does not join this process's document types."""
+    code = """
+from __future__ import annotations
+import json
+from dla.model import Document
+class Reading(Document, path="reading"):
+    value: float
+try:
+    Reading.from_dict({"value": 1.5})
+except TypeError as exc:
+    print(json.dumps(str(exc)))
+"""
+    message, _ = fresh(code)
+    assert message == "no document codec for type <class 'float'>"
+
+
+def test_a_decode_hook_reads_a_scalar_field_in_both_tiers():
+    """A hook decodes its field even when the value already has the field's type."""
+    code = """
+from __future__ import annotations
+import json
+from dla.model import Document, _codec, codec_field
+class Shout(Document, path="shout"):
+    word: str = codec_field(decode=lambda value, path: value.upper())
+interpreted, compiled = _codec(Shout, hot=0)
+print(json.dumps([decode({"word": "hi"}, "shout", True).word
+                  for decode in (interpreted["_decode"], compiled())]))
+"""
+    words, _ = fresh(code)
+    assert words == ["HI", "HI"]
 
 
 def test_import_compiles_no_method_of_a_value_class():
