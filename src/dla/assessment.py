@@ -10,7 +10,7 @@ output) needs CommercializeOutput.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DuplicateScenario, ParseError, UnknownRight
 from .jsonio import read_json
@@ -113,13 +113,24 @@ def assess_all(
     )
 
 
-# A pipe would end a markdown table cell, and a line break the row or heading.
+# A pipe would end a markdown table cell, and a line break the row, item or line.
 _MARKDOWN_TEXT = str.maketrans({"|": "\\|", "\n": " ", "\r": " "})
 
 
 def _markdown_text(text: str) -> str:
-    """``text`` for a markdown table cell or heading: ``|`` written ``\\|``, a line break a space."""
+    """``text`` for one markdown line: ``|`` written ``\\|``, a line break a space."""
     return text.translate(_MARKDOWN_TEXT)
+
+
+def _row(cells: Iterable[str]) -> str:
+    """One markdown table row of ``cells``, each escaped."""
+    return "| " + " | ".join(map(_markdown_text, cells)) + " |"
+
+
+def _block(title: str, items: Iterable[str] = ()) -> list[str]:
+    """A blank line, the line ``title``, then a ``- `` list item for each of
+    ``items``; each line escaped."""
+    return ["", _markdown_text(title), *("- " + _markdown_text(item) for item in items)]
 
 
 def render_cell(row: AssessmentRow) -> str:
@@ -136,57 +147,36 @@ def _residual_risk(verified: VerifiedLicense) -> list[str]:
     if not verified.residual_risk_flags:
         return []
     flags = ", ".join(verified.residual_risk_flags)
-    return ["", f"Residual risk (license content unavailable, not checked): {flags}"]
+    return _block(f"Residual risk (license content unavailable, not checked): {flags}")
 
 
 def render_markdown(table: AssessmentTable, verified: VerifiedLicense) -> str:
     """Markdown report: one scenario-per-column table row, the obligation
     legend, the changed-rights diff with restrictor attribution, and the
     residual-risk flags."""
-    lines: list[str] = []
-    lines.append(f"# License compliance assessment: {_markdown_text(table.dataset_name)}")
-    lines.append("")
     header = ["Dataset"] + [row.scenario_id for row in table.rows]
-    lines.append("| " + " | ".join(map(_markdown_text, header)) + " |")
-    lines.append("|" + " --- |" * len(header))
     cells = [table.dataset_name] + [render_cell(row) for row in table.rows]
-    lines.append("| " + " | ".join(map(_markdown_text, cells)) + " |")
-
+    lines = [f"# License compliance assessment: {_markdown_text(table.dataset_name)}", ""]
+    lines += [_row(header), _row(["---"] * len(header)), _row(cells)]
     if table.obligation_legend:
-        lines.append("")
-        lines.append("Obligations:")
-        for oid, obligation in table.obligation_legend.items():
-            lines.append(f"- {oid} - {obligation.text}")
-
-    blocking = [(row.scenario_id, row.blocking_rights) for row in table.rows if not row.permitted]
-    if blocking:
-        lines.append("")
-        lines.append("Blocked scenarios:")
-        for scenario_id, rights in blocking:
-            for b in rights:
-                if b.restrictors:
-                    lines.append(f"- {scenario_id}: {b.right} denied by {', '.join(b.restrictors)}")
-                else:
-                    lines.append(f"- {scenario_id}: {b.right} not granted by the dataset license")
-
+        legend = table.obligation_legend.items()
+        lines += _block("Obligations:", (f"{oid} - {o.text}" for oid, o in legend))
+    if any(not row.permitted for row in table.rows):
+        lines += _block("Blocked scenarios:", (
+            f"{row.scenario_id}: {b.right} denied by {', '.join(b.restrictors)}" if b.restrictors
+            else f"{row.scenario_id}: {b.right} not granted by the dataset license"
+            for row in table.rows if not row.permitted for b in row.blocking_rights
+        ))
     if verified.changed:
-        lines.append("")
-        lines.append("Rights changed by source licenses:")
-        for right in verified.changed:
-            restrictors = verified.restrictors.get(right, ())
-            who = ", ".join(restrictors) if restrictors else "(policy)"
-            lines.append(f"- {right}: denied by {who}")
+        lines += _block("Rights changed by source licenses:", (
+            f"{right}: denied by {', '.join(verified.restrictors.get(right, ())) or '(policy)'}"
+            for right in verified.changed
+        ))
     lines += _residual_risk(verified)
-
     if table.advisory_obligations:
-        lines.append("")
-        lines.append(
-            "Note: granted rights outside the requested scenarios carry obligations "
-            + "+".join(table.advisory_obligations)
-            + " (see legend)."
-        )
-    lines.append("")
-    return "\n".join(lines)
+        lines += _block("Note: granted rights outside the requested scenarios carry obligations "
+                        + "+".join(table.advisory_obligations) + " (see legend).")
+    return "\n".join(lines + [""])
 
 
 def render_rights_markdown(verified: VerifiedLicense, dataset_name: str | None = None) -> str:
@@ -194,16 +184,12 @@ def render_rights_markdown(verified: VerifiedLicense, dataset_name: str | None =
     the sources that forced a denial."""
     name = dataset_name or verified.root_id
     lines = [f"# Verified license: {_markdown_text(name)}", ""]
-    lines.append("| Right | Grant | Obligations | Restricted by |")
-    lines.append("| --- | --- | --- | --- |")
+    lines += [_row(["Right", "Grant", "Obligations", "Restricted by"]), _row(["---"] * 4)]
     for right, entry in verified.rights.items():
         grant = entry.grant.value
         if right in verified.changed:
             grant += " (changed)"
         obligations = "+".join(o.id for o in entry.obligations) or "-"
         restrictors = ", ".join(verified.restrictors.get(right, ())) or "-"
-        cells = (right, grant, obligations, restrictors)
-        lines.append("| " + " | ".join(map(_markdown_text, cells)) + " |")
-    lines += _residual_risk(verified)
-    lines.append("")
-    return "\n".join(lines)
+        lines.append(_row([right, grant, obligations, restrictors]))
+    return "\n".join(lines + _residual_risk(verified) + [""])

@@ -54,7 +54,7 @@ def _decode_edges(value: Any, path: DocPath) -> tuple[tuple[str, ...], ...]:
     for i, edge in enumerate(value):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             parse_error((path, i), "expected [parent_id, child_id] pair")
-        edges.append(decode_names(edge, (path, i)))
+        edges.append(decode_names(edge, (path, i), True))
     return _CheckedEdges(edges)
 
 

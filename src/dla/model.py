@@ -773,17 +773,12 @@ class VerifiedLicense(Document, path="verified"):
 # ---------------------------------------------------------------------------
 
 
-def decode_names(value: Any, path: DocPath) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)):
-        wrong_type(path, "array", value)
-    for i, name in enumerate(value):
-        if not isinstance(name, str):
-            wrong_type((path, i), "string", name)
-    return tuple(value)
+# ``decode_names(value, path, strict)``: an array of strings, as a tuple.
+decode_names = _field_codec(tuple[str, ...])[0]
 
 
 def _decode_required_rights(value: Any, path: DocPath) -> tuple[str, ...]:
-    rights = decode_names(value, path)
+    rights = decode_names(value, path, True)
     if not rights:
         parse_error(path, "must be a nonempty array")
     return rights

@@ -232,3 +232,129 @@ class TestMarkdownText:
         assert text.splitlines()[0] == "# Verified license: name\\| here"
         assert {len(row) for row in table_rows(text)} == {4}
         assert "| Custom\\|right  | denied | ob\\|1 | src\\|a, b |" in text.splitlines()
+
+
+def odd(name: str) -> str:
+    """``name`` with a pipe, a carriage return, a line feed and a heading mark in it."""
+    return f"{name}|\r\n# {name}"
+
+
+def odd_md(name: str) -> str:
+    """``odd(name)`` as a markdown report writes it."""
+    return f"{name}\\|  # {name}"
+
+
+# The odd names the two tests below give the cifar-10 analysis.
+ODD_IDS = {"google": odd("google"), "80-million-tiny-images": odd("tiny")}
+ODD_SCENARIOS = [UsageScenario(id=odd("DD"), required_rights=("Distribute",)),
+                 UsageScenario(id=odd("R"), required_rights=("Research",)),
+                 UsageScenario(id=odd("C"), required_rights=(odd("Custom"),))]
+# The sources that deny every right cifar-10's sources change, as the reports write them.
+ODD_SOURCES = f"altavista, ask, flickr, {odd_md('google')}, picsearch, webshots"
+
+
+def report_blocks(text: str) -> list[list[str]]:
+    """The output lines of a markdown report, in the blocks its blank lines part."""
+    blocks: list[list[str]] = [[]]
+    for line in text.splitlines():
+        if line:
+            blocks[-1].append(line)
+        else:
+            blocks.append([])
+    return blocks
+
+
+def assert_one_line_each(assessment: dict, verified: dict, text: str) -> None:
+    """In ``render_markdown``'s ``text``, each legend item, blocked-scenario
+    line, rights-changed line, residual-risk line and note line is one output
+    line, and no line but the first starts with ``#``."""
+    lines = text.splitlines()
+    assert [line for line in lines if line.startswith("#")] == lines[:1]
+    heading, table, *blocks = report_blocks(text)
+    assert (len(heading), len(table)) == (1, 3)
+    rows = assessment["rows"]
+    assert {len(row) for row in table_rows(text)} == {1 + len(rows)}
+    blocked = [b for row in rows if not row["permitted"] for b in row["blocking_rights"]]
+    expected = [("Obligations:", len(assessment["obligation_legend"])),
+                ("Blocked scenarios:", len(blocked)),
+                ("Rights changed by source licenses:", len(verified["changed"])),
+                ("Residual risk (license content unavailable, not checked): ", 0),
+                ("Note: granted rights outside the requested scenarios carry obligations ", 0)]
+    titles = [title for title, _ in expected]
+    assert [(block[0][:len(t)], len(block) - 1) for block, t in zip(blocks, titles)] == expected
+    assert len(blocks) == len(expected)
+    assert all(line.startswith("- ") for block in blocks for line in block[1:])
+    assert f"- {odd_md('cite')} - {odd_md('owed')}" in lines
+    assert f"- {odd_md('C')}: {odd_md('Custom')} denied by {ODD_SOURCES}" in lines
+
+
+def assert_rights_one_line_each(verified: dict, text: str) -> None:
+    """In ``render_rights_markdown``'s ``text``, each right is one table row of
+    four cells, the residual-risk line is one output line, and no line but the
+    first starts with ``#``."""
+    lines = text.splitlines()
+    assert [line for line in lines if line.startswith("#")] == lines[:1]
+    heading, table, residual = report_blocks(text)
+    assert (len(heading), len(table)) == (1, 2 + len(verified["rights"]))
+    assert {len(row) for row in table_rows(text)} == {4}
+    assert residual == [
+        f"Residual risk (license content unavailable, not checked): cydral, {odd_md('tiny')}"
+    ]
+    assert f"| {odd_md('Custom')} | denied (changed) | - | {ODD_SOURCES} |" in lines
+
+
+class TestMarkdownLines:
+    """Input text with a pipe or a line break stays inside its own cell, item or
+    line in every part of both reports, so none starts a markdown heading."""
+
+    def test_odd_names_keep_their_lines_in_process(self):
+        verified, graph = verified_for("cifar-10")
+        owed = (Obligation(odd("cite"), odd("owed"), ObligationKind.CITE),)
+        rights = {name: replace(entry, obligations=owed) for name, entry in verified.rights.items()}
+        restrictors = {name: tuple(ODD_IDS.get(s, s) for s in sources)
+                       for name, sources in verified.restrictors.items()}
+        flags = verified.residual_risk_flags
+        verified = replace(
+            verified,
+            rights={**rights, odd("Custom"): RightEntry(Grant.DENIED)},
+            restrictors={**restrictors, odd("Custom"): restrictors["Distribute"]},
+            changed=(*verified.changed, odd("Custom")),
+            residual_risk_flags=tuple(sorted(ODD_IDS.get(n, n) for n in flags)),
+        )
+        table = assess_all(verified, ODD_SCENARIOS, graph.root.dataset_name)
+        assert_one_line_each(table.to_dict(), verified.to_dict(), render_markdown(table, verified))
+        assert_rights_one_line_each(verified.to_dict(), render_rights_markdown(verified))
+
+    def test_odd_names_keep_their_lines_through_the_cli(self, tmp_path):
+        bundle = shutil.copytree(FIXTURES_DIR / "cifar-10", tmp_path / "cifar-10")
+        lineage_path, interp = bundle / "lineage.json", bundle / "interpretations"
+        lineage = json.loads(lineage_path.read_text(encoding="utf-8"))
+        for record in lineage["records"]:
+            record["subject_id"] = ODD_IDS.get(record["subject_id"], record["subject_id"])
+        lineage["edges"] = [[ODD_IDS.get(n, n) for n in edge] for edge in lineage["edges"]]
+        lineage_path.write_text(json.dumps(lineage), encoding="utf-8")
+        owed = [{"id": odd("cite"), "text": odd("owed"), "kind": "cite"}]
+        for path in interp.glob("*.json"):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["subject_id"] = ODD_IDS.get(doc["subject_id"], doc["subject_id"])
+            if doc["subject_id"] == "cifar-10":
+                for group in ("standalone_rights", "model_rights"):
+                    for entry in doc["vector"][group].values():
+                        entry["obligations"] = owed
+            if doc["subject_id"] in ("cifar-10", odd("google")):
+                grant = "granted" if doc["subject_id"] == "cifar-10" else "denied"
+                custom = {odd("Custom"): {"grant": grant, "obligations": []}}
+                doc["vector"]["custom_rights"] = custom
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text(json.dumps([s.to_dict() for s in ODD_SCENARIOS]), encoding="utf-8")
+
+        assess_args = ["assess", "--no-gate", "--scenarios", scenarios, lineage_path, interp]
+        doc = json.loads(run_cli("--format", "json", *assess_args).stdout)
+        result = run_cli(*assess_args)
+        assert result.exit_code == 0
+        assert_one_line_each(doc["assessment"], doc["verified_license"], result.stdout)
+        verified = json.loads(run_cli("--format", "json", "verify", lineage_path, interp).stdout)
+        result = run_cli("verify", lineage_path, interp)
+        assert result.exit_code == 0
+        assert_rights_one_line_each(verified, result.stdout)

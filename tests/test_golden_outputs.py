@@ -1,4 +1,4 @@
-"""Frozen CLI output: the sha256 of stdout and the exit code of five commands
+"""Frozen CLI output: the sha256 of stdout and the exit code of six commands
 on every shipped bundle, recorded once in ``tests/data/golden_outputs.json``.
 
 A reordered document field, a changed number format or a changed exit code
@@ -36,6 +36,7 @@ COMMANDS = {
         "--format", "json", "assess", "--no-gate", lin, interp
     ],
     "markdown assess": lambda lin, interp, caps: ["assess", "--no-gate", lin, interp],
+    "markdown verify": lambda lin, interp, caps: ["verify", lin, interp],
     "range captures": lambda lin, interp, caps: ["range", lin, "--captures", caps],
 }
 
