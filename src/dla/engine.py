@@ -79,12 +79,6 @@ def fingerprint_inputs(
     })
 
 
-def _right_space(root_vector: RightsVector, vectors: list[RightsVector]) -> tuple[str, ...]:
-    names = FIXED_RIGHTS + tuple(root_vector.custom_rights)
-    extra = {name for vector in vectors for name in vector.custom_rights}.difference(names)
-    return names + tuple(sorted(extra))
-
-
 def verify(
     graph: LineageGraph,
     interpretations: Mapping[str, RightsVector | None],
@@ -107,45 +101,56 @@ def verify(
     if graph.root_id not in interpretations or interpretations[graph.root_id] is None:
         raise MissingRootInterpretation(graph.root_id)
     policy = policy or EnginePolicy()
-    for node_id in sorted(graph.nodes):
+    source_ids = sorted(graph.nodes)
+    for node_id in source_ids:
         if node_id not in interpretations:
             raise UninterpretedNode(node_id)
+    source_ids.remove(graph.root_id)
 
     root_vector = interpretations[graph.root_id]
     assert root_vector is not None
-    source_ids = sorted(n for n in graph.nodes if n != graph.root_id)
-    interpreted = [(s, interpretations[s]) for s in source_ids if interpretations[s] is not None]
-    unavailable = tuple(s for s in source_ids if interpretations[s] is None)
-
-    right_space = _right_space(root_vector, [v for _, v in interpreted])
     root_rights = root_vector.rights_by_name()
-    source_rights = [(s, v.rights_by_name()) for s, v in interpreted]
+    # Only a right the root grants can be restricted by a source. Each source,
+    # visited once in id order, files itself under each such right: among the
+    # sources denying it, or with its obligations after the root's.
+    owed = {name: [entry.obligations] for name, entry in root_rights.items() if entry.grant is _GRANTED}
+    denying: dict[str, list[str]] = {name: [] for name in owed}
+    unavailable, custom = [], set()
+    for source_id in source_ids:
+        vector = interpretations[source_id]
+        if vector is None:
+            unavailable.append(source_id)
+            continue
+        custom.update(vector.custom_rights)
+        by_name = vector.rights_by_name()
+        for name, obligations in owed.items():
+            entry = by_name.get(name)
+            if entry is None or entry.grant is not _GRANTED:
+                denying[name].append(source_id)
+            else:
+                obligations.append(entry.obligations)
+    if policy.unknown_denies:
+        for sources in denying.values():
+            sources.extend(unavailable)
 
+    right_space = FIXED_RIGHTS + tuple(root_vector.custom_rights)
+    right_space += tuple(sorted(custom.difference(right_space)))
     rights: dict[str, RightEntry] = {}
     restrictors: dict[str, tuple[str, ...]] = {}
     changed: list[str] = []
-
     for right in right_space:
         root_entry = root_rights.get(right)
-        if root_entry is None or root_entry.grant is not _GRANTED:
+        if right not in denying:
             # The root itself withholds the right; sources cannot restrict
             # further and the root's literal grant is preserved.
             rights[right] = root_entry or RightEntry(grant=_UNSPECIFIED)
             restrictors[right] = ()
-            continue
-        entries = [(s, by_name.get(right)) for s, by_name in source_rights]
-        denying = [s for s, e in entries if e is None or e.grant is not _GRANTED]
-        if policy.unknown_denies:
-            denying.extend(unavailable)
-        if denying:
+        elif denying[right]:
             rights[right] = RightEntry(grant=_DENIED, obligations=root_entry.obligations)
-            restrictors[right] = tuple(sorted(denying))
+            restrictors[right] = tuple(sorted(denying[right]))
             changed.append(right)
         else:
-            obligations = merge_obligations(
-                [root_entry.obligations] + [e.obligations for _, e in entries]
-            )
-            rights[right] = RightEntry(grant=_GRANTED, obligations=obligations)
+            rights[right] = RightEntry(grant=_GRANTED, obligations=merge_obligations(owed[right]))
             restrictors[right] = ()
 
     return VerifiedLicense(
@@ -153,7 +158,7 @@ def verify(
         rights=rights,
         restrictors=restrictors,
         changed=tuple(changed),
-        residual_risk_flags=unavailable,
+        residual_risk_flags=tuple(unavailable),
         audit=AuditInfo(
             engine_version=ENGINE_VERSION,
             inputs_digest=inputs_digest,

@@ -52,6 +52,9 @@ def _decode_edges(value: Any, path: DocPath) -> tuple[tuple[str, ...], ...]:
         wrong_type(path, "array", value)
     edges = []
     for i, edge in enumerate(value):
+        if edge.__class__ is list and len(edge) == 2 and edge[0].__class__ is edge[1].__class__ is str:
+            edges.append(tuple(edge))  # JSON's form of an edge, which passes every check below
+            continue
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             parse_error((path, i), "expected [parent_id, child_id] pair")
         edges.append(decode_names(edge, (path, i), True))

@@ -13,7 +13,8 @@ A value gets its fields by one of two paths: its
 ``__init__``, which a copy made by :func:`replace` also calls,
 or, for a document read from JSON, its ``_decode``, which builds the value
 without calling ``__init__``. Both give it all its fields in one store of
-its ``__dict__`` and then run ``__post_init__``.
+its ``__dict__`` and then run ``__post_init__``, which ``_decode`` replaces
+with a class's ``_post_decode`` if it has one.
 Canonical serialization writes every field in declaration order, so equal
 values always produce byte-identical documents, and
 ``from_dict(to_dict(x)) == x`` holds by construction.
@@ -209,15 +210,6 @@ _evaluated: dict[tuple[str, str], Any] = {}
 _warned = itertools.count()
 
 
-def _memo_key(data: Any) -> bytes | None:
-    """A document's key in its shared class's memo (:class:`Document`), or
-    None, which no memo holds, when marshal refuses it."""
-    try:
-        return marshal.dumps(data, 2)
-    except ValueError:  # not made of exact built-in types
-        return None
-
-
 def render_path(path: DocPath) -> str:
     keys = []
     while isinstance(path, tuple):
@@ -304,10 +296,14 @@ def _field_codec(
         # hit in a shared class's memo, which is served here, without the call or
         # the document path it would be given; a miss marshals twice.
         if (memo := tp._shared) is None:
-            dec = lambda y, p, s: tp.from_dict(y, p, s)
-        else:
-            dec = lambda y, p, s: (
-                hit if (hit := memo.get(_memo_key(y))) is not None else tp.from_dict(y, p, s))
+            return (lambda y, p, s: tp.from_dict(y, p, s)), lambda v: tp._encode(v)
+
+        def dec(y: Any, p: DocPath, s: bool) -> Any:
+            try:
+                hit = memo.get(marshal.dumps(y, 2))
+            except ValueError:  # not made of exact built-in types: no memo holds it
+                hit = None
+            return tp.from_dict(y, p, s) if hit is None else hit
         return dec, lambda v: tp._encode(v)
     raise TypeError(f"no document codec for type {tp!r}")
 
@@ -354,11 +350,11 @@ def _layout(cls: type) -> tuple:
     scope: dict[str, Any] = {"__setattr": object.__setattr__, "__new": object.__new__}
     scope |= {f"__default_{f}": default for f, default in defaults.items()}
 
-    def store(values: Iterable[str]) -> list[str]:
-        """Give ``self`` its fields, the expressions ``values``, in one dict; then ``__post_init__``."""
+    def store(values: Iterable[str], post: str = "__post_init__") -> list[str]:
+        """Give ``self`` its fields, the expressions ``values``, in one dict; then ``post``, if any."""
         pairs = ", ".join(f"{f!r}: {value}" for f, value in zip(declared, values))
-        post_init = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-        return [f"__setattr(self, '__dict__', {{{pairs}}})", *post_init]
+        post_call = [f"self.{post}()"] if hasattr(cls, post) else []
+        return [f"__setattr(self, '__dict__', {{{pairs}}})", *post_call]
 
     return declared, defaults, hooks, scope, store
 
@@ -372,7 +368,8 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[]
     default, and a value of the field's exact scalar type, if any, is kept as it is."""
     declared, defaults, hooks, scope, store = _layout(cls)
     required = tuple(f for f in declared if f not in defaults)
-    known, post_init = frozenset(declared), hasattr(cls, "__post_init__")
+    post = "_post_decode" if hasattr(cls, "_post_decode") else "__post_init__"
+    known, post_init = frozenset(declared), getattr(cls, post, None)
     scope.update(_CODEC_SCOPE, cls=cls, known=known, required=required)
     decoded_fields, codecs, decoder = [], [], [
         "if data.__class__ is not dict and not isinstance(data, Mapping):",
@@ -405,7 +402,7 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[]
             decoded = f"__default_{f} if {v} is None else {decoded}"
         decoded_fields.append(decoded)
         codecs.append((f, defaults.get(f), exact, dec, enc))
-    decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
+    decoder += ["self = __new(cls)", *store(decoded_fields, post), "return self"]
     decodes = itertools.count(1)
 
     def compiled() -> Callable[..., Any]:
@@ -426,7 +423,7 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[]
             f: default if (v := data.get(f)) is None else v if v.__class__ is exact
             else dec(v, (path, f), strict) for f, default, exact, dec, _ in codecs})
         if post_init:
-            self.__post_init__()
+            post_init(self)
         return self
 
     def _encode(self: Any) -> dict[str, Any]:
@@ -480,10 +477,15 @@ class Document(Value):
     @classmethod
     def from_dict(cls, data: Any, path: DocPath | None = None, strict: bool = True) -> Any:
         path, shared, key = cls._path if path is None else path, cls._shared, None
-        if shared is not None and (key := _memo_key(data)) is not None:
-            if (value := shared.get(key)) is not None:
-                return value
-            mark = next(_warned)
+        if shared is not None:
+            try:
+                key = marshal.dumps(data, 2)
+            except ValueError:  # not made of exact built-in types: decoded afresh
+                pass
+            else:
+                if (value := shared.get(key)) is not None:
+                    return value
+                mark = next(_warned)
         try:
             value = cls._decode(data, path, strict)
         except ValueError as exc:  # a rule across fields, checked by __post_init__
@@ -640,10 +642,22 @@ def _decode_grant(value: Any, path: DocPath) -> Grant:
 
 
 class RightEntry(Document, path="right", shared=True):
-    """Grant state plus the obligations owed when the right is exercised."""
+    """Grant state plus the obligations owed when the right is exercised. When
+    built, it records the ids it repeats in its slot ``_duplicate_ids``, not a
+    field, so :func:`validate_rights_vector` checks each shared entry once."""
+
+    __slots__ = ("_duplicate_ids",)
 
     grant: Grant = codec_field(decode=_decode_grant)
     obligations: tuple[Obligation, ...] = ()
+
+    def __post_init__(self) -> None:
+        ids = [o.id for o in self.obligations]
+        repeated = {i for i in ids if ids.count(i) > 1} if len(set(ids)) < len(ids) else ()
+        object.__setattr__(self, "_duplicate_ids", tuple(sorted(repeated)))
+
+    def __reduce__(self) -> tuple:  # a copy or an unpickled entry records it again
+        return RightEntry, (self.grant, self.obligations)
 
 
 class LicenseMetadata(Document, path="metadata"):
@@ -660,10 +674,10 @@ class LicenseMetadata(Document, path="metadata"):
     additional_conditions: str | None = None
 
 
-def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
-    """A new dict of a rights map, with the fixed names first in canonical order."""
+def _ordered_rights(entries: dict[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
+    """``entries`` with the fixed names first in canonical order: itself if they are, else a new dict."""
     if tuple(entries)[:len(fixed)] == fixed:  # a complete group, or any custom map
-        return dict(entries)
+        return entries
     # Merging keeps each key where it was first inserted.
     return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 
@@ -671,8 +685,10 @@ def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -
 class RightsVector(Document, path="vector"):
     """One license decomposed into metadata, standalone-data rights, rights in
     conjunction with models, and optional custom rights. The vector holds its
-    own copy of each rights map, so a caller that edits a map it passed in
-    does not change the vector."""
+    own dict of each rights map, so a caller that edits a map it passed in
+    does not change the vector: ``__init__``, and so :func:`replace`, copies
+    each map, while a decoded vector's maps are the decoder's new dicts, which
+    ``_post_decode`` only orders."""
 
     metadata: LicenseMetadata
     standalone_rights: Mapping[str, RightEntry]
@@ -680,10 +696,15 @@ class RightsVector(Document, path="vector"):
     custom_rights: Mapping[str, RightEntry] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
-        fields = self.__dict__  # each group is replaced by its copy, before anyone reads it
+        for name in ("standalone_rights", "model_rights", "custom_rights"):
+            self.__dict__[name] = dict(self.__dict__[name])  # before anyone reads it
+        self._post_decode()
+
+    def _post_decode(self) -> None:
+        fields = self.__dict__
         fields["standalone_rights"] = _ordered_rights(fields["standalone_rights"], STANDALONE_RIGHTS)
         fields["model_rights"] = _ordered_rights(fields["model_rights"], MODEL_RIGHTS)
-        fields["custom_rights"] = dict(fields["custom_rights"])
+        fields["custom_rights"] = fields["custom_rights"] or {}  # a new dict for the default
 
     def rights_by_name(self) -> dict[str, RightEntry]:
         """Every right's entry from the first group that names it: standalone,
@@ -719,13 +740,9 @@ def validate_rights_vector(vector: RightsVector) -> list[Violation]:
             report.append(Violation(f"custom_rights.{name}", "custom key collides with fixed right"))
     for group_name in ("standalone_rights", "model_rights", "custom_rights"):
         for right_name, entry in groups[group_name].items():
-            obligations = entry.obligations
-            if len(obligations) > 1 and len({o.id for o in obligations}) < len(obligations):
-                ids = [o.id for o in obligations]
-                dupes = sorted({i for i in ids if ids.count(i) > 1})
-                report.append(
-                    Violation(f"{group_name}.{right_name}", f"duplicate obligation ids: {dupes}")
-                )
+            if entry._duplicate_ids:
+                report.append(Violation(
+                    f"{group_name}.{right_name}", f"duplicate obligation ids: {list(entry._duplicate_ids)}"))
     return report
 
 

@@ -54,15 +54,13 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="module")
-def wide_seed_7(tmp_path_factory):
+def wide_seed_7(wide_seed_7_bundle):
     """The bench's ``oracle`` module and its 5 000-node ``wide`` bundle, seed 7,
-    built once for the module."""
+    which the session writes once (``conftest.py``)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(BENCH))
-        oracle, workloads = (importlib.import_module(m) for m in ("oracle", "workloads"))
-    root = tmp_path_factory.mktemp("wide")
-    (bundle,) = workloads.make_bundles("wide", 7, root, FIXTURES_DIR, nodes=5000)
-    return oracle, bundle
+        oracle = importlib.import_module("oracle")
+    return oracle, wide_seed_7_bundle
 
 
 class TestValidate:
@@ -791,11 +789,17 @@ class TestAssess:
     def test_deep_website_chain_denied_by_its_last_source_exits_3(self, tmp_path):
         _, interp = write_synthetic_bundle(tmp_path)
         ids = write_chain_lineage(tmp_path / "lineage.json", "synthetic", 5000)
-        for node_id in ids[1:]:
-            template = "CC-BY-NC-4.0" if node_id == ids[-1] else "CC-BY-4.0"
-            (interp / f"{node_id}.json").write_text(
-                json.dumps({"subject_id": node_id, "template": template})
-            )
+        files = {
+            f"{node_id}.json": b'{"subject_id": "%s", "template": "%s"}' % (
+                node_id.encode(), b"CC-BY-NC-4.0" if node_id == ids[-1] else b"CC-BY-4.0")
+            for node_id in ids[1:]
+        }
+        for name, body in files.items():  # one open and one write per file
+            fd = os.open(interp / name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            try:
+                os.write(fd, body)
+            finally:
+                os.close(fd)
         result = run_cli("--format", "json", "assess", tmp_path / "lineage.json", interp)
         assert result.exit_code == 3
         restrictors = json.loads(result.stdout)["verified_license"]["restrictors"]

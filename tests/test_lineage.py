@@ -22,8 +22,11 @@ from dla.errors import (
     UnknownRoot,
     UnreachableNode,
 )
-from dla.lineage import CaptureInput, LineageGraph
-from dla.model import CaptureStatus, LicenseRange, SubjectKind, canonical_json, replace
+from dla.lineage import CaptureInput, LineageGraph, _decode_edges
+from dla.model import (
+    CaptureStatus, LicenseRange, SubjectKind, canonical_json, decode_names, parse_error, replace,
+    wrong_type,
+)
 
 from helpers import load_bundle, oracle_range, random_case, record_for, website_chain
 
@@ -388,3 +391,47 @@ def test_graph_document_round_trip():
     again = LineageGraph.from_dict(doc)
     assert again == graph
     assert canonical_json(again.to_dict()) == canonical_json(doc)
+
+
+class _Name(str):
+    """A string subclass: an edge endpoint the fast path leaves to the checks."""
+
+
+def checked_edges(value: object, path: object) -> tuple:
+    """The edge decoder without its fast path: every edge goes through the
+    checks, as every edge did before it had one."""
+    if not isinstance(value, (list, tuple)):
+        wrong_type(path, "array", value)
+    edges = []
+    for i, edge in enumerate(value):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            parse_error((path, i), "expected [parent_id, child_id] pair")
+        edges.append(decode_names(edge, (path, i), True))
+    return tuple(edges)
+
+
+def edges_outcome(decode, value: object) -> tuple:
+    """The edges as tuples, with each endpoint's class, or the error's text and path."""
+    try:
+        edges = decode(value, ("lineage", "edges"))
+    except ParseError as exc:
+        return "error", str(exc), exc.path
+    return "edges", [(edge.__class__, [(v, v.__class__) for v in edge]) for edge in edges]
+
+
+_ENDPOINTS = st.one_of(
+    st.text(max_size=2), st.text(max_size=2).map(_Name), st.integers(), st.none(),
+    st.lists(st.text(max_size=2), max_size=2),
+)
+_EDGES = st.lists(st.one_of(
+    st.lists(_ENDPOINTS, max_size=3), st.lists(_ENDPOINTS, max_size=3).map(tuple),
+), max_size=4)
+
+
+@given(_EDGES, st.booleans())
+def test_the_edge_fast_path_decodes_as_the_checks_do(edges, as_tuple):
+    """An exact list of two exact strings skips the checks, which it passes;
+    every other edge value gives the same tuples or the same error, at the
+    same path, as the checks alone."""
+    value = tuple(edges) if as_tuple else edges
+    assert edges_outcome(_decode_edges, value) == edges_outcome(checked_edges, value)

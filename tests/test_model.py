@@ -101,6 +101,7 @@ def full_vector(grant: Grant = Grant.GRANTED, obligations=()) -> RightsVector:
 
 
 CITE = Obligation("cite-cifar10", "Cite paper", ObligationKind.CITE)
+GROUPS = ("standalone_rights", "model_rights", "custom_rights")
 
 
 class TestValidateProvenance:
@@ -233,6 +234,61 @@ class TestValidateRightsVector:
         assert vector.to_dict() == before
         assert vector.grant("Access") is vector.grant("Research") is Grant.GRANTED
         assert vector.grant("Later") is Grant.UNSPECIFIED
+
+
+class TestRightsMapOwnership:
+    """A vector's rights maps are copied only where a caller's map can come
+    in, its ``__init__`` and so ``replace``; a decoded vector keeps the new
+    dicts its decoder made, and still shares none."""
+
+    @pytest.mark.parametrize("shape", ["canonical", "reordered", "no custom"])
+    @pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+    def test_two_decodes_share_no_group_dict_with_each_other_or_the_input(
+            self, tier, shape, use_tier):
+        use_tier(tier)
+        doc = full_vector(obligations=[CITE]).to_dict()
+        doc["custom_rights"] = {"X": {"grant": "denied"}}
+        if shape == "reordered":
+            doc["standalone_rights"] = dict(reversed(doc["standalone_rights"].items()))
+        elif shape == "no custom":
+            del doc["custom_rights"]
+        first, second = RightsVector.from_dict(doc), RightsVector.from_dict(doc)
+        groups = [getattr(v, g) for v in (first, second) for g in GROUPS]
+        assert all(group.__class__ is dict for group in groups)
+        inputs = [doc[g] for g in GROUPS if g in doc]
+        assert len({id(group) for group in groups + inputs}) == len(groups + inputs)
+        assert tuple(first.standalone_rights) == STANDALONE_RIGHTS
+        doc["standalone_rights"]["Access"] = {"grant": "denied"}
+        first.model_rights["Research"] = RightEntry(grant=Grant.DENIED)
+        first.custom_rights["Y"] = RightEntry(grant=Grant.GRANTED)
+        assert (first.grant("Access"), second.grant("Research"), second.grant("Y")) == (
+            Grant.GRANTED, Grant.GRANTED, Grant.UNSPECIFIED)
+
+    def test_replace_copies_a_callers_maps(self):
+        """As ``__init__`` does (``TestValidateRightsVector``), which it calls."""
+        base = full_vector()
+        maps = {g: dict(getattr(base, g)) for g in GROUPS}
+        vector = replace(base, **maps)
+        assert all(getattr(vector, g) is not maps[g] for g in GROUPS)
+        maps["standalone_rights"]["Access"] = RightEntry(grant=Grant.DENIED)
+        maps["custom_rights"]["X"] = RightEntry(grant=Grant.DENIED)
+        assert (vector.grant("Access"), vector.grant("X")) == (Grant.GRANTED, Grant.UNSPECIFIED)
+
+    @pytest.mark.parametrize("ids, repeated", [
+        ((), ()), (("a",), ()), (("a", "b"), ()), (("a", "a"), ("a",)),
+        (("c", "a", "b", "a", "c", "c"), ("a", "c")),
+    ])
+    def test_an_entry_built_by_init_records_the_repeated_ids_a_decoded_one_does(
+            self, ids, repeated):
+        obligations = tuple(Obligation(i, f"text {n}", ObligationKind.OTHER) for n, i in enumerate(ids))
+        built = RightEntry(Grant.GRANTED, obligations)
+        RightEntry._shared.clear()
+        decoded = RightEntry.from_dict(built.to_dict())
+        assert decoded == built and decoded is not built
+        assert built._duplicate_ids == decoded._duplicate_ids == repeated
+        copied = (copy.copy(built), copy.deepcopy(built), replace(built, grant=Grant.DENIED))
+        assert [entry._duplicate_ids for entry in copied] == [repeated] * 3
+        assert list(vars(built)) == list(RightEntry._fields)  # not a field
 
 
 class TestRightEntryParsing:
