@@ -18,7 +18,6 @@ from .model import (
     AssessmentRow,
     AssessmentTable,
     Grant,
-    Obligation,
     UsageScenario,
     VerifiedLicense,
     _BlockingRight,
@@ -96,13 +95,9 @@ def assess_all(
         ]
     )
 
-    legend: dict[str, Obligation] = {}
     cited = {oid for row in rows for oid in row.obligations} | {o.id for o in advisory}
-    for entry in verified.rights.values():
-        for obligation in entry.obligations:
-            if obligation.id in cited and obligation.id not in legend:
-                legend[obligation.id] = obligation
-    legend = {oid: legend[oid] for oid in sorted(legend)}
+    first = merge_obligations(entry.obligations for entry in verified.rights.values())
+    legend = {o.id: o for o in sorted(first, key=lambda o: o.id) if o.id in cited}
 
     return AssessmentTable(
         dataset_id=verified.root_id,

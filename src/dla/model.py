@@ -9,12 +9,12 @@ so importing compiles nothing. A document's ``_encode`` is interpreted; its
 it, so a class a run decodes a few times never pays for ``compile()``.
 Only that per-class frame is compiled: each field's decoder is one function,
 which both tiers call.
-A value gets its fields by one of two paths: its
-``__init__``, which a copy made by :func:`replace` also calls,
-or, for a document read from JSON, its ``_decode``, which builds the value
-without calling ``__init__``. Both give it all its fields in one store of
-its ``__dict__`` and then run ``__post_init__``, which ``_decode`` replaces
-with a class's ``_post_decode`` if it has one.
+Every value is built one way: its fields come from its ``__init__``, which
+a copy made by :func:`replace` also calls, or, for a document read from JSON,
+from its ``_decode`` in either tier, which builds the value without calling
+``__init__``; both store all the fields in its ``__dict__`` at once, and then
+its class's ``__post_init__``, if any, finishes it. ``__init__`` takes the
+fields as keywords only, exactly when a required field follows a defaulted one.
 Canonical serialization writes every field in declaration order, so equal
 values always produce byte-identical documents, and
 ``from_dict(to_dict(x)) == x`` holds by construction.
@@ -131,20 +131,20 @@ class _Compiled:
 class Value:
     """Base of the package's immutable values. A subclass's fields
     (``_fields``) are the names its own class statement annotates, but
-    ``ClassVar``s; ``kw_only=True`` there makes them keyword-only. A field's
-    default is its class attribute (of a ``codec_field``, its
-    ``default``); a field with none is required. ``__init__``, compiled for a
-    class on its first call through it (:class:`_Compiled`), stores the fields
-    in one dict and runs ``__post_init__``, which sets a field through
-    ``object.__setattr__``. It and a document's decoder are the only ways to
-    build a value; a copy (:func:`replace`) calls it. Equality, hashing,
-    ``repr`` and the refusal to change a field are shared."""
+    ``ClassVar``s. A field's default is its class attribute (of a
+    ``codec_field``, its ``default``); a field with none is required.
+    ``__init__``, compiled for a class on its first call through it
+    (:class:`_Compiled`), stores the fields in one dict and runs
+    ``__post_init__``, which sets a field through ``object.__setattr__``.
+    It and a document's decoder are the only ways to build a value; a copy
+    (:func:`replace`) calls it. Equality, hashing, ``repr`` and the refusal
+    to change a field are shared."""
 
-    def __init_subclass__(cls, kw_only: bool = False, **kwargs: Any) -> None:
+    def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         # Strings: every module has ``from __future__ import annotations``.
         cls._fields = tuple(n for n, tp in cls.__annotations__.items() if not tp.startswith("ClassVar"))
-        cls._kw_only, cls.__init__ = kw_only, _Compiled("__init__")
+        cls.__init__ = _Compiled("__init__")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -326,12 +326,13 @@ def _compile(cls: type, name: str, params: Iterable[str], body: Iterable[str], s
 
 def _define(cls: type, name: str) -> Callable[..., Any]:
     """Put ``name`` on a value class: the codec interpreted, or ``__init__``
-    compiled, which takes the fields, keyword-only in a ``kw_only`` class;
-    its scope's names start with ``__``, which no field name can."""
+    compiled, which takes the fields, keyword-only if a required one follows a
+    defaulted one; its scope's names start with ``__``, which no field name can."""
     if name == "__init__":
         declared, defaults, _, scope, store = _layout(cls)
         params = [f"{f}=__default_{f}" if f in defaults else f for f in declared]
-        params = ["self", *(["*"] if cls._kw_only and declared else []), *params]
+        defaulted = [f in defaults for f in declared]  # sorted: every required field first
+        params = ["self", *(["*"] if defaulted != sorted(defaulted) else []), *params]
         return _compile(cls, name, params, store(declared), scope)
     interpreted, _ = _codec(cls)
     for method, function in interpreted.items():
@@ -350,11 +351,11 @@ def _layout(cls: type) -> tuple:
     scope: dict[str, Any] = {"__setattr": object.__setattr__, "__new": object.__new__}
     scope |= {f"__default_{f}": default for f, default in defaults.items()}
 
-    def store(values: Iterable[str], post: str = "__post_init__") -> list[str]:
-        """Give ``self`` its fields, the expressions ``values``, in one dict; then ``post``, if any."""
+    def store(values: Iterable[str]) -> list[str]:
+        """Give ``self`` its fields, the expressions ``values``, in one dict; then ``__post_init__``."""
         pairs = ", ".join(f"{f!r}: {value}" for f, value in zip(declared, values))
-        post_call = [f"self.{post}()"] if hasattr(cls, post) else []
-        return [f"__setattr(self, '__dict__', {{{pairs}}})", *post_call]
+        post_init = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        return [f"__setattr(self, '__dict__', {{{pairs}}})", *post_init]
 
     return declared, defaults, hooks, scope, store
 
@@ -368,8 +369,7 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[]
     default, and a value of the field's exact scalar type, if any, is kept as it is."""
     declared, defaults, hooks, scope, store = _layout(cls)
     required = tuple(f for f in declared if f not in defaults)
-    post = "_post_decode" if hasattr(cls, "_post_decode") else "__post_init__"
-    known, post_init = frozenset(declared), getattr(cls, post, None)
+    known, post_init = frozenset(declared), getattr(cls, "__post_init__", None)
     scope.update(_CODEC_SCOPE, cls=cls, known=known, required=required)
     decoded_fields, codecs, decoder = [], [], [
         "if data.__class__ is not dict and not isinstance(data, Mapping):",
@@ -402,7 +402,7 @@ def _codec(cls: type, hot: int = _HOT) -> tuple[dict[str, Callable], Callable[[]
             decoded = f"__default_{f} if {v} is None else {decoded}"
         decoded_fields.append(decoded)
         codecs.append((f, defaults.get(f), exact, dec, enc))
-    decoder += ["self = __new(cls)", *store(decoded_fields, post), "return self"]
+    decoder += ["self = __new(cls)", *store(decoded_fields), "return self"]
     decodes = itertools.count(1)
 
     def compiled() -> Callable[..., Any]:
@@ -509,7 +509,7 @@ class Digest(Document, path="digest"):
     hex: str
 
 
-class ProvenanceRecord(Document, path="provenance", kw_only=True):
+class ProvenanceRecord(Document, path="provenance"):
     """Origin metadata, license-location evidence, and content digests for one
     dataset or data source."""
 
@@ -629,16 +629,15 @@ def merge_obligations(groups: Iterable[Sequence[Obligation]]) -> tuple[Obligatio
     return tuple(seen.values())
 
 
-_GRANTS = {g.value: g for g in Grant}
+# ``decode_grant_name(value, path, strict)``: a grant's name, as its member.
+decode_grant_name = _field_codec(Grant)[0]
 
 
 def _decode_grant(value: Any, path: DocPath) -> Grant:
     # Boolean shorthand: true marks the right granted, false denied.
     if isinstance(value, bool):
         return Grant.GRANTED if value else Grant.DENIED
-    if isinstance(value, str) and value in _GRANTS:
-        return _GRANTS[value]
-    _bad_member(path, value, _GRANTS)
+    return decode_grant_name(value, path, True)
 
 
 class RightEntry(Document, path="right", shared=True):
@@ -674,10 +673,10 @@ class LicenseMetadata(Document, path="metadata"):
     additional_conditions: str | None = None
 
 
-def _ordered_rights(entries: dict[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
-    """``entries`` with the fixed names first in canonical order: itself if they are, else a new dict."""
+def _ordered_rights(entries: Mapping[str, RightEntry], fixed: tuple[str, ...]) -> dict[str, RightEntry]:
+    """A new dict of a rights map, with the fixed names first in canonical order."""
     if tuple(entries)[:len(fixed)] == fixed:  # a complete group, or any custom map
-        return entries
+        return dict(entries)
     # Merging keeps each key where it was first inserted.
     return {**{name: entries[name] for name in fixed if name in entries}, **entries}
 
@@ -685,10 +684,9 @@ def _ordered_rights(entries: dict[str, RightEntry], fixed: tuple[str, ...]) -> d
 class RightsVector(Document, path="vector"):
     """One license decomposed into metadata, standalone-data rights, rights in
     conjunction with models, and optional custom rights. The vector holds its
-    own dict of each rights map, so a caller that edits a map it passed in
-    does not change the vector: ``__init__``, and so :func:`replace`, copies
-    each map, while a decoded vector's maps are the decoder's new dicts, which
-    ``_post_decode`` only orders."""
+    own copy of each rights map, made by ``__post_init__`` however it is
+    built, so a caller that edits a map it passed in does not change the
+    vector."""
 
     metadata: LicenseMetadata
     standalone_rights: Mapping[str, RightEntry]
@@ -696,15 +694,10 @@ class RightsVector(Document, path="vector"):
     custom_rights: Mapping[str, RightEntry] = EMPTY_MAPPING
 
     def __post_init__(self) -> None:
-        for name in ("standalone_rights", "model_rights", "custom_rights"):
-            self.__dict__[name] = dict(self.__dict__[name])  # before anyone reads it
-        self._post_decode()
-
-    def _post_decode(self) -> None:
-        fields = self.__dict__
+        fields = self.__dict__  # each group is replaced by its copy, before anyone reads it
         fields["standalone_rights"] = _ordered_rights(fields["standalone_rights"], STANDALONE_RIGHTS)
         fields["model_rights"] = _ordered_rights(fields["model_rights"], MODEL_RIGHTS)
-        fields["custom_rights"] = fields["custom_rights"] or {}  # a new dict for the default
+        fields["custom_rights"] = dict(fields["custom_rights"])
 
     def rights_by_name(self) -> dict[str, RightEntry]:
         """Every right's entry from the first group that names it: standalone,

@@ -237,9 +237,9 @@ class TestValidateRightsVector:
 
 
 class TestRightsMapOwnership:
-    """A vector's rights maps are copied only where a caller's map can come
-    in, its ``__init__`` and so ``replace``; a decoded vector keeps the new
-    dicts its decoder made, and still shares none."""
+    """A vector's ``__post_init__`` copies each rights map, however the
+    vector is built: by ``__init__``, so also by ``replace``, or by a decode
+    in either tier. No two vectors, and no vector and its input, share one."""
 
     @pytest.mark.parametrize("shape", ["canonical", "reordered", "no custom"])
     @pytest.mark.parametrize("tier", ["interpreted", "compiled"])

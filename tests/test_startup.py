@@ -197,11 +197,10 @@ print(json.dumps([before, compiled()]))
 
 
 def test_every_value_class_compiles_its_init():
-    """A required field after a defaulted one, in a class without
-    ``kw_only=True``, is a parameter order ``__init__`` cannot compile. The
-    class statement does not check it, so this does, for every value class
-    in ``dla``: each compiles its ``__init__``, and a misordered one fails.
-    Annotations are strings in every dla module, so they are here too."""
+    """Every value class in ``dla`` compiles its ``__init__``, and only
+    ``ProvenanceRecord``, whose required fields follow defaulted ones, takes
+    its fields as keywords only. Annotations are strings in every dla
+    module, so they are here too."""
     code = "from __future__ import annotations\n" + COMPILED + """
 import dla.assessment, dla.catalog, dla.cli, dla.engine, dla.lineage, dla.store
 def init_error(cls):
@@ -212,14 +211,34 @@ def init_error(cls):
 classes = list(walk(Value))
 failed = [error for error in map(init_error, classes) if error]
 inits = [f"{cls.__name__}.__init__" for cls in classes]
+keyword_only = sorted(cls.__name__ for cls in classes if cls.__init__.__code__.co_kwonlyargcount)
+print(json.dumps([failed, sorted(set(inits) - set(compiled())), keyword_only]))
+"""
+    (failed, uncompiled, keyword_only), _ = fresh(code)
+    assert (failed, uncompiled, keyword_only) == ([], [], ["ProvenanceRecord"])
+
+
+def test_a_required_field_after_a_defaulted_one_is_keyword_only():
+    """The field order alone makes a class's fields keyword-only: it builds
+    from keywords and refuses positional arguments."""
+    code = """
+from __future__ import annotations
+import json
+from dla.model import Value
 class Misordered(Value):
     defaulted: int = 0
     required: int
-print(json.dumps([failed, sorted(set(inits) - set(compiled())), init_error(Misordered)]))
+built = Misordered(required=1)
+try:
+    Misordered(0, 1)
+    refused = None
+except TypeError as exc:
+    refused = str(exc)
+print(json.dumps([repr(built), refused]))
 """
-    (failed, uncompiled, misordered), _ = fresh(code)
-    assert (failed, uncompiled) == ([], [])
-    assert misordered.startswith("Misordered: ")
+    (built, refused), _ = fresh(code)
+    assert built == "Misordered(defaulted=0, required=1)"
+    assert refused.endswith("takes 1 positional argument but 3 were given")
 
 
 def test_looking_a_method_up_through_a_base_leaves_its_subclasses_unchanged():
