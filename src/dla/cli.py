@@ -24,8 +24,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
 
 from .errors import DlaError, DlaWarning, InputError, LineageError, ParseError, StoreError
 from .jsonio import canonical_json, path_prefix, read_inputs, read_json
@@ -65,6 +64,11 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (LineageError, EXIT_LINEAGE),
     (DlaError, EXIT_VALIDATION),
 )
+
+
+def _text_report(lines: Iterable[str]) -> str:
+    """A plain-text report: each line, with a CR or LF in its text a space."""
+    return "".join([line.replace("\r", " ").replace("\n", " ") + "\n" for line in lines])
 
 
 def _load_graph(path: Path, strict: bool) -> LineageGraph:
@@ -119,50 +123,50 @@ def _validate_one(path: Path, data: Any, strict: bool, shapes: tuple) -> list[st
     return ["unrecognized document shape"]
 
 
-def cmd_validate(settings: SimpleNamespace, paths: list[Path]) -> tuple[str, int]:
+def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     """Validate provenance, interpretation, lineage, capture-list or rights-vector
     documents."""
     shapes = _document_shapes()
     lines, code = [], EXIT_OK
-    for path in paths:
-        problems = _validate_one(path, read_json(path), settings.strict, shapes)
+    for path in args.paths:
+        problems = _validate_one(path, read_json(path), args.strict, shapes)
         if problems:
             code = EXIT_VALIDATION
             lines.append(f"{path}: {len(problems)} problem(s)")
             lines += [f"  - {problem}" for problem in problems]
         else:
             lines.append(f"{path}: ok")
-    return "\n".join(lines) + "\n", code
+    return _text_report(lines), code
 
 
-def cmd_lineage(settings: SimpleNamespace, lineage_path: Path) -> tuple[str, int]:
+def cmd_lineage(args: argparse.Namespace) -> tuple[str, int]:
     """Show the validated lineage graph of a dataset."""
-    graph = _load_graph(lineage_path, settings.strict)
-    if settings.output_format == "json":
+    graph = _load_graph(args.lineage_path, args.strict)
+    if args.output_format == "json":
         return canonical_json(graph.to_dict()), EXIT_OK
     lines = [f"root: {graph.root_id}"]
     for node_id, record in graph.nodes.items():
         year = record.origin_year if record.origin_year is not None else "-"
         lines.append(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
     lines += [f"{parent} -> {child}" for parent, child in graph.edges]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return _text_report(lines), EXIT_OK
 
 
-def cmd_range(settings: SimpleNamespace, lineage_path: Path, captures_dir: Path | None) -> tuple[str, int]:
+def cmd_range(args: argparse.Namespace) -> tuple[str, int]:
     """License range per lineage node (and the applicable capture, if given)."""
     from .lineage import CaptureInput, compute_license_range, parse_capture_list, select_capture
 
-    graph = _load_graph(lineage_path, settings.strict)
+    graph = _load_graph(args.lineage_path, args.strict)
     captures: dict[str, list[CaptureInput]] | None = None
-    if captures_dir is not None:
-        capture_files, captures = read_inputs(captures_dir), {}
-        prefix = path_prefix(captures_dir)
+    if args.captures_dir is not None:
+        capture_files, captures = read_inputs(args.captures_dir), {}
+        prefix = path_prefix(args.captures_dir)
         for node_id in graph.nodes:
             name = f"{node_id}.json"
             if name in capture_files:
                 path = prefix + name
                 captures[node_id] = parse_capture_list(
-                    read_json(path, capture_files[name]), path, settings.strict
+                    read_json(path, capture_files[name]), path, args.strict
                 )
         if len(captures) < len(capture_files):  # a file that names no node
             stray = next(name for name in capture_files if name[:-5] not in captures)
@@ -180,29 +184,24 @@ def cmd_range(settings: SimpleNamespace, lineage_path: Path, captures_dir: Path 
             year = "" if chosen is None else f"{chosen.year} "
             line += f" capture: {year}({status.value})"
         lines.append(line)
-    return "\n".join(lines) + "\n", EXIT_OK
+    return _text_report(lines), EXIT_OK
 
 
-def _run_pipeline(
-    settings: SimpleNamespace,
-    lineage_path: Path,
-    interpretations_dir: Path,
-    audit_timestamps: bool,
-) -> tuple[ProvenanceRecord, VerifiedLicense]:
+def _run_pipeline(args: argparse.Namespace) -> tuple[ProvenanceRecord, VerifiedLicense]:
     from .engine import EnginePolicy
     from .model import replace
     from .store import AnalysisStore, Bundle, lookup_or_verify
 
-    bundle = Bundle.read(lineage_path, interpretations_dir, settings.strict)
-    store = AnalysisStore(settings.store_path) if settings.store_path else None
+    bundle = Bundle.read(args.lineage_path, args.interpretations_dir, args.strict)
+    store = AnalysisStore(args.store_path) if args.store_path else None
     verified, cache_hit = lookup_or_verify(
-        store, bundle, EnginePolicy(unknown_denies=settings.unknown_denies))
+        store, bundle, EnginePolicy(unknown_denies=args.unknown_denies))
     if cache_hit:
         sys.stderr.write("(cached analysis)\n")
     # Stamped at output time, so a stored analysis never carries a stamp and
     # a hit is stamped like a miss.
     stamp = None
-    if audit_timestamps:
+    if args.audit_timestamps:
         from datetime import datetime, timezone
 
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -211,19 +210,17 @@ def _run_pipeline(
     return bundle.root, verified  # decodable: the lineage is valid, or it was a hit
 
 
-def cmd_verify(settings: SimpleNamespace, lineage_path: Path, interpretations_dir: Path,
-               audit_timestamps: bool) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     """Compute the verified license of a dataset against its data sources."""
     from .assessment import render_rights_markdown
 
-    root, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
-    if settings.output_format == "json":
+    root, verified = _run_pipeline(args)
+    if args.output_format == "json":
         return canonical_json(verified.to_dict()), EXIT_OK
     return render_rights_markdown(verified, root.dataset_name), EXIT_OK
 
 
-def cmd_assess(settings: SimpleNamespace, lineage_path: Path, interpretations_dir: Path,
-               scenarios_path: Path | None, no_gate: bool, audit_timestamps: bool) -> tuple[str, int]:
+def cmd_assess(args: argparse.Namespace) -> tuple[str, int]:
     """Assess commercial usage scenarios for a dataset bundle.
 
     Exits 3 when any requested scenario is denied so CI pipelines can gate
@@ -231,39 +228,39 @@ def cmd_assess(settings: SimpleNamespace, lineage_path: Path, interpretations_di
     """
     from .assessment import assess_all, default_scenarios, load_scenarios, render_markdown
 
-    root, verified = _run_pipeline(settings, lineage_path, interpretations_dir, audit_timestamps)
-    if scenarios_path is not None:
-        scenarios = load_scenarios(scenarios_path, settings.strict)
+    root, verified = _run_pipeline(args)
+    if args.scenarios_path is not None:
+        scenarios = load_scenarios(args.scenarios_path, args.strict)
     else:
         scenarios = default_scenarios()
     table = assess_all(verified, scenarios, dataset_name=root.dataset_name)
-    if settings.output_format == "json":
+    if args.output_format == "json":
         doc = {"assessment": table.to_dict(), "verified_license": verified.to_dict()}
         report = canonical_json(doc)
     else:
         report = render_markdown(table, verified)
     denied = any(not row.permitted for row in table.rows)
-    return report, EXIT_DENIED if denied and not no_gate else EXIT_OK
+    return report, EXIT_DENIED if denied and not args.no_gate else EXIT_OK
 
 
-def _open_store(settings: SimpleNamespace) -> AnalysisStore:
+def _open_store(args: argparse.Namespace) -> AnalysisStore:
     from .store import AnalysisStore
 
-    if settings.store_path is None:
+    if args.store_path is None:
         raise StoreError("no store configured; pass --store or set DLA_STORE")
-    return AnalysisStore(settings.store_path)
+    return AnalysisStore(args.store_path)
 
 
-def cmd_store_ls(settings: SimpleNamespace) -> tuple[str, int]:
+def cmd_store_ls(args: argparse.Namespace) -> tuple[str, int]:
     """List stored analyses."""
-    entries = _open_store(settings).entries()
-    return "".join(f"{entry.key}  {entry.dataset_name}\n" for entry in entries), EXIT_OK
+    entries = _open_store(args).entries()
+    return _text_report(f"{entry.key}  {entry.dataset_name}" for entry in entries), EXIT_OK
 
 
-def cmd_store_rm(settings: SimpleNamespace, key: str) -> tuple[str, int]:
+def cmd_store_rm(args: argparse.Namespace) -> tuple[str, int]:
     """Remove one stored analysis by key."""
-    removed = _open_store(settings).remove(key)
-    return (f"removed {key}\n" if removed else f"no entry for {key}\n"), EXIT_OK
+    removed = _open_store(args).remove(args.key)
+    return _text_report([f"removed {args.key}" if removed else f"no entry for {args.key}"]), EXIT_OK
 
 
 class _Show(argparse.Action):
@@ -291,13 +288,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-# The group's options, read by every command; each other value is an argument.
-_SETTINGS = ("store_path", "output_format", "strict", "unknown_denies")
-
-
 def _parser() -> argparse.ArgumentParser:
     """The command line: the group's options, then one parser per command,
-    whose ``run`` default is the command's function."""
+    whose ``run`` default is the command: a function of the parsed namespace."""
     parser = _Parser(prog="dla", description=(
         "Check whether a publicly available dataset can be used in a commercial "
         "scenario without breaking its license or the licenses of its data sources."))
@@ -362,10 +355,8 @@ def _run(args: Sequence[str] | None = None) -> NoReturn:
 
     warnings.formatwarning = format_warning
     try:
-        parsed = vars(_parser().parse_args(sys.argv[1:] if args is None else list(args)))
-        command = parsed.pop("run")
-        settings = SimpleNamespace(**{name: parsed.pop(name) for name in _SETTINGS})
-        report, code = command(settings, **parsed)
+        parsed = _parser().parse_args(args)  # None: sys.argv[1:]
+        report, code = parsed.run(parsed)
     except _Shown as exc:
         report, code = str(exc), EXIT_OK
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
@@ -387,7 +378,7 @@ def _run(args: Sequence[str] | None = None) -> NoReturn:
 
 # Only for ``bench/tracing.run_in_process``, which calls ``cli.main(args=...,
 # prog_name="dla", standalone_mode=False)``; goes with the next change to bench/.
-cli = SimpleNamespace(main=lambda args=None, prog_name=None, standalone_mode=True: _run(args))
+cli = argparse.Namespace(main=lambda args=None, prog_name=None, standalone_mode=True: _run(args))
 
 
 def main() -> None:

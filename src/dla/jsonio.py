@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from stat import S_ISREG
 from typing import Any
 
 from .errors import InputError
@@ -26,17 +27,13 @@ def read_input(path: Path) -> bytes:
     try:
         return path.read_bytes()
     except OSError as exc:
-        raise _unreadable(path, exc) from exc
-
-
-def _unreadable(path: Path, exc: OSError) -> InputError:
-    return InputError(path, f"cannot read file: {exc.strerror or exc}")
+        raise InputError(path, f"cannot read file: {exc.strerror or exc}") from exc
 
 
 def read_inputs(directory: Path) -> dict[str, bytes]:
     """The bytes of every ``*.json`` file in a directory, dot files included,
     by file name in name order; raises InputError, naming the directory or
-    ``directory / name``, when either cannot be read."""
+    ``directory / name``, when either cannot be read (:func:`read_listed`)."""
     if not directory.is_dir():
         raise InputError(directory, "not a directory")
     try:
@@ -44,23 +41,34 @@ def read_inputs(directory: Path) -> dict[str, bytes]:
         directory_fd = os.open(directory, os.O_RDONLY)  # no path walk, no file object per file
     except OSError as exc:
         raise InputError(directory, f"cannot list directory: {exc.strerror or exc}") from exc
-    files = {}
     try:
-        for name in names:
-            try:
-                fd = os.open(name, os.O_RDONLY, dir_fd=directory_fd)
-                try:
-                    chunks = []
-                    while chunk := os.read(fd, 1 << 16):
-                        chunks.append(chunk)
-                    files[name] = b"".join(chunks)
-                finally:
-                    os.close(fd)
-            except OSError as exc:
-                raise _unreadable(directory / name, exc) from exc
+        return {name: read_listed(directory, name, directory_fd) for name in names}
     finally:
         os.close(directory_fd)
-    return files
+
+
+def read_listed(directory: Path, name: str, directory_fd: int | None = None) -> bytes:
+    """The bytes of ``directory / name``, a file found by listing a directory
+    (opened by name in ``directory_fd`` when given). It is read without
+    blocking, and InputError names it when it cannot be read or is no regular
+    file; only a first read that is empty or a whole chunk costs an fstat, so
+    a file under 64 KiB that reads to its end (the usual input) is taken as is."""
+    try:
+        fd = os.open(name if directory_fd is not None else os.path.join(directory, name),
+                     os.O_RDONLY | os.O_NONBLOCK, dir_fd=directory_fd)
+        try:
+            chunks = [os.read(fd, 1 << 16)]
+            if not 0 < len(chunks[0]) < 1 << 16 and not S_ISREG(os.fstat(fd).st_mode):
+                raise InputError(directory / name, "not a regular file")
+            while chunks[-1] and (chunk := os.read(fd, 1 << 16)):  # an empty file has ended
+                chunks.append(chunk)
+            return b"".join(chunks)
+        finally:
+            os.close(fd)
+    except BlockingIOError as exc:  # a FIFO that a writer holds open
+        raise InputError(directory / name, "not a regular file") from exc
+    except OSError as exc:
+        raise InputError(directory / name, f"cannot read file: {exc.strerror or exc}") from exc
 
 
 def path_prefix(directory: Path) -> str:

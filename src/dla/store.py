@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
 from .errors import InputError, ParseError, StaleEntryWarning, StoreCorrupt, StoreError
-from .jsonio import canonical_json, read_input, read_inputs, read_json
+from .jsonio import canonical_json, read_input, read_inputs, read_json, read_listed
 from .lineage import LineageGraph, decode_root
 from .model import Document, ProvenanceRecord, Value, VerifiedLicense
 from .resources import templates_dir
@@ -93,7 +93,7 @@ class AnalysisStore:
     def _read(self, path: Path) -> StoreEntry | None:
         key = path.stem
         try:
-            entry = StoreEntry.from_dict(read_json(path))
+            entry = StoreEntry.from_dict(read_json(path, read_listed(path.parent, path.name)))
         except (InputError, ParseError) as exc:
             if isinstance(exc.__cause__, (FileNotFoundError, NotADirectoryError)):
                 return None  # removed (``store rm``) since it was listed, or no store yet

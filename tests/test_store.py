@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -203,14 +204,14 @@ class TestStoreIntegrity:
         bundle = read_bundle("cifar-10")
         store = AnalysisStore(tmp_path / "store")
         lookup_or_verify(store, bundle)
-        real = Path.read_bytes
+        real = os.open
 
-        def racing(path):  # a ``store rm`` lands between the lookup or listing and the read
-            if path.parent == store.root:
-                path.unlink()
-            return real(path)
+        def racing(path, *args, **kwargs):  # a ``store rm`` lands between the lookup or listing and the open
+            if Path(path).parent == store.root:
+                Path(path).unlink()
+            return real(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_bytes", racing)
+        monkeypatch.setattr(os, "open", racing)
         if read == "get":
             assert store.get(analysis_key(bundle.root)) is None
         else:
