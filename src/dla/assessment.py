@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DuplicateScenario, ParseError, UnknownRight
-from .jsonio import read_json
+from .jsonio import read_json, text_lines
 from .model import (
     AssessmentRow,
     AssessmentTable,
@@ -108,13 +108,9 @@ def assess_all(
     )
 
 
-# A pipe would end a markdown table cell, and a line break the row, item or line.
-_MARKDOWN_TEXT = str.maketrans({"|": "\\|", "\n": " ", "\r": " "})
-
-
 def _markdown_text(text: str) -> str:
-    """``text`` for one markdown line: ``|`` written ``\\|``, a line break a space."""
-    return text.translate(_MARKDOWN_TEXT)
+    """``text`` for one markdown line: ``|``, which would end a table cell, as ``\\|``."""
+    return text.replace("|", "\\|")
 
 
 def _row(cells: Iterable[str]) -> str:
@@ -171,7 +167,7 @@ def render_markdown(table: AssessmentTable, verified: VerifiedLicense) -> str:
     if table.advisory_obligations:
         lines += _block("Note: granted rights outside the requested scenarios carry obligations "
                         + "+".join(table.advisory_obligations) + " (see legend).")
-    return "\n".join(lines + [""])
+    return text_lines(lines)
 
 
 def render_rights_markdown(verified: VerifiedLicense, dataset_name: str | None = None) -> str:
@@ -187,4 +183,4 @@ def render_rights_markdown(verified: VerifiedLicense, dataset_name: str | None =
         obligations = "+".join(o.id for o in entry.obligations) or "-"
         restrictors = ", ".join(verified.restrictors.get(right, ())) or "-"
         lines.append(_row([right, grant, obligations, restrictors]))
-    return "\n".join(lines + _residual_risk(verified) + [""])
+    return text_lines(lines + _residual_risk(verified))

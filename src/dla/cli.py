@@ -12,8 +12,9 @@ sysexits(3), where argparse's own code, 2, would read as a lineage problem).
 Every input file is read through :func:`dla.jsonio.read_json`.
 
 Each command returns its report and exit code; the report is written in one
-write after it is complete, so any error exit leaves stdout empty. A package
-warning reaches stderr as one ``warning: <message>`` line. The command line is
+write after it is complete, so any error exit leaves stdout empty. Every line of
+a text report, and the one stderr line of an error or a package warning, is
+written by :func:`dla.jsonio.text_lines`, the one line rule. The command line is
 parsed by argparse: ``dla`` needs only the standard library.
 """
 
@@ -24,10 +25,10 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from .errors import DlaError, DlaWarning, InputError, LineageError, ParseError, StoreError
-from .jsonio import canonical_json, path_prefix, read_inputs, read_json
+from .jsonio import canonical_json, path_prefix, read_inputs, read_json, text_lines
 from .version import __version__
 
 # Each command imports the layers it runs when it runs, so `dla --version`
@@ -51,7 +52,8 @@ class _Shown(Exception):
 
 
 class _UsageError(Exception):
-    """A command line that cannot be parsed: the message, then the usage line."""
+    """A command line that cannot be parsed: its args are the message and the
+    usage lines that follow it, as argparse formats them."""
 
 
 # Exit code of every error a run may end with; the first matching class
@@ -64,11 +66,6 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (LineageError, EXIT_LINEAGE),
     (DlaError, EXIT_VALIDATION),
 )
-
-
-def _text_report(lines: Iterable[str]) -> str:
-    """A plain-text report: each line, with a CR or LF in its text a space."""
-    return "".join([line.replace("\r", " ").replace("\n", " ") + "\n" for line in lines])
 
 
 def _load_graph(path: Path, strict: bool) -> LineageGraph:
@@ -136,7 +133,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
             lines += [f"  - {problem}" for problem in problems]
         else:
             lines.append(f"{path}: ok")
-    return _text_report(lines), code
+    return text_lines(lines), code
 
 
 def cmd_lineage(args: argparse.Namespace) -> tuple[str, int]:
@@ -149,7 +146,7 @@ def cmd_lineage(args: argparse.Namespace) -> tuple[str, int]:
         year = record.origin_year if record.origin_year is not None else "-"
         lines.append(f"{node_id}: kind={record.subject_kind.value} origin_year={year}")
     lines += [f"{parent} -> {child}" for parent, child in graph.edges]
-    return _text_report(lines), EXIT_OK
+    return text_lines(lines), EXIT_OK
 
 
 def cmd_range(args: argparse.Namespace) -> tuple[str, int]:
@@ -184,7 +181,7 @@ def cmd_range(args: argparse.Namespace) -> tuple[str, int]:
             year = "" if chosen is None else f"{chosen.year} "
             line += f" capture: {year}({status.value})"
         lines.append(line)
-    return _text_report(lines), EXIT_OK
+    return text_lines(lines), EXIT_OK
 
 
 def _run_pipeline(args: argparse.Namespace) -> tuple[ProvenanceRecord, VerifiedLicense]:
@@ -254,13 +251,13 @@ def _open_store(args: argparse.Namespace) -> AnalysisStore:
 def cmd_store_ls(args: argparse.Namespace) -> tuple[str, int]:
     """List stored analyses."""
     entries = _open_store(args).entries()
-    return _text_report(f"{entry.key}  {entry.dataset_name}" for entry in entries), EXIT_OK
+    return text_lines(f"{entry.key}  {entry.dataset_name}" for entry in entries), EXIT_OK
 
 
 def cmd_store_rm(args: argparse.Namespace) -> tuple[str, int]:
     """Remove one stored analysis by key."""
     removed = _open_store(args).remove(args.key)
-    return _text_report([f"removed {args.key}" if removed else f"no entry for {args.key}"]), EXIT_OK
+    return text_lines([f"removed {args.key}" if removed else f"no entry for {args.key}"]), EXIT_OK
 
 
 class _Show(argparse.Action):
@@ -285,7 +282,7 @@ class _Parser(argparse.ArgumentParser):
                           const=argparse.ArgumentParser.format_help, help="Show this message and exit.")
 
     def error(self, message: str) -> NoReturn:
-        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
+        raise _UsageError(message, self.format_usage())
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -350,7 +347,7 @@ def _run(args: Sequence[str] | None = None) -> NoReturn:
         # Python's format names the file and line that warned: dla's own
         # source, which says nothing about the input an operator gave.
         if issubclass(category, DlaWarning):
-            return f"warning: {message}\n"
+            return text_lines([f"warning: {message}"])
         return python_format(message, category, *where)
 
     warnings.formatwarning = format_warning
@@ -361,7 +358,8 @@ def _run(args: Sequence[str] | None = None) -> NoReturn:
         report, code = str(exc), EXIT_OK
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         report, code = "", next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-        sys.stderr.write(f"error: {exc}\n")
+        message, usage = exc.args if isinstance(exc, _UsageError) else (exc, "")
+        sys.stderr.write(text_lines([f"error: {message}"]) + usage)
     finally:
         warnings.formatwarning = python_format
     try:

@@ -1,5 +1,5 @@
-"""Input files and canonical JSON: the readers every input goes through, and
-the one rendering of a document as it is written to disk.
+"""Input files and output: the readers every input goes through, the one rendering
+of a document as it is written to disk, and the one line rule, :func:`text_lines`.
 
 This module imports nothing of the domain model, so the command line loads
 it without compiling :mod:`dla.model`.
@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 from stat import S_ISREG
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import InputError
 
@@ -20,6 +20,12 @@ from .errors import InputError
 def canonical_json(doc: Any) -> str:
     """Render a document dict exactly as it is written to disk."""
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def text_lines(lines: Iterable[str]) -> str:
+    """``lines`` as text, each ended by LF; a CR or LF inside a line, and only
+    those, is written as a space, so no input text can end a line or forge one."""
+    return "".join([line.replace("\r", " ").replace("\n", " ") + "\n" for line in lines])
 
 
 def read_input(path: Path) -> bytes:

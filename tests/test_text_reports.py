@@ -1,11 +1,21 @@
-"""The plain-text reports (``lineage``, ``range``, ``validate``, ``store ls``
-and ``store rm``) write one line per item: a CR or LF in input text becomes
-a space, so no id or name can split its line or forge another item's."""
+"""Every line dla prints is a line dla wrote: the plain-text reports
+(``lineage``, ``range``, ``validate``, ``store ls`` and ``store rm``), the
+markdown reports of ``assess`` and ``verify``, and the ``error:`` and
+``warning:`` lines on stderr all go through ``jsonio.text_lines``. A CR or LF
+in input text becomes a space there, so no id, name, mapping key or
+command-line token can split its line or forge another; other control and
+separator characters (U+2028, VT) are kept as given. No other source line
+holds a CR."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,7 +27,9 @@ from dla import AnalysisStore, lookup_or_verify
 from dla.model import SubjectKind, canonical_json
 from dla.resources import templates_dir
 
-from helpers import bundle_paths, read_bundle, record_for, run_cli
+from helpers import FIXTURES_DIR, bundle_paths, read_bundle, record_for, run_cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Ids and names made of a few letters and the two line-break characters.
 _TEXT = st.text(alphabet="ab \n\r", min_size=1, max_size=6).map(lambda text: "n" + text)
@@ -101,3 +113,118 @@ def test_validate_problem_path_forges_no_line(tmp_path):
     lines = _lines(result.stdout)
     assert lines[0] == f"{path}: 1 problem(s)"
     assert len(lines) == 2 and lines[1].startswith(f"  - {path}.custom_rights.x /tmp/forged.json: ok.grant: ")
+
+
+def _custom_rights_bundle(work: Path, rights: dict) -> tuple[Path, Path]:
+    """A copy of cifar-10 whose root vector has ``rights`` as its custom rights."""
+    bundle = work / "cifar-10"
+    shutil.copytree(FIXTURES_DIR / "cifar-10", bundle)
+    root = bundle / "interpretations" / "cifar-10.json"
+    doc = json.loads(root.read_text(encoding="utf-8"))
+    doc["vector"]["custom_rights"] = rights
+    root.write_text(json.dumps(doc), encoding="utf-8")
+    return bundle / "lineage.json", bundle / "interpretations"
+
+
+def _run_process(*args: object) -> subprocess.CompletedProcess:
+    """``python -m dla args...`` in a child, where a package warning reaches stderr."""
+    return subprocess.run([sys.executable, "-W", "default", "-m", "dla", *map(str, args)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_error_path_forges_no_stderr_line(tmp_path):
+    """A custom-right key holding a line break and the text of an ``error:`` line."""
+    lineage, interpretations = _custom_rights_bundle(
+        tmp_path, {"x\nerror: forged line": {"grant": "bogus"}})
+    result = run_cli("verify", lineage, interpretations)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert _lines(result.stderr) == [
+        f"error: {interpretations / 'cifar-10.json'}.vector.custom_rights.x error: forged line"
+        ".grant: invalid value 'bogus'; expected one of: granted, denied, unspecified"]
+
+
+def test_warning_path_forges_no_stderr_line(tmp_path):
+    """The same key under ``--lenient``, on a right with an unknown field."""
+    lineage, interpretations = _custom_rights_bundle(
+        tmp_path, {"x\nerror: forged line": {"grant": "granted", "zz_unknown": 1}})
+    result = _run_process("--lenient", "verify", lineage, interpretations)
+    assert result.returncode == 0 and result.stdout.startswith("# Verified license: CIFAR-10\n")
+    assert _lines(result.stderr) == [
+        f"warning: {interpretations / 'cifar-10.json'}.vector.custom_rights.x error: forged line"
+        ": ignoring unknown fields ['zz_unknown']"]
+
+
+def test_usage_error_token_forges_no_stderr_line():
+    """A command-line token holding a line break: one ``error:`` line, then
+    the usage lines as argparse formats them."""
+    result = run_cli("lineage", "x", "--bo\nerror: forged")
+    assert (result.exit_code, result.stdout) == (64, "")
+    first, *usage = _lines(result.stderr)
+    assert first == "error: unrecognized arguments: --bo error: forged"
+    assert usage[0].startswith("Usage: dla [") and all(line.startswith(" ") for line in usage[1:])
+
+
+def test_command_line_path_forges_no_stderr_line(tmp_path):
+    lineage, _ = bundle_paths("cifar-10")
+    result = run_cli("verify", lineage, tmp_path / "interp\nerror: forged")
+    assert (result.exit_code, result.stdout) == (64, "")
+    assert _lines(result.stderr) == [
+        f"error: {tmp_path}/interp error: forged: not a directory"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(keys=st.lists(_TEXT, min_size=1, max_size=3, unique=True))
+def test_every_stderr_line_of_verify_is_one_dla_wrote(keys):
+    """Custom-right keys of any line breaks: ``verify`` prints one ``error:``
+    line, and ``--lenient verify`` one ``warning:`` line per key."""
+    prefixes = ("error:", "warning:", "(cached analysis)")
+    with tempfile.TemporaryDirectory() as work:
+        bogus = {key: {"grant": "bogus"} for key in keys}
+        result = run_cli("verify", *_custom_rights_bundle(Path(work) / "bogus", bogus))
+        assert result.exit_code == 1
+        lines = _lines(result.stderr)
+        assert len(lines) == 1 and all(line.startswith(prefixes) for line in lines)
+
+        unknown = {key: {"grant": "granted", "zz_unknown": 1} for key in keys}
+        unknown_bundle = _custom_rights_bundle(Path(work) / "unknown", unknown)
+        result = _run_process("--lenient", "verify", *unknown_bundle)
+        assert result.returncode == 0
+        lines = _lines(result.stderr)
+        assert len(lines) == len(keys) and all(line.startswith(prefixes) for line in lines)
+
+
+def test_other_separators_are_kept_as_given(tmp_path):
+    """Only CR and LF end a line: a node id holding U+2028 and VT reaches
+    ``range`` stdout and an ``error:`` line byte for byte."""
+    node = "80-million\u2028tiny\x0bimages"
+    lineage, _ = bundle_paths("cifar-10")
+    text = lineage.read_text(encoding="utf-8")
+    doc = json.loads(text.replace('"80-million-tiny-images"', json.dumps(node)))
+    renamed = tmp_path / "lineage.json"
+    renamed.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("range", renamed)
+    assert result.exit_code == 0
+    assert result.stdout == run_cli("range", lineage).stdout.replace("80-million-tiny-images", node)
+
+    doc["edges"].append([node, "cifar-10"])
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("range", cyclic)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: cycle detected: cifar-10 -> {node} -> cifar-10\n"
+
+
+def test_the_line_rule_is_written_once():
+    """No string constant in ``src/dla`` holds a CR except in ``jsonio.text_lines``:
+    a second place that decides what ends a line fails here."""
+    found = []
+    for path in sorted((SRC / "dla").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rule = [function for function in tree.body if path.name == "jsonio.py"
+                and isinstance(function, ast.FunctionDef) and function.name == "text_lines"]
+        allowed = {id(node) for function in rule for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "\r" in node.value and id(node) not in allowed]
+    assert found == []
