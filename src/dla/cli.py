@@ -190,7 +190,11 @@ def _run_pipeline(args: argparse.Namespace) -> tuple[ProvenanceRecord, VerifiedL
     from .store import AnalysisStore, Bundle, lookup_or_verify
 
     bundle = Bundle.read(args.lineage_path, args.interpretations_dir, args.strict)
-    store = AnalysisStore(args.store_path) if args.store_path else None
+    try:
+        store = AnalysisStore(args.store_path) if args.store_path else None
+    except StoreError:
+        bundle.lineage  # a lineage that is not JSON is named first
+        raise
     verified, cache_hit = lookup_or_verify(
         store, bundle, EnginePolicy(unknown_denies=args.unknown_denies))
     if cache_hit:

@@ -11,6 +11,9 @@ no capture.
 
 from __future__ import annotations
 
+import json
+import marshal
+import re
 import warnings
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
@@ -27,6 +30,7 @@ from .errors import (
     UnknownRoot,
     UnreachableNode,
 )
+from .jsonio import read_json
 from .model import (
     CaptureStatus,
     DocPath,
@@ -129,11 +133,13 @@ class LineageGraph(Value):
         return build_lineage(doc.records, doc.edges, doc.root_id, records_path=(path, "records"))
 
 
-def decode_root(data: Any, path: str = "lineage", strict: bool = True) -> ProvenanceRecord | None:
+def decode_root(data: Any, path: str = "lineage", strict: bool = True,
+                sniffed: tuple[dict, ProvenanceRecord] | None = None) -> ProvenanceRecord | None:
     """The root record of a lineage document, decoded alone as
     :meth:`LineageGraph.from_dict` decodes it; None when it cannot be found
     or decoded, for the full parse to report why. Unknown-field warnings are
-    left to the full parse too."""
+    left to the full parse too. ``sniffed`` (:func:`sniff_root`) is reused when
+    its object is exactly the root's."""
     if not isinstance(data, dict):
         return None
     root_id, records = data.get("root_id"), data.get("records")
@@ -146,12 +152,46 @@ def decode_root(data: Any, path: str = "lineage", strict: bool = True) -> Proven
     if len(found) != 1:
         return None
     [(i, record)] = found
+    if sniffed is not None and marshal.dumps(record, 2) == marshal.dumps(sniffed[0], 2):
+        return sniffed[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnknownFieldWarning)
         try:
             return ProvenanceRecord.from_dict(record, ((path, "records"), i), strict)
         except DlaError:
             return None
+
+
+_SCANNER, _ROOT_ID = json.JSONDecoder(), re.compile(rb'"root_id"\s*:\s*')
+
+
+def _value_at(raw: bytes, at: int) -> bytes:
+    """The bytes of the JSON value that starts at ``raw[at]`` and ends within
+    64 KiB, found by json's scanner; raises ValueError or RecursionError when
+    there is none."""
+    window = raw[at:at + (1 << 16)].decode("utf-8", "surrogateescape")  # any bytes round-trip
+    return window[:_SCANNER.raw_decode(window)[1]].encode("utf-8", "surrogateescape")
+
+
+def sniff_root(raw: bytes, path: str = "lineage",
+               strict: bool = True) -> tuple[dict, ProvenanceRecord] | None:
+    """A candidate root record's JSON object and record, read out of a
+    lineage's bytes: the last ``"root_id"`` key's value, then the first
+    object that opens with it as ``subject_id`` (:func:`_value_at`), decoded
+    alone by :func:`read_json` and :func:`decode_root`; None at any doubt. It
+    is the root if the bytes are a valid lineage, as a fresh stored analysis
+    of their digest proves."""
+    at = raw.rfind(b'"root_id"')
+    key = _ROOT_ID.match(raw, at) if at >= 0 else None
+    try:
+        root_id = key and _value_at(raw, key.end())
+        opening = root_id and re.search(rb'\{\s*"subject_id"\s*:\s*' + re.escape(root_id), raw)
+        record = opening and _value_at(raw, opening.start())
+        doc = record and read_json(path, b'{"root_id": %s, "records": [%s]}' % (root_id, record))
+    except (ValueError, RecursionError, DlaError):  # not JSON that dla can hold
+        return None
+    root = decode_root(doc, path, strict) if doc else None
+    return (doc["records"][0], root) if root is not None else None
 
 
 def _reach(adjacency: Mapping[str, Sequence[str]], root: str) -> set[str]:

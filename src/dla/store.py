@@ -12,7 +12,8 @@ is corrupt; one removed between a listing or lookup and its read is a miss.
 
 :func:`lookup_or_verify` analyses a :class:`Bundle`, the files of one dataset
 as read from disk, through the store; the CLI and library callers share it,
-and so share store entries.
+and so share store entries. A hit decodes no lineage: the inputs digest covers
+its bytes and only valid bundles are stored, so a fresh blob proves them valid.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import os
 import re
 import warnings
+from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from .engine import ENGINE_VERSION, EnginePolicy, fingerprint_inputs, verify
 from .errors import InputError, ParseError, StaleEntryWarning, StoreCorrupt, StoreError
 from .jsonio import canonical_json, read_input, read_inputs, read_json, read_listed
-from .lineage import LineageGraph, decode_root
+from .lineage import LineageGraph, decode_root, sniff_root
 from .model import Document, ProvenanceRecord, Value, VerifiedLicense
 from .resources import templates_dir
 
@@ -108,14 +110,17 @@ class AnalysisStore:
         found = (self._read(p) for p in sorted(self.root.glob("*.json")) if _KEY.fullmatch(p.stem))
         return [entry for entry in found if entry is not None]
 
-    def get(self, key: str) -> VerifiedLicense | None:
-        """The stored verified license for a key, or None.
+    def get(self, key: str, dataset_name: str | None = None) -> VerifiedLicense | None:
+        """The stored verified license for a key, or None (also when the
+        entry names another dataset than a given ``dataset_name``).
 
         Raises StoreCorrupt when the key's blob cannot be trusted.
         """
         path = self._blob_path(key)
         entry = self._read(path) if path is not None else None
-        return entry.verified_license if entry is not None else None
+        if entry is None or dataset_name not in (None, entry.dataset_name):
+            return None
+        return entry.verified_license
 
     def put(self, key: str, verified: VerifiedLicense, dataset_name: str) -> None:
         path = self._blob_path(key)
@@ -166,15 +171,14 @@ def _stale_reason(stored: VerifiedLicense, current_digest: str) -> str | None:
 
 
 class Bundle(Value):
-    """A dataset's bundle as read from disk: the lineage file's bytes and
-    JSON document, the interpretation files by name, the license template
-    files by name, and the parse mode. The inputs digest hashes these bytes;
-    the root record, the lineage graph and the parsed interpretations are
-    decoded from them only when asked, and then once."""
+    """A dataset's bundle as read from disk: the lineage file's bytes, the
+    interpretation files by name, the license template files by name, and
+    the parse mode. The inputs digest hashes these bytes; the lineage, its
+    graph and the interpretations are decoded only when asked, and then once.
+    A store hit decodes none, as its fresh blob proves the bytes valid."""
 
     lineage_path: Path
     lineage_bytes: bytes
-    lineage: Any
     interpretations_dir: Path
     interpretation_files: Mapping[str, bytes]
     template_files: Mapping[str, bytes]
@@ -183,19 +187,34 @@ class Bundle(Value):
     @classmethod
     def read(cls, lineage_path: Path, interpretations_dir: Path, strict: bool = True) -> Bundle:
         """Read a bundle and the shipped templates; raises InputError, naming
-        the file, when one cannot be read or the lineage is not JSON."""
+        the file, when one cannot be read (a lineage that is not JSON first)."""
         raw = read_input(lineage_path)
-        return cls(lineage_path, raw, read_json(lineage_path, raw), interpretations_dir,
-                   read_inputs(interpretations_dir), read_inputs(templates_dir()), strict)
+        try:
+            return cls(lineage_path, raw, interpretations_dir, read_inputs(interpretations_dir),
+                       read_inputs(templates_dir()), strict)
+        except InputError:
+            read_json(lineage_path, raw)  # a lineage that is not JSON is named first
+            raise
 
     def digest(self, policy: EnginePolicy) -> str:
         return fingerprint_inputs(self.lineage_bytes, self.interpretation_files,
                                   self.template_files, policy, strict=self.strict)
 
     @cached_property
+    def lineage(self) -> Any:
+        """The lineage file's JSON document; raises InputError when it is not JSON."""
+        return read_json(self.lineage_path, self.lineage_bytes)
+
+    @cached_property
+    def sniffed_root(self) -> tuple[dict, ProvenanceRecord] | None:
+        """:func:`sniff_root` of the lineage's bytes."""
+        return sniff_root(self.lineage_bytes, str(self.lineage_path), self.strict)
+
+    @cached_property
     def root(self) -> ProvenanceRecord | None:
         """The lineage's root record, decoded alone (:func:`decode_root`)."""
-        return decode_root(self.lineage, str(self.lineage_path), self.strict)
+        return decode_root(self.lineage, str(self.lineage_path), self.strict,
+                           vars(self).get("sniffed_root"))
 
     @cached_property
     def graph(self) -> LineageGraph:
@@ -217,20 +236,34 @@ def lookup_or_verify(
 ) -> tuple[VerifiedLicense, bool]:
     """Return the bundle's verified license and whether the store held it.
 
-    The store is looked up under the key of the lineage's root record, decoded
-    alone. A stored analysis is served only when its audit trailer names this
-    engine version and the bundle's inputs digest. The digest covers every
-    byte of the bundle and only analyses of valid bundles are stored, so a hit
-    parses nothing more and the engine is not invoked. Any other stored
-    analysis is stale: a StaleEntryWarning is emitted and the analysis reruns.
+    The store is looked up under the key of the lineage's root record: first,
+    silently, under that of :attr:`Bundle.sniffed_root`, read out of the text,
+    then under that of the root decoded alone. A stored analysis is served
+    only when its audit trailer names this engine version and the bundle's
+    inputs digest. The digest covers every byte of the bundle and only
+    analyses of valid bundles are stored, so a hit parses nothing more, the
+    engine is not invoked, and a hit on the sniffed key proves that record the
+    root. An analysis stored under the decoded root's key that is not served
+    is stale: a StaleEntryWarning is emitted and the analysis reruns.
     Otherwise the lineage and interpretations are parsed and validated, the
     engine runs, and the result is stored (unless the store is None).
     """
     policy = policy or EnginePolicy()
     inputs_digest = bundle.digest(policy)
+    sniffed_key = stored = None
+    if store is not None and bundle.sniffed_root is not None:
+        sniffed = bundle.sniffed_root[1]
+        sniffed_key = analysis_key(sniffed, policy)
+        with suppress(StoreCorrupt):  # raised in its place by the lookup below
+            stored = store.get(sniffed_key, sniffed.dataset_name)
+        if (stored is not None and stored.root_id == sniffed.subject_id
+                and _stale_reason(stored, inputs_digest) is None):
+            vars(bundle).setdefault("root", sniffed)
+            return stored, True
     if store is not None and bundle.root is not None:
         key = analysis_key(bundle.root, policy)
-        stored = store.get(key)
+        if key != sniffed_key or stored is None:
+            stored = store.get(key)
         if stored is not None:
             reason = _stale_reason(stored, inputs_digest)
             if reason is None:
