@@ -12,7 +12,6 @@ no capture.
 from __future__ import annotations
 
 import json
-import marshal
 import re
 import warnings
 from functools import cached_property
@@ -133,13 +132,11 @@ class LineageGraph(Value):
         return build_lineage(doc.records, doc.edges, doc.root_id, records_path=(path, "records"))
 
 
-def decode_root(data: Any, path: str = "lineage", strict: bool = True,
-                sniffed: tuple[dict, ProvenanceRecord] | None = None) -> ProvenanceRecord | None:
+def decode_root(data: Any, path: str = "lineage", strict: bool = True) -> ProvenanceRecord | None:
     """The root record of a lineage document, decoded alone as
     :meth:`LineageGraph.from_dict` decodes it; None when it cannot be found
     or decoded, for the full parse to report why. Unknown-field warnings are
-    left to the full parse too. ``sniffed`` (:func:`sniff_root`) is reused when
-    its object is exactly the root's."""
+    left to the full parse too."""
     if not isinstance(data, dict):
         return None
     root_id, records = data.get("root_id"), data.get("records")
@@ -152,8 +149,6 @@ def decode_root(data: Any, path: str = "lineage", strict: bool = True,
     if len(found) != 1:
         return None
     [(i, record)] = found
-    if sniffed is not None and marshal.dumps(record, 2) == marshal.dumps(sniffed[0], 2):
-        return sniffed[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnknownFieldWarning)
         try:
@@ -173,14 +168,12 @@ def _value_at(raw: bytes, at: int) -> bytes:
     return window[:_SCANNER.raw_decode(window)[1]].encode("utf-8", "surrogateescape")
 
 
-def sniff_root(raw: bytes, path: str = "lineage",
-               strict: bool = True) -> tuple[dict, ProvenanceRecord] | None:
-    """A candidate root record's JSON object and record, read out of a
-    lineage's bytes: the last ``"root_id"`` key's value, then the first
-    object that opens with it as ``subject_id`` (:func:`_value_at`), decoded
-    alone by :func:`read_json` and :func:`decode_root`; None at any doubt. It
-    is the root if the bytes are a valid lineage, as a fresh stored analysis
-    of their digest proves."""
+def sniff_root(raw: bytes, path: str = "lineage", strict: bool = True) -> ProvenanceRecord | None:
+    """A candidate root record, read out of a lineage's bytes: the last
+    ``"root_id"`` key's value, then the first object that opens with it as
+    ``subject_id`` (:func:`_value_at`), decoded alone by :func:`read_json` and
+    :func:`decode_root`; None at any doubt. It is the root if the bytes are a
+    valid lineage (see :mod:`dla.store`)."""
     at = raw.rfind(b'"root_id"')
     key = _ROOT_ID.match(raw, at) if at >= 0 else None
     try:
@@ -190,8 +183,7 @@ def sniff_root(raw: bytes, path: str = "lineage",
         doc = record and read_json(path, b'{"root_id": %s, "records": [%s]}' % (root_id, record))
     except (ValueError, RecursionError, DlaError):  # not JSON that dla can hold
         return None
-    root = decode_root(doc, path, strict) if doc else None
-    return (doc["records"][0], root) if root is not None else None
+    return decode_root(doc, path, strict) if doc else None
 
 
 def _reach(adjacency: Mapping[str, Sequence[str]], root: str) -> set[str]:

@@ -12,8 +12,12 @@ is corrupt; one removed between a listing or lookup and its read is a miss.
 
 :func:`lookup_or_verify` analyses a :class:`Bundle`, the files of one dataset
 as read from disk, through the store; the CLI and library callers share it,
-and so share store entries. A hit decodes no lineage: the inputs digest covers
-its bytes and only valid bundles are stored, so a fresh blob proves them valid.
+and so share store entries. A blob is served only when fresh: its audit
+trailer names this engine version and the bundle's inputs digest. That digest
+covers every byte of the bundle and only valid bundles are stored, so a fresh
+blob proves the bytes valid, and a hit decodes no lineage: a fresh blob under
+the key of a root record read out of the text (:func:`~dla.lineage.sniff_root`)
+that names that root and dataset proves the record the root.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ class Bundle(Value):
     interpretation files by name, the license template files by name, and
     the parse mode. The inputs digest hashes these bytes; the lineage, its
     graph and the interpretations are decoded only when asked, and then once.
-    A store hit decodes none, as its fresh blob proves the bytes valid."""
+    A store hit decodes none (see :mod:`dla.store`)."""
 
     lineage_path: Path
     lineage_bytes: bytes
@@ -206,15 +210,9 @@ class Bundle(Value):
         return read_json(self.lineage_path, self.lineage_bytes)
 
     @cached_property
-    def sniffed_root(self) -> tuple[dict, ProvenanceRecord] | None:
-        """:func:`sniff_root` of the lineage's bytes."""
-        return sniff_root(self.lineage_bytes, str(self.lineage_path), self.strict)
-
-    @cached_property
     def root(self) -> ProvenanceRecord | None:
         """The lineage's root record, decoded alone (:func:`decode_root`)."""
-        return decode_root(self.lineage, str(self.lineage_path), self.strict,
-                           vars(self).get("sniffed_root"))
+        return decode_root(self.lineage, str(self.lineage_path), self.strict)
 
     @cached_property
     def graph(self) -> LineageGraph:
@@ -237,33 +235,28 @@ def lookup_or_verify(
     """Return the bundle's verified license and whether the store held it.
 
     The store is looked up under the key of the lineage's root record: first,
-    silently, under that of :attr:`Bundle.sniffed_root`, read out of the text,
-    then under that of the root decoded alone. A stored analysis is served
-    only when its audit trailer names this engine version and the bundle's
-    inputs digest. The digest covers every byte of the bundle and only
-    analyses of valid bundles are stored, so a hit parses nothing more, the
-    engine is not invoked, and a hit on the sniffed key proves that record the
-    root. An analysis stored under the decoded root's key that is not served
-    is stale: a StaleEntryWarning is emitted and the analysis reruns.
-    Otherwise the lineage and interpretations are parsed and validated, the
-    engine runs, and the result is stored (unless the store is None).
+    silently, under that of the record :func:`sniff_root` reads out of the
+    text, then under that of the root decoded alone. Only a fresh blob is
+    served; a hit parses nothing more and runs no engine (see :mod:`dla.store`).
+    An analysis stored under the decoded root's key that is not served is
+    stale: a StaleEntryWarning is emitted and the analysis reruns. Otherwise
+    the lineage and interpretations are parsed and validated, the engine runs,
+    and the result is stored (unless the store is None).
     """
     policy = policy or EnginePolicy()
     inputs_digest = bundle.digest(policy)
-    sniffed_key = stored = None
-    if store is not None and bundle.sniffed_root is not None:
-        sniffed = bundle.sniffed_root[1]
-        sniffed_key = analysis_key(sniffed, policy)
+    sniffed = store and sniff_root(bundle.lineage_bytes, str(bundle.lineage_path), bundle.strict)
+    if sniffed is not None:
+        stored = None
         with suppress(StoreCorrupt):  # raised in its place by the lookup below
-            stored = store.get(sniffed_key, sniffed.dataset_name)
+            stored = store.get(analysis_key(sniffed, policy), sniffed.dataset_name)
         if (stored is not None and stored.root_id == sniffed.subject_id
                 and _stale_reason(stored, inputs_digest) is None):
             vars(bundle).setdefault("root", sniffed)
             return stored, True
     if store is not None and bundle.root is not None:
         key = analysis_key(bundle.root, policy)
-        if key != sniffed_key or stored is None:
-            stored = store.get(key)
+        stored = store.get(key)
         if stored is not None:
             reason = _stale_reason(stored, inputs_digest)
             if reason is None:

@@ -189,7 +189,7 @@ def test_hit_decodes_the_root_record_alone(bundle, monkeypatch):
     monkeypatch.setattr(ProvenanceRecord, "from_dict", classmethod(record))
     monkeypatch.setattr(dla.lineage, "build_lineage", build)
     assert not cached(assess(bundle))
-    assert sorted(calls) == ["build_lineage"] + ["record"] * 3  # the root alone, then both
+    assert sorted(calls) == ["build_lineage"] + ["record"] * 4  # the root sniffed, alone, then both
     calls.clear()
     assert cached(assess(bundle))
     assert calls == ["record"]

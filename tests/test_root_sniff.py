@@ -13,15 +13,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import dla.store
 from dla import AnalysisStore, Bundle, lookup_or_verify
 from dla.errors import StaleEntryWarning, UnknownFieldWarning
+from dla.jsonio import canonical_json
 from dla.lineage import LineageGraph, decode_root, sniff_root
 
 from helpers import BUNDLE_NAMES, bundle_paths, run_cli
@@ -179,9 +182,35 @@ def test_the_sniff_finds_the_root_record_or_nothing(case):
     root = next(record for record in doc["records"] if record["subject_id"] == doc["root_id"])
     sniffed = sniff_root(raw)
     if sniffed is not None:
-        assert sniffed == (root, graph.root)
+        assert sniffed == graph.root
     if raw.count(b'"root_id"') == 1 and next(iter(root)) == "subject_id":
         assert sniffed is not None  # the root record is in plain sight
+
+
+@settings(max_examples=50, deadline=None)
+@given(lineage_texts())
+def test_a_store_changes_no_analysis_of_a_generated_lineage(case):
+    """No store, a miss, then a hit, each through the library: the same
+    canonical JSON each time, one blob, and the hit's root is the lineage's,
+    whether the sniff or the decoded root found its key."""
+    _, raw = case
+    graph = LineageGraph.from_dict(json.loads(raw))
+    with tempfile.TemporaryDirectory() as work:
+        lineage, interpretations = Path(work, "lineage.json"), Path(work, "interpretations")
+        lineage.write_bytes(raw)
+        interpretations.mkdir()
+        for i, node_id in enumerate(graph.nodes):
+            Path(interpretations, f"{i}.json").write_text(
+                json.dumps({"subject_id": node_id, "template": "CC-BY-4.0"}), encoding="utf-8")
+        store = AnalysisStore(Path(work, "store"))
+        bundles = [Bundle.read(lineage, interpretations) for _ in range(3)]
+        results = [lookup_or_verify(used, bundle)
+                   for used, bundle in zip((None, store, store), bundles)]
+        assert len({canonical_json(verified.to_dict()) for verified, _ in results}) == 1
+        assert [hit for _, hit in results] == [False, False, True]
+        assert len(list(store.root.glob("*.json"))) == 1
+        assert bundles[2].root == graph.root
+        event("hit by the " + ("exact key" if "lineage" in vars(bundles[2]) else "sniffed key"))
 
 
 @pytest.mark.parametrize("name", BUNDLE_NAMES)
@@ -189,7 +218,7 @@ def test_the_sniff_finds_the_root_of_every_fixture(name):
     lineage, _ = bundle_paths(name)
     sniffed = sniff_root(lineage.read_bytes(), str(lineage))
     assert sniffed is not None
-    assert sniffed[1] == decode_root(json.loads(lineage.read_bytes()), str(lineage))
+    assert sniffed == decode_root(json.loads(lineage.read_bytes()), str(lineage))
 
 
 def copy_cifar(tmp_path: Path) -> tuple[Path, Path]:
@@ -224,18 +253,21 @@ def test_an_entry_that_names_another_dataset_is_not_served_by_the_sniff(tmp_path
     assert lookup_or_verify(store, bundle)[1] and "lineage" in vars(bundle)
 
 
-def test_a_stale_entry_is_read_once(tmp_path, monkeypatch):
-    """The sniffed key is the root's: the exact lookup reuses the entry that
-    the sniff read, and warns that it is stale."""
+def test_a_stale_entry_warns_once_and_is_replaced(tmp_path):
+    """The sniffed key is the root's: the sniff passes the stale entry over
+    silently, and the exact lookup warns once, reruns and replaces it."""
     lineage, interpretations = copy_cifar(tmp_path)
     store = AnalysisStore(tmp_path / "store")
     lookup_or_verify(store, Bundle.read(lineage, interpretations))
     lineage.write_bytes(lineage.read_bytes() + b"\n")
-    reads, read = [], AnalysisStore._read
-    monkeypatch.setattr(AnalysisStore, "_read", lambda self, path: reads.append(path) or read(self, path))
-    with pytest.warns(StaleEntryWarning, match="computed from different inputs"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         _, hit = lookup_or_verify(store, Bundle.read(lineage, interpretations))
-    assert not hit and len(reads) == 1
+    assert not hit
+    assert [w.category for w in caught] == [StaleEntryWarning]
+    assert "computed from different inputs" in str(caught[0].message)
+    assert len(list(store.root.glob("*.json"))) == 1
+    assert lookup_or_verify(store, Bundle.read(lineage, interpretations))[1]
 
 
 def test_a_lineage_that_is_not_json_over_a_damaged_entry_is_named(tmp_path):
@@ -266,7 +298,7 @@ def test_a_record_that_shares_the_roots_key_is_not_taken_for_the_root(tmp_path):
     shutil.copytree(FFHQ_INTERPRETATIONS, interpretations)
     (interpretations / "twin.json").write_text('{"subject_id": "twin", "unavailable": true}',
                                                encoding="utf-8")
-    assert sniff_root(lineage.read_bytes(), strict=False)[0]["subject_id"] == "twin"
+    assert sniff_root(lineage.read_bytes(), strict=False).subject_id == "twin"
     store = AnalysisStore(tmp_path / "store")
     with pytest.warns(UnknownFieldWarning):
         assert not lookup_or_verify(store, Bundle.read(lineage, interpretations, strict=False))[1]
