@@ -217,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
     root, verified = _run_pipeline(args)
     if args.output_format == "json":
-        return canonical_json(verified.to_dict()), EXIT_OK
+        return verified.canonical_text, EXIT_OK
     return render_rights_markdown(verified, root.dataset_name), EXIT_OK
 
 
@@ -236,8 +236,8 @@ def cmd_assess(args: argparse.Namespace) -> tuple[str, int]:
         scenarios = default_scenarios()
     table = assess_all(verified, scenarios, dataset_name=root.dataset_name)
     if args.output_format == "json":
-        doc = {"assessment": table.to_dict(), "verified_license": verified.to_dict()}
-        report = canonical_json(doc)
+        doc = {"assessment": table.to_dict(), "verified_license": verified}
+        report = canonical_json(doc, {"verified_license": verified.canonical_text})
     else:
         report = render_markdown(table, verified)
     denied = any(not row.permitted for row in table.rows)

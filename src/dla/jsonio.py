@@ -12,14 +12,22 @@ import os
 import sys
 from pathlib import Path
 from stat import S_ISREG
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from .errors import InputError
 
 
-def canonical_json(doc: Any) -> str:
-    """Render a document dict exactly as it is written to disk."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+def canonical_json(doc: Any, texts: Mapping[str, str] | None = None) -> str:
+    """Render a document dict exactly as it is written to disk; a top-level member named
+    in ``texts`` is written from its canonical text there, not its value, as json.dumps
+    writes it one level down: each line after the first indented by two more spaces."""
+    if not texts:
+        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(key, ensure_ascii=False)}: "
+        + (texts[key].removesuffix("\n") if key in texts
+           else json.dumps(value, indent=2, ensure_ascii=False)).replace("\n", "\n  ")
+        for key, value in doc.items()) + "\n}\n"
 
 
 def text_lines(lines: Iterable[str]) -> str:

@@ -33,6 +33,7 @@ import sys
 import types
 import warnings
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union
 from typing import get_args, get_origin
 
@@ -279,8 +280,10 @@ def _field_codec(
         )
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         dec, enc = _field_codec(args[0], nested=True)
+        exact = frozenset([str] if args[0] is str else [])  # names: one C-level check, not one call each
         return (
-            lambda y, p, s: tuple([dec(z, (p, i), s) for i, z in enumerate(y)])
+            lambda y, p, s: (tuple(y) if exact.issuperset(map(type, y))
+                             else tuple([dec(z, (p, i), s) for i, z in enumerate(y)]))
             if isinstance(y, (list, tuple)) else wrong_type(p, "array", y),
             list if enc is None else lambda v: [enc(z) for z in v],
         )
@@ -776,6 +779,11 @@ class VerifiedLicense(Document, path="verified"):
     def grant(self, right_name: str) -> Grant:
         entry = self.rights.get(right_name)
         return entry.grant if entry is not None else Grant.UNSPECIFIED
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """Its canonical JSON, rendered once: the store's digest, blob and every JSON report share it."""
+        return jsonio.canonical_json(self.to_dict())
 
 
 # ---------------------------------------------------------------------------

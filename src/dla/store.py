@@ -10,6 +10,14 @@ goes through its own temp file and an atomic rename, so concurrent writers
 are safe. A blob that does not decode, names another key or fails its digest
 is corrupt; one removed between a listing or lookup and its read is a miss.
 
+A blob in the layout :meth:`AnalysisStore.put` writes, the entry's canonical
+JSON, has its payload digest checked over its own bytes, which a hit keeps as
+the license's text; a blob in any other layout is checked by rendering its
+license. This is sound: sha256 binds the text ``put`` hashed, and a JSON string
+holds no raw line break, so removing one level of indentation after each LF
+touches only whitespace between tokens: the member parses to what the hashed
+text parses to, which is the value the blob decoded to.
+
 :func:`lookup_or_verify` analyses a :class:`Bundle`, the files of one dataset
 as read from disk, through the store; the CLI and library callers share it,
 and so share store entries. A blob is served only when fresh: its audit
@@ -68,8 +76,8 @@ def analysis_key(record: ProvenanceRecord, policy: EnginePolicy | None = None) -
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _payload_sha256(verified: VerifiedLicense) -> str:
-    return hashlib.sha256(canonical_json(verified.to_dict()).encode("utf-8")).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class StoreEntry(Document, path="store_entry"):
@@ -99,14 +107,20 @@ class AnalysisStore:
     def _read(self, path: Path) -> StoreEntry | None:
         key = path.stem
         try:
-            entry = StoreEntry.from_dict(read_json(path, read_listed(path.parent, path.name)))
+            entry = StoreEntry.from_dict(read_json(path, raw := read_listed(path.parent, path.name)))
         except (InputError, ParseError) as exc:
             if isinstance(exc.__cause__, (FileNotFoundError, NotADirectoryError)):
                 return None  # removed (``store rm``) since it was listed, or no store yet
             raise StoreCorrupt(key, f"invalid blob: {exc}")
         if entry.key != key:
             raise StoreCorrupt(key, f"blob names key {entry.key!r}")
-        if entry.payload_sha256 != _payload_sha256(entry.verified_license):
+        text, verified = raw.decode("utf-8"), entry.verified_license
+        # put's layout: the entry's canonical JSON up to the license, its text indented, "\n}\n".
+        head = canonical_json(vars(entry), {"verified_license": ""})[:-3]
+        member = text[len(head):-3].replace("\n  ", "\n") + "\n"
+        if text.startswith(head) and text.endswith("\n}\n") and _sha256(member) == entry.payload_sha256:
+            vars(verified)["canonical_text"] = member
+        elif entry.payload_sha256 != _sha256(verified.canonical_text):
             raise StoreCorrupt(key, "payload does not match its sha256")
         return entry
 
@@ -134,14 +148,14 @@ class AnalysisStore:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot create store {self.root}: {exc.strerror or exc}") from exc
-        entry = StoreEntry(key, dataset_name, _payload_sha256(verified), verified)
+        entry = StoreEntry(key, dataset_name, _sha256(verified.canonical_text), verified)
         import tempfile  # only here, so that a run that writes no entry never loads it
 
         try:
             fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.root)
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as out:
-                    out.write(canonical_json(entry.to_dict()))
+                    out.write(canonical_json(vars(entry), {"verified_license": verified.canonical_text}))
                 os.chmod(tmp, 0o644)  # mkstemp makes it private; a store is shared
                 os.replace(tmp, path)
             except BaseException:

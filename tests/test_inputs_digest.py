@@ -25,7 +25,7 @@ import dla.lineage
 import dla.store
 from dla import AnalysisStore, Bundle, EnginePolicy, lookup_or_verify
 from dla.errors import StaleEntryWarning, UnknownFieldWarning
-from dla.model import ProvenanceRecord
+from dla.model import ProvenanceRecord, VerifiedLicense
 from dla.resources import templates_dir
 
 from helpers import BUNDLE_NAMES, bundle_paths, run_cli
@@ -193,6 +193,26 @@ def test_hit_decodes_the_root_record_alone(bundle, monkeypatch):
     calls.clear()
     assert cached(assess(bundle))
     assert calls == ["record"]
+
+
+@pytest.mark.parametrize("command", ["assess", "verify"])
+def test_a_run_renders_the_verified_license_at_most_once(tmp_path, monkeypatch, command):
+    """No store and a miss encode the verified license once, for the payload
+    digest, the blob and the JSON report alike; a hit encodes it never, and
+    prints the text its blob holds. ``StoreEntry.to_dict`` would encode it
+    through ``_encode`` too."""
+    lineage, _ = bundle_paths("cifar-10")
+    shutil.copytree(lineage.parent, tmp_path / "cifar-10")
+    paths = [tmp_path / "cifar-10" / "lineage.json", tmp_path / "cifar-10" / "interpretations"]
+    encodes, real = [], VerifiedLicense._encode
+    monkeypatch.setattr(VerifiedLicense, "_encode", lambda self: encodes.append(self) or real(self))
+    runs = []
+    for store in ([], ["--store", tmp_path / "store"], ["--store", tmp_path / "store"]):
+        encodes.clear()
+        result = run_cli(*store, "--format", "json", command, *paths)
+        runs.append((len(encodes), cached(result), result.stdout))
+    assert [run[:2] for run in runs] == [(1, False), (1, False), (0, True)]
+    assert runs[0][2] == runs[1][2] == runs[2][2]
 
 
 def edit_lineage(doc: dict, edit: str) -> None:

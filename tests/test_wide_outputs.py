@@ -8,6 +8,11 @@ goldens (``test_golden_outputs.py``) have at most 9 nodes, so a change that
 only shows over thousands of sources fails here, not there. The bundle's own
 hash is checked first, so a change to the bench's writer cannot pass for a
 change to ``dla``.
+
+The blob that ``--store`` writes is pinned too, on this bundle and on each
+shipped one, as recorded before a blob's license member was written from the
+license's once-rendered text; a store hit on this bundle prints the
+``json assess`` golden.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import hashlib
 
 import pytest
 
-from helpers import run_cli
+from helpers import BUNDLE_NAMES, bundle_paths, run_cli
 
 BUNDLE_SHA256 = "56cb6edcafaf1c46ad35e6e74415cada0c082f65e5adfd919e9de15962031eca"
 
@@ -48,6 +53,27 @@ GOLDEN = {
     ),
 }
 
+# Bundle name -> sha256 of the blob a ``--format json assess --store`` run writes.
+BLOB_SHA256 = {
+    "cifar-10": "113d6ea07b4c99de9504d882c00f63db071bcac4708a73ddb88778d67c1c0edd",
+    "cityscapes": "3bb26c859e8abe16280a4d102ec4c690c3c5d99418a7548027ab686a01f2927f",
+    "ffhq": "e0ef1f58e16307e11c8e4b2daad79b2ab456c82c61546742b3fd4027d2460c0b",
+    "imagenet": "09ad7e7963167facc77b3252d28e394be8730941cef76d5544177f628f680cd5",
+    "ms-coco": "e22a0a0ca119a26b1a5f0e3e6e036b5d681cc63e9eac6a5df4b9673efd87839f",
+    "ms-coco-annotations": "aaa59bfa7e4695ba16d808cc23d145e73d3f6d4f40c2d9ef779c494e5e37ca53",
+    "vggface2": "5a52ee5198dc2721de1dcb4291a0f43a839eefa5a17260ee2641b1ccd3f47aa6",
+}
+WIDE_KEY = "793e9492380af61a0e2c53cf5f83e647fad6285bf0b731dec8c5b6222a524593"
+WIDE_BLOB_SHA256 = "90f46a9a9338da6341c922231b47c622906c6a2c963b574cef0951ad47a95364"
+
+
+def stored_blob(store, lineage, interpretations) -> tuple[str, str]:
+    """The key and sha256 of the one blob a ``--format json assess`` miss writes."""
+    result = run_cli("--store", store, "--format", "json", "assess", lineage, interpretations)
+    assert "(cached analysis)" not in result.stderr
+    (blob,) = store.glob("*.json")
+    return blob.stem, hashlib.sha256(blob.read_bytes()).hexdigest()
+
 
 def test_bundle_is_the_one_recorded(bench_workloads, wide_seed_7_bundle):
     assert bench_workloads.bundle_sha256(wide_seed_7_bundle) == BUNDLE_SHA256
@@ -59,3 +85,16 @@ def test_output_matches_golden(wide_seed_7_bundle, command):
     result = run_cli(*args(wide_seed_7_bundle))
     assert (hashlib.sha256(result.stdout_bytes).hexdigest(), result.exit_code) == (
         sha256, exit_code), result.stderr
+
+
+def test_stored_blob_matches_golden_and_a_hit_prints_the_golden(tmp_path, wide_seed_7_bundle):
+    b, store = wide_seed_7_bundle, tmp_path / "store"
+    assert stored_blob(store, b.lineage, b.interpretations) == (WIDE_KEY, WIDE_BLOB_SHA256)
+    hit = run_cli("--store", store, "--format", "json", "assess", b.lineage, b.interpretations)
+    assert hit.stderr == "(cached analysis)\n"
+    assert (hashlib.sha256(hit.stdout_bytes).hexdigest(), hit.exit_code) == GOLDEN["json assess"][1:]
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_fixture_blob_matches_golden(tmp_path, name):
+    assert stored_blob(tmp_path / "store", *bundle_paths(name))[1] == BLOB_SHA256[name]
