@@ -10,7 +10,7 @@ output) needs CommercializeOutput.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import DuplicateScenario, ParseError, UnknownRight
 from .jsonio import read_json, text_lines
@@ -26,11 +26,11 @@ from .model import (
 from .resources import scenarios_path
 
 
-def load_scenarios(path: Path, strict: bool = True) -> list[UsageScenario]:
+def load_scenarios(path: Path, strict: bool = True, data: Any = None) -> list[UsageScenario]:
     """Read a scenarios JSON document (a nonempty array of scenario objects,
-    since a table of no scenario checks nothing); unknown fields are
-    rejected, or warned about when ``strict`` is false."""
-    data = read_json(path)
+    since a table of no scenario checks nothing), or decode ``data`` read from
+    ``path``; unknown fields are rejected, or warned about when ``strict`` is false."""
+    data = read_json(path) if data is None else data
     if not isinstance(data, list):
         raise ParseError(str(path), "expected an array of scenarios")
     if not data:

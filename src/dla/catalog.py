@@ -99,8 +99,9 @@ class _TemplateDocument(Document, path="template"):
     note: str | None = None
 
 
-def _parse_template_file(path: Path, raw: bytes) -> LicenseTemplate:
-    doc = _TemplateDocument.from_dict(read_json(path, raw), str(path))
+def parse_template(data: Any, path: str) -> _TemplateDocument:
+    """A template file's document, checked as :func:`load_catalog` checks it."""
+    doc = _TemplateDocument.from_dict(data, path)
     vector = doc.vector
     violations = validate_rights_vector(vector)
     for name in FIXED_RIGHTS:
@@ -112,10 +113,15 @@ def _parse_template_file(path: Path, raw: bytes) -> LicenseTemplate:
         raise SchemaViolation(
             f"template {path} is invalid: " + "; ".join(str(v) for v in violations)
         )
+    return doc
+
+
+def _parse_template_file(path: Path, raw: bytes) -> LicenseTemplate:
+    doc = parse_template(read_json(path, raw), str(path))
     return LicenseTemplate(
         license_id=doc.license_id,
         version=doc.version,
-        vector=vector,
+        vector=doc.vector,
         digest=hashlib.sha256(raw).hexdigest(),
     )
 

@@ -78,13 +78,15 @@ def _document_shapes() -> tuple[tuple[Callable, Callable, Callable | None], ...]
     """Each document shape ``validate`` recognises, in the order they are
     tried: a test of the decoded JSON, its decoder (data, path, strict), and
     the check that lists the problems of what the decoder gave."""
+    from .assessment import load_scenarios
+    from .catalog import parse_template
     from .lineage import LineageGraph, parse_capture_list
     from .model import (
         ProvenanceRecord, RightsVector, validate_provenance, validate_rights_vector,
     )
 
-    def has(*keys: str) -> Callable[[Any], bool]:
-        return lambda data: isinstance(data, dict) and all(key in data for key in keys)
+    def has(*keys: str, test: Callable = all) -> Callable[[Any], bool]:
+        return lambda data: isinstance(data, dict) and test(key in data for key in keys)
 
     catalogs = []  # the license catalog, loaded for the first interpretation
 
@@ -100,10 +102,13 @@ def _document_shapes() -> tuple[tuple[Callable, Callable, Callable | None], ...]
                 for record in graph.nodes.values() for v in validate_provenance(record)]
 
     return (
+        (lambda data: isinstance(data, list) and data != [] and all(map(has("required_rights"), data)),
+         lambda data, path, strict: load_scenarios(path, strict, data), None),
         (lambda data: isinstance(data, list), parse_capture_list, None),
         (has("records", "root_id"), LineageGraph.from_dict, lineage_problems),
         (has("subject_kind"), ProvenanceRecord.from_dict, validate_provenance),
-        (has("subject_id"), interpretation, None),
+        (has("license_id", "vector"), lambda data, path, strict: parse_template(data, path), None),
+        (has("subject_id", "template", "vector", "unavailable", test=any), interpretation, None),
         (has("metadata", "standalone_rights"), RightsVector.from_dict, validate_rights_vector),
     )
 
@@ -121,8 +126,8 @@ def _validate_one(path: Path, data: Any, strict: bool, shapes: tuple) -> list[st
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
-    """Validate provenance, interpretation, lineage, capture-list or rights-vector
-    documents."""
+    """Validate provenance, interpretation, lineage, capture-list, rights-vector,
+    template or scenario-list documents."""
     shapes = _document_shapes()
     lines, code = [], EXIT_OK
     for path in args.paths:

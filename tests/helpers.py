@@ -1,15 +1,32 @@
-"""Shared test helpers: bundle loading, the in-process command-line runner
-and randomized case generation."""
+"""Shared test helpers: bundle loading, the in-process command-line runner,
+randomized case generation, and the toolkit every test uses to copy, edit
+and run a bundle:
+
+- :func:`copy_bundle` makes a writable copy of a fixture bundle and returns
+  its lineage, interpretations and captures paths;
+- :func:`locations` walks every value path of a JSON document (a path that
+  ends in a string ends at a mapping key), :func:`edit` sets, deletes or
+  renames at one path, and :func:`edit_file` does so in one JSON file;
+  :func:`mutate` draws one seeded edit, and :func:`mutated_documents` the
+  cases of ``tests/data/golden_errors.json``;
+- :func:`run_dla` is the one way a test starts ``python -m dla``, and
+  :func:`run_python` any other child; both run in :func:`child_env`.
+"""
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import io
 import json
 import os
 import random
+import shutil
+import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Iterator, NamedTuple
 
 import dla
 import dla.cli
@@ -26,14 +43,32 @@ from dla import (
     RightsVector,
     SubjectKind,
     TriState,
+    assess_all,
     build_lineage,
+    default_scenarios,
     load_catalog,
     load_interpretations_dir,
+    verify,
 )
-from dla.catalog import InterpretationSet
+from dla.catalog import InterpretationSet, _InterpretationDocument, _TemplateDocument
 from dla.errors import AmbiguousRange, MissingOriginYear, NoDatasetAncestor
-from dla.lineage import LineageGraph
-from dla.model import LicenseFoundVia, LicenseRange
+from dla.lineage import CaptureInput, LineageGraph, _LineageDocument
+from dla.model import (
+    AssessmentRow,
+    AssessmentTable,
+    AuditInfo,
+    Digest,
+    Document,
+    LicenseFoundVia,
+    LicenseRange,
+    UsageScenario,
+    VerifiedLicense,
+    _BlockingRight,
+    canonical_json,
+    replace,
+)
+from dla.resources import templates_dir
+from dla.store import StoreEntry, analysis_key
 
 BUNDLE_NAMES = [
     "cifar-10",
@@ -144,6 +179,211 @@ def run_cli(*args: object, env: dict[str, str | None] | None = None) -> CliResul
 
 
 # ---------------------------------------------------------------------------
+# Copying, editing and running a bundle
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DELETE = object()  # the value that makes :func:`edit` delete
+
+
+class BundleCopy(NamedTuple):
+    lineage: Path
+    interpretations: Path
+    captures: Path
+
+
+def copy_bundle(name: str, into: Path) -> BundleCopy:
+    """A writable copy of the fixture bundle ``name``, made at ``into / name``."""
+    root = Path(shutil.copytree(FIXTURES_DIR / name, into / name))
+    return BundleCopy(root / "lineage.json", root / "interpretations", root / "captures")
+
+
+def locations(doc: Any, where: tuple = ()) -> Iterator[tuple]:
+    """The key path of every value in a JSON tree, the root first. A path
+    that ends in a string also names a mapping key. Each ``edges`` pair is
+    one value: its endpoints are decoded by the lineage document's own hook."""
+    yield where
+    if where[:1] == ("edges",) and len(where) == 2:
+        return
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from locations(value, where + (key,))
+
+
+def at(doc: Any, where: tuple) -> Any:
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
+def edit(doc: Any, where: tuple, value: Any = DELETE, key: str | None = None) -> Any:
+    """``doc`` with one change at the path ``where``: the value there set to
+    ``value`` (or added, at a mapping key not yet there), deleted when
+    ``value`` is ``DELETE``, or with ``key``, its mapping key renamed to
+    ``key`` in its place. ``doc`` is changed and returned, unless the root
+    itself is replaced."""
+    if not where:
+        return value
+    parent, last = at(doc, where[:-1]), where[-1]
+    if key is not None:
+        items = [(key if name == last else name, item) for name, item in parent.items()]
+        parent.clear()
+        parent.update(items)
+    elif value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def edit_file(path: Path, where: tuple, value: Any = DELETE, key: str | None = None) -> None:
+    """One :func:`edit` of the JSON file ``path``, written back as the
+    fixtures are written, so an unchanged document keeps its bytes."""
+    doc = edit(json.loads(path.read_text(encoding="utf-8")), where, value, key)
+    path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of every child process a test starts: this one's,
+    with ``PYTHONPATH`` naming this checkout's ``src`` and without the
+    variables that change what ``dla`` does or prints (every ``DLA_*``, and
+    ``PYTHONWARNINGS``), then ``extra``."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("DLA_") and name != "PYTHONWARNINGS"}
+    return {**env, "PYTHONPATH": str(SRC), **extra}
+
+
+def run_python(*argv: object, **options: Any) -> subprocess.CompletedProcess:
+    """``python argv...`` in a child, in :func:`child_env`, with stdout and
+    stderr captured and a 120 s timeout; ``options`` go to
+    :func:`subprocess.run` over those."""
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "timeout": 120,
+               "env": child_env(), **options}
+    return subprocess.run([sys.executable, *map(str, argv)], **options)
+
+
+def run_dla(*args: object, python: tuple[str, ...] = (), **options: Any) -> subprocess.CompletedProcess:
+    """``python [python...] -m dla args...`` through :func:`run_python`."""
+    return run_python(*python, "-m", "dla", *args, **options)
+
+
+# ---------------------------------------------------------------------------
+# Seeded document mutations (``tests/data/golden_errors.json``)
+# ---------------------------------------------------------------------------
+
+SEED = 20211104
+MUTATIONS_PER_TYPE = 96
+# One value of each JSON type, and a string no enum accepts.
+SWAPS = ("zz", 7, -1, True, 1.5, [], ["zz"], {}, {"zz": 1})
+UNKNOWN_FIELD = "zz_unknown"
+# The inputs digest and engine version of the imagenet analysis as first
+# recorded. The golden file freezes the codec, not the fingerprint or the
+# engine version, so the analysis carries them as they were.
+INPUTS_DIGEST = "a68a9ed14f0a2aeee2060644ec8b663440e607381258fc327e3e656019c36b5f"
+ENGINE_VERSION = "0.1.0"
+
+
+def document_types() -> set[type]:
+    found: set[type] = set()
+    pending = [Document]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            found.add(sub)
+            pending.append(sub)
+    return found
+
+
+def read(path: Path) -> Any:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def base_documents() -> dict[type, Any]:
+    """One valid JSON document of every document type, from the shipped
+    fixtures and the analyses the library computes from them."""
+    lineage_path, _ = bundle_paths("imagenet")
+    graph, interpretations = load_bundle("imagenet")
+    verified = verify(
+        graph,
+        interpretations.vectors,
+        EnginePolicy(),
+        template_digests=interpretations.template_digests,
+        inputs_digest=INPUTS_DIGEST,
+    )
+    verified = replace(verified, audit=replace(verified.audit, engine_version=ENGINE_VERSION))
+    table = assess_all(verified, default_scenarios(), dataset_name=graph.root.dataset_name)
+    blocked = next(row for row in table.rows if row.blocking_rights)
+    template = read(templates_dir() / "cc-by-4.0.json")
+    vector = template["vector"]
+    entry = next(e for e in vector["standalone_rights"].values() if e.get("obligations"))
+    cifar_lineage, _ = bundle_paths("cifar-10")
+    record = next(r for r in read(cifar_lineage)["records"] if r.get("digest"))
+    captures = read(lineage_path.parent / "captures" / "flickr.json")
+    _, ffhq_interp = bundle_paths("ffhq")
+    return {
+        _LineageDocument: read(lineage_path),
+        ProvenanceRecord: record,
+        Digest: record["digest"],
+        CaptureInput: captures[0],
+        LicenseRange: LicenseRange.ending_at(2009).to_dict(),
+        _TemplateDocument: template,
+        RightsVector: vector,
+        LicenseMetadata: vector["metadata"],
+        RightEntry: entry,
+        Obligation: entry["obligations"][0],
+        _InterpretationDocument: read(ffhq_interp / "ffhq.json"),
+        EnginePolicy: EnginePolicy().to_dict(),
+        VerifiedLicense: verified.to_dict(),
+        AuditInfo: verified.audit.to_dict(),
+        UsageScenario: default_scenarios()[0].to_dict(),
+        AssessmentTable: table.to_dict(),
+        AssessmentRow: blocked.to_dict(),
+        _BlockingRight: blocked.blocking_rights[0].to_dict(),
+        StoreEntry: {
+            "key": analysis_key(graph.root),
+            "dataset_name": graph.root.dataset_name,
+            "payload_sha256": hashlib.sha256(
+                canonical_json(verified.to_dict()).encode("utf-8")
+            ).hexdigest(),
+            "verified_license": verified.to_dict(),
+        },
+    }
+
+
+def render(where: tuple) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where) or "<root>"
+
+
+def mutate(doc: Any, rng: random.Random) -> tuple[str, Any]:
+    """One random mutation of ``doc``: a value swapped for one of another
+    JSON type, a null, a deleted key or item, or an unknown field. Returns
+    its description and the mutated tree, as :func:`edit` returns it."""
+    places = list(locations(doc))
+    where = rng.choice(places)
+    kind = rng.choice(["swap", "null", "delete", "unknown"])
+    objects = [p for p in places if isinstance(at(doc, p), dict)]
+    if kind == "unknown" and objects:
+        where = rng.choice(objects)
+        return f"unknown field at {render(where)}", edit(doc, where + (UNKNOWN_FIELD,), "zz")
+    if kind == "delete" and where:
+        return f"delete {render(where)}", edit(doc, where)
+    value = None if kind == "null" else copy.deepcopy(rng.choice(SWAPS))
+    return f"set {render(where)} = {json.dumps(value)}", edit(doc, where, value)
+
+
+def mutated_documents() -> Iterator[tuple[type, str, Any]]:
+    """Every case: its type, its name (the type and the mutations) and the
+    mutated document."""
+    for cls, base in sorted(base_documents().items(), key=lambda item: item[0].__name__):
+        rng = random.Random(f"{SEED}:{cls.__name__}")
+        for _ in range(MUTATIONS_PER_TYPE):
+            doc, descriptions = copy.deepcopy(base), []
+            for _ in range(rng.choice([1, 1, 2])):
+                description, doc = mutate(doc, rng)
+                descriptions.append(description)
+            yield cls, f"{cls.__name__}: {'; '.join(descriptions)}", doc
+
+
+# ---------------------------------------------------------------------------
 # Randomized generation for oracle and property tests
 # ---------------------------------------------------------------------------
 
@@ -232,8 +472,6 @@ def random_case(
 def write_synthetic_bundle(root: Path) -> tuple[Path, Path]:
     """An all-permissive single-node bundle: every right granted, no
     obligations. Returns (lineage path, interpretations dir)."""
-    from dla.model import Grant, LicenseMetadata, RightEntry, canonical_json
-
     record = record_for("synthetic")
     lineage_path = root / "lineage.json"
     lineage_path.write_text(

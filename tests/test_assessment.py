@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import shutil
 
 import pytest
 
@@ -14,7 +13,7 @@ from dla.assessment import load_scenarios, render_cell, render_markdown, render_
 from dla.errors import DuplicateScenario, UnknownRight
 from dla.model import Grant, Obligation, ObligationKind, RightEntry, VerifiedLicense, replace
 
-from helpers import DIGEST, FIXTURES_DIR, load_bundle, random_case, run_cli
+from helpers import DIGEST, copy_bundle, edit_file, load_bundle, random_case, run_cli
 
 
 def verified_for(bundle: str):
@@ -199,11 +198,9 @@ class TestMarkdownText:
     """A pipe or a line break in a name stays inside its table cell or heading."""
 
     def test_a_dataset_name_with_a_pipe_keeps_its_row(self, tmp_path):
-        bundle = shutil.copytree(FIXTURES_DIR / "cifar-10", tmp_path / "cifar-10")
-        lineage = json.loads((bundle / "lineage.json").read_text(encoding="utf-8"))
-        lineage["records"][0]["dataset_name"] = "CIFAR | 10"
-        (bundle / "lineage.json").write_text(json.dumps(lineage), encoding="utf-8")
-        result = run_cli("assess", bundle / "lineage.json", bundle / "interpretations")
+        lineage, interpretations, _ = copy_bundle("cifar-10", tmp_path)
+        edit_file(lineage, ("records", 0, "dataset_name"), "CIFAR | 10")
+        result = run_cli("assess", lineage, interpretations)
         assert result.exit_code == 3
         lines = result.stdout.splitlines()
         assert lines[0] == "# License compliance assessment: CIFAR \\| 10"
@@ -326,8 +323,7 @@ class TestMarkdownLines:
         assert_rights_one_line_each(verified.to_dict(), render_rights_markdown(verified))
 
     def test_odd_names_keep_their_lines_through_the_cli(self, tmp_path):
-        bundle = shutil.copytree(FIXTURES_DIR / "cifar-10", tmp_path / "cifar-10")
-        lineage_path, interp = bundle / "lineage.json", bundle / "interpretations"
+        lineage_path, interp, _ = copy_bundle("cifar-10", tmp_path)
         lineage = json.loads(lineage_path.read_text(encoding="utf-8"))
         for record in lineage["records"]:
             record["subject_id"] = ODD_IDS.get(record["subject_id"], record["subject_id"])

@@ -27,7 +27,7 @@ from dla.model import (
 
 from dla.resources import templates_dir
 
-from helpers import BUNDLE_NAMES, bundle_paths, write_synthetic_bundle
+from helpers import BUNDLE_NAMES, bundle_paths, edit_file, write_synthetic_bundle
 
 CATALOG = load_catalog()
 
@@ -88,10 +88,9 @@ class TestTemplates:
             load_catalog(tmp_path)
 
     def test_template_leaving_a_fixed_right_unspecified_is_a_schema_violation(self, tmp_path):
-        doc = json.loads((templates_dir() / "cc-by-4.0.json").read_text(encoding="utf-8"))
-        doc["vector"]["model_rights"]["Benchmark"] = {"grant": "unspecified"}
         path = tmp_path / "cc-by-4.0.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_bytes((templates_dir() / "cc-by-4.0.json").read_bytes())
+        edit_file(path, ("vector", "model_rights", "Benchmark"), {"grant": "unspecified"})
         with pytest.raises(SchemaViolation) as exc:
             load_catalog(tmp_path)
         assert str(exc.value) == (

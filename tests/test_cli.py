@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dla import (
-    Bundle, EnginePolicy, analysis_key, assess_all, default_scenarios, lookup_or_verify,
+    Bundle, EnginePolicy, analysis_key, assess_all, default_scenarios, load_catalog,
+    lookup_or_verify,
 )
 from dla.assessment import render_markdown
 import dla.cli as dla_cli
-from dla.errors import InputError, LineageError, UnknownFieldWarning
+from dla.errors import InputError, LineageError, SchemaViolation, UnknownFieldWarning
 from dla.jsonio import read_json
 from dla.lineage import (
     CaptureInput,
@@ -35,21 +36,24 @@ from dla.lineage import (
     select_capture,
 )
 from dla.model import CaptureStatus, SubjectKind, canonical_json, replace
-from dla.resources import templates_dir
+from dla.resources import scenarios_path, templates_dir
 
 from helpers import (
     BUNDLE_NAMES,
     FIXTURES_DIR,
     bundle_paths,
+    child_env,
+    copy_bundle,
+    edit_file,
     load_bundle,
     record_for,
     run_cli,
+    run_dla,
     website_chain,
     write_synthetic_bundle,
 )
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -143,6 +147,43 @@ class TestValidate:
             lenient = run_cli("--lenient", "validate", str(path))
         assert lenient.exit_code == 0
 
+    def test_the_shipped_templates_and_scenarios_validate(self):
+        paths = [scenarios_path(), *sorted(templates_dir().glob("*.json"))]
+        result = run_cli("validate", *paths)
+        assert (result.exit_code, result.stdout) == (0, "".join(f"{path}: ok\n" for path in paths))
+
+    @pytest.mark.parametrize("kind", ["template", "scenarios"])
+    def test_a_bad_template_or_scenario_list_is_named_as_its_loader_names_it(self, tmp_path, kind):
+        """A template whose fixed right is unspecified, as ``load_catalog``
+        reports it; a scenario list with a null right, as ``--scenarios`` does."""
+        shipped = templates_dir() / "cc-by-4.0.json" if kind == "template" else scenarios_path()
+        path = tmp_path / shipped.name
+        path.write_bytes(shipped.read_bytes())
+        if kind == "template":
+            edit_file(path, ("vector", "model_rights", "Benchmark", "grant"), "unspecified")
+            with pytest.raises(SchemaViolation) as raised:
+                load_catalog(tmp_path)
+            expected = str(raised.value)
+        else:
+            edit_file(path, (0, "required_rights", 0), None)
+            assessed = run_cli("assess", "--scenarios", path, *bundle_paths("cifar-10"))
+            assert (assessed.exit_code, assessed.stdout) == (1, "")
+            expected = assessed.stderr.removeprefix("error: ").removesuffix("\n")
+        result = run_cli("validate", path)
+        assert (result.exit_code, result.stdout) == (1, f"{path}: 1 problem(s)\n  - {expected}\n")
+
+    @pytest.mark.parametrize("body", ["template", "vector", "unavailable"])
+    def test_an_interpretation_without_subject_id_names_the_field(self, tmp_path, body):
+        _, interpretations, _ = copy_bundle("ffhq", tmp_path)
+        path = interpretations / "ffhq.json"
+        edit_file(path, ("subject_id",))
+        if body != "template":
+            edit_file(path, ("template",), key=body)
+        result = run_cli("validate", path)
+        assert result.exit_code == 1
+        assert result.stdout == (
+            f"{path}: 1 problem(s)\n  - {path}: missing required fields: ['subject_id']\n")
+
 
 # Each kind of input file: the file to break, relative to a copy of the
 # cifar-10 bundle, and a command that reads it.
@@ -212,9 +253,7 @@ class TestInputErrors:
     def test_bad_input_file_exits_64_naming_it(
         self, tmp_path, monkeypatch, kind, fault
     ):
-        lineage, _ = bundle_paths("cifar-10")
-        shutil.copytree(lineage.parent, tmp_path / "bundle")
-        monkeypatch.chdir(tmp_path / "bundle")
+        monkeypatch.chdir(copy_bundle("cifar-10", tmp_path).lineage.parent)
         target, args = INPUT_KINDS[kind]
         break_file(Path(target), fault)
         result = run_cli(*args)
@@ -253,9 +292,7 @@ class TestInputErrors:
         """An integer past Python's digit limit for int(), or a string with an
         unpaired surrogate, which no UTF-8 output can hold, in the place of a
         string that the report or the store entry prints."""
-        lineage, _ = bundle_paths("cifar-10")
-        shutil.copytree(lineage.parent, tmp_path / "bundle")
-        monkeypatch.chdir(tmp_path / "bundle")
+        monkeypatch.chdir(copy_bundle("cifar-10", tmp_path).lineage.parent)
         path = Path(target)
         text = path.read_text(encoding="utf-8")
         assert string in text
@@ -278,9 +315,7 @@ class TestInputErrors:
     def test_json_escapes_that_dla_can_write_parse(self, tmp_path, monkeypatch, token, text):
         """A surrogate pair, or escapes none of which is a \\u, in the place of
         a string that the report prints: the report prints the string."""
-        _, interpretations = bundle_paths("cifar-10")
-        shutil.copytree(interpretations.parent, tmp_path / "bundle")
-        monkeypatch.chdir(tmp_path / "bundle")
+        monkeypatch.chdir(copy_bundle("cifar-10", tmp_path).lineage.parent)
         path = Path("interpretations/cifar-10.json")
         path.write_text(path.read_text(encoding="utf-8").replace('"Cite paper"', token), encoding="utf-8")
         result = run_cli("--format", "json", "verify", "lineage.json", "interpretations")
@@ -316,9 +351,7 @@ class TestInputErrors:
     def test_unlistable_input_directory_exits_64_naming_it(
         self, tmp_path, monkeypatch, kind, call
     ):
-        lineage, _ = bundle_paths("cifar-10")
-        shutil.copytree(lineage.parent, tmp_path / "bundle")
-        monkeypatch.chdir(tmp_path / "bundle")
+        monkeypatch.chdir(copy_bundle("cifar-10", tmp_path).lineage.parent)
         target = str(templates_dir()) if kind == "templates" else kind
         real = getattr(os, call)
 
@@ -336,9 +369,7 @@ class TestInputErrors:
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a directory whatever its mode")
     def test_input_directory_without_permissions_exits_64(self, tmp_path, monkeypatch):
-        lineage, _ = bundle_paths("cifar-10")
-        shutil.copytree(lineage.parent, tmp_path / "bundle")
-        monkeypatch.chdir(tmp_path / "bundle")
+        monkeypatch.chdir(copy_bundle("cifar-10", tmp_path).lineage.parent)
         Path("interpretations").chmod(0)
         try:
             result = run_cli("assess", "lineage.json", "interpretations")
@@ -383,8 +414,7 @@ class TestRange:
         ``bench/oracle.py``, and stdout as first recorded."""
         oracle, bundle = wide_seed_7
         args = ["range", bundle.lineage, "--captures", bundle.captures]
-        run = subprocess.run([sys.executable, "-m", "dla", *map(str, args)], capture_output=True,
-                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        run = run_dla(*args)
         assert (run.returncode, run.stderr) == (0, b"")
         expected = oracle.expected_for(bundle, templates_dir())
         assert oracle.check_range(bundle, expected, run.stdout.decode()) is None
@@ -423,13 +453,10 @@ class TestRange:
         assert result.stderr == f"error: {captures}: not a directory\n"
 
     def test_node_id_naming_a_path_outside_the_captures_reads_nothing(self, tmp_path):
-        lineage, _ = bundle_paths("cifar-10")
-        bundle = tmp_path / "bundle"
-        shutil.copytree(lineage.parent, bundle)
-        text = (bundle / "lineage.json").read_text()
-        (bundle / "lineage.json").write_text(text.replace('"flickr"', '"../outside"'))
-        shutil.move(bundle / "captures" / "flickr.json", bundle / "outside.json")
-        result = run_cli("range", bundle / "lineage.json", "--captures", bundle / "captures")
+        lineage, _, captures = copy_bundle("cifar-10", tmp_path)
+        lineage.write_text(lineage.read_text().replace('"flickr"', '"../outside"'))
+        shutil.move(captures / "flickr.json", captures.parent / "outside.json")
+        result = run_cli("range", lineage, "--captures", captures)
         assert result.exit_code == 0
         assert "../outside: 2005-2006 capture: (unavailable)" in result.stdout.splitlines()
 
@@ -438,9 +465,7 @@ class TestRange:
         self, tmp_path, monkeypatch, where
     ):
         """As a stray interpretation file does; no line is printed."""
-        lineage, _ = bundle_paths("cifar-10")
-        captures = tmp_path / "captures"
-        shutil.copytree(lineage.parent / "captures", captures)
+        lineage, _, captures = copy_bundle("cifar-10", tmp_path)
         for name in ("zz-nonode.json", "nonode.json"):
             (captures / name).write_text("[]")
         if where == "cwd":
@@ -451,9 +476,7 @@ class TestRange:
         assert result.stderr == f"error: {named}: 'nonode' names no lineage node\n"
 
     def test_unreadable_capture_list_of_no_node_exits_64(self, tmp_path):
-        lineage, _ = bundle_paths("cifar-10")
-        captures = tmp_path / "captures"
-        shutil.copytree(lineage.parent / "captures", captures)
+        lineage, _, captures = copy_bundle("cifar-10", tmp_path)
         (captures / "stray.json").symlink_to("absent.json")
         result = run_cli("range", lineage, "--captures", captures)
         assert result.exit_code == 64
@@ -473,16 +496,15 @@ class TestRange:
         absolute, a relative and a dotted captures directory, and for ``.``
         run inside it."""
         text, code, error = BAD_CAPTURE_LISTS[fault]
-        lineage, _ = bundle_paths("cifar-10")
-        shutil.copytree(lineage.parent / "captures", tmp_path / "captures")
-        (tmp_path / "captures" / "google.json").write_text(text)
+        lineage, _, copied = copy_bundle("cifar-10", tmp_path)
+        (copied / "google.json").write_text(text)
         captures = {
-            "absolute": tmp_path / "captures",
+            "absolute": copied,
             "relative": Path("captures"),
             "dotted": Path("./captures/"),
             "cwd": Path("."),
         }[where]
-        monkeypatch.chdir(tmp_path / "captures" if where == "cwd" else tmp_path)
+        monkeypatch.chdir(copied if where == "cwd" else copied.parent)
         result = run_cli("range", lineage, "--captures", captures)
         assert result.exit_code == code
         assert result.stdout == ""
@@ -609,11 +631,8 @@ def lineage_markdown(graph: LineageGraph) -> str:
 class TestLineageCmd:
     @pytest.mark.parametrize("endpoint", [None, {"a": 1}], ids=["null", "object"])
     def test_non_string_edge_endpoint_exits_1(self, tmp_path, endpoint):
-        lineage, _ = bundle_paths("imagenet")
-        doc = json.loads(lineage.read_text(encoding="utf-8"))
-        doc["edges"][0] = [endpoint, "google-images"]
-        path = tmp_path / "lineage.json"
-        path.write_text(json.dumps(doc))
+        path = copy_bundle("imagenet", tmp_path).lineage
+        edit_file(path, ("edges", 0), [endpoint, "google-images"])
         result = run_cli("lineage", str(path))
         assert result.exit_code == 1, result.stderr
         got = type(endpoint).__name__
@@ -631,11 +650,8 @@ class TestLineageCmd:
         assert result.stderr == f"error: {path}.records[2]: duplicate subject_id {subject!r}\n"
 
     def test_root_naming_no_record_exits_2_naming_the_root(self, tmp_path):
-        lineage, _ = bundle_paths("cifar-10")
-        doc = json.loads(lineage.read_text(encoding="utf-8"))
-        doc["root_id"] = "ghost"
-        path = tmp_path / "lineage.json"
-        path.write_text(json.dumps(doc))
+        path = copy_bundle("cifar-10", tmp_path).lineage
+        edit_file(path, ("root_id",), "ghost")
         result = run_cli("lineage", str(path))
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == "error: root_id references unknown subject: 'ghost'\n"
@@ -644,18 +660,12 @@ class TestLineageCmd:
     def test_lenient_unknown_field_warns_in_one_line(self, tmp_path, nested):
         """Run as a process: a warning raised in a test is recorded, not shown."""
         lineage, _ = bundle_paths("cifar-10")
-        doc = json.loads(lineage.read_text(encoding="utf-8"))
-        (doc["records"][0] if nested else doc)["zz_unknown"] = 1
-        path = tmp_path / "lineage.json"
-        path.write_text(json.dumps(doc))
+        path = copy_bundle("cifar-10", tmp_path).lineage
+        edit_file(path, ("records", 0, "zz_unknown") if nested else ("zz_unknown",), 1)
 
         def run(target: Path) -> subprocess.CompletedProcess:
-            return subprocess.run(
-                [sys.executable, "-W", "default", "-m", "dla", "--lenient", "lineage",
-                 str(target)],
-                capture_output=True, text=True, timeout=120, check=True,
-                env={**os.environ, "PYTHONPATH": str(SRC)},
-            )
+            return run_dla("--lenient", "lineage", target, python=("-W", "default"), text=True,
+                           check=True)
 
         where = f"{path}.records[0]" if nested else str(path)
         result = run(path)
@@ -681,9 +691,7 @@ class TestLineageCmd:
         encodes, and stdout is as first recorded, when a compiled encoder
         wrote it."""
         _, bundle = wide_seed_7
-        args = ["--format", "json", "lineage", str(bundle.lineage)]
-        run = subprocess.run([sys.executable, "-m", "dla", *args], capture_output=True,
-                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        run = run_dla("--format", "json", "lineage", bundle.lineage)
         assert (run.returncode, run.stderr) == (0, b"")
         assert hashlib.sha256(run.stdout).hexdigest() == (
             "5bab515101d04b3b865b405619700f28deed2a928605d964647704385c7e53fa"
@@ -772,8 +780,7 @@ class TestAssess:
         digest, which any engine version bump moves, are blanked."""
         oracle, bundle = wide_seed_7
         args = ["--format", "json", "assess", bundle.lineage, bundle.interpretations]
-        run = subprocess.run([sys.executable, "-m", "dla", *map(str, args)], capture_output=True,
-                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        run = run_dla(*args)
         assert (run.returncode, run.stderr) == (3, b"")
         expected = oracle.expected_for(bundle, templates_dir())
         assert oracle.check_assess(bundle, expected, run.stdout.decode()) is None
@@ -877,9 +884,7 @@ class TestAssess:
         assert result.exit_code == 1
 
     def test_interpretation_of_no_lineage_node_exits_1_naming_the_file(self, tmp_path):
-        lineage, interp = bundle_paths("cityscapes")
-        extra = tmp_path / "interpretations"
-        shutil.copytree(interp, extra)
+        lineage, extra, _ = copy_bundle("cityscapes", tmp_path)
         orphan = extra / "renamed-source.json"
         orphan.write_text(json.dumps({"subject_id": "renamed-source", "unavailable": True}))
         result = run_cli("assess", str(lineage), str(extra))
@@ -889,14 +894,10 @@ class TestAssess:
         )
 
     def test_template_nulling_a_required_metadata_field_exits_1(self, tmp_path):
-        lineage, interp = bundle_paths("ffhq")
-        copy = tmp_path / "interpretations"
-        shutil.copytree(interp, copy)
+        lineage, copy, _ = copy_bundle("ffhq", tmp_path)
         target = copy / "ffhq.json"
-        doc = json.loads(target.read_text())
-        assert "template" in doc
-        doc["metadata"] = {**doc.get("metadata", {}), "licensor": None}
-        target.write_text(json.dumps(doc))
+        assert "template" in json.loads(target.read_text())
+        edit_file(target, ("metadata", "licensor"), None)
         result = run_cli("assess", str(lineage), str(copy))
         assert result.exit_code == 1
         assert result.stderr == (
@@ -991,11 +992,9 @@ class TestReportBytes:
     escape reaches stdout unchanged, through a pipe and in process alike."""
 
     def test_ansi_escape_in_a_dataset_name_is_kept(self, tmp_path):
-        shutil.copytree(bundle_paths("cifar-10")[0].parent, tmp_path / "cifar-10")
-        lineage = tmp_path / "cifar-10" / "lineage.json"
+        lineage, interpretations, _ = copy_bundle("cifar-10", tmp_path)
         lineage.write_text(lineage.read_text(encoding="utf-8").replace(
             '"CIFAR-10"', '"CIFAR\\u001b[31m-10"', 1), encoding="utf-8")
-        interpretations = lineage.parent / "interpretations"
         bundle = Bundle.read(lineage, interpretations)
         verified, _ = lookup_or_verify(None, bundle, EnginePolicy(unknown_denies=False))
         table = assess_all(verified, default_scenarios(), dataset_name=bundle.root.dataset_name)
@@ -1003,8 +1002,7 @@ class TestReportBytes:
         assert b"CIFAR\x1b[31m-10" in rendered
 
         args = ["assess", str(lineage), str(interpretations)]
-        piped = subprocess.run([sys.executable, "-m", "dla", *args], capture_output=True,
-                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        piped = run_dla(*args)
         in_process = run_cli(*args)
         assert (piped.returncode, piped.stdout, piped.stderr) == (3, rendered, b"")
         assert (in_process.exit_code, in_process.stdout_bytes, in_process.stderr) == (3, rendered, "")
@@ -1016,9 +1014,7 @@ class TestReportBytes:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            run = subprocess.run([sys.executable, "-m", "dla", "lineage", bundle_paths("cifar-10")[0]],
-                                 stdout=write_end, stderr=subprocess.PIPE, timeout=120,
-                                 env={**os.environ, "PYTHONPATH": str(SRC)})
+            run = run_dla("lineage", bundle_paths("cifar-10")[0], stdout=write_end)
         finally:
             os.close(write_end)
         assert (run.returncode, run.stderr) == (1, b"")
@@ -1104,12 +1100,9 @@ class TestStoreCli:
     def test_store_entry_past_the_file_size_limit_exits_64(self, tmp_path):
         store = tmp_path / "store"
         lineage, interp = bundle_paths("cifar-10")
-        run = subprocess.run(
-            [sys.executable, "-m", "dla", "--store", str(store), "assess", str(lineage), str(interp)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048)),
-        )
+        run = run_dla("--store", store, "assess", lineage, interp, text=True,
+                      env=child_env(PYTHONDONTWRITEBYTECODE="1"),
+                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048)))
         assert (run.returncode, run.stdout) == (64, "")
         assert run.stderr == f"error: cannot write to store {store}: File too large\n"
         assert list(store.iterdir()) == []
@@ -1178,9 +1171,7 @@ class TestStoreCli:
         lineage, interp = bundle_paths("cityscapes")
         run_cli("--store", store, "assess", lineage, interp)
         (blob,) = store.glob("*.json")
-        doc = json.loads(blob.read_text(encoding="utf-8"))
-        del doc["verified_license"]
-        blob.write_text(canonical_json(doc), encoding="utf-8")
+        edit_file(blob, ("verified_license",))
         result = run_cli("--store", str(store), "assess", str(lineage), str(interp))
         assert result.exit_code == 64, result.output
         assert result.stderr.startswith(f"error: store entry '{blob.stem}' is corrupt")

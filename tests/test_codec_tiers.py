@@ -1,7 +1,7 @@
 """The two tiers of every document class's decoder, interpreted and
 compiled, each built directly by ``model._codec`` and put on every document
-class at once, so that nested documents run the same tier; every class
-encodes with its one ``_encode``. Every document decodes and re-encodes to
+class at once by the ``use_tier`` fixture (``conftest.py``), so that nested
+documents run the same tier; every class encodes with its one ``_encode``. Every document decodes and re-encodes to
 equal values, or fails with the same exception type and
 message, and warns with the same texts from the same file, in both tiers.
 
@@ -13,44 +13,18 @@ bundle's files, the shipped templates and scenarios, and every file of the
 from __future__ import annotations
 
 import importlib
-import json
 import warnings
 from pathlib import Path
 from typing import Any, Iterator
 
-import pytest
-
 from dla.catalog import _InterpretationDocument, _TemplateDocument
 from dla.lineage import CaptureInput, _LineageDocument
-from dla.model import RightEntry, UsageScenario, _codec, canonical_json
+from dla.model import RightEntry, UsageScenario, canonical_json
 from dla.resources import scenarios_path, templates_dir
 
-from helpers import BUNDLE_NAMES, FIXTURES_DIR
-from test_golden_errors import document_types, mutated_documents
+from helpers import BUNDLE_NAMES, FIXTURES_DIR, mutated_documents, read
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-METHODS = ("_decode",)
-
-
-@pytest.fixture
-def use_tier(monkeypatch):
-    """Puts one tier's ``_decode`` on every document class; each class gets
-    its decoder back after the test."""
-    tiers: dict[str, dict[type, dict[str, Any]]] = {"interpreted": {}, "compiled": {}}
-    for cls in document_types():
-        for name in METHODS:
-            monkeypatch.setattr(cls, name, cls.__dict__[name])
-        interpreted, compiled = _codec(cls, hot=0)  # never compiles itself
-        tiers["interpreted"][cls] = interpreted
-        tiers["compiled"][cls] = {name: compiled() for name in METHODS}
-
-    def use(tier: str) -> None:
-        for cls, methods in tiers[tier].items():
-            for name, function in methods.items():
-                setattr(cls, name, function)
-                assert function.__code__.co_filename.startswith("<codec ") == (tier == "compiled")
-
-    return use
 
 
 def outcome(cls: type, doc: Any, strict: bool) -> tuple:
@@ -66,10 +40,6 @@ def outcome(cls: type, doc: Any, strict: bool) -> tuple:
         except Exception as exc:  # every outcome is compared, a crash included
             result = (type(exc), str(exc))
     return result, [(w.category, str(w.message), w.filename) for w in caught]
-
-
-def read(path: Path) -> Any:
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def bundle_documents(base: Path) -> Iterator[tuple[type, Any]]:

@@ -15,17 +15,13 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import BUNDLE_NAMES, bundle_paths, run_cli
+from helpers import BUNDLE_NAMES, bundle_paths, run_cli, run_dla, run_python
 
 GOLDEN_OUTPUTS_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Command name -> argument list, given the bundle's lineage and interpretation
 # and capture paths.
@@ -72,11 +68,8 @@ def test_entry_point_output_matches_golden():
     process, and must print the same bytes and exit with the same codes."""
     golden = json.loads(GOLDEN_OUTPUTS_PATH.read_text(encoding="utf-8"))["cifar-10"]
     lineage, interp = bundle_paths("cifar-10")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for command, args in COMMANDS.items():
-        argv = [str(a) for a in args(lineage, interp, lineage.parent / "captures")]
-        run = subprocess.run([sys.executable, "-m", "dla", *argv], capture_output=True,
-                             env=env, timeout=120)
+        run = run_dla(*args(lineage, interp, lineage.parent / "captures"))
         outcome = {"sha256": hashlib.sha256(run.stdout).hexdigest(), "exit_code": run.returncode}
         assert outcome == golden[command], command
     assert gc.isenabled()  # the tests' own process keeps its collector
@@ -96,8 +89,7 @@ def test_entry_point_turns_the_collector_off(command, exit_code):
              "from dla.cli import main\n"
              "main()\n")
     argv = [str(a) for a in command(*bundle_paths("cifar-10"))]
-    run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    run = run_python("-c", probe, *argv, text=True)
     # Before the probe's line, stderr holds nothing, or on a usage error
     # exactly the error and usage lines, as `run_cli` records them in process.
     usage = run_cli(*argv).stderr if exit_code == 64 else ""

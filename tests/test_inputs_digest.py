@@ -28,7 +28,7 @@ from dla.errors import StaleEntryWarning, UnknownFieldWarning
 from dla.model import ProvenanceRecord, VerifiedLicense
 from dla.resources import templates_dir
 
-from helpers import BUNDLE_NAMES, bundle_paths, run_cli
+from helpers import BUNDLE_NAMES, bundle_paths, copy_bundle, run_cli
 
 OLDER_BLOB = Path(__file__).parent / "data" / "older_store_blob.json"
 
@@ -36,11 +36,9 @@ OLDER_BLOB = Path(__file__).parent / "data" / "older_store_blob.json"
 @pytest.fixture()
 def bundle(tmp_path, monkeypatch):
     """A writable copy of the ffhq bundle, and of the templates a bundle reads."""
-    lineage, _ = bundle_paths("ffhq")
-    shutil.copytree(lineage.parent, tmp_path / "ffhq")
     shutil.copytree(templates_dir(), tmp_path / "templates")
     monkeypatch.setattr(dla.store, "templates_dir", lambda: tmp_path / "templates")
-    return tmp_path / "ffhq"
+    return copy_bundle("ffhq", tmp_path).lineage.parent
 
 
 def assess(bundle: Path, *options: str):
@@ -201,9 +199,7 @@ def test_a_run_renders_the_verified_license_at_most_once(tmp_path, monkeypatch, 
     digest, the blob and the JSON report alike; a hit encodes it never, and
     prints the text its blob holds. ``StoreEntry.to_dict`` would encode it
     through ``_encode`` too."""
-    lineage, _ = bundle_paths("cifar-10")
-    shutil.copytree(lineage.parent, tmp_path / "cifar-10")
-    paths = [tmp_path / "cifar-10" / "lineage.json", tmp_path / "cifar-10" / "interpretations"]
+    paths = copy_bundle("cifar-10", tmp_path)[:2]
     encodes, real = [], VerifiedLicense._encode
     monkeypatch.setattr(VerifiedLicense, "_encode", lambda self: encodes.append(self) or real(self))
     runs = []

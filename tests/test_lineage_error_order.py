@@ -4,11 +4,9 @@ whoever asks for the document."""
 
 from __future__ import annotations
 
-import shutil
-
 import pytest
 
-from helpers import bundle_paths, run_cli
+from helpers import copy_bundle, run_cli
 
 
 @pytest.mark.parametrize("interpretations", ["missing", "unreadable", "valid"])
@@ -16,9 +14,7 @@ from helpers import bundle_paths, run_cli
 def test_a_lineage_that_is_not_json_is_named_first(tmp_path, interpretations, store):
     """Before a missing or unreadable interpretation, and before a store path
     that is no directory, as when the lineage was decoded as it was read."""
-    source, _ = bundle_paths("cifar-10")
-    shutil.copytree(source.parent, tmp_path / "cifar-10")
-    lineage, valid = tmp_path / "cifar-10" / "lineage.json", tmp_path / "cifar-10" / "interpretations"
+    lineage, valid, _ = copy_bundle("cifar-10", tmp_path)
     lineage.write_text("{not json", encoding="utf-8")
     if interpretations == "unreadable":
         (valid / "zz.json").mkdir()

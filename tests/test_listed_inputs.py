@@ -6,8 +6,8 @@ line is read as given, so a pipe from the shell still works."""
 
 from __future__ import annotations
 
+import functools
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -19,23 +19,17 @@ from dla import analysis_key
 from dla.errors import InputError
 from dla.jsonio import read_listed
 
-from helpers import FIXTURES_DIR, read_bundle
+from helpers import bundle_paths, child_env, copy_bundle, read_bundle, run_dla
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 KEY = "a" * 64
-
-
-def run_dla(*args: object) -> subprocess.CompletedProcess:
-    """``python -m dla args...`` in a child, which a hang fails by its timeout."""
-    return subprocess.run([sys.executable, "-m", "dla", *map(str, args)], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=30)
+dla_child = functools.partial(run_dla, timeout=30)  # a hang fails by its timeout
 
 
 @pytest.fixture
 def cifar(tmp_path: Path) -> Path:
-    return Path(shutil.copytree(FIXTURES_DIR / "cifar-10", tmp_path / "cifar-10"))
+    return copy_bundle("cifar-10", tmp_path).lineage.parent
 
 
 def assert_names_fifo(run: subprocess.CompletedProcess, message: str) -> None:
@@ -46,20 +40,20 @@ def assert_names_fifo(run: subprocess.CompletedProcess, message: str) -> None:
 def test_assess_with_a_fifo_among_the_interpretations_exits_64(cifar):
     fifo = cifar / "interpretations" / "zz.json"
     os.mkfifo(fifo)
-    run = run_dla("assess", cifar / "lineage.json", cifar / "interpretations")
+    run = dla_child("assess", cifar / "lineage.json", cifar / "interpretations")
     assert_names_fifo(run, str(fifo))
 
 
 def test_range_with_a_fifo_among_the_captures_exits_64(cifar):
     fifo = cifar / "captures" / "zz.json"
     os.mkfifo(fifo)
-    run = run_dla("range", cifar / "lineage.json", "--captures", cifar / "captures")
+    run = dla_child("range", cifar / "lineage.json", "--captures", cifar / "captures")
     assert_names_fifo(run, str(fifo))
 
 
 def test_store_ls_with_a_fifo_blob_exits_64(tmp_path):
     os.mkfifo(tmp_path / f"{KEY}.json")
-    run = run_dla("--store", tmp_path, "store", "ls")
+    run = dla_child("--store", tmp_path, "store", "ls")
     assert_names_fifo(run, f"store entry {KEY!r} is corrupt: invalid blob: {tmp_path / KEY}.json")
 
 
@@ -68,7 +62,7 @@ def test_assess_whose_store_blob_is_a_fifo_exits_64(cifar, tmp_path):
     store = tmp_path / "store"
     store.mkdir()
     os.mkfifo(store / f"{key}.json")
-    run = run_dla("--store", store, "assess", cifar / "lineage.json", cifar / "interpretations")
+    run = dla_child("--store", store, "assess", cifar / "lineage.json", cifar / "interpretations")
     assert_names_fifo(run, f"store entry {key!r} is corrupt: invalid blob: {store / key}.json")
 
 
@@ -77,21 +71,18 @@ def test_a_lineage_named_on_the_command_line_may_be_a_pipe():
     /dev/fd/N, written here only after dla has had time to open it."""
     if not Path("/dev/fd").is_dir():
         pytest.skip("no /dev/fd")
-    lineage = (FIXTURES_DIR / "cifar-10" / "lineage.json").read_bytes()
-    expected = run_dla("assess", FIXTURES_DIR / "cifar-10" / "lineage.json",
-                       FIXTURES_DIR / "cifar-10" / "interpretations")
+    lineage, interpretations = bundle_paths("cifar-10")
+    expected = dla_child("assess", lineage, interpretations)
     read_end, write_end = os.pipe()
     try:
         child = subprocess.Popen(
-            [sys.executable, "-m", "dla", "assess", f"/dev/fd/{read_end}",
-             str(FIXTURES_DIR / "cifar-10" / "interpretations")],
-            pass_fds=(read_end,), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+            [sys.executable, "-m", "dla", "assess", f"/dev/fd/{read_end}", str(interpretations)],
+            pass_fds=(read_end,), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     finally:
         os.close(read_end)
     try:
         time.sleep(1)
-        os.write(write_end, lineage)
+        os.write(write_end, lineage.read_bytes())
     finally:
         os.close(write_end)
     stdout, stderr = child.communicate(timeout=30)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import marshal
@@ -68,8 +69,7 @@ from dla.model import (
 )
 from dla.resources import templates_dir
 
-from helpers import BUNDLE_NAMES, bundle_paths, read_bundle, record_for
-from test_codec_tiers import use_tier  # noqa: F401 (a fixture)
+from helpers import DELETE, BUNDLE_NAMES, bundle_paths, edit, read_bundle, record_for
 
 
 def cifar_record() -> ProvenanceRecord:
@@ -410,7 +410,6 @@ SHARED_BASE = {
 SHARED_PLACES = [("grant",), ("obligations",), ("obligations", 0), ("bonus",)] + [
     ("obligations", 0, name) for name in ("id", "text", "kind", "bonus")
 ]
-DELETE = object()
 # Scalar type swaps, nulls, arrays and objects in scalar places, and deletion.
 SHARED_VALUES = [
     True, 1, 1.0, "granted", False, 0, 0.0, "denied", None, "maybe", "cite", "other", "",
@@ -419,22 +418,10 @@ SHARED_VALUES = [
 ]
 
 
-def edit(doc: dict, place: tuple, value: object) -> None:
-    """Replace, delete or add the value at a place of an entry, if the
-    place is still there."""
-    for key in place[:-1]:
-        if isinstance(doc, list) and isinstance(key, int) and key < len(doc):
-            doc = doc[key]
-        elif isinstance(doc, dict) and key in doc:
-            doc = doc[key]
-        else:
-            return
-    key = place[-1]
-    if isinstance(doc, dict) or (isinstance(doc, list) and isinstance(key, int) and key < len(doc)):
-        if value is not DELETE:
-            doc[key] = copy.deepcopy(value)
-        elif isinstance(doc, list) or key in doc:
-            del doc[key]
+def edit_entry(doc: dict, place: tuple, value: object) -> None:
+    """:func:`helpers.edit` with a copy of ``value``, if the place is still there."""
+    with contextlib.suppress(KeyError, IndexError, TypeError):
+        edit(doc, place, value if value is DELETE else copy.deepcopy(value))
 
 
 def proxied(doc: object, entry: bool, obligation: bool) -> object:
@@ -451,7 +438,7 @@ def mutated_entries(draw) -> object:
     doc = copy.deepcopy(SHARED_BASE)
     edits = st.tuples(st.sampled_from(SHARED_PLACES), st.sampled_from(SHARED_VALUES))
     for place, value in draw(st.lists(edits, max_size=3)):
-        edit(doc, place, value)
+        edit_entry(doc, place, value)
     return proxied(doc, draw(st.booleans()), draw(st.booleans()))
 
 
@@ -480,7 +467,7 @@ class TestSharedEntries:
         for place in SHARED_PLACES:
             for value in SHARED_VALUES:
                 doc = copy.deepcopy(SHARED_BASE)
-                edit(doc, place, value)
+                edit_entry(doc, place, value)
                 docs.append(proxied(doc, *proxies))
         assert_sharing_changes_nothing(docs, strict)
 

@@ -21,7 +21,7 @@ import dla.lineage
 from dla.lineage import LineageGraph, parse_capture_list
 from dla.model import ProvenanceRecord
 
-from helpers import bundle_paths, run_cli
+from helpers import bundle_paths, copy_bundle, run_cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -167,17 +167,16 @@ FAILURES = {
 def command_paths(tmp_path: Path) -> dict[str, Path | str]:
     """The paths and store key that ``REPORTS`` and ``FAILURES`` name."""
     lineage, interp = bundle_paths("cifar-10")
+    _, partial_interp, bad_captures = copy_bundle("cifar-10", tmp_path)
     paths: dict[str, Path | str] = {
         "lineage": lineage, "interp": interp, "captures": lineage.parent / "captures",
         "missing": tmp_path / "missing.json", "bad_record": tmp_path / "record.json",
-        "bad_captures": tmp_path / "captures", "partial_interp": tmp_path / "interpretations",
+        "bad_captures": bad_captures, "partial_interp": partial_interp,
         "store": tmp_path / "store", "corrupt_store": tmp_path / "corrupt",
     }
     (tmp_path / "record.json").write_text(json.dumps({"subject_kind": "dataset"}))
-    shutil.copytree(paths["captures"], paths["bad_captures"])
-    (tmp_path / "captures" / "cifar-10.json").write_text('{"captures": []}')
-    shutil.copytree(interp, paths["partial_interp"])
-    (tmp_path / "interpretations" / "flickr.json").unlink()
+    (bad_captures / "cifar-10.json").write_text('{"captures": []}')
+    (partial_interp / "flickr.json").unlink()
     for name in ("cifar-10", "ffhq"):
         args = ["--store", str(paths["store"]), "assess", *map(str, bundle_paths(name))]
         assert run_cli(*args).exit_code == 3

@@ -3,10 +3,9 @@ bundle, with its store under a temporary home directory."""
 
 from __future__ import annotations
 
-import shutil
 from pathlib import Path
 
-from helpers import bundle_paths
+from helpers import copy_bundle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,10 +16,7 @@ def library_example() -> str:
 
 
 def test_library_example_runs_then_hits_its_store(tmp_path, monkeypatch, capsys):
-    lineage, interp = bundle_paths("cifar-10")
-    shutil.copy(lineage, tmp_path / "lineage.json")
-    shutil.copytree(interp, tmp_path / "interpretations")
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(copy_bundle("cifar-10", tmp_path).lineage.parent)
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     code = compile(library_example(), str(README), "exec")
     first: dict = {}

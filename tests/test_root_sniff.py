@@ -8,11 +8,9 @@ and the sniff returns the root record of a valid lineage or nothing.
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import shutil
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -27,18 +25,13 @@ from dla.errors import StaleEntryWarning, UnknownFieldWarning
 from dla.jsonio import canonical_json
 from dla.lineage import LineageGraph, decode_root, sniff_root
 
-from helpers import BUNDLE_NAMES, bundle_paths, run_cli
+from helpers import BUNDLE_NAMES, bundle_paths, copy_bundle, run_cli, run_dla
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 FFHQ_LINEAGE, FFHQ_INTERPRETATIONS = bundle_paths("ffhq")
 
 
-def dla_process(*args: object) -> subprocess.CompletedProcess:
-    """``python -m dla args...`` in a child, so stderr holds each warning as
-    an operator sees it, and a traceback if one escapes."""
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONWARNINGS"}
-    return subprocess.run([sys.executable, "-m", "dla", *map(str, args)], capture_output=True,
-                          text=True, timeout=300, env={**env, "PYTHONPATH": str(SRC)})
+# A child's stderr holds each warning as an operator sees it, and a traceback if one escapes.
+dla_process = functools.partial(run_dla, text=True, timeout=300)
 
 
 def ffhq() -> dict:
@@ -221,14 +214,8 @@ def test_the_sniff_finds_the_root_of_every_fixture(name):
     assert sniffed == decode_root(json.loads(lineage.read_bytes()), str(lineage))
 
 
-def copy_cifar(tmp_path: Path) -> tuple[Path, Path]:
-    lineage, interpretations = bundle_paths("cifar-10")
-    shutil.copytree(lineage.parent, tmp_path / "cifar-10")
-    return tmp_path / "cifar-10" / "lineage.json", tmp_path / "cifar-10" / "interpretations"
-
-
 def test_a_hit_never_decodes_the_lineage(tmp_path, monkeypatch):
-    lineage, interpretations = copy_cifar(tmp_path)
+    lineage, interpretations, _ = copy_bundle("cifar-10", tmp_path)
     store = AnalysisStore(tmp_path / "store")
     assert not lookup_or_verify(store, Bundle.read(lineage, interpretations))[1]
     decoded, read_json = [], dla.store.read_json
@@ -243,7 +230,7 @@ def test_a_hit_never_decodes_the_lineage(tmp_path, monkeypatch):
 def test_an_entry_that_names_another_dataset_is_not_served_by_the_sniff(tmp_path):
     """Its key is the sniffed record's, but its dataset name is not: the
     lineage is decoded, and the exact lookup serves the entry as it did."""
-    lineage, interpretations = copy_cifar(tmp_path)
+    lineage, interpretations, _ = copy_bundle("cifar-10", tmp_path)
     store = AnalysisStore(tmp_path / "store")
     lookup_or_verify(store, Bundle.read(lineage, interpretations))
     (blob,) = store.root.glob("*.json")
@@ -256,7 +243,7 @@ def test_an_entry_that_names_another_dataset_is_not_served_by_the_sniff(tmp_path
 def test_a_stale_entry_warns_once_and_is_replaced(tmp_path):
     """The sniffed key is the root's: the sniff passes the stale entry over
     silently, and the exact lookup warns once, reruns and replaces it."""
-    lineage, interpretations = copy_cifar(tmp_path)
+    lineage, interpretations, _ = copy_bundle("cifar-10", tmp_path)
     store = AnalysisStore(tmp_path / "store")
     lookup_or_verify(store, Bundle.read(lineage, interpretations))
     lineage.write_bytes(lineage.read_bytes() + b"\n")
@@ -273,7 +260,7 @@ def test_a_stale_entry_warns_once_and_is_replaced(tmp_path):
 def test_a_lineage_that_is_not_json_over_a_damaged_entry_is_named(tmp_path):
     """The sniff still finds the root's key in the text, and its blob is
     damaged, but the lineage's error comes first, as without a sniff."""
-    lineage, interpretations = copy_cifar(tmp_path)
+    lineage, interpretations, _ = copy_bundle("cifar-10", tmp_path)
     store = tmp_path / "store"
     assert run_cli("--store", store, "assess", lineage, interpretations).exit_code == 3
     (blob,) = store.glob("*.json")
@@ -292,10 +279,9 @@ def test_a_record_that_shares_the_roots_key_is_not_taken_for_the_root(tmp_path):
     doc = ffhq()
     doc["records"].append(dict(doc["records"][0], subject_id="twin", root_id="twin"))
     doc["edges"].append(["ffhq", "twin"])
-    lineage, interpretations = tmp_path / "lineage.json", tmp_path / "interpretations"
+    lineage, interpretations, _ = copy_bundle("ffhq", tmp_path)
     lineage.write_text(json.dumps({"root_id": "ffhq", "records": doc["records"],
                                    "edges": doc["edges"]}), encoding="utf-8")
-    shutil.copytree(FFHQ_INTERPRETATIONS, interpretations)
     (interpretations / "twin.json").write_text('{"subject_id": "twin", "unavailable": true}',
                                                encoding="utf-8")
     assert sniff_root(lineage.read_bytes(), strict=False).subject_id == "twin"

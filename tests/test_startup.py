@@ -8,18 +8,14 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 from typing import Any
 
 import pytest
 
 import dla
-from helpers import FIXTURES_DIR, bundle_paths
+from helpers import FIXTURES_DIR, bundle_paths, run_python
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 # Runs a command through the CLI's entry point, then prints its exit code and
 # the dla modules the process holds.
 PROBE = """
@@ -38,10 +34,7 @@ LAYERS = {"dla.store", "dla.engine", "dla.catalog", "dla.assessment"}
 def fresh(code: str, *args: str) -> tuple[Any, str]:
     """What ``code`` prints last, as JSON, and its stderr, run with ``args``
     in a fresh interpreter that imports ``dla`` from this checkout."""
-    run = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
-    )
+    run = run_python("-c", code, *args, text=True, check=True)
     return json.loads(run.stdout.splitlines()[-1]), run.stderr
 
 
@@ -126,8 +119,7 @@ def test_process_exits_without_click_dataclasses_inspect_or_tempfile(command, ex
              "from dla.cli import main\n"
              "main()\n")
     argv = [str(a) for a in command(*bundle_paths("cifar-10"))]
-    run = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    run = run_python("-S", "-c", probe, *argv, text=True)
     assert (run.returncode, run.stderr) == (exit_code, "[]\n")
 
 

@@ -7,7 +7,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import shutil
 from pathlib import Path
 
 import pytest
@@ -15,11 +14,12 @@ import pytest
 import dla.engine
 import dla.store
 from dla import AnalysisStore, Bundle, EnginePolicy, analysis_key, lookup_or_verify, verify
-from dla.engine import ENGINE_VERSION
 from dla.errors import StaleEntryWarning, StoreCorrupt
 from dla.model import Grant, VerifiedLicense, canonical_json, replace
 
-from helpers import DIGEST, GOLDEN_KEYS_PATH, bundle_paths, load_bundle, read_bundle, record_for
+from helpers import (
+    DIGEST, GOLDEN_KEYS_PATH, copy_bundle, edit_file, load_bundle, read_bundle, record_for,
+)
 
 
 class TestAnalysisKey:
@@ -53,14 +53,6 @@ def verified_of(bundle: Bundle) -> VerifiedLicense:
                   inputs_digest=bundle.digest(EnginePolicy()))
 
 
-def copy_bundle(name: str, into: Path) -> Bundle:
-    """A writable copy of a fixture bundle, read."""
-    lineage, interp = bundle_paths(name)
-    shutil.copy(lineage, into / "lineage.json")
-    shutil.copytree(interp, into / "interpretations")
-    return Bundle.read(into / "lineage.json", into / "interpretations")
-
-
 class TestLookupOrVerify:
     def test_second_call_hits_and_is_byte_identical(self, tmp_path):
         bundle = read_bundle("cifar-10")
@@ -71,17 +63,13 @@ class TestLookupOrVerify:
         assert canonical_json(first.to_dict()) == canonical_json(second.to_dict())
 
     def test_changed_interpretation_is_stale(self, tmp_path):
-        bundle = copy_bundle("cifar-10", tmp_path)
+        lineage, interp, _ = copy_bundle("cifar-10", tmp_path)
         store = AnalysisStore(tmp_path / "store")
-        first, _ = lookup_or_verify(store, bundle)
+        first, _ = lookup_or_verify(store, Bundle.read(lineage, interp))
         assert first.grant("Access") is Grant.GRANTED
-        google = bundle.interpretations_dir / "google.json"
-        doc = json.loads(google.read_text(encoding="utf-8"))
-        doc["vector"]["standalone_rights"]["Access"]["grant"] = "denied"
-        google.write_text(json.dumps(doc), encoding="utf-8")
+        edit_file(interp / "google.json", ("vector", "standalone_rights", "Access", "grant"), "denied")
         with pytest.warns(StaleEntryWarning):
-            result, hit = lookup_or_verify(store, Bundle.read(bundle.lineage_path,
-                                                              bundle.interpretations_dir))
+            result, hit = lookup_or_verify(store, Bundle.read(lineage, interp))
         assert hit is False
         assert result.grant("Access") is Grant.DENIED
 
@@ -191,9 +179,7 @@ class TestStoreIntegrity:
         lookup_or_verify(store, bundle)
         key = analysis_key(bundle.root)
         blob = store.root / f"{key}.json"
-        doc = json.loads(blob.read_text())
-        doc[field] = value
-        blob.write_text(canonical_json(doc))
+        edit_file(blob, (field,), value)
         with pytest.raises(StoreCorrupt):
             store.get(key)
         with pytest.raises(StoreCorrupt):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from dla.model import UsageScenario, VerifiedLicense, canonical_json
 
-from helpers import bundle_paths, run_cli
+from helpers import bundle_paths, copy_bundle, run_cli
 
 # Non-ASCII, U+2028 (which ensure_ascii=False writes raw), and the characters
 # JSON escapes, a line break among them.
@@ -49,10 +48,7 @@ def stored(tmp_path_factory):
     """A cifar-10 copy with one stored analysis: the ``--store`` command line,
     the blob, its bytes, and the stdout and exit code of the run without a store."""
     root = tmp_path_factory.mktemp("stored")
-    lineage, _ = bundle_paths("cifar-10")
-    shutil.copytree(lineage.parent, root / "cifar-10")
-    args = ["--format", "json", "assess", root / "cifar-10" / "lineage.json",
-            root / "cifar-10" / "interpretations"]
+    args = ["--format", "json", "assess", *copy_bundle("cifar-10", root)[:2]]
     plain = run_cli(*args)
     assert run_cli("--store", root / "store", *args).exit_code == plain.exit_code == 3
     (blob,) = (root / "store").glob("*.json")

@@ -10,12 +10,9 @@ holds a CR."""
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
-import os
-import shutil
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -27,10 +24,13 @@ from dla import AnalysisStore, lookup_or_verify
 from dla.model import SubjectKind, canonical_json
 from dla.resources import templates_dir
 
-from helpers import FIXTURES_DIR, bundle_paths, read_bundle, record_for, run_cli
+from helpers import (
+    BUNDLE_NAMES, FIXTURES_DIR, SRC, at, bundle_paths, copy_bundle, edit_file, locations, read,
+    read_bundle, record_for, run_cli, run_dla,
+)
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
+# What every line dla writes to stderr starts with.
+_PREFIXES = ("error:", "warning:", "(cached analysis)")
 # Ids and names made of a few letters and the two line-break characters.
 _TEXT = st.text(alphabet="ab \n\r", min_size=1, max_size=6).map(lambda text: "n" + text)
 
@@ -117,20 +117,13 @@ def test_validate_problem_path_forges_no_line(tmp_path):
 
 def _custom_rights_bundle(work: Path, rights: dict) -> tuple[Path, Path]:
     """A copy of cifar-10 whose root vector has ``rights`` as its custom rights."""
-    bundle = work / "cifar-10"
-    shutil.copytree(FIXTURES_DIR / "cifar-10", bundle)
-    root = bundle / "interpretations" / "cifar-10.json"
-    doc = json.loads(root.read_text(encoding="utf-8"))
-    doc["vector"]["custom_rights"] = rights
-    root.write_text(json.dumps(doc), encoding="utf-8")
-    return bundle / "lineage.json", bundle / "interpretations"
+    lineage, interpretations, _ = copy_bundle("cifar-10", work)
+    edit_file(interpretations / "cifar-10.json", ("vector", "custom_rights"), rights)
+    return lineage, interpretations
 
 
-def _run_process(*args: object) -> subprocess.CompletedProcess:
-    """``python -m dla args...`` in a child, where a package warning reaches stderr."""
-    return subprocess.run([sys.executable, "-W", "default", "-m", "dla", *map(str, args)],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
+# A child, where a package warning reaches stderr.
+_run_process = functools.partial(run_dla, python=("-W", "default"), text=True)
 
 
 def test_error_path_forges_no_stderr_line(tmp_path):
@@ -178,20 +171,19 @@ def test_command_line_path_forges_no_stderr_line(tmp_path):
 def test_every_stderr_line_of_verify_is_one_dla_wrote(keys):
     """Custom-right keys of any line breaks: ``verify`` prints one ``error:``
     line, and ``--lenient verify`` one ``warning:`` line per key."""
-    prefixes = ("error:", "warning:", "(cached analysis)")
     with tempfile.TemporaryDirectory() as work:
         bogus = {key: {"grant": "bogus"} for key in keys}
         result = run_cli("verify", *_custom_rights_bundle(Path(work) / "bogus", bogus))
         assert result.exit_code == 1
         lines = _lines(result.stderr)
-        assert len(lines) == 1 and all(line.startswith(prefixes) for line in lines)
+        assert len(lines) == 1 and all(line.startswith(_PREFIXES) for line in lines)
 
         unknown = {key: {"grant": "granted", "zz_unknown": 1} for key in keys}
         unknown_bundle = _custom_rights_bundle(Path(work) / "unknown", unknown)
         result = _run_process("--lenient", "verify", *unknown_bundle)
         assert result.returncode == 0
         lines = _lines(result.stderr)
-        assert len(lines) == len(keys) and all(line.startswith(prefixes) for line in lines)
+        assert len(lines) == len(keys) and all(line.startswith(_PREFIXES) for line in lines)
 
 
 def test_other_separators_are_kept_as_given(tmp_path):
@@ -213,6 +205,65 @@ def test_other_separators_are_kept_as_given(tmp_path):
     result = run_cli("range", cyclic)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"error: cycle detected: cifar-10 -> {node} -> cifar-10\n"
+
+
+# The reports that a line break in a fixture's text must not lengthen.
+_REPORTS = {
+    "lineage": lambda bundle: ["lineage", bundle.lineage],
+    "range": lambda bundle: ["range", bundle.lineage, "--captures", bundle.captures],
+    "verify": lambda bundle: ["verify", bundle.lineage, bundle.interpretations],
+    "assess": lambda bundle: ["assess", bundle.lineage, bundle.interpretations],
+}
+
+
+def _texts(name: str) -> list[tuple[str, tuple, bool]]:
+    """Every string value and mapping key in the files of one fixture bundle:
+    the file, the path there, and whether it is the key."""
+    found = []
+    for path in sorted((FIXTURES_DIR / name).rglob("*.json")):
+        doc, file = read(path), str(path.relative_to(FIXTURES_DIR / name))
+        for where in locations(doc):
+            found += [(file, where, True)] if where and isinstance(where[-1], str) else []
+            found += [(file, where, False)] if isinstance(at(doc, where), str) else []
+    return found
+
+
+_TEXTS = {name: _texts(name) for name in BUNDLE_NAMES}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_line_break_in_any_fixture_text_forges_no_line(data):
+    """A CR or LF put into one string value or mapping key of one fixture
+    file: each report prints as many stdout lines, with the same exit code,
+    as with a ``_`` in its place, or exits with empty stdout and one
+    ``error:`` line; every stderr line is one that dla wrote. The edit itself
+    may change the answer (a new obligation id adds a legend line), so the
+    ``_`` run, not the unedited bundle, is the measure."""
+    name = data.draw(st.sampled_from(BUNDLE_NAMES))
+    file, where, is_key = data.draw(st.sampled_from(_TEXTS[name]))
+    line_break = data.draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    text = where[-1] if is_key else at(read(FIXTURES_DIR / name / file), where)
+    cut = data.draw(st.integers(0, len(text)))
+    runs = {}
+    with tempfile.TemporaryDirectory() as work:
+        for i, inserted in enumerate(("_", line_break)):
+            bundle = copy_bundle(name, Path(work, str(i)))
+            edited, path = text[:cut] + inserted + text[cut:], bundle.lineage.parent / file
+            if is_key:
+                edit_file(path, where, key=edited)
+            else:
+                edit_file(path, where, edited)
+            runs[inserted] = {report: run_cli(*args(bundle)) for report, args in _REPORTS.items()}
+    for report, result in runs[line_break].items():
+        plain = runs["_"][report]
+        stderr = _lines(result.stderr) if result.stderr else []
+        assert all(line.startswith(_PREFIXES) for line in stderr), report
+        assert result.exit_code == plain.exit_code, report
+        if result.stdout:
+            assert len(_lines(result.stdout)) == len(_lines(plain.stdout)), report
+        else:
+            assert len(stderr) == 1 and stderr[0].startswith("error:"), report
 
 
 def test_the_line_rule_is_written_once():
